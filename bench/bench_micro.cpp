@@ -10,6 +10,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string_view>
 #include <vector>
@@ -405,6 +406,114 @@ BM_GpPredict(benchmark::State &state)
         benchmark::DoNotOptimize(gp.predict(q));
 }
 BENCHMARK(BM_GpPredict);
+
+/**
+ * EI acquisition over one MOBO slot's candidate pool: a GP on n = 224
+ * grid points of a spatial-shaped space (axis sizes 16, 16, 12, 12, 2,
+ * 2) scores m = 240 candidates, 192 random and 48 mutants of the
+ * 8 best training points, like MoboHwSampler's pool. The serial
+ * variant is the predict() + EI scan kept as the test oracle; the
+ * other is GaussianProcess::argmaxExpectedImprovement, which returns
+ * the same index. ns_per_candidate carries both into BENCH_micro.json,
+ * where CI guards their ratio.
+ */
+struct EiArgmaxCase
+{
+    surrogate::GaussianProcess gp;
+    std::vector<std::vector<double>> pool;
+    double incumbent = 0.0;
+};
+
+EiArgmaxCase
+makeEiArgmaxCase()
+{
+    const std::size_t sizes[] = {16, 16, 12, 12, 2, 2};
+    common::Rng rng(12);
+    const auto point = [&] {
+        std::vector<double> x;
+        for (const std::size_t s : sizes)
+            x.push_back(static_cast<double>(rng.uniformInt(s)) /
+                        static_cast<double>(s - 1));
+        return x;
+    };
+    std::vector<std::vector<double>> x;
+    std::vector<double> y;
+    for (int i = 0; i < 224; ++i) {
+        x.push_back(point());
+        const auto &p = x.back();
+        y.push_back(std::log(1.0 + 4.0 * (1.0 - p[0]) * (1.0 - p[1])) +
+                    0.5 * p[2] * p[3] + 0.2 * p[4] + 0.1 * rng.gaussian());
+    }
+    EiArgmaxCase out;
+    out.gp.fitWithHyperopt(x, y, 256, 1);
+    for (int j = 0; j < 192; ++j)
+        out.pool.push_back(point());
+    std::vector<std::size_t> order(x.size());
+    for (std::size_t i = 0; i < order.size(); ++i)
+        order[i] = i;
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) { return y[a] < y[b]; });
+    for (int j = 0; j < 48; ++j) {
+        std::vector<double> mutant = x[order[j % 8]];
+        const std::size_t axis = rng.uniformInt(mutant.size());
+        mutant[axis] = point()[axis];
+        out.pool.push_back(std::move(mutant));
+    }
+    out.incumbent = y[order.front()];
+    return out;
+}
+
+std::size_t
+serialEiArgmax(const EiArgmaxCase &c)
+{
+    std::size_t best = c.pool.size();
+    double best_ei = -1.0;
+    for (std::size_t j = 0; j < c.pool.size(); ++j) {
+        const double ei = surrogate::expectedImprovement(
+            c.gp.predict(c.pool[j]), c.incumbent);
+        if (ei > best_ei) {
+            best_ei = ei;
+            best = j;
+        }
+    }
+    return best;
+}
+
+void
+eiArgmaxCounters(benchmark::State &state, const EiArgmaxCase &c)
+{
+    // iterations * pool * 1e-9 under kIsRate|kInvert reports elapsed
+    // nanoseconds per scored candidate.
+    state.counters["ns_per_candidate"] = benchmark::Counter(
+        static_cast<double>(state.iterations() * c.pool.size()) * 1e-9,
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+void
+BM_EiArgmaxSerial(benchmark::State &state)
+{
+    const EiArgmaxCase c = makeEiArgmaxCase();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(serialEiArgmax(c));
+    eiArgmaxCounters(state, c);
+}
+BENCHMARK(BM_EiArgmaxSerial);
+
+void
+BM_EiArgmax(benchmark::State &state)
+{
+    const EiArgmaxCase c = makeEiArgmaxCase();
+    if (c.gp.argmaxExpectedImprovement(c.pool, c.incumbent) !=
+        serialEiArgmax(c)) {
+        state.SkipWithError("argmax differs from the serial scan");
+        return;
+    }
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            c.gp.argmaxExpectedImprovement(c.pool, c.incumbent));
+    eiArgmaxCounters(state, c);
+}
+BENCHMARK(BM_EiArgmax);
 
 void
 BM_Hypervolume3d(benchmark::State &state)

@@ -107,15 +107,6 @@ DesignSpace::normalize(const HwPoint &p) const
 }
 
 std::string
-DesignSpace::key(const HwPoint &p) const
-{
-    std::ostringstream oss;
-    for (std::size_t i = 0; i < p.size(); ++i)
-        oss << (i ? "," : "") << p[i];
-    return oss.str();
-}
-
-std::string
 DesignSpace::describe(const HwPoint &p) const
 {
     std::ostringstream oss;

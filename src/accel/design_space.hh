@@ -73,9 +73,6 @@ class DesignSpace
     /** Normalized [0,1]^d embedding for the surrogate model. */
     std::vector<double> normalize(const HwPoint &p) const;
 
-    /** Stable string key for hashing/deduplication. */
-    std::string key(const HwPoint &p) const;
-
     /** Human-readable "name=value" listing. */
     std::string describe(const HwPoint &p) const;
 

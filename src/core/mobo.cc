@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cmath>
 #include <limits>
 
@@ -32,7 +31,7 @@ MoboHwSampler::observe(const accel::HwPoint &h, const moo::Objectives &y,
     obs.y = y;
     obs.highFidelity = high_fidelity;
     all_.push_back(std::move(obs));
-    seenKeys_.insert(space_.key(h));
+    seenKeys_.insert(h);
 
     if (ideal_.empty()) {
         ideal_ = y;
@@ -70,18 +69,19 @@ MoboHwSampler::normalize(const moo::Objectives &y) const
     return moo::normalizeObjectives(y, ideal_, nadir_);
 }
 
-accel::HwPoint
-MoboHwSampler::proposeOne(const std::set<std::string> &batch_keys)
+struct MoboHwSampler::BatchModel
 {
-    // Gather the high-fidelity training set.
-    std::vector<std::vector<double>> x;
-    std::vector<const Obs *> hf;
-    for (const auto &obs : all_) {
-        if (obs.highFidelity) {
-            hf.push_back(&obs);
-            x.push_back(obs.x);
-        }
-    }
+    std::vector<const Obs *> hf;       ///< high-fidelity observations
+    std::vector<std::vector<double>> x; ///< their design vectors
+    surrogate::GaussianProcess gp;
+    bool fitted = false; ///< gp holds this batch's factor
+};
+
+accel::HwPoint
+MoboHwSampler::proposeOne(BatchModel &model,
+                          const std::set<accel::HwPoint> &batch_keys)
+{
+    const auto &hf = model.hf;
     if (hf.size() < 4) {
         // Cold start: explore randomly.
         return space_.randomPoint(rng_);
@@ -95,19 +95,27 @@ MoboHwSampler::proposeOne(const std::set<std::string> &batch_keys)
     for (const Obs *obs : hf)
         s.push_back(moo::parego(normalize(obs->y), w, cfg_.rho));
 
-    surrogate::GaussianProcess gp(kernelParams_);
-    if (!kernelTuned_) {
+    // Only the first model-guided slot of a batch factorizes: the
+    // later ones share its inputs and kernel, so retargeting gives the
+    // fit they would compute from scratch. A factor that failed fails
+    // for every target vector, so retargeting keeps it untrained.
+    surrogate::GaussianProcess &gp = model.gp;
+    if (model.fitted) {
+        gp.retarget(s);
+    } else if (!kernelTuned_) {
         if (cfg_.useArd)
-            gp.fitArd(x, s, cfg_.maxGpPoints, 2, cfg_.gpThreads);
+            gp.fitArd(model.x, s, cfg_.maxGpPoints, 2, cfg_.gpThreads);
         else
-            gp.fitWithHyperopt(x, s, cfg_.maxGpPoints, cfg_.gpThreads);
+            gp.fitWithHyperopt(model.x, s, cfg_.maxGpPoints,
+                               cfg_.gpThreads);
         if (gp.trained()) {
             kernelParams_ = gp.params();
             kernelTuned_ = true;
         }
     } else {
-        gp.fit(x, s, cfg_.maxGpPoints);
+        gp.fit(model.x, s, cfg_.maxGpPoints);
     }
+    model.fitted = true;
     // Graceful degradation: a failed fit (Cholesky jitter ladder
     // exhausted on an ill-conditioned kernel matrix) or a non-finite
     // posterior (NaN targets) falls back to space-filling proposal
@@ -143,52 +151,50 @@ MoboHwSampler::proposeOne(const std::set<std::string> &batch_keys)
     // Duplicate pool entries are scored once: the strict '>' argmax
     // means a repeat could never win anyway, so dropping it saves a
     // GP prediction without changing the proposal.
-    std::set<std::string> scored;
-    double best_ei = -1.0;
-    accel::HwPoint best = pool.front();
-    bool found = false;
+    std::set<accel::HwPoint> scored;
+    std::vector<const accel::HwPoint *> cands;
+    std::vector<std::vector<double>> xs;
     for (const auto &cand : pool) {
-        const std::string key = space_.key(cand);
-        if (batch_keys.count(key) || seenKeys_.count(key))
+        if (batch_keys.count(cand) || seenKeys_.count(cand))
             continue;
-        if (!scored.insert(key).second)
+        if (!scored.insert(cand).second)
             continue;
-        const auto pred = gp.predict(space_.normalize(cand));
-        const double ei = surrogate::expectedImprovement(pred, incumbent);
-        if (ei > best_ei) {
-            best_ei = ei;
-            best = cand;
-            found = true;
-        }
+        cands.push_back(&cand);
+        xs.push_back(space_.normalize(cand));
     }
-    if (!found)
+    const std::size_t best = gp.argmaxExpectedImprovement(xs, incumbent);
+    if (best == cands.size())
         return space_.randomPoint(rng_);
-    return best;
+    return *cands[best];
 }
 
 std::vector<accel::HwPoint>
 MoboHwSampler::sampleBatch(std::size_t n)
 {
-    const auto start = std::chrono::steady_clock::now();
+    // No observation arrives inside a batch, so the training set is
+    // gathered once for all of its slots.
+    BatchModel model{{}, {}, surrogate::GaussianProcess(kernelParams_)};
+    for (const auto &obs : all_) {
+        if (obs.highFidelity) {
+            model.hf.push_back(&obs);
+            model.x.push_back(obs.x);
+        }
+    }
     std::vector<accel::HwPoint> batch;
-    std::set<std::string> batch_keys;
+    std::set<accel::HwPoint> batch_keys;
     batch.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         accel::HwPoint h = rng_.bernoulli(cfg_.randomFraction)
                                ? space_.randomPoint(rng_)
-                               : proposeOne(batch_keys);
+                               : proposeOne(model, batch_keys);
         // Retry a few times to keep the batch diverse; accept
         // duplicates only as a last resort (tiny spaces).
-        for (int attempt = 0;
-             attempt < 16 && batch_keys.count(space_.key(h)); ++attempt)
+        for (int attempt = 0; attempt < 16 && batch_keys.count(h);
+             ++attempt)
             h = space_.randomPoint(rng_);
-        batch_keys.insert(space_.key(h));
+        batch_keys.insert(h);
         batch.push_back(std::move(h));
     }
-    overheadSeconds_ +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
     return batch;
 }
 

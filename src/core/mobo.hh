@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <set>
-#include <string>
 #include <vector>
 
 #include "accel/design_space.hh"
@@ -87,10 +86,6 @@ class MoboHwSampler
      */
     std::vector<accel::HwPoint> sampleBatch(std::size_t n);
 
-    /** Seconds of surrogate/acquisition overhead accumulated (for
-     *  the EvalClock ledger). */
-    double overheadSeconds() const { return overheadSeconds_; }
-
     /** Proposals that fell back to space-filling sampling because the
      *  GP fit failed (Cholesky jitter exhausted) or produced a
      *  non-finite posterior. Monotone; the driver tracks deltas. */
@@ -116,19 +111,23 @@ class MoboHwSampler
         bool highFidelity;
     };
 
-    accel::HwPoint proposeOne(const std::set<std::string> &batch_keys);
+    /** Training set and surrogate shared by the slots of one
+     *  sampleBatch() call. */
+    struct BatchModel;
+
+    accel::HwPoint proposeOne(BatchModel &model,
+                              const std::set<accel::HwPoint> &batch_keys);
 
     const accel::DesignSpace &space_;
     std::size_t numObjectives_;
     MoboConfig cfg_;
     common::Rng rng_;
     std::vector<Obs> all_;
-    std::set<std::string> seenKeys_;
+    std::set<accel::HwPoint> seenKeys_;
     moo::Objectives ideal_;
     moo::Objectives nadir_;
     surrogate::KernelParams kernelParams_;
     bool kernelTuned_ = false;
-    double overheadSeconds_ = 0.0;
     std::uint64_t gpFallbacks_ = 0;
 };
 

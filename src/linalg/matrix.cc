@@ -168,6 +168,54 @@ Cholesky::solveLower(const Vector &b) const
     return y;
 }
 
+Matrix
+Cholesky::solveLowerMulti(const Matrix &b) const
+{
+    // GCC vector lanes: IEEE multiply, subtract and divide per lane,
+    // exactly the scalar operations solveLower() performs per column.
+    typedef double Lanes __attribute__((vector_size(16)));
+    constexpr std::size_t kWidth = sizeof(Lanes) / sizeof(double);
+    constexpr std::size_t kVecs = kSolveBlock / kWidth;
+    static_assert(kSolveBlock % kWidth == 0);
+
+    assert(ok_);
+    const std::size_t n = l_.rows();
+    const std::size_t m = b.cols();
+    assert(b.rows() == n);
+    Matrix y(n, m, 0.0);
+    const std::vector<double> &l = l_.data();
+    // One block of columns, interleaved row by row: panel[i * kVecs + v]
+    // holds entries i of columns 2v and 2v + 1. Columns past the last
+    // one solve zeros and are dropped.
+    std::vector<Lanes> panel(n * kVecs);
+    for (std::size_t c0 = 0; c0 < m; c0 += kSolveBlock) {
+        const std::size_t width = std::min(kSolveBlock, m - c0);
+        for (std::size_t i = 0; i < n; ++i)
+            for (std::size_t c = 0; c < kSolveBlock; ++c)
+                panel[i * kVecs + c / kWidth][c % kWidth] =
+                    c < width ? b(i, c0 + c) : 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+            Lanes acc[kVecs];
+            for (std::size_t v = 0; v < kVecs; ++v)
+                acc[v] = panel[i * kVecs + v];
+            const double *row = &l[i * n];
+            for (std::size_t k = 0; k < i; ++k) {
+                const Lanes lik = {row[k], row[k]};
+                const Lanes *yk = &panel[k * kVecs];
+                for (std::size_t v = 0; v < kVecs; ++v)
+                    acc[v] -= lik * yk[v];
+            }
+            const Lanes lii = {row[i], row[i]};
+            for (std::size_t v = 0; v < kVecs; ++v)
+                panel[i * kVecs + v] = acc[v] / lii;
+        }
+        for (std::size_t i = 0; i < n; ++i)
+            for (std::size_t c = 0; c < width; ++c)
+                y(i, c0 + c) = panel[i * kVecs + c / kWidth][c % kWidth];
+    }
+    return y;
+}
+
 Vector
 Cholesky::solve(const Vector &b) const
 {

@@ -44,18 +44,36 @@ GaussianProcess::fit(const std::vector<std::vector<double>> &x,
     const std::size_t n = x.size();
     const std::size_t start = n > max_points ? n - max_points : 0;
     x_.assign(x.begin() + static_cast<std::ptrdiff_t>(start), x.end());
-    std::vector<double> y_kept(y.begin() + static_cast<std::ptrdiff_t>(start),
-                               y.end());
+    setTargets(y);
+    rebuild();
+}
 
-    yMean_ = common::mean(y_kept);
-    yScale_ = common::stddev(y_kept);
+void
+GaussianProcess::retarget(const std::vector<double> &y)
+{
+    setTargets(y);
+    // The factor depends only on the inputs and the kernel, so it is
+    // the one a fresh fit would build; only alpha and the LML change.
+    FitResult fit;
+    fit.chol = std::move(chol_);
+    if (fit.chol && fit.chol->ok())
+        solveTargets(fit);
+    install(std::move(fit));
+}
+
+void
+GaussianProcess::setTargets(const std::vector<double> &y)
+{
+    assert(y.size() >= x_.size());
+    const std::vector<double> kept(
+        y.end() - static_cast<std::ptrdiff_t>(x_.size()), y.end());
+    yMean_ = common::mean(kept);
+    yScale_ = common::stddev(kept);
     if (yScale_ <= 1e-12)
         yScale_ = 1.0;
-    yStd_.resize(y_kept.size());
-    for (std::size_t i = 0; i < y_kept.size(); ++i)
-        yStd_[i] = (y_kept[i] - yMean_) / yScale_;
-
-    rebuild();
+    yStd_.resize(kept.size());
+    for (std::size_t i = 0; i < kept.size(); ++i)
+        yStd_[i] = (kept[i] - yMean_) / yScale_;
 }
 
 GaussianProcess::FitResult
@@ -73,17 +91,23 @@ GaussianProcess::computeFit(const KernelParams &params) const
         k(i, i) += params.noise;
     }
     out.chol = std::make_unique<linalg::Cholesky>(std::move(k));
-    if (!out.chol->ok())
-        return out;
-    out.alpha = out.chol->solve(yStd_);
+    if (out.chol->ok())
+        solveTargets(out);
+    return out;
+}
+
+void
+GaussianProcess::solveTargets(FitResult &fit) const
+{
+    const std::size_t n = x_.size();
+    fit.alpha = fit.chol->solve(yStd_);
     // log p(y) = -0.5 yᵀ α - Σ log L_ii - n/2 log 2π
     double fit_term = 0.0;
     for (std::size_t i = 0; i < n; ++i)
-        fit_term += yStd_[i] * out.alpha[i];
-    out.lml = -0.5 * fit_term - out.chol->halfLogDet() -
+        fit_term += yStd_[i] * fit.alpha[i];
+    fit.lml = -0.5 * fit_term - fit.chol->halfLogDet() -
               0.5 * static_cast<double>(n) * std::log(2.0 * M_PI);
-    out.ok = true;
-    return out;
+    fit.ok = true;
 }
 
 void
@@ -238,6 +262,105 @@ GaussianProcess::predict(const std::vector<double> &x) const
     out.mean = mean_std * yScale_ + yMean_;
     out.variance = var_std * yScale_ * yScale_;
     return out;
+}
+
+std::size_t
+GaussianProcess::argmaxExpectedImprovement(
+    const std::vector<std::vector<double>> &xs, double incumbent) const
+{
+    const std::size_t m = xs.size();
+    std::size_t best = m;
+    double best_ei = -1.0;
+    if (!trained_) {
+        // Every candidate gets the prior; there is no solve to save.
+        for (std::size_t j = 0; j < m; ++j) {
+            const double ei = expectedImprovement(predict(xs[j]), incumbent);
+            if (ei > best_ei) {
+                best_ei = ei;
+                best = j;
+            }
+        }
+        return best;
+    }
+
+    // Kernel rows, posterior means and, per candidate, a cutoff its EI
+    // cannot exceed: the EI at the prior variance k(x, x), which
+    // bounds the posterior variance predict() computes, plus a slack
+    // for rounding in the EI formula (DESIGN.md §10). Every value is
+    // computed with predict()'s exact expressions.
+    const std::size_t n = x_.size();
+    linalg::Matrix kstar(m, n);
+    std::vector<Prediction> preds(m);
+    std::vector<double> prior_var(m), cutoff(m);
+    for (std::size_t j = 0; j < m; ++j) {
+        double mean_std = 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+            const double k = kernelValue(params_, xs[j], x_[i]);
+            kstar(j, i) = k;
+            mean_std += k * alpha_[i];
+        }
+        preds[j].mean = mean_std * yScale_ + yMean_;
+        prior_var[j] = kernelValue(params_, xs[j], xs[j]);
+        const Prediction prior{
+            preds[j].mean, std::max(prior_var[j], 1e-12) * yScale_ * yScale_};
+        const double sigma = std::sqrt(std::max(prior.variance, 1e-18));
+        cutoff[j] = expectedImprovement(prior, incumbent) +
+                    1e-9 * (std::fabs(incumbent - prior.mean) + sigma);
+    }
+
+    // Visit the highest cutoffs first so the running best rises early
+    // and prunes the most; a NaN cutoff can never prune and goes first.
+    const auto rank = [&](std::size_t j) {
+        return std::isnan(cutoff[j]) ? std::numeric_limits<double>::infinity()
+                                     : cutoff[j];
+    };
+    std::vector<std::size_t> order(m);
+    for (std::size_t j = 0; j < m; ++j)
+        order[j] = j;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return rank(a) > rank(b);
+                     });
+
+    // Survivors are solved kSolveBlock at a time. A pruned candidate's
+    // EI is strictly below an earlier-solved one's, so it can be
+    // neither the maximum nor its first index; among the solved ones
+    // the smallest index wins ties, as in the serial scan.
+    constexpr std::size_t kBlock = linalg::Cholesky::kSolveBlock;
+    std::size_t block[kBlock];
+    std::size_t filled = 0;
+    const auto solveBlock = [&] {
+        linalg::Matrix rhs(n, filled);
+        for (std::size_t c = 0; c < filled; ++c)
+            for (std::size_t i = 0; i < n; ++i)
+                rhs(i, c) = kstar(block[c], i);
+        const linalg::Matrix v = chol_->solveLowerMulti(rhs);
+        for (std::size_t c = 0; c < filled; ++c) {
+            const std::size_t j = block[c];
+            double explained = 0.0;
+            for (std::size_t i = 0; i < n; ++i)
+                explained += v(i, c) * v(i, c);
+            const double var_std =
+                std::max(prior_var[j] - explained, 1e-12);
+            preds[j].variance = var_std * yScale_ * yScale_;
+            const double ei = expectedImprovement(preds[j], incumbent);
+            if (ei > best_ei || (ei == best_ei && j < best)) {
+                best_ei = ei;
+                best = j;
+            }
+        }
+        filled = 0;
+    };
+    for (const std::size_t j : order) {
+        if (cutoff[j] < best_ei)
+            continue;
+        block[filled++] = j;
+        if (filled == kBlock)
+            solveBlock();
+    }
+    if (filled > 0)
+        solveBlock();
+    return best;
 }
 
 double

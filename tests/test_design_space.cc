@@ -62,13 +62,6 @@ TEST(DesignSpace, NormalizeMapsToUnitCube)
     EXPECT_DOUBLE_EQ(lo[2], 0.5); // single-value axis maps to center
 }
 
-TEST(DesignSpace, KeyIsStableAndUnique)
-{
-    const auto ds = makeToySpace();
-    EXPECT_EQ(ds.key({1, 0, 0}), "1,0,0");
-    EXPECT_NE(ds.key({1, 0, 0}), ds.key({0, 1, 0}));
-}
-
 TEST(DesignSpace, DescribeMentionsAxisNames)
 {
     const auto ds = makeToySpace();

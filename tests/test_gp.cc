@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/rng.hh"
 #include "surrogate/gp.hh"
@@ -25,6 +28,42 @@ makeData(std::vector<std::vector<double>> &x, std::vector<double> &y,
         x.push_back({xi});
         y.push_back(std::sin(4.0 * xi) + 0.5 * xi);
     }
+}
+
+std::uint64_t
+bits(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+/** The predict() + EI scan that argmaxExpectedImprovement replaces. */
+std::size_t
+serialArgmaxEi(const GaussianProcess &gp,
+               const std::vector<std::vector<double>> &xs, double incumbent)
+{
+    std::size_t best = xs.size();
+    double best_ei = -1.0;
+    for (std::size_t j = 0; j < xs.size(); ++j) {
+        const double ei = expectedImprovement(gp.predict(xs[j]), incumbent);
+        if (ei > best_ei) {
+            best_ei = ei;
+            best = j;
+        }
+    }
+    return best;
+}
+
+/** A grid point with @p levels values per axis, normalized the way
+ *  DesignSpace::normalize() does. */
+std::vector<double>
+gridPoint(Rng &rng, const std::vector<std::size_t> &levels)
+{
+    std::vector<double> x;
+    for (const std::size_t l : levels)
+        x.push_back(l > 1 ? static_cast<double>(rng.uniformInt(l)) /
+                                static_cast<double>(l - 1)
+                          : 0.5);
+    return x;
 }
 
 } // namespace
@@ -287,6 +326,91 @@ TEST(Gp, ArdBitIdenticalAcrossThreadCounts)
     const auto pt = threaded.predict({0.4, 0.6});
     EXPECT_EQ(ps.mean, pt.mean);
     EXPECT_EQ(ps.variance, pt.variance);
+}
+
+TEST(Gp, RetargetMatchesFreshFit)
+{
+    Rng rng(43);
+    std::vector<std::vector<double>> x;
+    std::vector<double> y1, y2;
+    for (int i = 0; i < 60; ++i) {
+        x.push_back({rng.uniform(), rng.uniform(), rng.uniform()});
+        y1.push_back(rng.gaussian());
+        y2.push_back(std::sin(4.0 * x.back()[0]) + 0.1 * rng.gaussian());
+    }
+    // 40 < 60 keeps only the newest points, like MoboConfig::maxGpPoints.
+    for (const std::size_t window : {512u, 40u}) {
+        GaussianProcess shared;
+        shared.fitWithHyperopt(x, y1, window, 1);
+        ASSERT_TRUE(shared.trained());
+        for (const auto *y : {&y2, &y1}) {
+            shared.retarget(*y);
+            GaussianProcess fresh(shared.params());
+            fresh.fit(x, *y, window);
+            ASSERT_TRUE(shared.trained());
+            ASSERT_EQ(shared.size(), fresh.size());
+            EXPECT_EQ(bits(shared.logMarginalLikelihood()),
+                      bits(fresh.logMarginalLikelihood()));
+            for (int q = 0; q < 20; ++q) {
+                const std::vector<double> p = {rng.uniform(), rng.uniform(),
+                                               rng.uniform()};
+                const auto a = shared.predict(p);
+                const auto b = fresh.predict(p);
+                EXPECT_EQ(bits(a.mean), bits(b.mean));
+                EXPECT_EQ(bits(a.variance), bits(b.variance));
+            }
+        }
+    }
+}
+
+TEST(Gp, ArgmaxEiMatchesSerialScan)
+{
+    // Grid-valued inputs (small grids repeat rows), training sizes on
+    // both sides of the solve block width, pools of 0 to 240, both
+    // kernels with and without ARD, and untrained GPs. An incumbent far
+    // below every mean makes every EI 0, so the first index must win.
+    Rng rng(41);
+    const std::size_t pools[] = {0, 1, 7, 8, 9, 240};
+    int cases = 0;
+    for (int c = 0; c < 480; ++c) {
+        const std::size_t dims = 1 + rng.uniformInt(6);
+        std::vector<std::size_t> levels;
+        for (std::size_t d = 0; d < dims; ++d)
+            levels.push_back(1 + rng.uniformInt(c % 3 == 0 ? 4 : 16));
+        const std::size_t n = 1 + rng.uniformInt(70);
+        std::vector<std::vector<double>> x;
+        std::vector<double> y;
+        for (std::size_t i = 0; i < n; ++i) {
+            x.push_back(gridPoint(rng, levels));
+            double v = 0.3 * rng.gaussian();
+            for (std::size_t d = 0; d < dims; ++d)
+                v += std::sin(3.0 * x.back()[d] + static_cast<double>(d));
+            y.push_back(v);
+        }
+        KernelParams params;
+        params.kind = c % 2 == 0 ? KernelKind::Matern52
+                                 : KernelKind::SquaredExponential;
+        params.lengthscale = 0.05 + rng.uniform();
+        params.noise = c % 5 == 0 ? 1e-6 : 1e-3;
+        if (c % 4 == 1)
+            for (std::size_t d = 0; d < dims; ++d)
+                params.ardLengthscales.push_back(0.05 + 2.0 * rng.uniform());
+        GaussianProcess gp(params);
+        if (c % 10 != 9)
+            gp.fit(x, y, c % 7 == 0 ? 32 : 512);
+
+        std::vector<std::vector<double>> xs;
+        for (std::size_t j = 0; j < pools[c % 6]; ++j)
+            xs.push_back(gridPoint(rng, levels));
+        double incumbent = *std::min_element(y.begin(), y.end());
+        if (c % 8 == 3)
+            incumbent -= 1e6;
+        ASSERT_EQ(gp.argmaxExpectedImprovement(xs, incumbent),
+                  serialArgmaxEi(gp, xs, incumbent))
+            << "case " << c;
+        ++cases;
+    }
+    EXPECT_GE(cases, 400);
 }
 
 TEST(Gp, HyperoptClearsStaleArdState)

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/rng.hh"
 #include "linalg/matrix.hh"
@@ -268,6 +270,44 @@ TEST(NormalEquations, DeterministicAcrossRepeatedSolves)
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i)
         EXPECT_EQ(a[i], b[i]); // bit-identical, not just close
+}
+
+TEST(Cholesky, SolveLowerMultiBitIdenticalToSolveLower)
+{
+    // Every column of the blocked multi-right-hand-side solve must
+    // equal solveLower() of that column bit for bit, for row counts
+    // and column counts on both sides of the block width.
+    unico::common::Rng rng(31);
+    for (const std::size_t n : {1u, 2u, 7u, 8u, 9u, 33u, 100u}) {
+        Matrix g(n, n);
+        for (std::size_t r = 0; r < n; ++r)
+            for (std::size_t c = 0; c < n; ++c)
+                g(r, c) = rng.gaussian();
+        Matrix a = g.mul(g.transposed());
+        a.addDiagonal(0.1);
+        const Cholesky chol(a);
+        ASSERT_TRUE(chol.ok());
+        for (const std::size_t m : {1u, 3u, 8u, 9u, 17u}) {
+            Matrix b(n, m);
+            for (std::size_t r = 0; r < n; ++r)
+                for (std::size_t c = 0; c < m; ++c)
+                    b(r, c) = rng.uniform() < 0.1 ? 0.0 : rng.gaussian();
+            const Matrix y = chol.solveLowerMulti(b);
+            ASSERT_EQ(y.rows(), n);
+            ASSERT_EQ(y.cols(), m);
+            for (std::size_t c = 0; c < m; ++c) {
+                Vector col(n);
+                for (std::size_t r = 0; r < n; ++r)
+                    col[r] = b(r, c);
+                const Vector ref = chol.solveLower(col);
+                for (std::size_t r = 0; r < n; ++r)
+                    ASSERT_EQ(std::bit_cast<std::uint64_t>(y(r, c)),
+                              std::bit_cast<std::uint64_t>(ref[r]))
+                        << "n=" << n << " m=" << m << " at (" << r << ","
+                        << c << ")";
+            }
+        }
+    }
 }
 
 TEST(Cholesky, SolveLowerForwardSubstitution)

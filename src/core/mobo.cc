@@ -97,8 +97,10 @@ MoboHwSampler::proposeOne(BatchModel &model,
 
     // Only the first model-guided slot of a batch factorizes: the
     // later ones share its inputs and kernel, so retargeting gives the
-    // fit they would compute from scratch. A factor that failed fails
-    // for every target vector, so retargeting keeps it untrained.
+    // fit they would compute anew. Whether a factor succeeds depends
+    // on those two alone (the hyperparameter search fails only when
+    // its first factor, at kernelParams_, does), so retargeting a
+    // failed factor keeps it untrained, as a refit would.
     surrogate::GaussianProcess &gp = model.gp;
     if (model.fitted) {
         gp.retarget(s);

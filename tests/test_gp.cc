@@ -363,6 +363,29 @@ TEST(Gp, RetargetMatchesFreshFit)
     }
 }
 
+TEST(Gp, RetargetKeepsFailedFactorUntrained)
+{
+    // A NaN input poisons the kernel matrix past the jitter ladder, so
+    // the factor fails for any targets: retargeting must leave the GP
+    // untrained, predicting the new targets' prior like a fresh fit.
+    const std::vector<std::vector<double>> x = {
+        {0.1}, {0.5}, {std::nan("")}, {0.9}};
+    const std::vector<double> y1 = {1.0, 2.0, 3.0, 4.0};
+    const std::vector<double> y2 = {-1.0, 0.5, 2.0, 7.0};
+    GaussianProcess shared;
+    shared.fit(x, y1);
+    ASSERT_FALSE(shared.trained());
+    shared.retarget(y2);
+    GaussianProcess fresh(shared.params());
+    fresh.fit(x, y2);
+    EXPECT_FALSE(shared.trained());
+    EXPECT_FALSE(fresh.trained());
+    const auto a = shared.predict({0.3});
+    const auto b = fresh.predict({0.3});
+    EXPECT_EQ(bits(a.mean), bits(b.mean));
+    EXPECT_EQ(bits(a.variance), bits(b.variance));
+}
+
 TEST(Gp, ArgmaxEiMatchesSerialScan)
 {
     // Grid-valued inputs (small grids repeat rows), training sizes on

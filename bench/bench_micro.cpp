@@ -18,7 +18,6 @@
 #include "camodel/simulator.hh"
 #include "common/rng.hh"
 #include "common/shard_cache.hh"
-#include "common/thread_pool.hh"
 #include "core/backend.hh"
 #include "core/driver.hh"
 #include "costmodel/analytical.hh"
@@ -191,10 +190,10 @@ BENCHMARK(BM_MshRoundsCached);
  * the cube running the per-L0-tile inner pipeline (retained verbatim
  * as the traced path; trace cap 1 keeps recording cost negligible).
  * The prepared variants amortize the context through
- * PreparedSpatialQuery/PreparedCubeQuery and (cube) the hoisted
- * loop-invariant fast path — the production stack since the layer
- * policies build one context per layer-run. The ns_per_eval counter
- * carries both into BENCH_micro.json, where CI guards the ratio.
+ * PreparedSpatialQuery/PreparedCubeQuery and (cube) the closed-form
+ * fast path — the production stack since the layer policies build one
+ * context per layer-run. The ns_per_eval counter carries both into
+ * BENCH_micro.json, where CI guards the ratio.
  */
 void
 BM_ColdEvalSpatial(benchmark::State &state)
@@ -327,35 +326,6 @@ BM_ColdEvalCubePrepared(benchmark::State &state)
         benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_ColdEvalCubePrepared);
-
-/**
- * Batched cold evaluation: a 16-candidate block through
- * evaluateBatch() on a persistent pool (arg = threads; 0 = serial),
- * under one prepared context. Reported per block; wall-clock scales
- * with the pool while results stay byte-identical. The cube model is
- * the case that matters: its per-candidate cost (~10 us) dwarfs the
- * pool's dispatch overhead, which is also why the spatial engines
- * only batch when blocks are large and a pool is explicitly given.
- */
-void
-BM_ColdEvalCubeBatch(benchmark::State &state)
-{
-    const camodel::CycleAccurateModel model;
-    const auto op = workload::TensorOp::gemm("g", 512, 512, 512);
-    const auto hw = accel::CubeHwConfig::expertDefault();
-    const camodel::CubeMappingSpace space(op);
-    common::Rng rng(2);
-    std::vector<camodel::CubeMapping> mappings;
-    for (int i = 0; i < 16; ++i)
-        mappings.push_back(space.random(rng));
-    const camodel::PreparedCubeQuery prep = model.prepare(op, hw);
-    const auto threads = static_cast<std::size_t>(state.range(0));
-    common::ThreadPool pool(threads == 0 ? 1 : threads);
-    common::ThreadPool *p = threads == 0 ? nullptr : &pool;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(model.evaluateBatch(prep, mappings, p));
-}
-BENCHMARK(BM_ColdEvalCubeBatch)->Arg(0)->Arg(4);
 
 void
 BM_MappingMutate(benchmark::State &state)

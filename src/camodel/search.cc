@@ -20,31 +20,6 @@ screeningEvaluator(CubeCandidateScreen *screen, CubeEvaluator inner)
     };
 }
 
-CubeBatchEvaluator
-serialBatch(CubeEvaluator inner)
-{
-    return [inner = std::move(inner)](const std::vector<CubeMapping> &ms) {
-        std::vector<mapping::MappingEval> out;
-        out.reserve(ms.size());
-        for (const CubeMapping &m : ms)
-            out.push_back(inner(m));
-        return out;
-    };
-}
-
-CubeBatchEvaluator
-screeningBatchEvaluator(CubeCandidateScreen *screen, CubeEvaluator one,
-                        CubeBatchEvaluator batch)
-{
-    if (screen == nullptr)
-        return batch;
-    // An active screen trains on each exact result before judging the
-    // next candidate; serialize the block through the screened
-    // single-candidate path to keep that feedback order byte-identical
-    // to the unbatched stack.
-    return serialBatch(screeningEvaluator(screen, std::move(one)));
-}
-
 CubeSearchRun::CubeSearchRun(const CubeMappingSpace &space,
                              CubeEvaluator evaluator, std::uint64_t seed)
     : space_(space), evaluator_(std::move(evaluator)), rng_(seed)

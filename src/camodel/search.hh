@@ -55,28 +55,6 @@ CubeEvaluator screeningEvaluator(CubeCandidateScreen *screen,
                                  CubeEvaluator inner);
 
 /**
- * Batched cube evaluation: one candidate block in, index-aligned
- * evaluations out, byte-identical to calling the single-candidate
- * evaluator per element in index order (the same determinism contract
- * as mapping::BatchMappingEvaluator).
- */
-using CubeBatchEvaluator = std::function<std::vector<mapping::MappingEval>(
-    const std::vector<CubeMapping> &)>;
-
-/** Trivial batch adapter: @p inner called per element in index order. */
-CubeBatchEvaluator serialBatch(CubeEvaluator inner);
-
-/**
- * Batched counterpart of the cube screeningEvaluator. An active
- * screen is stateful, so with @p screen non-null the block runs
- * strictly serially through @p one (the evaluator below the screen);
- * with @p screen == nullptr the pass-through @p batch is returned.
- */
-CubeBatchEvaluator screeningBatchEvaluator(CubeCandidateScreen *screen,
-                                           CubeEvaluator one,
-                                           CubeBatchEvaluator batch);
-
-/**
  * Resumable cube-mapping search.
  *
  * The strategy mirrors a depth-first fusion search: it starts from a
@@ -87,8 +65,7 @@ CubeBatchEvaluator screeningBatchEvaluator(CubeCandidateScreen *screen,
  * Every candidate after the seed is generated from the incumbent's
  * evaluation (greedy descent with backtrack), so — unlike the spatial
  * engines' sampling/seeding phases — there is no evaluation-
- * independent block to fan out: the run takes no CubeBatchEvaluator
- * and always evaluates serially.
+ * independent block to fan out: the run always evaluates serially.
  */
 class CubeSearchRun
 {

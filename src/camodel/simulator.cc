@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/math.hh"
-#include "common/thread_pool.hh"
 
 namespace unico::camodel {
 
@@ -26,6 +25,8 @@ toString(SimEvent::Kind kind)
 namespace {
 
 using common::ceilDiv;
+using common::periodicAdd;
+using common::repeatAdd;
 
 /** Cycles to move @p bytes through an L0 bank group port array; fewer
  *  bank groups serialize accesses and add conflict stalls. */
@@ -216,35 +217,22 @@ CycleAccurateModel::evaluate(const PreparedCubeQuery &prep,
                 a1_bytes + b1_bytes + (last_k ? out1_bytes : 0.0);
         }
     } else {
-        // Fast path: every quantity inside the historical t1 loop is
-        // loop-invariant, so the inner L0 pipeline runs once instead
-        // of once per L1 tile — O(l1_tiles * l0_per_l1) becomes
-        // O(l1_tiles + l0_per_l1). Expression trees and accumulation
-        // order are preserved so the result is bit-identical:
-        //  - `inner` repeats the exact i0 add sequence the old loop
-        //    recomputed (identically) for every t1;
-        //  - the per-step cycle/dram addends were already evaluated
-        //    independently of the accumulators, so precomputing them
-        //    rounds identically;
-        //  - cubeBusyCycles is integer-valued (ceilDiv products plus
-        //    the pipeline depth), so block-summing is exact;
-        //  - dmaBusyCycles may differ in ulps from the historical
-        //    running sum; it feeds no PPA term (diagnostics only).
+        // Fast path: the loops above in closed form. Every addend is
+        // loop-invariant, so each accumulator is a run of one repeated
+        // add (repeatAdd) or a period of (tk1 - 1) plain L1 tiles and
+        // one last-k tile (periodicAdd), and both helpers return the
+        // literal loops' bits. The addends keep the traced path's
+        // expression trees, so every counter matches it exactly.
         const double fill_cycles =
             (a1_bytes + b1_bytes) / tech_.dramBytesPerCycle;
         const double load = (m.doubleBufferA ? 0.0 : load_a0) +
                             (m.doubleBufferB ? 0.0 : load_b0);
         const double overlapped = (m.doubleBufferA ? load_a0 : 0.0) +
                                   (m.doubleBufferB ? load_b0 : 0.0);
-        double inner = 0.0;
-        double block_cube = 0.0;
-        double block_dma = 0.0;
-        for (std::int64_t i0 = 0; i0 < l0_per_l1; ++i0) {
-            inner += load + std::max(cube_cycles, overlapped);
-            block_cube += cube_cycles;
-            block_dma += load_a0 + load_b0;
-        }
-        inner += load_a0 + load_b0; // first tile preload
+        const double inner =
+            repeatAdd(0.0, load + std::max(cube_cycles, overlapped),
+                      l0_per_l1) +
+            (load_a0 + load_b0); // first tile preload
 
         const double drains = static_cast<double>(tm0 * tn0);
         const double vec_cycles = static_cast<double>(m.m1) *
@@ -263,17 +251,16 @@ CycleAccurateModel::evaluate(const PreparedCubeQuery &prep,
         const double step_dram = a1_bytes + b1_bytes + 0.0;
         const double step_dram_k = a1_bytes + b1_bytes + out1_bytes;
         const std::int64_t k_mod = std::max<std::int64_t>(tk1, 1);
-        for (std::int64_t t1 = 0; t1 < sim_l1_tiles; ++t1) {
-            ++simulated_l1;
-            const bool last_k = ((t1 + 1) % k_mod) == 0;
-            st.cubeBusyCycles += block_cube;
-            st.dmaBusyCycles += block_dma;
-            st.l0Tiles += l0_per_l1;
-            if (last_k)
-                st.vecBusyCycles += vec_cycles;
-            cycles += last_k ? step_cycles_k : step_cycles;
-            st.dramBytes += last_k ? step_dram_k : step_dram;
-        }
+        simulated_l1 = sim_l1_tiles;
+        const std::int64_t l0_tiles = simulated_l1 * l0_per_l1;
+        cycles = periodicAdd(0.0, step_cycles, step_cycles_k, k_mod,
+                             simulated_l1);
+        st.dramBytes = periodicAdd(0.0, step_dram, step_dram_k, k_mod,
+                                   simulated_l1);
+        st.vecBusyCycles = repeatAdd(0.0, vec_cycles, simulated_l1 / k_mod);
+        st.cubeBusyCycles = repeatAdd(0.0, cube_cycles, l0_tiles);
+        st.dmaBusyCycles = repeatAdd(0.0, load_a0 + load_b0, l0_tiles);
+        st.l0Tiles = l0_tiles;
     }
     st.l1Tiles = simulated_l1;
 
@@ -501,26 +488,6 @@ CycleAccurateModel::evaluateCached(const PreparedCubeQuery &prep,
     if (seconds_out)
         *seconds_out = seconds;
     return ppa;
-}
-
-std::vector<accel::Ppa>
-CycleAccurateModel::evaluateBatch(const PreparedCubeQuery &prep,
-                                  const std::vector<CubeMapping> &ms,
-                                  common::ThreadPool *pool) const
-{
-    std::vector<accel::Ppa> out(ms.size());
-    if (pool == nullptr || ms.size() <= 1) {
-        for (std::size_t i = 0; i < ms.size(); ++i)
-            out[i] = evaluate(prep, ms[i]);
-        return out;
-    }
-    common::ThreadPool::Batch batch(*pool);
-    for (std::size_t i = 0; i < ms.size(); ++i)
-        batch.submit([this, &prep, &ms, &out, i] {
-            out[i] = evaluate(prep, ms[i]);
-        });
-    batch.wait();
-    return out;
 }
 
 CycleAccurateModel

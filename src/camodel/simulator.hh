@@ -6,9 +6,10 @@
  * cycle-accurate model (CAModel) of Sec. 4.1: a tile-by-tile pipeline
  * simulation of DMA engines, the L0A/L0B/L0C staging buffers with
  * bank groups, the MxNxK cube unit and the vector epilogue through
- * the unified buffer. It is orders of magnitude slower than the
- * analytical model — per the paper, each query also charges minutes
- * of virtual search time to the EvalClock ledger.
+ * the unified buffer. The per-tile loop survives as the traced path;
+ * untraced queries compute its sums in closed form, bit for bit. Per
+ * the paper, each query charges minutes of virtual search time to the
+ * EvalClock ledger whatever its wall-clock cost.
  */
 
 #ifndef UNICO_CAMODEL_SIMULATOR_HH
@@ -21,10 +22,6 @@
 #include "accel/ppa.hh"
 #include "camodel/cube_mapping.hh"
 #include "workload/tensor_op.hh"
-
-namespace unico::common {
-class ThreadPool;
-} // namespace unico::common
 
 namespace unico::camodel {
 
@@ -214,19 +211,6 @@ class CycleAccurateModel
                               const CubeMapping &m, accel::EvalCache &cache,
                               double *seconds_out,
                               double fixed_seconds = -1.0) const;
-
-    /**
-     * Evaluate a block of candidates under one prepared context,
-     * index-aligned with @p ms. Each evaluation is a pure function of
-     * (context, mapping), so with a non-null @p pool the results are
-     * byte-identical to the serial path regardless of schedule.
-     * Per-candidate SimStats are not exposed; use evaluate() when the
-     * counters (or trace) matter.
-     */
-    std::vector<accel::Ppa>
-    evaluateBatch(const PreparedCubeQuery &prep,
-                  const std::vector<CubeMapping> &ms,
-                  common::ThreadPool *pool = nullptr) const;
 
     /**
      * Stable fingerprint of one (model kind, tech constants, op, hw)

@@ -1,12 +1,15 @@
 /**
  * @file
- * Small shared integer math helpers.
+ * Small shared math helpers for the evaluation kernels.
  *
  * Both evaluation kernels (costmodel/analytical, camodel/simulator)
  * used to carry their own copy of ceilDiv; the copies have to stay
  * bit-identical because ceiling divisions feed tile counts and tile
  * counts feed the golden-pinned PPA numbers. One definition keeps
  * them from drifting.
+ *
+ * repeatAdd and periodicAdd give the cube simulator's accumulation
+ * loops in closed form, bit for bit (DESIGN.md §15).
  */
 
 #ifndef UNICO_COMMON_MATH_HH
@@ -45,6 +48,24 @@ ceilDivDouble(std::int64_t a, std::int64_t b)
 {
     return std::ceil(static_cast<double>(a) / static_cast<double>(b));
 }
+
+/**
+ * Exactly what `for (i = 0; i < n; ++i) x += c;` returns, bit for
+ * bit. For finite x, c >= 0 (every simulator accumulator) it takes a
+ * few steps per binade x crosses instead of n adds; other inputs run
+ * the literal loop, stopping once an add leaves x unchanged.
+ */
+double repeatAdd(double x, double c, std::int64_t n);
+
+/**
+ * Exactly what
+ * `for (t = 0; t < T; ++t) x += ((t + 1) % k == 0) ? b : a;`
+ * returns, bit for bit: T / k periods of (k - 1) `a`s and one `b`,
+ * then T % k `a`s. @p k must be positive. Fast, like repeatAdd, for
+ * finite x, a, b >= 0.
+ */
+double periodicAdd(double x, double a, double b, std::int64_t k,
+                   std::int64_t T);
 
 } // namespace unico::common
 

@@ -1,12 +1,19 @@
 /**
  * @file
  * Tests for the cycle-level Ascend-like simulator: feasibility,
- * double buffering, bank groups, extrapolation and cost charging.
+ * double buffering, bank groups, extrapolation and cost charging,
+ * and physical invariants over random (layer, hardware, mapping)
+ * triples.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "accel/ascend.hh"
 #include "camodel/simulator.hh"
+#include "common/rng.hh"
+#include "workload/model_zoo.hh"
 
 using namespace unico;
 using accel::CubeHwConfig;
@@ -249,4 +256,103 @@ TEST(CaModel, TraceEventKindNames)
 {
     EXPECT_STREQ(toString(camodel::SimEvent::Kind::L1Fill), "l1-fill");
     EXPECT_STREQ(toString(camodel::SimEvent::Kind::CubeExec), "cube");
+}
+
+/* --------------------- physical invariants ---------------------- */
+
+TEST(CubeInvariants, WorkedExampleMacCount)
+{
+    // CPRE_Lab6 Conv1: a 64x64x3 input, 64 3x3 filters, stride 1 and
+    // same padding give a 64x64x64 output at 27 MACs per element.
+    const TensorOp conv1 = TensorOp::conv("conv1", 64, 3, 64, 64, 3, 3);
+    EXPECT_EQ(conv1.macs(), 7077888);
+    const GemmShape g = GemmShape::fromOp(conv1);
+    EXPECT_EQ(g.m * g.n * g.k, 7077888);
+}
+
+/**
+ * Over random (unet / fsrcnn layer, design point, mapping) triples:
+ * a tile over its buffer is infeasible (and only then); a feasible
+ * result is no faster than the cube's MAC roofline; and a fully
+ * simulated one moves at least the compulsory 16-bit A, B and C
+ * footprint through DRAM.
+ */
+TEST(CubeInvariants, HoldOverRandomZooTriples)
+{
+    std::vector<TensorOp> layers;
+    for (const char *name : {"unet", "fsrcnn_120x320"})
+        for (const auto &wop : workload::makeNetwork(name).uniqueOps())
+            layers.push_back(wop.op);
+    const CycleAccurateModel model;
+    const accel::AscendDesignSpace ds;
+    common::Rng rng(97);
+    int feasible = 0, over = 0, fully_simulated = 0;
+    for (int trial = 0; trial < 800; ++trial) {
+        const TensorOp &op = layers[rng.uniformInt(layers.size())];
+        const CubeHwConfig hw = ds.decode(ds.space().randomPoint(rng));
+        const camodel::CubeMappingSpace space(op);
+        const CubeMapping m = space.random(rng);
+        SimStats st;
+        const Ppa ppa = model.evaluate(op, hw, m, &st);
+
+        // fp16 operands, fp32 accumulators; ping-pong doubles a
+        // buffer's footprint, and unfused output stages through L1.
+        const std::int64_t l0a = 2 * m.m0 * m.k0 * (m.doubleBufferA ? 2 : 1);
+        const std::int64_t l0b = 2 * m.k0 * m.n0 * (m.doubleBufferB ? 2 : 1);
+        const std::int64_t l0c = 4 * m.m0 * m.n0;
+        const std::int64_t l1 = 2 * (2 * m.m1 * m.k1 + 2 * m.k1 * m.n1) +
+                                (m.fuseVector ? 0 : 2 * m.m1 * m.n1);
+        const std::int64_t ub = 2 * (2 * m.m0 * m.n1);
+        const bool fits = l0a <= hw.l0aBytes && l0b <= hw.l0bBytes &&
+                          l0c <= hw.l0cBytes && l1 <= hw.l1Bytes &&
+                          ub <= hw.ubBytes;
+        ASSERT_EQ(ppa.feasible, fits) << op.name << " " << m.describe();
+        if (!fits) {
+            ++over;
+            continue;
+        }
+        ++feasible;
+        const double roofline_ms =
+            static_cast<double>(op.macs()) /
+            (static_cast<double>(hw.cubeMacs()) * model.tech().clockGhz *
+             1e6);
+        EXPECT_GE(ppa.latencyMs, roofline_ms) << op.name;
+        if (st.extrapolated)
+            continue;
+        ++fully_simulated;
+        const GemmShape &g = space.shape();
+        const double compulsory =
+            2.0 * static_cast<double>(g.m * g.k + g.k * g.n + g.m * g.n);
+        EXPECT_GE(st.dramBytes, compulsory) << op.name;
+    }
+    EXPECT_GE(feasible, 100);
+    EXPECT_GE(over, 100);
+    EXPECT_GE(fully_simulated, 20);
+}
+
+/** Per-access SRAM energy follows sqrt(capacity): it never falls as
+ *  a buffer grows, including below the 1 KiB clamp. */
+TEST(CubeInvariants, SramAccessEnergyNeverFallsWithCapacity)
+{
+    const CycleAccurateModel model;
+    const CubeHwConfig base = CubeHwConfig::expertDefault();
+    camodel::PreparedCubeQuery prev{};
+    bool first = true;
+    for (std::int64_t bytes = 256; bytes <= (std::int64_t{8} << 20);
+         bytes += bytes / 2) {
+        CubeHwConfig hw = base;
+        hw.l0aBytes = hw.l0bBytes = hw.l0cBytes = bytes;
+        hw.l1Bytes = hw.ubBytes = bytes;
+        const camodel::PreparedCubeQuery q = model.prepare(gemmOp(), hw);
+        if (!first) {
+            EXPECT_GE(q.pjL0a, prev.pjL0a) << bytes;
+            EXPECT_GE(q.pjL0b, prev.pjL0b) << bytes;
+            EXPECT_GE(q.pjL0c, prev.pjL0c) << bytes;
+            EXPECT_GE(q.pjL1, prev.pjL1) << bytes;
+            EXPECT_GE(q.pjUb, prev.pjUb) << bytes;
+        }
+        prev = q;
+        first = false;
+    }
+    EXPECT_GT(prev.pjL1, model.prepare(gemmOp(), base).pjL1);
 }

@@ -21,6 +21,7 @@
 #include "core/backend.hh"
 #include "core/driver.hh"
 #include "costmodel/analytical.hh"
+#include "mapping/engine.hh"
 #include "moo/hypervolume.hh"
 #include "surrogate/gp.hh"
 #include "surrogate/learned_model.hh"
@@ -85,12 +86,40 @@ BM_CycleLevelEvaluate(benchmark::State &state)
 }
 BENCHMARK(BM_CycleLevelEvaluate);
 
+/** Spatial evaluation through the production cache path. */
+mapping::MappingEval
+cachedSpatial(const costmodel::AnalyticalCostModel &model,
+              const costmodel::PreparedSpatialQuery &prep,
+              const mapping::Mapping &m, accel::EvalCache *cache)
+{
+    return mapping::cachedEvaluate(cache, prep.context, m, [&] {
+        return mapping::latencyEval(
+            model.evaluate(prep, m),
+            costmodel::AnalyticalCostModel::nominalEvalSeconds());
+    });
+}
+
+/** Cube evaluation through the production cache path; the entry
+ *  carries the query's nominal seconds, as the ascend policy's do. */
+mapping::MappingEval
+cachedCube(const camodel::CycleAccurateModel &model,
+           const camodel::PreparedCubeQuery &prep,
+           const camodel::CubeMapping &m, accel::EvalCache *cache)
+{
+    return mapping::cachedEvaluate(cache, prep.context, m, [&] {
+        camodel::SimStats stats;
+        const accel::Ppa ppa = model.evaluate(prep, m, &stats);
+        return mapping::latencyEval(ppa, model.nominalEvalSeconds(stats));
+    });
+}
+
 void
 BM_AnalyticalEvaluateCachedWarm(benchmark::State &state)
 {
     const costmodel::AnalyticalCostModel model;
     const auto op = convOp();
     const auto hw = spatialHw();
+    const auto prep = model.prepare(op, hw);
     const mapping::MappingSpace space(op);
     common::Rng rng(1);
     std::vector<mapping::Mapping> mappings;
@@ -98,11 +127,11 @@ BM_AnalyticalEvaluateCachedWarm(benchmark::State &state)
         mappings.push_back(space.random(rng));
     accel::EvalCache cache(16 * 1024 * 1024);
     for (const auto &m : mappings)
-        model.evaluateCached(op, hw, m, cache); // warm every entry
+        cachedSpatial(model, prep, m, &cache); // warm every entry
     std::size_t i = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(model.evaluateCached(
-            op, hw, mappings[i++ % mappings.size()], cache));
+        benchmark::DoNotOptimize(cachedSpatial(
+            model, prep, mappings[i++ % mappings.size()], &cache));
     }
 }
 BENCHMARK(BM_AnalyticalEvaluateCachedWarm);
@@ -113,19 +142,19 @@ BM_CycleLevelEvaluateCachedWarm(benchmark::State &state)
     const camodel::CycleAccurateModel model;
     const auto op = workload::TensorOp::gemm("g", 512, 512, 512);
     const auto hw = accel::CubeHwConfig::expertDefault();
+    const auto prep = model.prepare(op, hw);
     const camodel::CubeMappingSpace space(op);
     common::Rng rng(2);
     std::vector<camodel::CubeMapping> mappings;
     for (int i = 0; i < 16; ++i)
         mappings.push_back(space.random(rng));
     accel::EvalCache cache(16 * 1024 * 1024);
-    double secs = 0.0;
     for (const auto &m : mappings)
-        model.evaluateCached(op, hw, m, cache, &secs);
+        cachedCube(model, prep, m, &cache);
     std::size_t i = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(model.evaluateCached(
-            op, hw, mappings[i++ % mappings.size()], cache, &secs));
+        benchmark::DoNotOptimize(cachedCube(
+            model, prep, mappings[i++ % mappings.size()], &cache));
     }
 }
 BENCHMARK(BM_CycleLevelEvaluateCachedWarm);
@@ -144,22 +173,17 @@ mshRounds(benchmark::State &state, accel::EvalCache *cache)
     const camodel::CycleAccurateModel model;
     const auto op = workload::TensorOp::gemm("g", 256, 256, 256);
     const auto hw = accel::CubeHwConfig::expertDefault();
+    const auto prep = model.prepare(op, hw);
     const camodel::CubeMappingSpace space(op);
     common::Rng rng(7);
     std::vector<camodel::CubeMapping> mappings;
     for (int i = 0; i < 16; ++i)
         mappings.push_back(space.random(rng));
-    double secs = 0.0;
     for (auto _ : state) {
         double acc = 0.0;
         for (int round = 0; round < 4; ++round) {
-            for (const auto &m : mappings) {
-                const accel::Ppa ppa =
-                    cache != nullptr
-                        ? model.evaluateCached(op, hw, m, *cache, &secs)
-                        : model.evaluate(op, hw, m);
-                acc += ppa.latencyMs;
-            }
+            for (const auto &m : mappings)
+                acc += cachedCube(model, prep, m, cache).ppa.latencyMs;
         }
         benchmark::DoNotOptimize(acc);
     }
@@ -186,7 +210,7 @@ BENCHMARK(BM_MshRoundsCached);
  * pays for every previously unseen candidate. The unprepared
  * variants replicate the pre-overhaul kernel — re-hashing the query
  * context fingerprint and re-deriving operand masks / sqrt energy
- * constants per call, as evaluateCached() historically did, and for
+ * constants per call, as the cached path historically did, and for
  * the cube running the per-L0-tile inner pipeline (retained verbatim
  * as the traced path; trace cap 1 keeps recording cost negligible).
  * The prepared variants amortize the context through
@@ -245,7 +269,7 @@ BM_ColdEvalSpatialPrepared(benchmark::State &state)
     for (auto _ : state) {
         const auto &m = mappings[i];
         i = (i + 1) & (mappings.size() - 1); // size is a power of two
-        keys += prep.cacheKey(m).lo;
+        keys += accel::evalCacheKey(prep.context, m.fingerprint()).lo;
         lat += model.evaluate(prep, m).latencyMs;
     }
     benchmark::DoNotOptimize(keys);
@@ -314,7 +338,7 @@ BM_ColdEvalCubePrepared(benchmark::State &state)
     for (auto _ : state) {
         const auto &m = mappings[i];
         i = (i + 1) & (mappings.size() - 1); // size is a power of two
-        keys += prep.cacheKey(m).lo;
+        keys += accel::evalCacheKey(prep.context, m.fingerprint()).lo;
         lat += model.evaluate(prep, m).latencyMs;
     }
     benchmark::DoNotOptimize(keys);

@@ -97,17 +97,21 @@ main(int argc, char **argv)
     }
 
     // Run until a signal (or the optional wall budget) asks us down.
-    common::installShutdownHandlers();
-    const double run_seconds = args.getDouble("run-seconds", 0.0);
-    const double deadline = run_seconds > 0.0
-                                ? common::monotonicNow() + run_seconds
-                                : 0.0;
-    while (!common::shutdownRequested()) {
-        if (deadline > 0.0 && common::monotonicNow() >= deadline)
-            break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    // The scope holds the handlers through proxy.stop(), so a second
+    // signal while stopping hard-exits.
+    {
+        const common::ShutdownScope shutdown_scope;
+        const double run_seconds = args.getDouble("run-seconds", 0.0);
+        const double deadline =
+            run_seconds > 0.0 ? common::monotonicNow() + run_seconds
+                              : 0.0;
+        while (!common::shutdownRequested()) {
+            if (deadline > 0.0 && common::monotonicNow() >= deadline)
+                break;
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        }
+        proxy.stop();
     }
-    proxy.stop();
 
     const auto c = proxy.counters();
     std::cout << "chaos ledger: connections=" << c.connections

@@ -12,7 +12,7 @@
  *                 [--area-budget MM2] \
  *                 [--algo unico|hasco|mobohb|nsga2|sh|msh] \
  *                 [--batch N] [--iters I] [--bmax B] [--seed S] \
- *                 [--threads T] [--batch-evals N] \
+ *                 [--threads T] \
  *                 [--csv-prefix out/prefix] [--progress-every N] \
  *                 [--cache-mb MB] [--no-cache] \
  *                 [--surrogate] [--surrogate-keep F] [--no-surrogate] \
@@ -60,16 +60,6 @@
  * signal kills immediately. --wall-deadline bounds the whole run and
  * --eval-wall-deadline each evaluation attempt in real seconds.
  *
- * Batched evaluation: --batch-evals N fans the mapping engines'
- * evaluation-independent candidate blocks (random sampling, annealing
- * exploration, genetic seeding) across N threads on a pool separate
- * from --threads' round-dispatch pool. The deterministic batch
- * contract keeps every record, front, trace CSV and checkpoint
- * byte-identical to the serial run; only wall-clock changes. The pool
- * is lazily constructed in whichever process evaluates first, so it
- * composes with --workers (the fleet zygote forks before any thread
- * exists).
- *
  * Evaluation cache: PPA queries are memoized in a sharded LRU cache
  * (--cache-mb sets the byte budget, default 64 MB; --no-cache
  * disables it). Results, checkpoints and the records/front/trace
@@ -98,7 +88,6 @@
 #include "common/fault.hh"
 #include "common/shard_cache.hh"
 #include "common/shutdown.hh"
-#include "common/thread_pool.hh"
 #include "common/table.hh"
 #include "core/backend.hh"
 #include "core/driver.hh"
@@ -124,7 +113,7 @@ usage(const char *prog)
            "  [--area-budget MM2] [--algo unico|hasco|mobohb|"
            "nsga2|sh|msh]\n"
            "  [--batch N] [--iters I] [--bmax B] [--seed S]"
-           " [--threads T] [--batch-evals N]\n"
+           " [--threads T]\n"
            "  [--max-shapes K] [--csv-prefix PREFIX]"
            " [--progress-every N]\n"
            "  [--cache-mb MB] [--no-cache]\n"
@@ -190,23 +179,6 @@ main(int argc, char **argv)
         return usage(args.program().c_str());
     }
 
-    // Batched cold evaluation: --batch-evals N fans the engines'
-    // evaluation-independent candidate blocks across N threads,
-    // byte-identical to serial. Lazy handle: no thread exists before
-    // the fleet zygote forks, and each evaluating process (master or
-    // fleet worker) materializes its own pool on first use.
-    const std::int64_t batch_evals = args.getInt("batch-evals", 0);
-    if (batch_evals < 0 || batch_evals > 1024) {
-        std::cerr << "error: --batch-evals must be 0..1024\n";
-        return usage(args.program().c_str());
-    }
-    std::unique_ptr<common::LazyThreadPool> eval_pool;
-    if (batch_evals > 0) {
-        eval_pool = std::make_unique<common::LazyThreadPool>(
-            static_cast<std::size_t>(batch_evals));
-        env_opt.evalPool = eval_pool.get();
-    }
-
     // Evaluation cache: on by default; --no-cache disables it and
     // --cache-mb sizes it. Search results do not depend on either.
     const std::int64_t cache_mb = args.getInt("cache-mb", 64);
@@ -252,9 +224,6 @@ main(int argc, char **argv)
     if (surrogate_ctx.options.enabled)
         std::cout << "surrogate screening: keep="
                   << surrogate_ctx.options.keep << "\n";
-    if (eval_pool != nullptr)
-        std::cout << "batched evaluation: " << batch_evals
-                  << " threads\n";
 
     // Optional fault injection: wrap the real environment in a
     // deterministic injector so the run exercises the supervisor.

@@ -434,62 +434,6 @@ CycleAccurateModel::queryFingerprint(const workload::TensorOp &op,
     return fb.fingerprint();
 }
 
-accel::Ppa
-CycleAccurateModel::evaluateCached(const workload::TensorOp &op,
-                                   const accel::CubeHwConfig &hw,
-                                   const CubeMapping &m,
-                                   accel::EvalCache &cache,
-                                   double *seconds_out,
-                                   double fixed_seconds) const
-{
-    const common::Fingerprint key =
-        accel::evalCacheKey(queryFingerprint(op, hw), m.fingerprint());
-    if (const auto hit = cache.get(key)) {
-        if (seconds_out)
-            *seconds_out = hit->seconds;
-        return hit->ppa;
-    }
-    SimStats stats;
-    const accel::Ppa ppa = evaluate(op, hw, m, &stats);
-    const double seconds =
-        fixed_seconds >= 0.0 ? fixed_seconds : nominalEvalSeconds(stats);
-    accel::CachedEval entry;
-    entry.ppa = ppa;
-    entry.loss = ppa.feasible ? ppa.latencyMs : 1e12;
-    entry.seconds = seconds;
-    cache.put(key, entry);
-    if (seconds_out)
-        *seconds_out = seconds;
-    return ppa;
-}
-
-accel::Ppa
-CycleAccurateModel::evaluateCached(const PreparedCubeQuery &prep,
-                                   const CubeMapping &m,
-                                   accel::EvalCache &cache,
-                                   double *seconds_out,
-                                   double fixed_seconds) const
-{
-    const common::Fingerprint key = prep.cacheKey(m);
-    if (const auto hit = cache.get(key)) {
-        if (seconds_out)
-            *seconds_out = hit->seconds;
-        return hit->ppa;
-    }
-    SimStats stats;
-    const accel::Ppa ppa = evaluate(prep, m, &stats);
-    const double seconds =
-        fixed_seconds >= 0.0 ? fixed_seconds : nominalEvalSeconds(stats);
-    accel::CachedEval entry;
-    entry.ppa = ppa;
-    entry.loss = ppa.feasible ? ppa.latencyMs : 1e12;
-    entry.seconds = seconds;
-    cache.put(key, entry);
-    if (seconds_out)
-        *seconds_out = seconds;
-    return ppa;
-}
-
 CycleAccurateModel
 CycleAccurateModel::degraded() const
 {

@@ -100,8 +100,8 @@ struct CubeTech
  * precomputes the GemmShape, buffer byte limits, the parameter-buffer
  * stall (fully mapping-independent), the five sqrt-bearing SRAM
  * access energies, idle/area/static-power constants, and the query
- * fingerprint prefix that evaluateCached() previously re-hashed per
- * call.
+ * fingerprint prefix of the evaluation-cache key
+ * (mapping::cachedEvaluate).
  *
  * Self-contained by value (no references into the TensorOp or
  * CubeHwConfig it came from), but only meaningful with the model
@@ -138,13 +138,6 @@ struct PreparedCubeQuery
     double staticMw = 0.0;       ///< leakage at that area
     /** (model kind, tech, op, hw) fingerprint prefix. */
     common::Fingerprint context{};
-
-    /** Evaluation-cache key for one mapping under this context. */
-    common::Fingerprint
-    cacheKey(const CubeMapping &m) const
-    {
-        return accel::evalCacheKey(context, m.fingerprint());
-    }
 };
 
 /** Cycle-level PPA estimation engine for the Ascend-like core. */
@@ -169,25 +162,6 @@ class CycleAccurateModel
                         SimStats *stats = nullptr) const;
 
     /**
-     * evaluate() memoized through @p cache. On a miss the simulation
-     * runs and the entry stores the nominal EvalClock seconds of that
-     * query; on a hit the stored seconds are replayed, so the virtual
-     * ledger is bit-identical with the cache on or off. Trace events
-     * are not cached (use evaluate() when tracing).
-     *
-     * @param seconds_out nominal seconds to charge for this query.
-     * @param fixed_seconds when >= 0, charge this constant instead of
-     *        nominalEvalSeconds(stats) (the degraded rung's flat
-     *        analytical-scale cost).
-     */
-    accel::Ppa evaluateCached(const workload::TensorOp &op,
-                              const accel::CubeHwConfig &hw,
-                              const CubeMapping &m,
-                              accel::EvalCache &cache,
-                              double *seconds_out,
-                              double fixed_seconds = -1.0) const;
-
-    /**
      * Build the candidate-invariant query context for (op, hw),
      * including the cache-key fingerprint prefix. Build once per
      * layer-run; use only with this model (the context embeds this
@@ -204,13 +178,6 @@ class CycleAccurateModel
      */
     accel::Ppa evaluate(const PreparedCubeQuery &prep, const CubeMapping &m,
                         SimStats *stats = nullptr) const;
-
-    /** evaluateCached() through a prepared context; entries are
-     *  shared with the unprepared path. */
-    accel::Ppa evaluateCached(const PreparedCubeQuery &prep,
-                              const CubeMapping &m, accel::EvalCache &cache,
-                              double *seconds_out,
-                              double fixed_seconds = -1.0) const;
 
     /**
      * Stable fingerprint of one (model kind, tech constants, op, hw)

@@ -161,21 +161,6 @@ shutdownFanoutSize()
     return n;
 }
 
-void
-installShutdownHandlers()
-{
-    // Process-lifetime reference: acquire once, never release.
-    static ShutdownScope *forever = nullptr;
-    std::lock_guard<std::mutex> lock(g_scope_mutex);
-    if (forever == nullptr) {
-        if (g_scope_refs++ == 0)
-            installHandlers();
-        // Mark held without constructing a real scope (the lock is
-        // already ours and ~ShutdownScope must never run for it).
-        forever = reinterpret_cast<ShutdownScope *>(&g_scope_refs);
-    }
-}
-
 bool
 shutdownRequested()
 {

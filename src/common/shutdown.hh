@@ -15,8 +15,7 @@
  * previous sigactions are restored and the shutdown token re-armed —
  * so tests and embedding servers can install, tear down and
  * re-install any number of times in one process without leaking
- * handler state. The legacy installShutdownHandlers() entry point
- * takes a process-lifetime reference that is never released.
+ * handler state.
  *
  * Multi-tenant fan-out: job schedulers register one CancelToken per
  * job with registerShutdownToken(); the signal handler itself walks
@@ -77,13 +76,6 @@ void unregisterShutdownToken(CancelToken &token);
 
 /** Number of currently registered fan-out tokens (tests). */
 std::size_t shutdownFanoutSize();
-
-/**
- * Install the SIGINT/SIGTERM handlers for the remaining lifetime of
- * the process (legacy entry point; acquires one ShutdownScope
- * reference that is never released). Idempotent.
- */
-void installShutdownHandlers();
 
 /** True once a shutdown signal has been received. */
 bool shutdownRequested();

@@ -30,7 +30,7 @@ class AscendRunPolicy final : public LayeredRunPolicy
     {
     }
 
-    std::unique_ptr<LayerSearch>
+    std::unique_ptr<mapping::SearchRunBase>
     startLayer(std::size_t layer, std::uint64_t seed) override
     {
         const workload::TensorOp &op = layers_[layer].op;
@@ -47,37 +47,29 @@ class AscendRunPolicy final : public LayeredRunPolicy
             // Degradation ladder: the cycle-level model is the
             // default; after repeated faults the supervisor drops
             // this run onto the coarse (analytical-fidelity) rung
-            // which charges analytical-scale virtual cost.
-            const camodel::CycleAccurateModel &engine =
-                degraded_ ? degradedModel_ : model_;
+            // which charges analytical-scale virtual cost. The rung's
+            // context must exist before it keys the cache.
             if (degraded_ && degradedPreps_[layer] == nullptr)
                 degradedPreps_[layer] =
                     std::make_unique<camodel::PreparedCubeQuery>(
                         degradedModel_.prepare(op, hw_));
+            const camodel::CycleAccurateModel &engine =
+                degraded_ ? degradedModel_ : model_;
             const camodel::PreparedCubeQuery &prep =
                 degraded_ ? *degradedPreps_[layer] : *preps_[layer];
-            const double fixed_seconds =
-                degraded_ ? camodel::CycleAccurateModel::
-                                nominalDegradedEvalSeconds()
-                          : -1.0;
-            accel::Ppa ppa;
-            if (cache_ != nullptr) {
-                // Below the fault layer: FaultyRun decorates the
-                // MappingRun, so only clean results reach here.
-                double seconds = 0.0;
-                ppa = engine.evaluateCached(prep, m, *cache_, &seconds,
-                                            fixed_seconds);
-                charge(seconds);
-            } else {
-                camodel::SimStats stats;
-                ppa = engine.evaluate(prep, m, &stats);
-                charge(fixed_seconds >= 0.0
-                           ? fixed_seconds
-                           : model_.nominalEvalSeconds(stats));
-            }
-            mapping::MappingEval eval;
-            eval.ppa = ppa;
-            eval.loss = ppa.feasible ? ppa.latencyMs : 1e12;
+            // Below the fault layer: FaultyRun decorates the
+            // MappingRun, so only clean results reach the cache. A
+            // hit replays the seconds charged at miss time.
+            const mapping::MappingEval eval =
+                mapping::cachedEvaluate(cache_, prep.context, m, [&] {
+                    camodel::SimStats stats;
+                    const accel::Ppa ppa = engine.evaluate(prep, m, &stats);
+                    return mapping::latencyEval(
+                        ppa, degraded_ ? camodel::CycleAccurateModel::
+                                             nominalDegradedEvalSeconds()
+                                       : engine.nominalEvalSeconds(stats));
+                });
+            charge(eval.seconds);
             return eval;
         };
         // Screening sits above the evaluator (and thus above the
@@ -87,13 +79,11 @@ class AscendRunPolicy final : public LayeredRunPolicy
         if (screens_[layer] == nullptr)
             screens_[layer] = surrogate::makeCubeScreen(
                 surrogate_, op, hw_, preps_[layer]->context);
-        return std::make_unique<
-            LayerSearchAdapter<camodel::CubeSearchRun>>(
-            std::make_unique<camodel::CubeSearchRun>(
-                spaces_[layer],
-                camodel::screeningEvaluator(screens_[layer].get(),
-                                            std::move(evaluator)),
-                seed));
+        return std::make_unique<camodel::CubeSearchRun>(
+            spaces_[layer],
+            mapping::screeningEvaluator(screens_[layer].get(),
+                                        std::move(evaluator)),
+            seed);
     }
 
     double areaMm2() const override { return model_.areaMm2(hw_); }
@@ -116,7 +106,9 @@ class AscendRunPolicy final : public LayeredRunPolicy
     accel::CubeHwConfig hw_;
     accel::EvalCache *cache_ = nullptr;
     surrogate::SurrogateContext *surrogate_ = nullptr;
-    std::vector<std::unique_ptr<camodel::CubeCandidateScreen>> screens_;
+    std::vector<
+        std::unique_ptr<mapping::CandidateScreen<camodel::CubeMapping>>>
+        screens_;
     std::vector<std::unique_ptr<camodel::PreparedCubeQuery>> preps_;
     std::vector<std::unique_ptr<camodel::PreparedCubeQuery>> degradedPreps_;
     bool degraded_ = false;

@@ -29,10 +29,6 @@
 #include "mapping/engine.hh"
 #include "workload/network.hh"
 
-namespace unico::common {
-class LazyThreadPool;
-} // namespace unico::common
-
 namespace unico::core {
 
 /** Typed failure of backend lookup or option parsing. */
@@ -62,13 +58,6 @@ struct BackendOptions
     /** Learned surrogate screening context; nullptr (or a disabled
      *  context) keeps the exact-only byte-identical path. */
     surrogate::SurrogateContext *surrogate = nullptr;
-    /** Shared cold-evaluation pool handle; non-null asks backends
-     *  that support it (spatial) to batch evaluation-independent
-     *  candidate blocks across it. Trajectories stay byte-identical
-     *  to serial. Lazy for fork-safety under the evaluation fleet.
-     *  Must differ from any pool whose jobs construct or step runs
-     *  of the resulting env (nested-wait deadlock). */
-    common::LazyThreadPool *evalPool = nullptr;
     /** Per-job cancellation token; forwarded into the env so every
      *  MappingRun it creates can return early once the owning job is
      *  cancelled. nullptr = non-cancellable runs (historical

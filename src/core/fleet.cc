@@ -1096,15 +1096,15 @@ class WorkerPool
  * proxy rebuilds the run in-process from the same history and
  * continues locally — byte-identical either way.
  *
- * Op coalescing (cfg.coalesceOps): step() only queues the op and
- * advances an optimistic eval count; the queued batch ships in ONE
- * framed request when a state read (bestPpa / bestLossHistory /
- * chargedSeconds / sensitivity / degradeToAnalytical) needs ground
- * truth. The supervisor's chunked stepping loop thereby pays one
- * round-trip per supervised attempt instead of one per chunk. A
- * fault inside the batch truncates the queued tail (ops_.resize):
- * the unbatched master would have seen the fault at that op and
- * never issued the tail, so trajectories stay byte-identical.
+ * Op coalescing: step() only queues the op and advances an
+ * optimistic eval count; the queued batch ships in ONE framed request
+ * when a state read (bestPpa / bestLossHistory / chargedSeconds /
+ * sensitivity / degradeToAnalytical) needs ground truth. The
+ * supervisor's chunked stepping loop thereby pays one round-trip per
+ * supervised attempt instead of one per chunk. A fault inside the
+ * batch truncates the queued tail (ops_.resize): the unbatched master
+ * would have seen the fault at that op and never issued the tail, so
+ * trajectories stay byte-identical.
  */
 class RemoteRun : public MappingRun
 {
@@ -1124,8 +1124,6 @@ class RemoteRun : public MappingRun
         }
         ops_.push_back(WireOp{kOpStep, evals});
         pendingEvals_ += evals;
-        if (!env_.cfg_.coalesceOps)
-            flush();
     }
 
     int

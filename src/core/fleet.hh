@@ -65,14 +65,6 @@ struct FleetConfig
     /** Worker-side resident-run cap (LRU evicted; evicted runs are
      *  rebuilt by history replay on their next request). */
     std::size_t workerResidentRuns = 256;
-    /** Coalesce consecutive mutating ops into one framed request:
-     *  step() queues locally and the batch ships on the next state
-     *  read (bestPpa / history / chargedSeconds / sensitivity).
-     *  Trajectories are byte-identical either way — ops queued after
-     *  a faulting op are dropped exactly as the unbatched master
-     *  would never have issued them — only round-trip count changes. */
-    bool coalesceOps = true;
-
     /** Chaos testing: SIGKILL a worker before this many requests,
      *  at deterministic seeded points (0 = no chaos). The kills hit
      *  real worker processes mid-run; results must not change. */

@@ -38,56 +38,6 @@ namespace unico::core {
 constexpr double kUnmappedLatencyMs = 1e7;
 
 /**
- * One budgeted mapping search over a single layer shape. The two
- * backend search runs (mapping::SearchRun, camodel::CubeSearchRun)
- * expose this duck-typed surface already; LayerSearchAdapter lifts
- * either behind a common virtual interface.
- */
-class LayerSearch
-{
-  public:
-    virtual ~LayerSearch() = default;
-
-    virtual void step(int evals) = 0;
-    virtual int spent() const = 0;
-    virtual const mapping::MappingEval &bestEval() const = 0;
-    virtual const std::vector<double> &bestLossHistory() const = 0;
-    virtual const std::vector<mapping::SamplePoint> &samples() const = 0;
-};
-
-/** Virtual-interface adapter over a concrete per-layer search run. */
-template <typename Run>
-class LayerSearchAdapter final : public LayerSearch
-{
-  public:
-    explicit LayerSearchAdapter(std::unique_ptr<Run> run)
-        : run_(std::move(run))
-    {
-    }
-
-    void step(int evals) override { run_->step(evals); }
-    int spent() const override { return run_->spent(); }
-    const mapping::MappingEval &
-    bestEval() const override
-    {
-        return run_->bestEval();
-    }
-    const std::vector<double> &
-    bestLossHistory() const override
-    {
-        return run_->bestLossHistory();
-    }
-    const std::vector<mapping::SamplePoint> &
-    samples() const override
-    {
-        return run_->samples();
-    }
-
-  private:
-    std::unique_ptr<Run> run_;
-};
-
-/**
  * The per-backend part of a multi-layer run: how to start one
  * layer's search, how evaluation cost is charged, and which area
  * model applies. Owned by the LayeredMappingRun it parameterizes.
@@ -98,20 +48,22 @@ class LayeredRunPolicy
     virtual ~LayeredRunPolicy() = default;
 
     /**
-     * Begin the budgeted mapping search for layer @p layer. The seed
-     * is the layer's draw from the run-level seeder; evaluator
+     * Begin the budgeted mapping search for layer @p layer: any
+     * mapping::SearchRun<Cand> of the backend's candidate type. The
+     * seed is the layer's draw from the run-level seeder; evaluator
      * lambdas created here may capture `this` (the policy outlives
      * every layer search it starts).
      */
-    virtual std::unique_ptr<LayerSearch>
+    virtual std::unique_ptr<mapping::SearchRunBase>
     startLayer(std::size_t layer, std::uint64_t seed) = 0;
 
     /**
      * Fixed virtual seconds charged per layer evaluation by the
-     * shared core (immediately after each per-layer step). Return a
+     * shared core (immediately after each per-layer step), also when
+     * a surrogate screened that step's candidate out. Return a
      * negative value when the cost is evaluation-dependent; the
      * policy then reports it through charge() from inside its
-     * evaluators instead.
+     * evaluators instead, so a screened-out candidate costs nothing.
      */
     virtual double fixedEvalSeconds() const { return -1.0; }
 
@@ -178,7 +130,7 @@ class LayeredMappingRun final : public MappingRun
     const std::vector<workload::WeightedOp> &layers_;
     std::unique_ptr<LayeredRunPolicy> policy_;
     const common::CancelToken *cancel_ = nullptr;
-    std::vector<std::unique_ptr<LayerSearch>> runs_;
+    std::vector<std::unique_ptr<mapping::SearchRunBase>> runs_;
     std::vector<double> lossHistory_;
     std::size_t cursor_ = 0;
     double chargedSeconds_ = 0.0;

@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "common/thread_pool.hh"
 #include "core/layered_run.hh"
 
 namespace unico::core {
@@ -24,16 +23,14 @@ class SpatialRunPolicy final : public LayeredRunPolicy
                      const costmodel::AnalyticalCostModel &model,
                      accel::SpatialHwConfig hw,
                      mapping::EngineKind engine, accel::EvalCache *cache,
-                     surrogate::SurrogateContext *surrogate,
-                     common::LazyThreadPool *evalPool)
+                     surrogate::SurrogateContext *surrogate)
         : layers_(layers), spaces_(spaces), model_(model), hw_(hw),
           engine_(engine), cache_(cache), surrogate_(surrogate),
-          evalPool_(evalPool), screens_(layers.size()),
-          preps_(layers.size())
+          screens_(layers.size()), preps_(layers.size())
     {
     }
 
-    std::unique_ptr<LayerSearch>
+    std::unique_ptr<mapping::SearchRunBase>
     startLayer(std::size_t layer, std::uint64_t seed) override
     {
         const workload::TensorOp &op = layers_[layer].op;
@@ -45,13 +42,6 @@ class SpatialRunPolicy final : public LayeredRunPolicy
                 std::make_unique<costmodel::PreparedSpatialQuery>(
                     model_.prepare(op, hw_));
         const costmodel::PreparedSpatialQuery &prep = *preps_[layer];
-        auto evaluator = [this, &prep](const mapping::Mapping &m) {
-            const accel::Ppa ppa = model_.evaluate(prep, m);
-            mapping::MappingEval eval;
-            eval.ppa = ppa;
-            eval.loss = ppa.feasible ? ppa.latencyMs : 1e12;
-            return eval;
-        };
         // Layering: screening above caching above the model. The
         // cache sits below the fault-injection wrappers (they
         // decorate MappingRun, not the evaluator), so only clean
@@ -59,31 +49,21 @@ class SpatialRunPolicy final : public LayeredRunPolicy
         // cache so screened-out candidates never touch it. One screen
         // per layer, trained only on this run's exact evals (makes
         // fleet and threaded runs byte-identical).
+        auto evaluator = [this, &prep](const mapping::Mapping &m) {
+            return mapping::cachedEvaluate(cache_, prep.context, m, [&] {
+                return mapping::latencyEval(
+                    model_.evaluate(prep, m),
+                    costmodel::AnalyticalCostModel::nominalEvalSeconds());
+            });
+        };
         if (screens_[layer] == nullptr)
             screens_[layer] = surrogate::makeSpatialScreen(
                 surrogate_, op, hw_, prep.context);
-        const double seconds =
-            costmodel::AnalyticalCostModel::nominalEvalSeconds();
-        mapping::MappingEvaluator cached = mapping::cachingEvaluator(
-            cache_, prep.context, evaluator, seconds);
-        // Batched twin of the same stack: misses of one block fan
-        // across the shared pool, byte-identical to the serial path.
-        // With a screen active the batch serializes (the screen
-        // trains on each exact result in order).
-        mapping::BatchMappingEvaluator batch;
-        if (evalPool_ != nullptr)
-            batch = mapping::screeningBatchEvaluator(
-                screens_[layer].get(), cached,
-                mapping::cachingBatchEvaluator(
-                    cache_, prep.context,
-                    mapping::parallelBatch(evaluator, &evalPool_->get()),
-                    seconds));
-        return std::make_unique<LayerSearchAdapter<mapping::SearchRun>>(
-            mapping::startSearch(
-                engine_, spaces_[layer],
-                mapping::screeningEvaluator(screens_[layer].get(),
-                                            std::move(cached)),
-                seed, std::move(batch)));
+        return mapping::startSearch(
+            engine_, spaces_[layer],
+            mapping::screeningEvaluator(screens_[layer].get(),
+                                        std::move(evaluator)),
+            seed);
     }
 
     double
@@ -102,8 +82,8 @@ class SpatialRunPolicy final : public LayeredRunPolicy
     mapping::EngineKind engine_;
     accel::EvalCache *cache_;
     surrogate::SurrogateContext *surrogate_;
-    common::LazyThreadPool *evalPool_;
-    std::vector<std::unique_ptr<mapping::CandidateScreen>> screens_;
+    std::vector<std::unique_ptr<mapping::CandidateScreen<mapping::Mapping>>>
+        screens_;
     std::vector<std::unique_ptr<costmodel::PreparedSpatialQuery>> preps_;
 };
 
@@ -133,8 +113,7 @@ SpatialEnv::createRun(const accel::HwPoint &h, std::uint64_t seed) const
         layers_,
         std::make_unique<SpatialRunPolicy>(layers_, mapSpaces_, model_,
                                            space_.decode(h), opt_.engine,
-                                           opt_.cache, opt_.surrogate,
-                                           opt_.evalPool),
+                                           opt_.cache, opt_.surrogate),
         seed, opt_.cancel);
 }
 

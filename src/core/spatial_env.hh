@@ -21,10 +21,6 @@
 #include "mapping/engine.hh"
 #include "workload/network.hh"
 
-namespace unico::common {
-class LazyThreadPool;
-} // namespace unico::common
-
 namespace unico::core {
 
 /** Construction options for SpatialEnv. */
@@ -45,17 +41,6 @@ struct SpatialEnvOptions
      *  nullptr or options.enabled == false keeps the exact-only path
      *  byte-identical to builds without the surrogate. */
     surrogate::SurrogateContext *surrogate = nullptr;
-    /** Shared cold-evaluation pool handle (owned by the caller);
-     *  non-null enables batched evaluation of the engines'
-     *  evaluation-independent phases (Random sampling, Annealing
-     *  exploration, Genetic seeding). The deterministic batch
-     *  contract keeps trajectories byte-identical to serial; only
-     *  wall-clock changes. Lazy so it is fork-safe under the
-     *  evaluation fleet: each evaluating process materializes its own
-     *  pool on first use. Must be a different pool from any pool
-     *  whose jobs create or step runs of this env (a job must never
-     *  wait on a batch submitted to its own pool). */
-    common::LazyThreadPool *evalPool = nullptr;
     /** Per-job cancellation token (owned by the caller, e.g. a
      *  JobContext); threaded into every MappingRun the env creates so
      *  a cancelled job stops mid-sweep instead of at the driver's

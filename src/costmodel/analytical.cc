@@ -6,7 +6,6 @@
 #include <cmath>
 
 #include "common/math.hh"
-#include "common/thread_pool.hh"
 
 namespace unico::costmodel {
 
@@ -352,43 +351,6 @@ AnalyticalCostModel::evaluate(const TensorOp &op, const SpatialHwConfig &hw,
     return evaluate(makeContext(op, hw), m);
 }
 
-Ppa
-AnalyticalCostModel::evaluateCached(const PreparedSpatialQuery &prep,
-                                    const mapping::Mapping &m,
-                                    accel::EvalCache &cache) const
-{
-    const common::Fingerprint key = prep.cacheKey(m);
-    if (const auto hit = cache.get(key))
-        return hit->ppa;
-    const Ppa ppa = evaluate(prep, m);
-    accel::CachedEval entry;
-    entry.ppa = ppa;
-    entry.loss = ppa.feasible ? ppa.latencyMs : 1e12;
-    entry.seconds = nominalEvalSeconds();
-    cache.put(key, entry);
-    return ppa;
-}
-
-std::vector<Ppa>
-AnalyticalCostModel::evaluateBatch(const PreparedSpatialQuery &prep,
-                                   const std::vector<mapping::Mapping> &ms,
-                                   common::ThreadPool *pool) const
-{
-    std::vector<Ppa> out(ms.size());
-    if (pool == nullptr || ms.size() <= 1) {
-        for (std::size_t i = 0; i < ms.size(); ++i)
-            out[i] = evaluate(prep, ms[i]);
-        return out;
-    }
-    common::ThreadPool::Batch batch(*pool);
-    for (std::size_t i = 0; i < ms.size(); ++i)
-        batch.submit([this, &prep, &ms, &out, i] {
-            out[i] = evaluate(prep, ms[i]);
-        });
-    batch.wait();
-    return out;
-}
-
 common::Fingerprint
 AnalyticalCostModel::techFingerprint(const TechParams &tech)
 {
@@ -420,25 +382,6 @@ AnalyticalCostModel::queryFingerprint(const workload::TensorOp &op,
     common::FingerprintBuilder fb;
     fb.add(techFp_).add(hw.fingerprint()).add(op.fingerprint());
     return fb.fingerprint();
-}
-
-Ppa
-AnalyticalCostModel::evaluateCached(const workload::TensorOp &op,
-                                    const SpatialHwConfig &hw,
-                                    const mapping::Mapping &m,
-                                    accel::EvalCache &cache) const
-{
-    const common::Fingerprint key =
-        accel::evalCacheKey(queryFingerprint(op, hw), m.fingerprint());
-    if (const auto hit = cache.get(key))
-        return hit->ppa;
-    const Ppa ppa = evaluate(op, hw, m);
-    accel::CachedEval entry;
-    entry.ppa = ppa;
-    entry.loss = ppa.feasible ? ppa.latencyMs : 1e12;
-    entry.seconds = nominalEvalSeconds();
-    cache.put(key, entry);
-    return ppa;
 }
 
 } // namespace unico::costmodel

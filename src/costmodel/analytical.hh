@@ -21,16 +21,11 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "accel/ppa.hh"
 #include "accel/spatial.hh"
 #include "mapping/mapping.hh"
 #include "workload/tensor_op.hh"
-
-namespace unico::common {
-class ThreadPool;
-} // namespace unico::common
 
 namespace unico::costmodel {
 
@@ -61,8 +56,8 @@ struct TechParams
  * precomputes everything evaluate() needs that does not depend on
  * the mapping: operand-dim masks, byte capacity limits, the
  * sqrt-bearing SRAM access energies, fully invariant energy terms,
- * hardware area/static power, and the query fingerprint prefix that
- * evaluateCached() previously re-hashed on every call.
+ * hardware area/static power, and the query fingerprint prefix of
+ * the evaluation-cache key (mapping::cachedEvaluate).
  *
  * The struct is self-contained by value — it holds no references to
  * the TensorOp/SpatialHwConfig it was built from, so it may outlive
@@ -96,13 +91,6 @@ struct PreparedSpatialQuery
     double staticMw = 0.0;       ///< leakage at that area
     /** (model kind, tech, op, hw) fingerprint prefix. */
     common::Fingerprint context{};
-
-    /** Evaluation-cache key for one mapping under this context. */
-    common::Fingerprint
-    cacheKey(const mapping::Mapping &m) const
-    {
-        return accel::evalCacheKey(context, m.fingerprint());
-    }
 };
 
 /** Analytical PPA estimation engine for the spatial template. */
@@ -126,17 +114,6 @@ class AnalyticalCostModel
                         const mapping::Mapping &m) const;
 
     /**
-     * evaluate() memoized through @p cache. The stored entry carries
-     * the nominal evaluation seconds, so callers can re-charge the
-     * EvalClock identically on a hit; results are bit-identical to
-     * the uncached path.
-     */
-    accel::Ppa evaluateCached(const workload::TensorOp &op,
-                              const accel::SpatialHwConfig &hw,
-                              const mapping::Mapping &m,
-                              accel::EvalCache &cache) const;
-
-    /**
      * Build the candidate-invariant query context for (op, hw),
      * including the cache-key fingerprint prefix. Build once per
      * layer-run, then evaluate every candidate through it.
@@ -151,25 +128,6 @@ class AnalyticalCostModel
      */
     accel::Ppa evaluate(const PreparedSpatialQuery &prep,
                         const mapping::Mapping &m) const;
-
-    /** evaluateCached() through a prepared context (no re-hashing of
-     *  the query prefix; the stored entries are shared with the
-     *  unprepared path). */
-    accel::Ppa evaluateCached(const PreparedSpatialQuery &prep,
-                              const mapping::Mapping &m,
-                              accel::EvalCache &cache) const;
-
-    /**
-     * Evaluate a block of candidates under one prepared context.
-     * Results are index-aligned with @p ms. With a non-null @p pool
-     * the evaluations fan out across its workers; each evaluation is
-     * a pure function of (context, mapping), so the result vector is
-     * byte-identical to the serial path regardless of schedule.
-     */
-    std::vector<accel::Ppa>
-    evaluateBatch(const PreparedSpatialQuery &prep,
-                  const std::vector<mapping::Mapping> &ms,
-                  common::ThreadPool *pool = nullptr) const;
 
     /**
      * Stable fingerprint of one (model kind, tech constants, op, hw)

@@ -1,10 +1,7 @@
 #include "mapping/engine.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-
-#include "common/thread_pool.hh"
 
 namespace unico::mapping {
 
@@ -22,33 +19,17 @@ toString(EngineKind kind)
 namespace {
 
 /** Uniform random sampling baseline. */
-class RandomRun : public SearchRun
+class RandomRun : public SearchRun<Mapping>
 {
   public:
     RandomRun(const MappingSpace &space, MappingEvaluator evaluator,
-              std::uint64_t seed, BatchMappingEvaluator batch)
-        : space_(space), evaluator_(std::move(evaluator)),
-          batch_(std::move(batch)), rng_(seed)
+              std::uint64_t seed)
+        : space_(space), evaluator_(std::move(evaluator)), rng_(seed)
     {}
 
     void
     step(int evals) override
     {
-        if (batch_ && evals > 1) {
-            // Candidate generation consumes only the RNG — never an
-            // evaluation result — so the whole step's block can be
-            // drawn up front and evaluated as a batch; index-ordered
-            // record() keeps the trajectory byte-identical to serial.
-            std::vector<Mapping> block;
-            block.reserve(static_cast<std::size_t>(evals));
-            for (int i = 0; i < evals; ++i)
-                block.push_back(spent() == 0 && i == 0 ? space_.minimal()
-                                                       : space_.random(rng_));
-            const std::vector<MappingEval> evs = batch_(block);
-            for (std::size_t i = 0; i < block.size(); ++i)
-                record(block[i], evs[i]);
-            return;
-        }
         for (int i = 0; i < evals; ++i) {
             // First sample is the always-feasible minimal mapping so
             // every run owns at least one valid candidate.
@@ -61,7 +42,6 @@ class RandomRun : public SearchRun
   private:
     const MappingSpace &space_;
     MappingEvaluator evaluator_;
-    BatchMappingEvaluator batch_;
     common::Rng rng_;
 };
 
@@ -73,43 +53,18 @@ class RandomRun : public SearchRun
  * from the best probe with temperature-controlled acceptance and
  * occasional restarts.
  */
-class AnnealingRun : public SearchRun
+class AnnealingRun : public SearchRun<Mapping>
 {
   public:
     AnnealingRun(const MappingSpace &space, MappingEvaluator evaluator,
-                 std::uint64_t seed, BatchMappingEvaluator batch)
-        : space_(space), evaluator_(std::move(evaluator)),
-          batch_(std::move(batch)), rng_(seed)
+                 std::uint64_t seed)
+        : space_(space), evaluator_(std::move(evaluator)), rng_(seed)
     {}
 
     void
     step(int evals) override
     {
-        int i = 0;
-        // The exploration prologue (minimal anchor + random probes)
-        // generates candidates independently of evaluation results,
-        // so it can batch; the annealing descent below is inherently
-        // sequential (each move depends on the previous acceptance).
-        while (batch_ && i < evals && spent() < kExplore) {
-            const int room = std::min(evals - i, kExplore - spent());
-            if (room <= 1)
-                break;
-            std::vector<Mapping> block;
-            block.reserve(static_cast<std::size_t>(room));
-            for (int j = 0; j < room; ++j)
-                block.push_back(spent() + j == 0 ? space_.minimal()
-                                                 : space_.random(rng_));
-            const std::vector<MappingEval> evs = batch_(block);
-            for (std::size_t j = 0; j < block.size(); ++j) {
-                record(block[j], evs[j]);
-                if (spent() == kExplore) {
-                    current_ = best();
-                    currentEval_ = bestEval();
-                }
-            }
-            i += room;
-        }
-        for (; i < evals; ++i) {
+        for (int i = 0; i < evals; ++i) {
             if (spent() == 0) {
                 // Guaranteed-feasible anchor.
                 const Mapping m = space_.minimal();
@@ -153,7 +108,6 @@ class AnnealingRun : public SearchRun
 
     const MappingSpace &space_;
     MappingEvaluator evaluator_;
-    BatchMappingEvaluator batch_;
     common::Rng rng_;
     Mapping current_;
     MappingEval currentEval_;
@@ -168,43 +122,18 @@ class AnnealingRun : public SearchRun
  * population; each evaluation produces one child by tournament
  * selection + crossover + mutation, replacing the current worst.
  */
-class GeneticRun : public SearchRun
+class GeneticRun : public SearchRun<Mapping>
 {
   public:
     GeneticRun(const MappingSpace &space, MappingEvaluator evaluator,
-               std::uint64_t seed, BatchMappingEvaluator batch)
-        : space_(space), evaluator_(std::move(evaluator)),
-          batch_(std::move(batch)), rng_(seed)
+               std::uint64_t seed)
+        : space_(space), evaluator_(std::move(evaluator)), rng_(seed)
     {}
 
     void
     step(int evals) override
     {
-        int i = 0;
-        // Population seeding (minimal + random diversity) generates
-        // candidates independently of evaluation results, so it can
-        // batch; steady-state evolution below is sequential (parents
-        // come from the evaluated population).
-        while (batch_ && i < evals && population_.size() < kPopulation) {
-            const int room = std::min(
-                evals - i,
-                static_cast<int>(kPopulation - population_.size()));
-            if (room <= 1)
-                break;
-            std::vector<Mapping> block;
-            block.reserve(static_cast<std::size_t>(room));
-            for (int j = 0; j < room; ++j)
-                block.push_back(population_.empty() && j == 0
-                                    ? space_.minimal()
-                                    : space_.random(rng_));
-            const std::vector<MappingEval> evs = batch_(block);
-            for (std::size_t j = 0; j < block.size(); ++j) {
-                record(block[j], evs[j]);
-                population_.push_back({block[j], evs[j].loss});
-            }
-            i += room;
-        }
-        for (; i < evals; ++i) {
+        for (int i = 0; i < evals; ++i) {
             if (population_.size() < kPopulation) {
                 // Seed the population with the minimal mapping first
                 // (always feasible), then random diversity.
@@ -253,144 +182,26 @@ class GeneticRun : public SearchRun
 
     const MappingSpace &space_;
     MappingEvaluator evaluator_;
-    BatchMappingEvaluator batch_;
     common::Rng rng_;
     std::vector<Member> population_;
 };
 
 } // namespace
 
-MappingEvaluator
-screeningEvaluator(CandidateScreen *screen, MappingEvaluator inner)
-{
-    if (screen == nullptr)
-        return inner;
-    return [screen, inner = std::move(inner)](const Mapping &m) {
-        if (auto predicted = screen->screen(m)) {
-            assert(predicted->fidelity == Fidelity::Surrogate);
-            return *predicted;
-        }
-        const MappingEval eval = inner(m);
-        screen->observeExact(m, eval);
-        return eval;
-    };
-}
-
-MappingEvaluator
-cachingEvaluator(accel::EvalCache *cache, common::Fingerprint context,
-                 MappingEvaluator inner, double seconds)
-{
-    if (cache == nullptr)
-        return inner;
-    return [cache, context, inner = std::move(inner),
-            seconds](const Mapping &m) {
-        const common::Fingerprint key =
-            accel::evalCacheKey(context, m.fingerprint());
-        if (const auto hit = cache->get(key))
-            return MappingEval{hit->ppa, hit->loss};
-        const MappingEval eval = inner(m);
-        cache->put(key, accel::CachedEval{eval.ppa, eval.loss, seconds});
-        return eval;
-    };
-}
-
-BatchMappingEvaluator
-serialBatch(MappingEvaluator inner)
-{
-    return [inner = std::move(inner)](const std::vector<Mapping> &ms) {
-        std::vector<MappingEval> out;
-        out.reserve(ms.size());
-        for (const Mapping &m : ms)
-            out.push_back(inner(m));
-        return out;
-    };
-}
-
-BatchMappingEvaluator
-parallelBatch(MappingEvaluator inner, common::ThreadPool *pool)
-{
-    if (pool == nullptr)
-        return serialBatch(std::move(inner));
-    return [inner = std::move(inner), pool](const std::vector<Mapping> &ms) {
-        std::vector<MappingEval> out(ms.size());
-        if (ms.size() <= 1) {
-            for (std::size_t i = 0; i < ms.size(); ++i)
-                out[i] = inner(ms[i]);
-            return out;
-        }
-        common::ThreadPool::Batch batch(*pool);
-        for (std::size_t i = 0; i < ms.size(); ++i)
-            batch.submit([&inner, &ms, &out, i] { out[i] = inner(ms[i]); });
-        batch.wait();
-        const auto failures = batch.drainFailures();
-        if (!failures.empty())
-            std::rethrow_exception(failures.front());
-        return out;
-    };
-}
-
-BatchMappingEvaluator
-cachingBatchEvaluator(accel::EvalCache *cache, common::Fingerprint context,
-                      BatchMappingEvaluator inner, double seconds)
-{
-    if (cache == nullptr)
-        return inner;
-    return [cache, context, inner = std::move(inner),
-            seconds](const std::vector<Mapping> &ms) {
-        std::vector<MappingEval> out(ms.size());
-        std::vector<common::Fingerprint> keys(ms.size());
-        std::vector<std::size_t> miss;
-        std::vector<Mapping> cold;
-        for (std::size_t i = 0; i < ms.size(); ++i) {
-            keys[i] = accel::evalCacheKey(context, ms[i].fingerprint());
-            if (const auto hit = cache->get(keys[i])) {
-                out[i] = MappingEval{hit->ppa, hit->loss};
-            } else {
-                miss.push_back(i);
-                cold.push_back(ms[i]);
-            }
-        }
-        if (!cold.empty()) {
-            const std::vector<MappingEval> evs = inner(cold);
-            for (std::size_t j = 0; j < miss.size(); ++j) {
-                out[miss[j]] = evs[j];
-                cache->put(keys[miss[j]],
-                           accel::CachedEval{evs[j].ppa, evs[j].loss,
-                                             seconds});
-            }
-        }
-        return out;
-    };
-}
-
-BatchMappingEvaluator
-screeningBatchEvaluator(CandidateScreen *screen, MappingEvaluator one,
-                        BatchMappingEvaluator batch)
-{
-    if (screen == nullptr)
-        return batch;
-    // The screen trains on each exact result before judging the next
-    // candidate; parallel evaluation would reorder that feedback.
-    // Process the block strictly serially through the single-candidate
-    // screening stack — byte-identical to the unbatched decorators.
-    return serialBatch(screeningEvaluator(screen, std::move(one)));
-}
-
-std::unique_ptr<SearchRun>
+std::unique_ptr<SearchRun<Mapping>>
 startSearch(EngineKind kind, const MappingSpace &space,
-            MappingEvaluator evaluator, std::uint64_t seed,
-            BatchMappingEvaluator batch)
+            MappingEvaluator evaluator, std::uint64_t seed)
 {
     switch (kind) {
       case EngineKind::Random:
         return std::make_unique<RandomRun>(space, std::move(evaluator),
-                                           seed, std::move(batch));
+                                           seed);
       case EngineKind::Annealing:
         return std::make_unique<AnnealingRun>(space, std::move(evaluator),
-                                              seed, std::move(batch));
+                                              seed);
       case EngineKind::Genetic:
         return std::make_unique<GeneticRun>(space, std::move(evaluator),
-                                            seed, std::move(batch));
+                                            seed);
     }
     return nullptr;
 }

@@ -8,25 +8,26 @@
  * successive halving grants additional budget to surviving runs by
  * calling step() again, and the recorded histories feed both the
  * AUC promotion criterion of the modified successive halving and the
- * robustness metric R.
+ * robustness metric R. The run, screen and cache types are generic
+ * over the candidate type (spatial Mapping, cube CubeMapping), so
+ * every backend shares one bookkeeping, screening and memoization
+ * path.
  */
 
 #ifndef UNICO_MAPPING_ENGINE_HH
 #define UNICO_MAPPING_ENGINE_HH
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "accel/ppa.hh"
 #include "common/rng.hh"
 #include "mapping/mapping.hh"
-
-namespace unico::common {
-class ThreadPool;
-} // namespace unico::common
 
 namespace unico::mapping {
 
@@ -41,26 +42,61 @@ enum class Fidelity : std::uint8_t {
     Surrogate, ///< predicted by the learned screen; advisory only
 };
 
-/** Result of evaluating one mapping candidate. */
+/** Result of evaluating one mapping candidate (of any backend). */
 struct MappingEval
 {
     accel::Ppa ppa;     ///< PPA estimate (may be infeasible)
     double loss = 1e18; ///< scalar mapping-search objective
     Fidelity fidelity = Fidelity::Exact; ///< provenance tag
+    /** Nominal EvalClock seconds of the exact query behind this
+     *  eval; a cache hit replays the value stored at miss time. */
+    double seconds = 0.0;
 };
 
-/** PPA estimation callback: mapping -> evaluation. */
-using MappingEvaluator = std::function<MappingEval(const Mapping &)>;
+/** Exact eval whose loss is the latency (1e12 when infeasible), the
+ *  mapping-search objective of every backend. */
+inline MappingEval
+latencyEval(const accel::Ppa &ppa, double seconds)
+{
+    MappingEval eval;
+    eval.ppa = ppa;
+    eval.loss = ppa.feasible ? ppa.latencyMs : 1e12;
+    eval.seconds = seconds;
+    return eval;
+}
+
+/** PPA estimation callback: candidate -> evaluation. */
+template <typename Cand>
+using Evaluator = std::function<MappingEval(const Cand &)>;
+
+/** Spatial-template evaluator. */
+using MappingEvaluator = Evaluator<Mapping>;
 
 /**
- * Batched PPA estimation: one candidate block in, index-aligned
- * evaluations out. The determinism contract every implementation must
- * honor: the returned vector is byte-identical to calling the
- * equivalent single-candidate evaluator on each element in index
- * order, regardless of how the work is scheduled internally.
+ * Evaluate @p cand through @p cache: the one memoization path of
+ * every backend. The key is evalCacheKey(@p context, fingerprint of
+ * @p cand); a miss runs @p compute() (which returns the exact eval,
+ * its nominal seconds included) and stores it; a hit returns that
+ * eval bit for bit, so search trajectories and the virtual-cost
+ * ledger do not depend on cache state. A null @p cache just runs
+ * @p compute().
  */
-using BatchMappingEvaluator =
-    std::function<std::vector<MappingEval>(const std::vector<Mapping> &)>;
+template <typename Cand, typename Compute>
+MappingEval
+cachedEvaluate(accel::EvalCache *cache, const common::Fingerprint &context,
+               const Cand &cand, Compute &&compute)
+{
+    if (cache == nullptr)
+        return compute();
+    const common::Fingerprint key =
+        accel::evalCacheKey(context, cand.fingerprint());
+    if (const auto hit = cache->get(key))
+        return MappingEval{hit->ppa, hit->loss, Fidelity::Exact,
+                           hit->seconds};
+    const MappingEval eval = compute();
+    cache->put(key, accel::CachedEval{eval.ppa, eval.loss, eval.seconds});
+    return eval;
+}
 
 /**
  * Candidate pre-screen backed by a learned cost model.
@@ -69,91 +105,52 @@ using BatchMappingEvaluator =
  * no dependency on the surrogate library that implements it (the
  * surrogate depends on mapping, not vice versa).
  */
+template <typename Cand>
 class CandidateScreen
 {
   public:
     virtual ~CandidateScreen() = default;
 
     /**
-     * Decide whether @p m should skip exact evaluation. Returns a
+     * Decide whether @p c should skip exact evaluation. Returns a
      * surrogate-fidelity prediction to screen the candidate out, or
      * std::nullopt to admit it to the exact evaluator.
      */
-    virtual std::optional<MappingEval> screen(const Mapping &m) = 0;
+    virtual std::optional<MappingEval> screen(const Cand &c) = 0;
 
     /** Feed one exact evaluation back as training signal. */
-    virtual void observeExact(const Mapping &m,
-                              const MappingEval &eval) = 0;
+    virtual void observeExact(const Cand &c, const MappingEval &eval) = 0;
 };
 
 /**
  * Wrap @p inner with learned-model pre-screening.
  *
- * Sits *above* cachingEvaluator: a screened-out candidate never
- * touches the cache or the exact model, and costs (near) zero virtual
- * seconds. Admitted candidates flow through unchanged and their exact
- * results train the screen. @p screen == nullptr returns @p inner
- * unchanged (the byte-identical default-off path).
+ * Sits *above* the cache: a screened-out candidate never touches the
+ * cache or the exact model, so it is never charged from inside the
+ * evaluator. It still spends one unit of search budget, and a backend
+ * that charges a fixed cost per layer step (spatial) charges it
+ * whether or not the candidate was screened out. Admitted candidates
+ * flow through unchanged and their exact results train the screen.
+ * @p screen == nullptr returns @p inner unchanged (the byte-identical
+ * default-off path).
  */
-MappingEvaluator screeningEvaluator(CandidateScreen *screen,
-                                    MappingEvaluator inner);
-
-/**
- * Wrap @p inner with evaluation-cache memoization.
- *
- * @param cache shared cache, or nullptr to return @p inner unchanged.
- * @param context query-context fingerprint (model + tech + op + hw);
- *        the cache key is combine(context, mapping fingerprint).
- * @param inner the uncached evaluator.
- * @param seconds nominal EvalClock seconds of one inner evaluation,
- *        stored so a hit can re-charge the identical virtual cost.
- *
- * The wrapper is transparent: hit or miss, the returned MappingEval
- * is bit-identical to what @p inner would produce, so search
- * trajectories do not depend on cache state.
- */
-MappingEvaluator cachingEvaluator(accel::EvalCache *cache,
-                                  common::Fingerprint context,
-                                  MappingEvaluator inner,
-                                  double seconds = 0.0);
-
-/** Trivial batch adapter: @p inner called per element in index order. */
-BatchMappingEvaluator serialBatch(MappingEvaluator inner);
-
-/**
- * Fan one candidate block across @p pool (nullptr degrades to
- * serialBatch). @p inner must be a pure function of the mapping —
- * the raw cost-model evaluator, not a stateful decorator — so the
- * index-aligned result vector is byte-identical to serial execution
- * for any schedule.
- */
-BatchMappingEvaluator parallelBatch(MappingEvaluator inner,
-                                    common::ThreadPool *pool);
-
-/**
- * Batched counterpart of cachingEvaluator: probes the whole block
- * first, forwards only the misses to @p inner as one (smaller) block,
- * then stores and merges index-aligned. Entries are shared with the
- * single-candidate decorator. nullptr @p cache returns @p inner
- * unchanged.
- */
-BatchMappingEvaluator cachingBatchEvaluator(accel::EvalCache *cache,
-                                            common::Fingerprint context,
-                                            BatchMappingEvaluator inner,
-                                            double seconds = 0.0);
-
-/**
- * Batched counterpart of screeningEvaluator. An active screen is
- * stateful (each exact result trains it before the next candidate is
- * screened), so with @p screen non-null the block is processed
- * strictly serially through @p one — the evaluator sitting *below*
- * the screen, i.e. the cached exact path — preserving byte-identity
- * with the unbatched decorator stack. With @p screen == nullptr the
- * pass-through @p batch is returned and candidates may fan out.
- */
-BatchMappingEvaluator screeningBatchEvaluator(CandidateScreen *screen,
-                                              MappingEvaluator one,
-                                              BatchMappingEvaluator batch);
+template <typename Cand>
+Evaluator<Cand>
+screeningEvaluator(CandidateScreen<Cand> *screen,
+                   std::type_identity_t<Evaluator<Cand>> inner)
+{
+    if (screen == nullptr)
+        return inner;
+    return [screen, inner = std::move(inner)](const Cand &c) {
+        if (auto predicted = screen->screen(c)) {
+            assert(predicted->fidelity == Fidelity::Surrogate);
+            return *predicted;
+        }
+        const MappingEval eval = inner(c);
+        screen->observeExact(c, eval);
+        return eval;
+    };
+}
 
 /** One raw evaluated sample, retained for the robustness metric. */
 struct SamplePoint
@@ -165,16 +162,17 @@ struct SamplePoint
 };
 
 /**
- * A resumable mapping search in progress.
+ * A resumable search in progress, seen independently of its
+ * candidate type: what successive halving and the layered run read.
  *
  * Invariants: bestLossHistory() has one entry per spent evaluation
- * and is monotonically non-increasing; best() corresponds to
+ * and is monotonically non-increasing; bestEval() corresponds to
  * bestLossHistory().back().
  */
-class SearchRun
+class SearchRunBase
 {
   public:
-    virtual ~SearchRun() = default;
+    virtual ~SearchRunBase() = default;
 
     /** Spend @p evals more evaluations of search budget. */
     virtual void step(int evals) = 0;
@@ -182,10 +180,7 @@ class SearchRun
     /** Total evaluations spent so far. */
     int spent() const { return static_cast<int>(bestLoss_.size()); }
 
-    /** Best mapping found so far. */
-    const Mapping &best() const { return bestMapping_; }
-
-    /** Evaluation of the best mapping. */
+    /** Evaluation of the best candidate. */
     const MappingEval &bestEval() const { return bestEval_; }
 
     /** Best-so-far loss after each evaluation (monotone). */
@@ -195,9 +190,12 @@ class SearchRun
     const std::vector<SamplePoint> &samples() const { return samples_; }
 
   protected:
-    /** Record an evaluation and update the incumbent. */
-    void
-    record(const Mapping &m, const MappingEval &eval)
+    /**
+     * Record one evaluation's budget, sample and incumbent
+     * bookkeeping. Returns true when @p eval became the incumbent.
+     */
+    bool
+    recordEval(const MappingEval &eval)
     {
         if (eval.fidelity == Fidelity::Surrogate) {
             // A screened-out candidate spends budget and may steer
@@ -206,23 +204,46 @@ class SearchRun
             // incumbent update, best-so-far carried forward.
             bestLoss_.push_back(bestLoss_.empty() ? 1e18
                                                   : bestLoss_.back());
-            return;
+            return false;
         }
         samples_.push_back(SamplePoint{eval.loss, eval.ppa.latencyMs,
                                        eval.ppa.powerMw,
                                        eval.ppa.feasible});
-        if (bestLoss_.empty() || eval.loss < bestEval_.loss) {
+        const bool improved =
+            bestLoss_.empty() || eval.loss < bestEval_.loss;
+        if (improved)
             bestEval_ = eval;
-            bestMapping_ = m;
-        }
         bestLoss_.push_back(bestEval_.loss);
+        return improved;
     }
 
   private:
-    Mapping bestMapping_;
     MappingEval bestEval_;
     std::vector<double> bestLoss_;
     std::vector<SamplePoint> samples_;
+};
+
+/** A resumable search over candidates of type @p Cand. */
+template <typename Cand>
+class SearchRun : public SearchRunBase
+{
+  public:
+    /** Best candidate found so far. */
+    const Cand &best() const { return best_; }
+
+  protected:
+    /** recordEval() that also keeps the incumbent candidate. */
+    bool
+    record(const Cand &c, const MappingEval &eval)
+    {
+        if (!recordEval(eval))
+            return false;
+        best_ = c;
+        return true;
+    }
+
+  private:
+    Cand best_;
 };
 
 /** Available search-engine families. */
@@ -242,20 +263,11 @@ const char *toString(EngineKind kind);
  * @param space mapping space of the target operator
  * @param evaluator PPA estimation callback
  * @param seed deterministic seed for this run
- * @param batch optional batched evaluator. When set, the phases whose
- *        candidate generation does not depend on evaluation results —
- *        the Random engine's sampling, the Annealing engine's
- *        exploration prologue and the Genetic engine's population
- *        seeding — generate their candidate block up front and
- *        evaluate it through @p batch; results are recorded in index
- *        order, so the trajectory is byte-identical to the serial
- *        path. Sequentially dependent phases ignore it.
  */
-std::unique_ptr<SearchRun> startSearch(EngineKind kind,
-                                       const MappingSpace &space,
-                                       MappingEvaluator evaluator,
-                                       std::uint64_t seed,
-                                       BatchMappingEvaluator batch = nullptr);
+std::unique_ptr<SearchRun<Mapping>> startSearch(EngineKind kind,
+                                                const MappingSpace &space,
+                                                MappingEvaluator evaluator,
+                                                std::uint64_t seed);
 
 } // namespace unico::mapping
 

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <deque>
+#include <functional>
 #include <sstream>
 #include <utility>
 
@@ -257,32 +258,32 @@ cubeFeatureDim()
 namespace {
 
 /**
+ * Per-layer screen over one backend's candidate type @p Cand, given
+ * as a feature extractor bound to the layer's op and hardware.
+ *
  * Deterministic keep-quantile admission over a sliding window of
  * recent predicted scores. No RNG: the decision for candidate i is a
  * pure function of the screen's observation/decision history.
  */
-class ScreenCore
+template <typename Cand>
+class LayerScreen final : public mapping::CandidateScreen<Cand>
 {
   public:
-    ScreenCore(std::size_t dim, const SurrogateOptions &opt,
-               SurrogateSink *sink)
-        : opt_(opt), sink_(sink),
-          model_(dim, opt.ridge, opt.refitEvery),
-          warmup_(std::max(opt.warmup, 1))
+    using Features = std::function<linalg::Vector(const Cand &)>;
+
+    LayerScreen(SurrogateContext *ctx, std::size_t dim, Features features,
+                common::Fingerprint context)
+        : ctx_(ctx), opt_(ctx->options), features_(std::move(features)),
+          context_(context), model_(dim, opt_.ridge, opt_.refitEvery),
+          warmup_(std::max(opt_.warmup, 1))
     {
-        if (sink_ != nullptr)
-            sink_->noteScreen();
+        ctx_->sink.noteScreen();
     }
 
-    /**
-     * Decide whether a candidate with feature vector @p f skips the
-     * exact evaluator. Returns the predicted eval when screened out.
-     */
+    /** The predicted eval when @p c is screened out, else nullopt. */
     std::optional<mapping::MappingEval>
-    screen(const linalg::Vector &f)
+    screen(const Cand &c) override
     {
-        if (!opt_.enabled)
-            return std::nullopt;
         // Warmup and an untrained model always admit; so does
         // keep >= 1 (the byte-identical screening-on/no-op mode).
         if (model_.observations() <
@@ -291,6 +292,7 @@ class ScreenCore
             note(true, false);
             return std::nullopt;
         }
+        const linalg::Vector f = features_(c);
         const double predicted_log_loss = model_.predict(kHeadLogLoss, f);
         const bool admit = admitByQuantile(predicted_log_loss);
         const bool forced = !admit && sinceAdmit_ >= opt_.forceAdmitAfter;
@@ -303,19 +305,21 @@ class ScreenCore
         return predictedEval(f, predicted_log_loss);
     }
 
-    /** Train on one exact evaluation. */
+    /** Train on one exact evaluation and tap it into the corpus. */
     void
-    observe(const linalg::Vector &f, const mapping::MappingEval &eval)
+    observeExact(const Cand &c, const mapping::MappingEval &eval) override
     {
-        if (!opt_.enabled)
-            return;
+        const linalg::Vector f = features_(c);
+        const auto targets = extractTargets(eval);
         const std::uint64_t refits_before = model_.refits();
-        model_.observe(f, extractTargets(eval));
-        if (sink_ != nullptr) {
-            sink_->noteObservation();
-            if (model_.refits() != refits_before)
-                sink_->noteRefit();
-        }
+        model_.observe(f, targets);
+        ctx_->sink.noteObservation();
+        if (model_.refits() != refits_before)
+            ctx_->sink.noteRefit();
+        if (ctx_->tap != nullptr)
+            ctx_->tap->append({common::combine(context_, c.fingerprint()),
+                               f,
+                               {targets.begin(), targets.end()}});
     }
 
   private:
@@ -326,8 +330,7 @@ class ScreenCore
             sinceAdmit_ = 0;
         else
             ++sinceAdmit_;
-        if (sink_ != nullptr)
-            sink_->noteDecision(admitted, forced);
+        ctx_->sink.noteDecision(admitted, forced);
     }
 
     /** True when @p score ranks inside the keep fraction of the
@@ -373,113 +376,54 @@ class ScreenCore
         return eval;
     }
 
+    SurrogateContext *ctx_;
     SurrogateOptions opt_;
-    SurrogateSink *sink_;
+    Features features_;
+    common::Fingerprint context_;
     OnlineCostModel model_;
     int warmup_;
     int sinceAdmit_ = 0;
     std::deque<double> window_;
 };
 
-/** Spatial-backend per-layer screen. */
-class SpatialLayerScreen final : public mapping::CandidateScreen
+/** A LayerScreen, or nullptr when screening is off. */
+template <typename Cand>
+std::unique_ptr<mapping::CandidateScreen<Cand>>
+makeScreen(SurrogateContext *ctx, std::size_t dim,
+           typename LayerScreen<Cand>::Features features,
+           common::Fingerprint context)
 {
-  public:
-    SpatialLayerScreen(SurrogateContext *ctx, const workload::TensorOp &op,
-                       const accel::SpatialHwConfig &hw,
-                       common::Fingerprint context)
-        : ctx_(ctx), op_(op), hw_(hw), context_(context),
-          core_(spatialFeatureDim(), ctx->options, &ctx->sink)
-    {
-    }
-
-    std::optional<mapping::MappingEval>
-    screen(const mapping::Mapping &m) override
-    {
-        return core_.screen(extractSpatialFeatures(op_, hw_, m));
-    }
-
-    void
-    observeExact(const mapping::Mapping &m,
-                 const mapping::MappingEval &eval) override
-    {
-        const linalg::Vector f = extractSpatialFeatures(op_, hw_, m);
-        core_.observe(f, eval);
-        if (ctx_->tap != nullptr) {
-            const auto targets = extractTargets(eval);
-            ctx_->tap->append(
-                {common::combine(context_, m.fingerprint()), f,
-                 {targets.begin(), targets.end()}});
-        }
-    }
-
-  private:
-    SurrogateContext *ctx_;
-    workload::TensorOp op_;
-    accel::SpatialHwConfig hw_;
-    common::Fingerprint context_;
-    ScreenCore core_;
-};
-
-/** Cube-core per-layer screen. */
-class CubeLayerScreen final : public camodel::CubeCandidateScreen
-{
-  public:
-    CubeLayerScreen(SurrogateContext *ctx, const workload::TensorOp &op,
-                    const accel::CubeHwConfig &hw,
-                    common::Fingerprint context)
-        : ctx_(ctx), op_(op), hw_(hw), context_(context),
-          core_(cubeFeatureDim(), ctx->options, &ctx->sink)
-    {
-    }
-
-    std::optional<mapping::MappingEval>
-    screen(const camodel::CubeMapping &m) override
-    {
-        return core_.screen(extractCubeFeatures(op_, hw_, m));
-    }
-
-    void
-    observeExact(const camodel::CubeMapping &m,
-                 const mapping::MappingEval &eval) override
-    {
-        const linalg::Vector f = extractCubeFeatures(op_, hw_, m);
-        core_.observe(f, eval);
-        if (ctx_->tap != nullptr) {
-            const auto targets = extractTargets(eval);
-            ctx_->tap->append(
-                {common::combine(context_, m.fingerprint()), f,
-                 {targets.begin(), targets.end()}});
-        }
-    }
-
-  private:
-    SurrogateContext *ctx_;
-    workload::TensorOp op_;
-    accel::CubeHwConfig hw_;
-    common::Fingerprint context_;
-    ScreenCore core_;
-};
+    if (ctx == nullptr || !ctx->options.enabled)
+        return nullptr;
+    return std::make_unique<LayerScreen<Cand>>(ctx, dim, std::move(features),
+                                               context);
+}
 
 } // namespace
 
-std::unique_ptr<mapping::CandidateScreen>
+std::unique_ptr<mapping::CandidateScreen<mapping::Mapping>>
 makeSpatialScreen(SurrogateContext *ctx, const workload::TensorOp &op,
                   const accel::SpatialHwConfig &hw,
                   common::Fingerprint context)
 {
-    if (ctx == nullptr || !ctx->options.enabled)
-        return nullptr;
-    return std::make_unique<SpatialLayerScreen>(ctx, op, hw, context);
+    return makeScreen<mapping::Mapping>(
+        ctx, spatialFeatureDim(),
+        [op, hw](const mapping::Mapping &m) {
+            return extractSpatialFeatures(op, hw, m);
+        },
+        context);
 }
 
-std::unique_ptr<camodel::CubeCandidateScreen>
+std::unique_ptr<mapping::CandidateScreen<camodel::CubeMapping>>
 makeCubeScreen(SurrogateContext *ctx, const workload::TensorOp &op,
                const accel::CubeHwConfig &hw, common::Fingerprint context)
 {
-    if (ctx == nullptr || !ctx->options.enabled)
-        return nullptr;
-    return std::make_unique<CubeLayerScreen>(ctx, op, hw, context);
+    return makeScreen<camodel::CubeMapping>(
+        ctx, cubeFeatureDim(),
+        [op, hw](const camodel::CubeMapping &m) {
+            return extractCubeFeatures(op, hw, m);
+        },
+        context);
 }
 
 } // namespace unico::surrogate

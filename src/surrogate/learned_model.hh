@@ -37,7 +37,6 @@
 #include "accel/ascend.hh"
 #include "accel/spatial.hh"
 #include "camodel/cube_mapping.hh"
-#include "camodel/search.hh"
 #include "common/shard_cache.hh"
 #include "linalg/matrix.hh"
 #include "mapping/engine.hh"
@@ -245,13 +244,14 @@ std::size_t cubeFeatureDim();
  * through it; @p context is the query-context fingerprint used to key
  * corpus-tap rows consistently with the evaluation cache.
  */
-std::unique_ptr<mapping::CandidateScreen>
+std::unique_ptr<mapping::CandidateScreen<mapping::Mapping>>
 makeSpatialScreen(SurrogateContext *ctx, const workload::TensorOp &op,
                   const accel::SpatialHwConfig &hw,
                   common::Fingerprint context);
 
-/** Cube-core twin of makeSpatialScreen. */
-std::unique_ptr<camodel::CubeCandidateScreen>
+/** makeSpatialScreen for the cube core: the same screen over
+ *  extractCubeFeatures. */
+std::unique_ptr<mapping::CandidateScreen<camodel::CubeMapping>>
 makeCubeScreen(SurrogateContext *ctx, const workload::TensorOp &op,
                const accel::CubeHwConfig &hw, common::Fingerprint context);
 

@@ -21,7 +21,6 @@
 #include <sstream>
 #include <string>
 
-#include "common/thread_pool.hh"
 #include "core/backend.hh"
 #include "core/driver.hh"
 #include "core/report.hh"
@@ -54,18 +53,13 @@ parityConfig(int batch, int iters, int bmax)
 }
 
 /** Run one backend at the golden configuration and byte-compare the
- *  three CSV reports against the seed-build goldens. With a non-null
- *  @p evalPool, cold evaluations of batchable search phases fan out
- *  across the pool — the batch contract says the trajectory (and so
- *  every CSV) must still match the serial goldens byte for byte. */
+ *  three CSV reports against the seed-build goldens. */
 void
 checkParity(const std::string &backend, const std::string &network,
-            const core::DriverConfig &cfg,
-            common::LazyThreadPool *evalPool = nullptr)
+            const core::DriverConfig &cfg)
 {
     core::BackendOptions opt;
     opt.maxShapesPerNetwork = 2;
-    opt.evalPool = evalPool;
     const auto env = core::makeBackendEnv(
         backend, {workload::makeNetwork(network)}, opt);
     ASSERT_EQ(env->backendName(), backend);
@@ -105,17 +99,4 @@ TEST(BackendParity, SpatialMatchesSeedBuildByteForByte)
 TEST(BackendParity, AscendMatchesSeedBuildByteForByte)
 {
     checkParity("ascend", "fsrcnn_120x320", parityConfig(4, 2, 12));
-}
-
-TEST(BackendParity, SpatialBatchedEvaluationMatchesSerialGoldens)
-{
-    common::LazyThreadPool pool(4);
-    checkParity("spatial", "mobilenet", parityConfig(6, 2, 24), &pool);
-}
-
-TEST(BackendParity, AscendIgnoresEvalPoolAndStaysOnGoldens)
-{
-    common::LazyThreadPool pool(4);
-    checkParity("ascend", "fsrcnn_120x320", parityConfig(4, 2, 12),
-                &pool);
 }

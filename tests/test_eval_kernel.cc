@@ -4,10 +4,8 @@
  * contexts must reproduce the direct evaluate() path exactly, the
  * cube simulator's closed-form fast path must match the traced
  * reference (which still runs the historical per-L0-tile loop), the
- * batch decorators must be byte-identical to serial per-element
- * evaluation in index order, the shared ceilDiv helper must handle
- * its edge cases, and repeatAdd/periodicAdd must return the literal
- * loops' bits.
+ * shared ceilDiv helper must handle its edge cases, and
+ * repeatAdd/periodicAdd must return the literal loops' bits.
  */
 
 #include <gtest/gtest.h>
@@ -25,9 +23,7 @@
 #include "camodel/simulator.hh"
 #include "common/math.hh"
 #include "common/rng.hh"
-#include "common/thread_pool.hh"
 #include "costmodel/analytical.hh"
-#include "mapping/engine.hh"
 #include "mapping/mapping.hh"
 #include "workload/model_zoo.hh"
 
@@ -84,9 +80,6 @@ TEST(PreparedSpatialQuery, BitIdenticalToDirectEvaluate)
                 const mapping::Mapping m = space.random(rng);
                 expectSamePpa(model.evaluate(op, hw, m),
                               model.evaluate(prep, m));
-                EXPECT_EQ(prep.cacheKey(m),
-                          accel::evalCacheKey(prep.context,
-                                              m.fingerprint()));
             }
         }
     }
@@ -189,151 +182,6 @@ TEST(CubeFastPath, TracedMatchesUntracedExactly)
     EXPECT_GE(extrapolated, 100);
     EXPECT_GE(feasible - extrapolated, 40);
     EXPECT_GE(single_k, 60);
-}
-
-/* --------------------- batched evaluation ----------------------- */
-
-TEST(EvaluateBatch, SpatialMatchesSerialUnderPool)
-{
-    const costmodel::AnalyticalCostModel model;
-    const auto op = zooOps().front();
-    const accel::SpatialDesignSpace ds(accel::Scenario::Edge);
-    common::Rng rng(17);
-    const auto hw = ds.decode(ds.space().randomPoint(rng));
-    const mapping::MappingSpace space(op);
-    std::vector<mapping::Mapping> ms;
-    for (int i = 0; i < 64; ++i)
-        ms.push_back(space.random(rng));
-    const auto prep = model.prepare(op, hw);
-    const auto serial = model.evaluateBatch(prep, ms);
-    ASSERT_EQ(serial.size(), ms.size());
-    for (std::size_t i = 0; i < ms.size(); ++i)
-        expectSamePpa(serial[i], model.evaluate(prep, ms[i]));
-    common::ThreadPool pool(3);
-    const auto pooled = model.evaluateBatch(prep, ms, &pool);
-    ASSERT_EQ(pooled.size(), ms.size());
-    for (std::size_t i = 0; i < ms.size(); ++i)
-        expectSamePpa(serial[i], pooled[i]);
-}
-
-/* ------------------- engine batch decorators -------------------- */
-
-namespace {
-
-mapping::MappingEvaluator
-spatialEvaluator(const costmodel::AnalyticalCostModel &model,
-                 const costmodel::PreparedSpatialQuery &prep)
-{
-    return [&model, &prep](const mapping::Mapping &m) {
-        const accel::Ppa ppa = model.evaluate(prep, m);
-        mapping::MappingEval eval;
-        eval.ppa = ppa;
-        eval.loss = ppa.feasible ? ppa.latencyMs : 1e12;
-        return eval;
-    };
-}
-
-void
-expectSameEval(const mapping::MappingEval &a,
-               const mapping::MappingEval &b)
-{
-    expectSamePpa(a.ppa, b.ppa);
-    expectSameBits(a.loss, b.loss, "loss");
-    EXPECT_EQ(a.fidelity, b.fidelity);
-}
-
-} // namespace
-
-TEST(BatchDecorators, SerialAndParallelBatchMatchPerElement)
-{
-    const costmodel::AnalyticalCostModel model;
-    const auto op = zooOps().front();
-    const accel::SpatialDesignSpace ds(accel::Scenario::Edge);
-    common::Rng rng(23);
-    const auto hw = ds.decode(ds.space().randomPoint(rng));
-    const auto prep = model.prepare(op, hw);
-    const mapping::MappingSpace space(op);
-    std::vector<mapping::Mapping> ms;
-    for (int i = 0; i < 40; ++i)
-        ms.push_back(space.random(rng));
-    const auto one = spatialEvaluator(model, prep);
-    const auto serial = mapping::serialBatch(one)(ms);
-    ASSERT_EQ(serial.size(), ms.size());
-    for (std::size_t i = 0; i < ms.size(); ++i)
-        expectSameEval(serial[i], one(ms[i]));
-    common::ThreadPool pool(3);
-    const auto pooled = mapping::parallelBatch(one, &pool)(ms);
-    ASSERT_EQ(pooled.size(), ms.size());
-    for (std::size_t i = 0; i < ms.size(); ++i)
-        expectSameEval(serial[i], pooled[i]);
-    // Null pool degrades to the serial path.
-    const auto nopool = mapping::parallelBatch(one, nullptr)(ms);
-    ASSERT_EQ(nopool.size(), ms.size());
-    for (std::size_t i = 0; i < ms.size(); ++i)
-        expectSameEval(serial[i], nopool[i]);
-}
-
-TEST(BatchDecorators, CachingBatchMergesHitsAndMisses)
-{
-    const costmodel::AnalyticalCostModel model;
-    const auto op = zooOps().front();
-    const accel::SpatialDesignSpace ds(accel::Scenario::Edge);
-    common::Rng rng(29);
-    const auto hw = ds.decode(ds.space().randomPoint(rng));
-    const auto prep = model.prepare(op, hw);
-    const mapping::MappingSpace space(op);
-    std::vector<mapping::Mapping> ms;
-    for (int i = 0; i < 32; ++i)
-        ms.push_back(space.random(rng));
-    // Duplicate a few candidates inside the block: same-block
-    // duplicates must come back identical too.
-    ms.push_back(ms[0]);
-    ms.push_back(ms[5]);
-    const auto one = spatialEvaluator(model, prep);
-
-    accel::EvalCache cache(1 << 20);
-    const double sec =
-        costmodel::AnalyticalCostModel::nominalEvalSeconds();
-    // Warm half of the block through the serial caching path.
-    const auto warm =
-        mapping::cachingEvaluator(&cache, prep.context, one, sec);
-    for (std::size_t i = 0; i < ms.size(); i += 2)
-        (void)warm(ms[i]);
-
-    const auto batch = mapping::cachingBatchEvaluator(
-        &cache, prep.context,
-        mapping::serialBatch(one), sec);
-    const auto got = batch(ms);
-    ASSERT_EQ(got.size(), ms.size());
-    for (std::size_t i = 0; i < ms.size(); ++i)
-        expectSameEval(got[i], one(ms[i]));
-
-    // Every candidate is now cached: a second pass is all hits and
-    // still identical.
-    const auto again = batch(ms);
-    for (std::size_t i = 0; i < ms.size(); ++i)
-        expectSameEval(again[i], one(ms[i]));
-}
-
-TEST(BatchDecorators, NullScreenForwardsToBatch)
-{
-    const costmodel::AnalyticalCostModel model;
-    const auto op = zooOps().front();
-    const accel::SpatialDesignSpace ds(accel::Scenario::Edge);
-    common::Rng rng(31);
-    const auto hw = ds.decode(ds.space().randomPoint(rng));
-    const auto prep = model.prepare(op, hw);
-    const mapping::MappingSpace space(op);
-    std::vector<mapping::Mapping> ms;
-    for (int i = 0; i < 8; ++i)
-        ms.push_back(space.random(rng));
-    const auto one = spatialEvaluator(model, prep);
-    const auto wrapped = mapping::screeningBatchEvaluator(
-        nullptr, one, mapping::serialBatch(one));
-    const auto got = wrapped(ms);
-    ASSERT_EQ(got.size(), ms.size());
-    for (std::size_t i = 0; i < ms.size(); ++i)
-        expectSameEval(got[i], one(ms[i]));
 }
 
 /* ------------------------- ceilDiv ------------------------------ */

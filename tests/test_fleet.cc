@@ -322,28 +322,15 @@ TEST(Fleet, CoalescingCutsRoundTripsWithoutChangingResults)
     const DriverConfig cfg = tinyConfig();
     const CoSearchResult base = runInProcess(sharedEnv(), cfg);
 
-    FleetConfig batched;
-    batched.workers = 2;
-    ASSERT_TRUE(batched.coalesceOps); // coalescing is the default
-    TransportStats on;
-    const CoSearchResult with_batching =
-        runWithFleet(sharedEnv(), cfg, batched, &on);
-    expectIdenticalResults(base, with_batching);
+    FleetConfig fc;
+    fc.workers = 2;
+    TransportStats stats;
+    const CoSearchResult fleet = runWithFleet(sharedEnv(), cfg, fc, &stats);
+    expectIdenticalResults(base, fleet);
 
-    FleetConfig unbatched = batched;
-    unbatched.coalesceOps = false;
-    TransportStats off;
-    const CoSearchResult without_batching =
-        runWithFleet(sharedEnv(), cfg, unbatched, &off);
-    expectIdenticalResults(base, without_batching);
-
-    // Same mutating-op work either way, but coalescing must pack
-    // several ops per frame while the per-op protocol pays at least
-    // one round-trip each (plus non-mutating sense traffic).
-    EXPECT_EQ(on.opsApplied, off.opsApplied);
-    EXPECT_GT(on.opsApplied, on.requestRoundTrips);
-    EXPECT_LE(off.opsApplied, off.requestRoundTrips);
-    EXPECT_LT(2 * on.requestRoundTrips, off.requestRoundTrips);
+    // Coalescing packs several mutating ops into each frame, where a
+    // per-op protocol would pay at least one round-trip per op.
+    EXPECT_GT(stats.opsApplied, stats.requestRoundTrips);
 }
 
 TEST(Fleet, CoalescedBatchesSurviveChaosKills)

@@ -17,7 +17,6 @@
 #include "workload/tensor_op.hh"
 
 using namespace unico;
-using core::LayerSearch;
 using core::LayeredMappingRun;
 using core::LayeredRunPolicy;
 using workload::TensorOp;
@@ -26,7 +25,7 @@ using workload::WeightedOp;
 namespace {
 
 /** In-memory layer search returning a fixed evaluation. */
-class StubLayer final : public LayerSearch
+class StubLayer final : public mapping::SearchRunBase
 {
   public:
     StubLayer(double latency_ms, double energy_mj, bool feasible,
@@ -44,33 +43,16 @@ class StubLayer final : public LayerSearch
     {
         if (inert_)
             return; // models a layer whose search never starts
-        spent_ += evals;
         for (int i = 0; i < evals; ++i)
-            history_.push_back(eval_.loss);
+            recordEval(eval_);
         if (onStep_)
             onStep_(evals);
-    }
-
-    int spent() const override { return spent_; }
-    const mapping::MappingEval &bestEval() const override { return eval_; }
-    const std::vector<double> &
-    bestLossHistory() const override
-    {
-        return history_;
-    }
-    const std::vector<mapping::SamplePoint> &
-    samples() const override
-    {
-        return samples_;
     }
 
     std::function<void(int)> onStep_;
 
   private:
     mapping::MappingEval eval_;
-    std::vector<double> history_;
-    std::vector<mapping::SamplePoint> samples_;
-    int spent_ = 0;
     bool inert_ = false;
 };
 
@@ -93,7 +75,7 @@ class StubPolicy final : public LayeredRunPolicy
     {
     }
 
-    std::unique_ptr<LayerSearch>
+    std::unique_ptr<mapping::SearchRunBase>
     startLayer(std::size_t layer, std::uint64_t seed) override
     {
         startedLayers_.push_back(layer);

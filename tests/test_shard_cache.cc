@@ -23,6 +23,7 @@
 #include "core/fault_env.hh"
 #include "core/spatial_env.hh"
 #include "costmodel/analytical.hh"
+#include "mapping/engine.hh"
 #include "mapping/mapping.hh"
 #include "workload/model_zoo.hh"
 
@@ -382,7 +383,25 @@ TEST(ShardCache, ModelKindsAndTechRungsNeverShareKeys)
 
 // --- Cached model evaluation --------------------------------------------
 
-TEST(ShardCache, AnalyticalEvaluateCachedMatchesUncached)
+namespace {
+
+/** Every field of @p a and @p b, bit for bit. */
+void
+expectSameEval(const mapping::MappingEval &a, const mapping::MappingEval &b)
+{
+    EXPECT_EQ(a.ppa.latencyMs, b.ppa.latencyMs);
+    EXPECT_EQ(a.ppa.powerMw, b.ppa.powerMw);
+    EXPECT_EQ(a.ppa.areaMm2, b.ppa.areaMm2);
+    EXPECT_EQ(a.ppa.energyMj, b.ppa.energyMj);
+    EXPECT_EQ(a.ppa.feasible, b.ppa.feasible);
+    EXPECT_EQ(a.loss, b.loss);
+    EXPECT_EQ(a.fidelity, b.fidelity);
+    EXPECT_EQ(a.seconds, b.seconds);
+}
+
+} // namespace
+
+TEST(ShardCache, AnalyticalCachedEvaluateMatchesUncached)
 {
     const costmodel::AnalyticalCostModel model;
     const auto op = workload::TensorOp::conv("c", 64, 32, 28, 28, 3, 3);
@@ -390,31 +409,42 @@ TEST(ShardCache, AnalyticalEvaluateCachedMatchesUncached)
     hw.peX = hw.peY = 8;
     hw.l1Bytes = 16 * 1024;
     hw.l2Bytes = 512 * 1024;
+    const auto prep = model.prepare(op, hw);
+    const double secs = costmodel::AnalyticalCostModel::nominalEvalSeconds();
     const mapping::MappingSpace space(op);
     common::Rng rng(5);
     accel::EvalCache cache(1 << 20);
+    int computed = 0;
     for (int i = 0; i < 32; ++i) {
         const auto m = space.random(rng);
-        const accel::Ppa plain = model.evaluate(op, hw, m);
-        const accel::Ppa miss = model.evaluateCached(op, hw, m, cache);
-        const accel::Ppa hit = model.evaluateCached(op, hw, m, cache);
-        for (const accel::Ppa &p : {miss, hit}) {
-            EXPECT_EQ(p.latencyMs, plain.latencyMs);
-            EXPECT_EQ(p.powerMw, plain.powerMw);
-            EXPECT_EQ(p.areaMm2, plain.areaMm2);
-            EXPECT_EQ(p.energyMj, plain.energyMj);
-            EXPECT_EQ(p.feasible, plain.feasible);
-        }
+        const auto compute = [&] {
+            ++computed;
+            return mapping::latencyEval(model.evaluate(prep, m), secs);
+        };
+        const mapping::MappingEval plain =
+            mapping::latencyEval(model.evaluate(op, hw, m), secs);
+        const mapping::MappingEval miss =
+            mapping::cachedEvaluate(&cache, prep.context, m, compute);
+        const mapping::MappingEval hit =
+            mapping::cachedEvaluate(&cache, prep.context, m, compute);
+        expectSameEval(miss, plain);
+        expectSameEval(hit, plain);
+        // No cache: every call computes.
+        expectSameEval(
+            mapping::cachedEvaluate(nullptr, prep.context, m, compute),
+            plain);
     }
+    EXPECT_EQ(computed, 64);
     EXPECT_EQ(cache.stats().hits, 32u);
     EXPECT_EQ(cache.stats().misses, 32u);
 }
 
-TEST(ShardCache, CycleLevelEvaluateCachedMatchesAndReplaysSeconds)
+TEST(ShardCache, CycleLevelCachedEvaluateReplaysSeconds)
 {
     const camodel::CycleAccurateModel model;
     const auto op = workload::TensorOp::gemm("g", 128, 128, 128);
     const auto hw = accel::CubeHwConfig::expertDefault();
+    const auto prep = model.prepare(op, hw);
     const camodel::CubeMappingSpace space(op);
     common::Rng rng(6);
     accel::EvalCache cache(1 << 20);
@@ -423,17 +453,22 @@ TEST(ShardCache, CycleLevelEvaluateCachedMatchesAndReplaysSeconds)
         camodel::SimStats stats;
         const accel::Ppa plain = model.evaluate(op, hw, m, &stats);
         const double plain_secs = model.nominalEvalSeconds(stats);
-        double miss_secs = 0.0, hit_secs = 0.0;
-        const accel::Ppa miss =
-            model.evaluateCached(op, hw, m, cache, &miss_secs);
-        const accel::Ppa hit =
-            model.evaluateCached(op, hw, m, cache, &hit_secs);
-        EXPECT_EQ(miss.latencyMs, plain.latencyMs);
-        EXPECT_EQ(hit.latencyMs, plain.latencyMs);
-        EXPECT_EQ(hit.energyMj, plain.energyMj);
-        // A hit must charge the identical virtual cost.
-        EXPECT_EQ(miss_secs, plain_secs);
-        EXPECT_EQ(hit_secs, plain_secs);
+        const mapping::MappingEval miss =
+            mapping::cachedEvaluate(&cache, prep.context, m, [&] {
+                camodel::SimStats s;
+                const accel::Ppa ppa = model.evaluate(prep, m, &s);
+                return mapping::latencyEval(ppa,
+                                            model.nominalEvalSeconds(s));
+            });
+        // A hit returns the miss's eval, seconds included, without
+        // running the simulator again.
+        const mapping::MappingEval hit =
+            mapping::cachedEvaluate(&cache, prep.context, m, [] {
+                ADD_FAILURE() << "a cache hit recomputed";
+                return mapping::MappingEval{};
+            });
+        expectSameEval(miss, mapping::latencyEval(plain, plain_secs));
+        expectSameEval(hit, miss);
     }
 }
 

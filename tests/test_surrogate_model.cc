@@ -17,9 +17,12 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "camodel/cube_mapping.hh"
+#include "camodel/search.hh"
+#include "camodel/simulator.hh"
 #include "common/rng.hh"
 #include "common/shard_cache.hh"
 #include "core/driver.hh"
@@ -330,56 +333,126 @@ TEST(SurrogateModel, ScreeningEngagesWithoutLeaking)
     }
 }
 
-TEST(SurrogateModel, SurrogatePredictionsNeverBecomeIncumbent)
+namespace {
+
+/**
+ * One backend's mapping search over its real cost model, for the
+ * typed incumbency test: the spatial annealing engine over the
+ * analytical model, and the cube search over the cycle-level model.
+ */
+template <typename Cand>
+struct SearchBackend;
+
+template <>
+struct SearchBackend<mapping::Mapping>
 {
-    // A hostile screen that predicts an absurdly good loss for every
-    // screened-out candidate: if surrogate-fidelity evals could leak
-    // into the incumbent / samples / best-loss history, this would
-    // drag the reported best loss to -1e17. Admit only every 4th
-    // candidate so exact evaluations stay sparse.
-    class HostileScreen : public mapping::CandidateScreen
+    workload::TensorOp op = convOp();
+    accel::SpatialHwConfig hw = spatialHw();
+    mapping::MappingSpace space{op};
+    costmodel::AnalyticalCostModel model;
+
+    mapping::MappingEval
+    exact(const mapping::Mapping &m) const
     {
-      public:
-        std::optional<mapping::MappingEval>
-        screen(const mapping::Mapping &) override
-        {
-            if (++n_ % 4 == 1)
-                return std::nullopt; // admit
-            mapping::MappingEval eval;
-            eval.loss = -1e17;
-            eval.ppa.feasible = true;
-            eval.ppa.latencyMs = 1e-9;
-            eval.ppa.powerMw = 1e-9;
-            eval.ppa.areaMm2 = 1e-9;
-            eval.fidelity = mapping::Fidelity::Surrogate;
-            return eval;
-        }
-        void
-        observeExact(const mapping::Mapping &,
-                     const mapping::MappingEval &) override
-        {
-            ++exact_;
-        }
-        int exact_ = 0;
+        return mapping::latencyEval(model.evaluate(op, hw, m), 0.0);
+    }
 
-      private:
-        int n_ = 0;
-    };
+    std::unique_ptr<mapping::SearchRun<mapping::Mapping>>
+    start(mapping::Evaluator<mapping::Mapping> evaluator) const
+    {
+        return mapping::startSearch(mapping::EngineKind::Annealing, space,
+                                    std::move(evaluator), 13);
+    }
+};
 
-    const auto op = convOp();
-    const auto hw = spatialHw();
-    const mapping::MappingSpace space(op);
-    const costmodel::AnalyticalCostModel model;
-    HostileScreen screen;
-    auto exact_eval = [&](const mapping::Mapping &m) {
+template <>
+struct SearchBackend<camodel::CubeMapping>
+{
+    workload::TensorOp op = workload::TensorOp::gemm("g", 512, 512, 512);
+    accel::CubeHwConfig hw = accel::CubeHwConfig::expertDefault();
+    camodel::CubeMappingSpace space{op};
+    camodel::CycleAccurateModel model;
+
+    mapping::MappingEval
+    exact(const camodel::CubeMapping &m) const
+    {
+        return mapping::latencyEval(model.evaluate(op, hw, m), 0.0);
+    }
+
+    std::unique_ptr<mapping::SearchRun<camodel::CubeMapping>>
+    start(mapping::Evaluator<camodel::CubeMapping> evaluator) const
+    {
+        return std::make_unique<camodel::CubeSearchRun>(
+            space, std::move(evaluator), 13);
+    }
+};
+
+/**
+ * A hostile screen that predicts an absurdly good loss for every
+ * screened-out candidate: if surrogate-fidelity evals could leak into
+ * the incumbent / samples / best-loss history, this would drag the
+ * reported best loss to -1e17. It admits only every 4th candidate so
+ * exact evaluations stay sparse.
+ */
+template <typename Cand>
+class HostileScreen final : public mapping::CandidateScreen<Cand>
+{
+  public:
+    std::optional<mapping::MappingEval>
+    screen(const Cand &) override
+    {
+        if (++n_ % 4 == 1)
+            return std::nullopt; // admit
         mapping::MappingEval eval;
-        eval.ppa = model.evaluate(op, hw, m);
-        eval.loss = eval.ppa.feasible ? eval.ppa.latencyMs : 1e18;
+        eval.loss = -1e17;
+        eval.ppa.feasible = true;
+        eval.ppa.latencyMs = 1e-9;
+        eval.ppa.powerMw = 1e-9;
+        eval.ppa.areaMm2 = 1e-9;
+        eval.fidelity = mapping::Fidelity::Surrogate;
         return eval;
-    };
-    auto run = mapping::startSearch(
-        mapping::EngineKind::Annealing, space,
-        mapping::screeningEvaluator(&screen, exact_eval), 13);
+    }
+
+    void
+    observeExact(const Cand &, const mapping::MappingEval &) override
+    {
+        ++exact_;
+    }
+
+    int exact_ = 0;
+
+  private:
+    int n_ = 0;
+};
+
+struct CandidateName
+{
+    template <typename Cand>
+    static std::string
+    GetName(int)
+    {
+        return std::is_same_v<Cand, mapping::Mapping> ? "Spatial" : "Cube";
+    }
+};
+
+} // namespace
+
+template <typename Cand>
+class SurrogateIncumbency : public ::testing::Test
+{
+};
+
+using CandidateTypes =
+    ::testing::Types<mapping::Mapping, camodel::CubeMapping>;
+TYPED_TEST_SUITE(SurrogateIncumbency, CandidateTypes, CandidateName);
+
+TYPED_TEST(SurrogateIncumbency, SurrogatePredictionsNeverBecomeIncumbent)
+{
+    using Cand = TypeParam;
+    const SearchBackend<Cand> backend;
+    HostileScreen<Cand> screen;
+    auto run = backend.start(mapping::screeningEvaluator(
+        &screen, [&backend](const Cand &c) { return backend.exact(c); }));
     run->step(120);
 
     EXPECT_EQ(run->spent(), 120);
@@ -389,9 +462,11 @@ TEST(SurrogateModel, SurrogatePredictionsNeverBecomeIncumbent)
               static_cast<std::size_t>(screen.exact_));
     EXPECT_LT(screen.exact_, 120);
     EXPECT_GT(screen.exact_, 0);
-    // The incumbent is an exact evaluation, not the hostile -1e17.
+    // The incumbent is an exact evaluation, not the hostile -1e17,
+    // and it is the candidate the exact model scored that way.
     EXPECT_EQ(run->bestEval().fidelity, mapping::Fidelity::Exact);
     EXPECT_GT(run->bestEval().loss, 0.0);
+    EXPECT_EQ(backend.exact(run->best()).loss, run->bestEval().loss);
     for (double loss : run->bestLossHistory())
         EXPECT_GT(loss, 0.0);
     for (const auto &s : run->samples())

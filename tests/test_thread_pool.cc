@@ -220,20 +220,3 @@ TEST(RunParallel, PersistentPoolRethrowsFirstFailure)
     runParallel(ok, pool);
     EXPECT_EQ(counter.load(), 6);
 }
-
-TEST(LazyThreadPool, MaterializesOnceOnFirstUse)
-{
-    unico::common::LazyThreadPool lazy(3);
-    EXPECT_EQ(lazy.configuredThreads(), 3u);
-    ThreadPool &first = lazy.get();
-    EXPECT_EQ(first.size(), 3u);
-    ThreadPool &again = lazy.get();
-    EXPECT_EQ(&first, &again); // one pool per process, ever
-
-    std::atomic<int> counter{0};
-    ThreadPool::Batch batch(lazy.get());
-    for (int i = 0; i < 10; ++i)
-        batch.submit([&counter] { ++counter; });
-    batch.wait();
-    EXPECT_EQ(counter.load(), 10);
-}

@@ -144,7 +144,7 @@ TEST(Watchdog, DestructorWithArmedEntriesIsClean)
 TEST(Shutdown, SignalFlipsTokenAndClearRearms)
 {
     common::clearShutdownRequest();
-    common::installShutdownHandlers();
+    const common::ShutdownScope scope;
     ASSERT_FALSE(common::shutdownRequested());
     std::raise(SIGTERM);
     EXPECT_TRUE(common::shutdownRequested());

@@ -37,18 +37,6 @@
  *                    [--json BENCH_chaos.json] [--no-net]
  */
 
-#if defined(_WIN32)
-
-#include <cstdio>
-int
-main()
-{
-    std::puts("bench_chaos: POSIX-only (fork/exec/SIGKILL)");
-    return 0;
-}
-
-#else
-
 #include <algorithm>
 #include <chrono>
 #include <csignal>
@@ -606,5 +594,3 @@ main(int argc, char **argv)
     }
     return 0;
 }
-
-#endif // !_WIN32

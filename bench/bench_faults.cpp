@@ -114,7 +114,6 @@ main(int argc, char **argv)
                  "1.0 at moderate rates while hours grow with the "
                  "injected load.\n";
 
-#if !defined(_WIN32)
     // --- Transport layer: rerun the mixed-injection sweep through
     // the evaluation fleet, with and without worker SIGKILLs. The
     // claim under test is stronger than graceful degradation: the
@@ -169,6 +168,5 @@ main(int argc, char **argv)
     ftable.print(std::cout);
     std::cout << "\nExpected: every fleet row is identical=yes — "
                  "worker kills cost respawns, never results.\n";
-#endif
     return 0;
 }

@@ -309,8 +309,13 @@ main(int argc, char **argv)
         // who need the port to dial in.
         fleet_cfg.listenPortFile =
             args.getString("fleet-port-file", "");
-        fleet_env =
-            std::make_unique<core::FleetEnv>(base_env, fleet_cfg);
+        try {
+            fleet_env =
+                std::make_unique<core::FleetEnv>(base_env, fleet_cfg);
+        } catch (const std::exception &e) {
+            std::cerr << "error: " << e.what() << "\n";
+            return 1;
+        }
         std::cout << "evaluation fleet: " << fleet_env->liveWorkers()
                   << "/" << fleet_workers << " workers";
         if (!fleet_listen.empty())

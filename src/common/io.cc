@@ -2,14 +2,12 @@
 
 #include <cerrno>
 
-#if !defined(_WIN32)
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <time.h>
 #include <unistd.h>
-#endif
 
 namespace unico::common {
 
@@ -24,96 +22,6 @@ toString(IoStatus status)
     }
     return "?";
 }
-
-#if defined(_WIN32)
-
-// The evaluation fleet is POSIX-only; the helpers exist on Windows so
-// common code links, but always report failure.
-double
-monotonicNow()
-{
-    return 0.0;
-}
-
-IoStatus
-readFull(int, void *, std::size_t, std::size_t *got)
-{
-    if (got)
-        *got = 0;
-    return IoStatus::Error;
-}
-
-IoStatus
-writeFull(int, const void *, std::size_t)
-{
-    return IoStatus::Error;
-}
-
-IoStatus
-writeFull(int, const std::string &)
-{
-    return IoStatus::Error;
-}
-
-IoStatus
-waitReadable(int, double)
-{
-    return IoStatus::Error;
-}
-
-IoStatus
-waitWritable(int, double)
-{
-    return IoStatus::Error;
-}
-
-IoStatus
-readFullDeadline(int, void *, std::size_t, double, std::size_t *got)
-{
-    if (got)
-        *got = 0;
-    return IoStatus::Error;
-}
-
-IoStatus
-readFullUntil(int, void *, std::size_t, double, std::size_t *got)
-{
-    if (got)
-        *got = 0;
-    return IoStatus::Error;
-}
-
-IoStatus
-writeFullUntil(int, const void *, std::size_t, double)
-{
-    return IoStatus::Error;
-}
-
-IoStatus
-writeFullUntil(int, const std::string &, double)
-{
-    return IoStatus::Error;
-}
-
-bool
-setNonblocking(int, bool)
-{
-    return false;
-}
-
-bool
-setCloexec(int, bool)
-{
-    return false;
-}
-
-bool
-makeSocketPair(int[2])
-{
-    return false;
-}
-
-#else
 
 double
 monotonicNow()
@@ -198,17 +106,6 @@ waitWritable(int fd, double deadline_seconds)
                      deadline_seconds > 0.0
                          ? monotonicNow() + deadline_seconds
                          : 0.0);
-}
-
-IoStatus
-readFullDeadline(int fd, void *buf, std::size_t len,
-                 double deadline_seconds, std::size_t *got)
-{
-    return readFullUntil(fd, buf, len,
-                         deadline_seconds > 0.0
-                             ? monotonicNow() + deadline_seconds
-                             : 0.0,
-                         got);
 }
 
 IoStatus
@@ -347,7 +244,5 @@ makeSocketPair(int fds[2])
     setCloexec(fds[1]);
     return true;
 }
-
-#endif // !_WIN32
 
 } // namespace unico::common

@@ -74,16 +74,6 @@ IoStatus waitReadable(int fd, double deadline_seconds);
 IoStatus waitWritable(int fd, double deadline_seconds);
 
 /**
- * Like readFull, but bounded by one deadline across the whole
- * transfer (<= 0 waits forever). Returns Timeout if it expires
- * mid-message; @p got reports partial progress for torn-transfer
- * diagnostics.
- */
-IoStatus readFullDeadline(int fd, void *buf, std::size_t len,
-                          double deadline_seconds,
-                          std::size_t *got = nullptr);
-
-/**
  * readFull bounded by an *absolute* monotonicNow()-based deadline
  * (<= 0 waits forever). Several transfers passed the same value
  * share one budget — this is what lets a frame read enforce a single

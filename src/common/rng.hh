@@ -18,6 +18,21 @@
 namespace unico::common {
 
 /**
+ * splitmix64 step: add the golden-ratio increment to @p z, then apply
+ * the full-avalanche finalizer. A bijection on 64-bit words; the
+ * repo's one cheap deterministic mixer (fingerprints, fleet
+ * placement, chaos draws, seed expansion).
+ */
+inline std::uint64_t
+mix64(std::uint64_t z)
+{
+    z += 0x9e3779b97f4a7c15ULL;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
+/**
  * SplitMix64 generator, used to expand a single 64-bit seed into the
  * state of the main xoshiro256** generator.
  */
@@ -30,10 +45,9 @@ class SplitMix64
     std::uint64_t
     next()
     {
-        std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-        return z ^ (z >> 31);
+        const std::uint64_t z = state_;
+        state_ += 0x9e3779b97f4a7c15ULL;
+        return mix64(z);
     }
 
   private:

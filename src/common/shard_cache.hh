@@ -35,6 +35,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.hh"
+
 namespace unico::common {
 
 /** A 128-bit content fingerprint (two independent 64-bit streams). */
@@ -63,8 +65,8 @@ class FingerprintBuilder
     FingerprintBuilder &
     add(std::uint64_t v)
     {
-        a_ = mix(a_ ^ v);
-        b_ = mix(b_ + (v ^ kStream2));
+        a_ = mix64(a_ ^ v);
+        b_ = mix64(b_ + (v ^ kStream2));
         return *this;
     }
 
@@ -124,37 +126,15 @@ class FingerprintBuilder
     Fingerprint
     fingerprint() const
     {
-        return Fingerprint{mix(a_), mix(b_)};
+        return Fingerprint{mix64(a_), mix64(b_)};
     }
 
   private:
-    /** splitmix64 finalizer (see mix64 below; duplicated here only
-     *  because the free function is declared after this class). */
-    static std::uint64_t
-    mix(std::uint64_t z)
-    {
-        z += 0x9e3779b97f4a7c15ULL;
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-        return z ^ (z >> 31);
-    }
-
     static constexpr std::uint64_t kStream2 = 0x6a09e667f3bcc908ULL;
 
     std::uint64_t a_ = 0xcbf29ce484222325ULL;
     std::uint64_t b_ = 0x84222325cbf29ce4ULL;
 };
-
-/** splitmix64 finalizer: full-avalanche 64-bit mix (shared by
- *  FingerprintBuilder and combine()). */
-inline std::uint64_t
-mix64(std::uint64_t z)
-{
-    z += 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
 
 /** Canonical, order-sensitive combination of two fingerprints. Every
  *  cache key is built as combine(query context, mapping fingerprint),

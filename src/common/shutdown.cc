@@ -5,9 +5,7 @@
 #include <cstddef>
 #include <mutex>
 
-#if !defined(_WIN32)
 #include <unistd.h>
-#endif
 
 namespace unico::common {
 
@@ -49,51 +47,32 @@ onShutdownSignal(int sig)
     }
     // Second signal while draining: the operator wants out *now*.
     // _exit is async-signal-safe; 128+signum is the shell convention.
-#if defined(_WIN32)
-    std::_Exit(128 + sig);
-#else
     _exit(128 + sig);
-#endif
 }
 
 /** Scope bookkeeping (normal-context only, never touched by the
  *  handler): refcount plus the sigactions to restore on teardown. */
 std::mutex g_scope_mutex;
 int g_scope_refs = 0;
-#if !defined(_WIN32)
 struct sigaction g_prev_int;
 struct sigaction g_prev_term;
-#else
-void (*g_prev_int)(int) = SIG_DFL;
-void (*g_prev_term)(int) = SIG_DFL;
-#endif
 
 void
 installHandlers()
 {
-#if defined(_WIN32)
-    g_prev_int = std::signal(SIGINT, onShutdownSignal);
-    g_prev_term = std::signal(SIGTERM, onShutdownSignal);
-#else
     struct sigaction sa = {};
     sa.sa_handler = onShutdownSignal;
     sigemptyset(&sa.sa_mask);
     sa.sa_flags = 0; // no SA_RESTART: interrupt blocking syscalls too
     sigaction(SIGINT, &sa, &g_prev_int);
     sigaction(SIGTERM, &sa, &g_prev_term);
-#endif
 }
 
 void
 restoreHandlers()
 {
-#if defined(_WIN32)
-    std::signal(SIGINT, g_prev_int);
-    std::signal(SIGTERM, g_prev_term);
-#else
     sigaction(SIGINT, &g_prev_int, nullptr);
     sigaction(SIGTERM, &g_prev_term, nullptr);
-#endif
 }
 
 } // namespace

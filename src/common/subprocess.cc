@@ -1,7 +1,5 @@
 #include "common/subprocess.hh"
 
-#if !defined(_WIN32)
-
 #include <cerrno>
 #include <csignal>
 #include <cstring>
@@ -190,5 +188,3 @@ WorkerFactory::spawn(WorkerHandle &out, double deadline_seconds)
 }
 
 } // namespace unico::common
-
-#endif // !_WIN32

@@ -34,8 +34,6 @@ struct WorkerHandle
     int fd = -1;           ///< master end of the worker socketpair
 };
 
-#if !defined(_WIN32)
-
 /**
  * Pass @p fd plus a small @p tag over the unix socket @p sock.
  * Exposed for tests; the factory uses it to deliver worker sockets.
@@ -83,8 +81,6 @@ class WorkerFactory
     int controlFd_ = -1;
     std::int64_t zygotePid_ = -1;
 };
-
-#endif // !_WIN32
 
 } // namespace unico::common
 

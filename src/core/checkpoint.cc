@@ -8,10 +8,8 @@
 #include <limits>
 #include <sstream>
 
-#if !defined(_WIN32)
 #include <fcntl.h>
 #include <unistd.h>
-#endif
 
 #include "common/crc64.hh"
 #include "common/io.hh"
@@ -380,16 +378,6 @@ errnoMessage(const std::string &what, const std::string &path)
 CheckpointIoStatus
 writeDurable(const std::string &path, const std::string &bytes)
 {
-#if defined(_WIN32)
-    std::ofstream out(path, std::ios::trunc | std::ios::binary);
-    if (!out)
-        return CheckpointIoStatus::failure("cannot open '" + path + "'");
-    out << bytes;
-    out.flush();
-    if (!out.good())
-        return CheckpointIoStatus::failure("write failed '" + path + "'");
-    return CheckpointIoStatus::success();
-#else
     // O_CLOEXEC: checkpoint descriptors must never leak into fleet
     // worker processes forked while a save is in flight.
     const int fd = ::open(path.c_str(),
@@ -413,23 +401,18 @@ writeDurable(const std::string &path, const std::string &bytes)
     if (::close(fd) != 0)
         return CheckpointIoStatus::failure(errnoMessage("close", path));
     return CheckpointIoStatus::success();
-#endif
 }
 
 /** Persist the directory entry (rename durability). */
 void
 syncDirectory(const std::string &dir)
 {
-#if !defined(_WIN32)
     const int dfd =
         ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
     if (dfd >= 0) {
         ::fsync(dfd); // best effort: some filesystems refuse dir fsync
         ::close(dfd);
     }
-#else
-    (void)dir;
-#endif
 }
 
 bool

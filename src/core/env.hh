@@ -195,6 +195,87 @@ class CoSearchEnv
     }
 };
 
+/**
+ * Base of the environments that wrap another one (fault injection,
+ * the evaluation fleet): every query forwards to the inner env, so a
+ * decorator overrides only what it changes — typically createRun().
+ *
+ * Stack identity (backend, scenario, workload digest) is the inner
+ * env's: a decorator changes how runs execute, not what a checkpoint
+ * was computed against, so a checkpoint written through any decorator
+ * stack resumes through any other. The cache and surrogate counters
+ * are the inner env's too, so the driver reports them from any stack.
+ */
+class EnvDecorator : public CoSearchEnv
+{
+  public:
+    /** @p inner must outlive the decorator. */
+    explicit EnvDecorator(CoSearchEnv &inner) : inner_(inner) {}
+
+    const accel::DesignSpace &
+    hwSpace() const override
+    {
+        return inner_.hwSpace();
+    }
+
+    std::unique_ptr<MappingRun>
+    createRun(const accel::HwPoint &h, std::uint64_t seed) const override
+    {
+        return inner_.createRun(h, seed);
+    }
+
+    double powerBudgetMw() const override { return inner_.powerBudgetMw(); }
+    double areaBudgetMm2() const override { return inner_.areaBudgetMm2(); }
+
+    std::string
+    describeHw(const accel::HwPoint &h) const override
+    {
+        return inner_.describeHw(h);
+    }
+
+    const accel::EvalCache *
+    evalCache() const override
+    {
+        return inner_.evalCache();
+    }
+
+    common::TransportStats
+    transportStats() const override
+    {
+        return inner_.transportStats();
+    }
+
+    surrogate::SurrogateStats
+    surrogateStats() const override
+    {
+        return inner_.surrogateStats();
+    }
+
+    int minSeedBudget() const override { return inner_.minSeedBudget(); }
+    std::string backendName() const override { return inner_.backendName(); }
+
+    std::string
+    scenarioName() const override
+    {
+        return inner_.scenarioName();
+    }
+
+    std::uint64_t
+    workloadDigest() const override
+    {
+        return inner_.workloadDigest();
+    }
+
+    std::optional<accel::HwPoint>
+    expertDefault() const override
+    {
+        return inner_.expertDefault();
+    }
+
+  protected:
+    CoSearchEnv &inner_;
+};
+
 } // namespace unico::core
 
 #endif // UNICO_CORE_ENV_HH

@@ -115,68 +115,14 @@ class FaultyRun : public MappingRun
 };
 
 FaultyEnv::FaultyEnv(CoSearchEnv &inner, common::FaultPlan plan)
-    : inner_(inner), plan_(plan)
+    : EnvDecorator(inner), plan_(plan)
 {}
-
-const accel::DesignSpace &
-FaultyEnv::hwSpace() const
-{
-    return inner_.hwSpace();
-}
 
 std::unique_ptr<MappingRun>
 FaultyEnv::createRun(const accel::HwPoint &h, std::uint64_t seed) const
 {
     return std::make_unique<FaultyRun>(inner_.createRun(h, seed), this,
                                        seed);
-}
-
-double
-FaultyEnv::powerBudgetMw() const
-{
-    return inner_.powerBudgetMw();
-}
-
-double
-FaultyEnv::areaBudgetMm2() const
-{
-    return inner_.areaBudgetMm2();
-}
-
-std::string
-FaultyEnv::describeHw(const accel::HwPoint &h) const
-{
-    return inner_.describeHw(h);
-}
-
-int
-FaultyEnv::minSeedBudget() const
-{
-    return inner_.minSeedBudget();
-}
-
-std::string
-FaultyEnv::backendName() const
-{
-    return inner_.backendName();
-}
-
-std::string
-FaultyEnv::scenarioName() const
-{
-    return inner_.scenarioName();
-}
-
-std::uint64_t
-FaultyEnv::workloadDigest() const
-{
-    return inner_.workloadDigest();
-}
-
-std::optional<accel::HwPoint>
-FaultyEnv::expertDefault() const
-{
-    return inner_.expertDefault();
 }
 
 InjectionCounts

@@ -40,8 +40,10 @@ struct InjectionCounts
     }
 };
 
-/** Fault-injecting wrapper around an inner environment. */
-class FaultyEnv : public CoSearchEnv
+/** Fault-injecting wrapper around an inner environment. Every query
+ *  but createRun() is the inner env's (see EnvDecorator): fault
+ *  injection does not change what a checkpoint was computed against. */
+class FaultyEnv : public EnvDecorator
 {
   public:
     /**
@@ -52,31 +54,8 @@ class FaultyEnv : public CoSearchEnv
      */
     FaultyEnv(CoSearchEnv &inner, common::FaultPlan plan);
 
-    const accel::DesignSpace &hwSpace() const override;
     std::unique_ptr<MappingRun>
     createRun(const accel::HwPoint &h, std::uint64_t seed) const override;
-    double powerBudgetMw() const override;
-    double areaBudgetMm2() const override;
-    std::string describeHw(const accel::HwPoint &h) const override;
-    int minSeedBudget() const override;
-    const accel::EvalCache *evalCache() const override
-    {
-        return inner_.evalCache();
-    }
-    surrogate::SurrogateStats surrogateStats() const override
-    {
-        return inner_.surrogateStats();
-    }
-    common::TransportStats transportStats() const override
-    {
-        return inner_.transportStats();
-    }
-    // Stack identity is the wrapped environment's: fault injection
-    // does not change what a checkpoint was computed against.
-    std::string backendName() const override;
-    std::string scenarioName() const override;
-    std::uint64_t workloadDigest() const override;
-    std::optional<accel::HwPoint> expertDefault() const override;
 
     /** The fault oracle in use. */
     const common::FaultPlan &plan() const { return plan_; }
@@ -87,7 +66,6 @@ class FaultyEnv : public CoSearchEnv
   private:
     friend class FaultyRun;
 
-    CoSearchEnv &inner_;
     common::FaultPlan plan_;
     mutable std::atomic<std::uint64_t> transient_{0};
     mutable std::atomic<std::uint64_t> hang_{0};

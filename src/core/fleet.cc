@@ -1,9 +1,7 @@
 #include "core/fleet.hh"
 
-#if !defined(_WIN32)
 #include <signal.h>
 #include <unistd.h>
-#endif
 
 #include <algorithm>
 #include <atomic>
@@ -22,6 +20,7 @@
 
 #include "common/frame.hh"
 #include "common/json.hh"
+#include "common/rng.hh"
 #include "common/shard_cache.hh"
 #include "common/subprocess.hh"
 #include "core/fleet_transport.hh"
@@ -35,6 +34,7 @@ namespace {
 using common::EvalFault;
 using common::EvalStatus;
 using common::Json;
+using common::mix64;
 
 /** Wire op kinds. A run's history is the exact sequence of mutating
  *  calls made on it — including calls that threw, since a faulted
@@ -79,14 +79,19 @@ statusFromString(const std::string &s)
     return EvalStatus::Fatal;
 }
 
-/** splitmix64: the repo's standard cheap deterministic stream. */
-std::uint64_t
-mix64(std::uint64_t z)
+/** Apply one op to @p run, letting evaluation faults propagate.
+ *  Returns degradeToAnalytical()'s result for a degrade op, false for
+ *  a step. */
+bool
+apply(MappingRun &run, const WireOp &op)
 {
-    z += 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    if (op.kind == kOpStep) {
+        run.step(op.arg);
+        return false;
+    }
+    if (op.kind == kOpDegrade)
+        return run.degradeToAnalytical();
+    throw EvalFault(EvalStatus::Fatal, "fleet: unknown op kind");
 }
 
 Json
@@ -172,8 +177,6 @@ rendezvousHome(std::uint64_t hi, std::uint64_t lo,
     return home;
 }
 
-#if !defined(_WIN32)
-
 namespace {
 
 // ---------------------------------------------------------------------------
@@ -199,30 +202,34 @@ struct ResidentRun
     std::uint64_t stamp = 0; ///< LRU clock
 };
 
-/** Apply one op, capturing the evaluation outcome instead of letting
- *  it unwind: the master re-raises it from the response, preserving
- *  in-process exception semantics across the process boundary. */
+/** Run @p fn, capturing an evaluation fault as (status, message)
+ *  instead of letting it unwind: the master re-raises it from the
+ *  response, preserving in-process exception semantics across the
+ *  process boundary. */
+template <class Fn>
+EvalStatus
+captureFault(Fn &&fn, std::string &message)
+{
+    try {
+        fn();
+        return EvalStatus::Ok;
+    } catch (const EvalFault &f) {
+        message = f.what();
+        return f.status();
+    } catch (const std::exception &e) {
+        message = e.what();
+        return EvalStatus::Fatal;
+    }
+}
+
+/** Apply one op and record its outcome. */
 DoneOp
 applyOp(MappingRun &run, const WireOp &op)
 {
     DoneOp d;
     d.op = op;
-    try {
-        if (op.kind == kOpStep) {
-            run.step(op.arg);
-        } else if (op.kind == kOpDegrade) {
-            d.degraded = run.degradeToAnalytical();
-        } else {
-            d.status = EvalStatus::Fatal;
-            d.message = "fleet: unknown op kind";
-        }
-    } catch (const EvalFault &f) {
-        d.status = f.status();
-        d.message = f.what();
-    } catch (const std::exception &e) {
-        d.status = EvalStatus::Fatal;
-        d.message = e.what();
-    }
+    d.status = captureFault([&] { d.degraded = apply(run, op); },
+                            d.message);
     return d;
 }
 
@@ -388,15 +395,8 @@ class WorkerServer
         if (op == "sense" && status == EvalStatus::Ok) {
             const double alpha =
                 common::doubleFromHex(req.at("alpha").asString());
-            try {
-                sense = res.run->sensitivity(alpha);
-            } catch (const EvalFault &f) {
-                status = f.status();
-                message = f.what();
-            } catch (const std::exception &e) {
-                status = EvalStatus::Fatal;
-                message = e.what();
-            }
+            status = captureFault(
+                [&] { sense = res.run->sensitivity(alpha); }, message);
         }
 
         resp["status"] = Json(toString(status));
@@ -511,16 +511,7 @@ class ZygoteTransport : public FleetTransport
         return true;
     }
 
-    void
-    close(WorkerChannel &ch) override
-    {
-        if (ch.fd >= 0)
-            ::close(ch.fd); // worker _exit(0)s on the EOF
-        ch.fd = -1;
-    }
-
     bool retryableOpenFailure() const override { return false; }
-    const char *name() const override { return "zygote"; }
 
   private:
     std::mutex spawnMutex_;
@@ -542,16 +533,17 @@ class TcpTransport : public FleetTransport
         id.workloadDigest = common::hexU64(inner.workloadDigest());
         listener_ = std::make_unique<net::TcpFleetListener>(
             cfg.listenAddr, std::move(id));
-        ok_ = listener_->start(&error_);
-        if (ok_ && !cfg.listenPortFile.empty()) {
+        std::string error;
+        if (!listener_->start(&error))
+            throw std::runtime_error("fleet: cannot listen on '" +
+                                     cfg.listenAddr + "': " + error);
+        if (!cfg.listenPortFile.empty()) {
             // Must land before the pool starts waiting for workers:
             // with ":0" the workers learn the port from this file.
             std::ofstream out(cfg.listenPortFile, std::ios::trunc);
             out << listener_->port() << "\n";
         }
     }
-
-    bool ok() const override { return ok_; }
 
     bool
     open(WorkerChannel &out, double wait_seconds) override
@@ -567,29 +559,11 @@ class TcpTransport : public FleetTransport
         return true;
     }
 
-    void
-    close(WorkerChannel &ch) override
-    {
-        if (ch.fd >= 0)
-            ::close(ch.fd);
-        ch.fd = -1;
-    }
-
     bool retryableOpenFailure() const override { return true; }
-    const char *name() const override { return "tcp"; }
-
-    int
-    listenPort() const override
-    {
-        return listener_ ? listener_->port() : -1;
-    }
-
-    const std::string &error() const { return error_; }
+    int listenPort() const override { return listener_->port(); }
 
   private:
     std::unique_ptr<net::TcpFleetListener> listener_;
-    bool ok_ = false;
-    std::string error_;
 };
 
 } // namespace
@@ -626,12 +600,8 @@ class WorkerPool
             if (!transport_->ok())
                 break;
             WorkerChannel ch;
-            if (!transport_->open(ch, cfg_.connectWaitSeconds))
+            if (!openChannel(ch, cfg_.connectWaitSeconds))
                 continue;
-            if (ch.remote && !validateRemote(ch)) {
-                transport_->close(ch);
-                continue;
-            }
             slot.ch = ch;
             slot.alive = true;
             if (ch.remote)
@@ -663,7 +633,7 @@ class WorkerPool
                 common::writeFrameUntil(slot.ch.fd, bye.dump(),
                                         common::monotonicNow() + 1.0);
             }
-            transport_->close(slot.ch);
+            ::close(slot.ch.fd); // a local worker _exit(0)s on the EOF
             slot.alive = false;
         }
         transport_.reset(); // zygote drains / listener stops
@@ -709,39 +679,40 @@ class WorkerPool
                 ::kill(static_cast<pid_t>(pid), SIGKILL);
             }
 
-            const std::uint64_t nonce =
-                nonce_.fetch_add(1, std::memory_order_relaxed) + 1;
+            const std::uint64_t nonce = nextNonce();
             const std::string request =
                 makeRequest(op, hw, seed, ops, done, alpha, nonce);
             const double deadline =
                 cfg_.requestDeadlineSeconds > 0.0
                     ? common::monotonicNow() + cfg_.requestDeadlineSeconds
                     : 0.0;
-
-            const auto lost = remote
-                                  ? common::TransportFault::ConnectionLost
-                                  : common::TransportFault::WorkerCrash;
-            const auto wst =
-                common::writeFrameUntil(fd, request, deadline);
-            if (wst != common::IoStatus::Ok) {
-                if (wst == common::IoStatus::Timeout) {
-                    // Same hang test as a read timeout: a local worker
-                    // that is alive but not draining its socket is
-                    // wedged, not dead.
-                    const bool stillAlive =
-                        !remote && pid > 0 &&
-                        ::kill(static_cast<pid_t>(pid), 0) == 0;
-                    fault(idx, common::TransportFault::RequestTimeout,
-                          stillAlive);
-                } else {
-                    fault(idx, lost, false);
-                }
-                continue;
-            }
-
-            if (readMatched(idx, pid, fd, remote, nonce, deadline,
-                            lost, resp))
+            switch (exchange(fd, request, nonce, deadline, resp)) {
+              case common::FrameStatus::Ok:
+                release(idx);
                 return true;
+              case common::FrameStatus::Torn:
+                fault(idx, common::TransportFault::TornFrame, false);
+                break;
+              case common::FrameStatus::Corrupt:
+                fault(idx, common::TransportFault::CorruptFrame, false);
+                break;
+              case common::FrameStatus::Timeout:
+                // Deadline expired on the write or the read. If the
+                // process is local and still there it is hung (vs. a
+                // death the deadline surfaced); remote liveness is
+                // unknowable here.
+                fault(idx, common::TransportFault::RequestTimeout,
+                      !remote && pid > 0 &&
+                          ::kill(static_cast<pid_t>(pid), 0) == 0);
+                break;
+              case common::FrameStatus::Eof:
+              case common::FrameStatus::Error:
+                fault(idx,
+                      remote ? common::TransportFault::ConnectionLost
+                             : common::TransportFault::WorkerCrash,
+                      false);
+                break;
+            }
         }
         return false; // retry budget exhausted: degrade this request
     }
@@ -805,81 +776,82 @@ class WorkerPool
      *  babbling channel is a fault, not an infinite read loop. */
     static constexpr int kMaxStaleSkips = 8;
 
-    /**
-     * Read frames until one parses and carries the request nonce,
-     * skipping a bounded number of stale replies (duplicated or
-     * reordered deliveries of earlier exchanges on this channel).
-     * Classifies every failure into a transport fault. True on a
-     * matched response (slot released); false after fault(idx,...).
-     */
-    bool
-    readMatched(int idx, std::int64_t pid, int fd, bool remote,
-                std::uint64_t nonce, double deadline,
-                common::TransportFault lost, Json &resp)
+    std::uint64_t
+    nextNonce()
     {
+        return nonce_.fetch_add(1, std::memory_order_relaxed) + 1;
+    }
+
+    /**
+     * Send @p request and read frames until one parses and carries
+     * @p nonce, all under the absolute @p deadline, skipping a bounded
+     * number of stale replies (duplicated or reordered deliveries of
+     * earlier exchanges on this channel). On Ok @p resp holds the
+     * parsed reply. A write failure reports as Timeout or Error; a
+     * CRC-clean but unparsable reply as Corrupt (a worker bug: the
+     * request is replayable, so it is retried elsewhere); a babbling
+     * channel as Error.
+     */
+    common::FrameStatus
+    exchange(int fd, const std::string &request, std::uint64_t nonce,
+             double deadline, Json &resp)
+    {
+        switch (common::writeFrameUntil(fd, request, deadline)) {
+          case common::IoStatus::Ok:
+            break;
+          case common::IoStatus::Timeout:
+            return common::FrameStatus::Timeout;
+          default:
+            return common::FrameStatus::Error;
+        }
+        const std::string want = common::hexU64(nonce);
         for (int skips = 0; skips <= kMaxStaleSkips; ++skips) {
             std::string payload;
-            const auto st =
-                common::readFrameUntil(fd, payload, deadline);
-            switch (st) {
-              case common::FrameStatus::Ok:
-                break;
-              case common::FrameStatus::Eof:
-              case common::FrameStatus::Error:
-                fault(idx, lost, false);
-                return false;
-              case common::FrameStatus::Torn:
-                fault(idx, common::TransportFault::TornFrame, false);
-                return false;
-              case common::FrameStatus::Corrupt:
-                fault(idx, common::TransportFault::CorruptFrame, false);
-                return false;
-              case common::FrameStatus::Timeout: {
-                // Deadline expired. If the process is local and still
-                // there it is hung (vs. a death the deadline
-                // surfaced); remote liveness is unknowable here.
-                const bool stillAlive =
-                    !remote && pid > 0 &&
-                    ::kill(static_cast<pid_t>(pid), 0) == 0;
-                fault(idx, common::TransportFault::RequestTimeout,
-                      stillAlive);
-                return false;
-              }
-            }
+            const auto st = common::readFrameUntil(fd, payload, deadline);
+            if (st != common::FrameStatus::Ok)
+                return st;
             Json r;
             try {
                 r = Json::parse(payload);
             } catch (const std::exception &) {
-                // CRC-clean but unparsable: a worker bug. The request
-                // is replayable, so retry it elsewhere.
-                fault(idx, common::TransportFault::CorruptFrame, false);
-                return false;
+                return common::FrameStatus::Corrupt;
             }
-            if (r.isObject() && r.has("req") &&
-                r.at("req").isString() &&
-                r.at("req").asString() != common::hexU64(nonce)) {
+            if (r.isObject() && r.has("req") && r.at("req").isString() &&
+                r.at("req").asString() != want) {
                 // A CRC-valid reply to an EARLIER request: the network
                 // duplicated or reordered it. Discard and keep
                 // reading — the real reply is still in flight.
                 noteStaleFrame();
                 continue;
             }
-            release(idx);
             resp = std::move(r);
-            return true;
+            return common::FrameStatus::Ok;
         }
         // More stale frames than any plausible reorder produces: the
         // channel is babbling. Treat as a lost conversation.
-        fault(idx, lost, false);
-        return false;
+        return common::FrameStatus::Error;
+    }
+
+    /** Open one channel, waiting up to @p wait seconds; a remote
+     *  channel must also pass validateRemote(). Called OUTSIDE the
+     *  pool lock. */
+    bool
+    openChannel(WorkerChannel &ch, double wait)
+    {
+        if (!transport_->open(ch, wait))
+            return false;
+        if (ch.remote && !validateRemote(ch)) {
+            ::close(ch.fd);
+            return false;
+        }
+        return true;
     }
 
     /**
      * Heartbeat a freshly adopted remote channel: one ping/pong
      * round-trip under a short deadline proves the worker end is
      * live and speaking the protocol before the slot trusts it with
-     * a real (potentially expensive) request. Called OUTSIDE the
-     * pool lock.
+     * a real (potentially expensive) request.
      */
     bool
     validateRemote(const WorkerChannel &ch)
@@ -889,35 +861,16 @@ class WorkerPool
                 ? std::min(5.0,
                            std::max(0.5, cfg_.requestDeadlineSeconds))
                 : 5.0;
-        const double deadline = common::monotonicNow() + wait;
-        const std::uint64_t nonce =
-            nonce_.fetch_add(1, std::memory_order_relaxed) + 1;
+        const std::uint64_t nonce = nextNonce();
         Json ping = Json::object();
         ping["op"] = "ping";
         ping["req"] = Json(common::hexU64(nonce));
-        if (common::writeFrameUntil(ch.fd, ping.dump(), deadline) !=
-            common::IoStatus::Ok)
-            return false;
-        for (int skips = 0; skips <= kMaxStaleSkips; ++skips) {
-            std::string payload;
-            if (common::readFrameUntil(ch.fd, payload, deadline) !=
-                common::FrameStatus::Ok)
-                return false;
-            try {
-                const Json r = Json::parse(payload);
-                if (r.isObject() && r.has("req") &&
-                    r.at("req").isString() &&
-                    r.at("req").asString() != common::hexU64(nonce)) {
-                    noteStaleFrame();
-                    continue;
-                }
-                return r.isObject() && r.has("pong") &&
-                       r.at("pong").asBool();
-            } catch (const std::exception &) {
-                return false;
-            }
-        }
-        return false;
+        Json r;
+        return exchange(ch.fd, ping.dump(), nonce,
+                        common::monotonicNow() + wait,
+                        r) == common::FrameStatus::Ok &&
+               r.isObject() && r.has("pong") && r.at("pong").isBool() &&
+               r.at("pong").asBool();
     }
 
     /**
@@ -1036,16 +989,8 @@ class WorkerPool
             slot.opening = true;
             lock.unlock();
             WorkerChannel ch;
-            bool opened =
-                transport_->open(ch, cfg_.reconnectWaitSeconds);
-            bool beat = false;
-            if (opened && ch.remote) {
-                beat = validateRemote(ch);
-                if (!beat) {
-                    transport_->close(ch);
-                    opened = false;
-                }
-            }
+            const bool opened =
+                openChannel(ch, cfg_.reconnectWaitSeconds);
             lock.lock();
             slot.opening = false;
             if (opened) {
@@ -1087,6 +1032,8 @@ class WorkerPool
 // Master side: run proxy
 // ---------------------------------------------------------------------------
 
+namespace {
+
 /**
  * Master-side proxy for a mapping run evaluated by the fleet. Keeps
  * the full mutating-op history so any worker can reconstruct the
@@ -1109,9 +1056,9 @@ class WorkerPool
 class RemoteRun : public MappingRun
 {
   public:
-    RemoteRun(const FleetEnv &env, detail::WorkerPool *pool,
+    RemoteRun(const CoSearchEnv &inner, detail::WorkerPool &pool,
               accel::HwPoint h, std::uint64_t seed)
-        : env_(env), pool_(pool), hw_(std::move(h)), seed_(seed),
+        : inner_(inner), pool_(pool), hw_(std::move(h)), seed_(seed),
           key_(runKey(hw_, seed)), ppa_(accel::Ppa::infeasible())
     {}
 
@@ -1138,8 +1085,6 @@ class RemoteRun : public MappingRun
     accel::Ppa
     bestPpa() const override
     {
-        if (local_)
-            return local_->bestPpa();
         const_cast<RemoteRun *>(this)->flush();
         return local_ ? local_->bestPpa() : ppa_;
     }
@@ -1147,8 +1092,6 @@ class RemoteRun : public MappingRun
     const std::vector<double> &
     bestLossHistory() const override
     {
-        if (local_)
-            return local_->bestLossHistory();
         const_cast<RemoteRun *>(this)->flush();
         return local_ ? local_->bestLossHistory() : hist_;
     }
@@ -1156,8 +1099,6 @@ class RemoteRun : public MappingRun
     double
     sensitivity(double alpha) const override
     {
-        if (local_)
-            return local_->sensitivity(alpha);
         const_cast<RemoteRun *>(this)->flush();
         if (local_)
             return local_->sensitivity(alpha);
@@ -1174,8 +1115,6 @@ class RemoteRun : public MappingRun
     double
     chargedSeconds() const override
     {
-        if (local_)
-            return local_->chargedSeconds();
         const_cast<RemoteRun *>(this)->flush();
         return local_ ? local_->chargedSeconds() : seconds_;
     }
@@ -1183,8 +1122,6 @@ class RemoteRun : public MappingRun
     bool
     degradeToAnalytical() override
     {
-        if (local_)
-            return local_->degradeToAnalytical();
         flush();
         if (local_)
             return local_->degradeToAnalytical();
@@ -1192,8 +1129,7 @@ class RemoteRun : public MappingRun
         Json resp;
         if (roundTrip("sync", 0.0, resp)) {
             done_ = ops_.size();
-            if (pool_ != nullptr)
-                pool_->noteOpsApplied(1);
+            pool_.noteOpsApplied(1);
             applyState(resp);
             throwIfFault(resp);
             return resp.at("degraded").asBool();
@@ -1212,7 +1148,7 @@ class RemoteRun : public MappingRun
      * queued steps, which in the supervisor is still inside the same
      * try block that would have caught the unbatched throw. On
      * transport exhaustion the run goes local and replays the queue
-     * with normal fault propagation.
+     * with normal fault propagation. A no-op once the run is local.
      */
     void
     flush()
@@ -1225,17 +1161,14 @@ class RemoteRun : public MappingRun
                 static_cast<std::size_t>(resp.at("applied").asInt()),
                 ops_.size() - done_);
             done_ += applied;
-            if (pool_ != nullptr)
-                pool_->noteOpsApplied(applied);
+            pool_.noteOpsApplied(applied);
             applyState(resp);
-            const EvalStatus st =
-                statusFromString(resp.at("status").asString());
-            if (st != EvalStatus::Ok) {
+            pendingEvals_ = 0;
+            if (statusFromString(resp.at("status").asString()) !=
+                EvalStatus::Ok) {
                 ops_.resize(done_);
-                pendingEvals_ = 0;
                 throwIfFault(resp);
             }
-            pendingEvals_ = 0;
             return;
         }
         // Circuit breaker: replay the acked prefix swallowing faults,
@@ -1245,10 +1178,7 @@ class RemoteRun : public MappingRun
             const WireOp op = ops_[done_];
             ++done_; // a faulted op still joins the applied history
             try {
-                if (op.kind == kOpStep)
-                    local_->step(op.arg);
-                else if (op.kind == kOpDegrade)
-                    local_->degradeToAnalytical();
+                apply(*local_, op);
             } catch (...) {
                 ops_.resize(done_);
                 pendingEvals_ = 0;
@@ -1261,14 +1191,12 @@ class RemoteRun : public MappingRun
     bool
     roundTrip(const char *op, double alpha, Json &resp) const
     {
-        if (pool_ == nullptr)
-            return false;
         // "sense" is non-mutating and is NOT part of the history; the
         // request ships the history so the worker can materialize.
         // The pool parses and nonce-matches the reply (unparsable
         // replies retry as CorruptFrame inside call()); here we only
         // check it is a complete state document before trusting it.
-        if (!pool_->call(key_, op, hw_, seed_, ops_, done_, alpha, resp))
+        if (!pool_.call(key_, op, hw_, seed_, ops_, done_, alpha, resp))
             return false;
         return resp.has("status") && resp.has("spent") &&
                resp.has("applied");
@@ -1316,25 +1244,21 @@ class RemoteRun : public MappingRun
     void
     goLocal(std::size_t replay) const
     {
-        auto run = env_.inner_.createRun(hw_, seed_);
+        auto run = inner_.createRun(hw_, seed_);
         for (std::size_t i = 0; i < replay; ++i) {
             try {
-                if (ops_[i].kind == kOpStep)
-                    run->step(ops_[i].arg);
-                else if (ops_[i].kind == kOpDegrade)
-                    run->degradeToAnalytical();
+                apply(*run, ops_[i]);
             } catch (const std::exception &) {
                 // Already reported when first applied; recurrence is
                 // part of the deterministic replay.
             }
         }
         local_ = std::move(run);
-        if (pool_ != nullptr)
-            pool_->noteInprocFallback();
+        pool_.noteInprocFallback();
     }
 
-    const FleetEnv &env_;
-    detail::WorkerPool *pool_;
+    const CoSearchEnv &inner_;
+    detail::WorkerPool &pool_;
     accel::HwPoint hw_;
     std::uint64_t seed_;
     common::Fingerprint key_;
@@ -1354,8 +1278,6 @@ class RemoteRun : public MappingRun
 // ---------------------------------------------------------------------------
 // Remote worker client
 // ---------------------------------------------------------------------------
-
-namespace {
 
 /** Uniform draw in [0, 1) from a mixed state — for backoff jitter. */
 double
@@ -1434,149 +1356,47 @@ runFleetWorkerClient(const CoSearchEnv &env, const FleetWorkerOptions &opts)
     }
 }
 
-#else // _WIN32
-
-int
-runFleetWorkerClient(const CoSearchEnv &, const FleetWorkerOptions &)
-{
-    return 1; // no fleet transport on this platform
-}
-
-#endif // !_WIN32
-
 // ---------------------------------------------------------------------------
 // FleetEnv
 // ---------------------------------------------------------------------------
 
 FleetEnv::FleetEnv(CoSearchEnv &inner, FleetConfig cfg)
-    : inner_(inner), cfg_(cfg)
-{
-#if !defined(_WIN32)
-    pool_ = std::make_unique<detail::WorkerPool>(inner_, cfg_);
-#endif
-}
+    : EnvDecorator(inner),
+      pool_(std::make_unique<detail::WorkerPool>(inner, cfg))
+{}
 
 FleetEnv::~FleetEnv() = default;
-
-const accel::DesignSpace &
-FleetEnv::hwSpace() const
-{
-    return inner_.hwSpace();
-}
 
 std::unique_ptr<MappingRun>
 FleetEnv::createRun(const accel::HwPoint &h, std::uint64_t seed) const
 {
-#if !defined(_WIN32)
-    if (pool_)
-        return std::make_unique<RemoteRun>(*this, pool_.get(), h, seed);
-#endif
-    return inner_.createRun(h, seed);
-}
-
-double
-FleetEnv::powerBudgetMw() const
-{
-    return inner_.powerBudgetMw();
-}
-
-double
-FleetEnv::areaBudgetMm2() const
-{
-    return inner_.areaBudgetMm2();
-}
-
-std::string
-FleetEnv::describeHw(const accel::HwPoint &h) const
-{
-    return inner_.describeHw(h);
-}
-
-int
-FleetEnv::minSeedBudget() const
-{
-    return inner_.minSeedBudget();
-}
-
-const accel::EvalCache *
-FleetEnv::evalCache() const
-{
-    return inner_.evalCache();
-}
-
-std::string
-FleetEnv::backendName() const
-{
-    return inner_.backendName();
-}
-
-std::string
-FleetEnv::scenarioName() const
-{
-    return inner_.scenarioName();
-}
-
-std::uint64_t
-FleetEnv::workloadDigest() const
-{
-    return inner_.workloadDigest();
-}
-
-std::optional<accel::HwPoint>
-FleetEnv::expertDefault() const
-{
-    return inner_.expertDefault();
-}
-
-surrogate::SurrogateStats
-FleetEnv::surrogateStats() const
-{
-    // Screens are per-run and train wherever the run executes; the
-    // master-side context only sees runs the circuit breaker pulled
-    // in-process, so this is the inner env's view (worker-process
-    // counters die with the workers — diagnostics, not search state).
-    return inner_.surrogateStats();
+    return std::make_unique<RemoteRun>(inner_, *pool_, h, seed);
 }
 
 common::TransportStats
 FleetEnv::transportStats() const
 {
     common::TransportStats stats = inner_.transportStats();
-#if !defined(_WIN32)
-    if (pool_)
-        stats.merge(pool_->stats());
-#endif
+    stats.merge(pool_->stats());
     return stats;
 }
 
 std::size_t
 FleetEnv::liveWorkers() const
 {
-#if !defined(_WIN32)
-    if (pool_)
-        return pool_->liveWorkers();
-#endif
-    return 0;
+    return pool_->liveWorkers();
 }
 
 std::vector<std::int64_t>
 FleetEnv::workerPids() const
 {
-#if !defined(_WIN32)
-    if (pool_)
-        return pool_->pids();
-#endif
-    return {};
+    return pool_->pids();
 }
 
 int
 FleetEnv::listenPort() const
 {
-#if !defined(_WIN32)
-    if (pool_)
-        return pool_->listenPort();
-#endif
-    return -1;
+    return pool_->listenPort();
 }
 
 } // namespace unico::core

@@ -140,37 +140,35 @@ namespace detail {
 class WorkerPool;
 }
 
-/** Master-side fleet decorator over any co-search environment. */
-class FleetEnv : public CoSearchEnv
+/**
+ * Master-side fleet decorator over any co-search environment. Every
+ * query but createRun() and transportStats() is the inner env's (see
+ * EnvDecorator). Stack identity: the fleet is execution topology, not
+ * search identity, so checkpoints written in fleet mode resume
+ * in-process and vice versa. Surrogate counters: screens are per-run
+ * and train wherever the run executes, so the master-side context only
+ * sees runs the circuit breaker pulled in-process (worker-process
+ * counters die with the workers — diagnostics, not search state).
+ */
+class FleetEnv : public EnvDecorator
 {
   public:
     /**
-     * Fork the zygote and the initial worker fleet. MUST be
-     * constructed while the process is single-threaded (before the
-     * driver starts its pool); @p inner must outlive the wrapper.
-     * If no worker can be spawned (fork limits, unsupported
-     * platform) the env still works — every run silently evaluates
-     * in-process and inprocFallbacks counts them.
+     * Fork the zygote and the initial worker fleet, or, with
+     * FleetConfig::listenAddr set, bind the TCP listener and wait for
+     * the initial remote workers. MUST be constructed while the
+     * process is single-threaded (before the driver starts its pool);
+     * @p inner must outlive the wrapper. If no worker can be spawned
+     * (fork limits) the env still works — every run silently
+     * evaluates in-process and inprocFallbacks counts them.
+     * @throws std::runtime_error naming the address and the reason
+     *         when the listen address cannot be bound.
      */
     FleetEnv(CoSearchEnv &inner, FleetConfig cfg);
     ~FleetEnv() override;
 
-    const accel::DesignSpace &hwSpace() const override;
     std::unique_ptr<MappingRun>
     createRun(const accel::HwPoint &h, std::uint64_t seed) const override;
-    double powerBudgetMw() const override;
-    double areaBudgetMm2() const override;
-    std::string describeHw(const accel::HwPoint &h) const override;
-    int minSeedBudget() const override;
-    const accel::EvalCache *evalCache() const override;
-    // Stack identity is the wrapped environment's: the fleet is
-    // execution topology, not search identity, so checkpoints written
-    // in fleet mode resume in-process and vice versa.
-    std::string backendName() const override;
-    std::string scenarioName() const override;
-    std::uint64_t workloadDigest() const override;
-    std::optional<accel::HwPoint> expertDefault() const override;
-    surrogate::SurrogateStats surrogateStats() const override;
     common::TransportStats transportStats() const override;
 
     /** Workers currently alive (0 = fully degraded to in-process). */
@@ -182,13 +180,7 @@ class FleetEnv : public CoSearchEnv
     /** Bound TCP port in multi-host mode (resolves ":0"), else -1. */
     int listenPort() const;
 
-    const FleetConfig &config() const { return cfg_; }
-
   private:
-    friend class RemoteRun;
-
-    CoSearchEnv &inner_;
-    FleetConfig cfg_;
     std::unique_ptr<detail::WorkerPool> pool_;
 };
 

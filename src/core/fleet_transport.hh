@@ -6,11 +6,12 @@
  * replay, core/fleet) does not care how worker channels come to
  * exist — forked locally over an AF_UNIX socketpair, or dialed in
  * over TCP from another host. FleetTransport is that seam: it
- * produces connected worker channels and disposes of them, and the
- * worker pool supervises whatever it gets. Two implementations live
- * in fleet.cc: the zygote transport (PR 6 behavior, fork-on-demand)
- * and the TCP transport (a net::TcpFleetListener adopting remote
- * workers as they handshake in).
+ * produces connected worker channels, and the worker pool supervises
+ * (and closes) whatever it gets. Two implementations live in
+ * fleet.cc: the zygote transport (fork-on-demand) and the TCP
+ * transport (a net::TcpFleetListener adopting remote workers as they
+ * handshake in; a listen address that cannot bind throws from its
+ * constructor).
  *
  * open() is a blocking call and is ALWAYS invoked outside the pool
  * lock: a TCP reconnect can legitimately wait seconds for a
@@ -43,15 +44,16 @@ struct WorkerChannel
     bool remote = false;
 };
 
-/** Produces and disposes of worker channels for the pool. */
+/** Produces worker channels for the pool. */
 class FleetTransport
 {
   public:
     virtual ~FleetTransport() = default;
 
     /** False when the transport can never produce another channel
-     *  (zygote dead, listener failed to bind). */
-    virtual bool ok() const = 0;
+     *  (the zygote is dead). A TCP listener that cannot bind throws
+     *  from its constructor instead, so it is always ok. */
+    virtual bool ok() const { return true; }
 
     /**
      * Produce one connected channel, waiting up to @p wait_seconds.
@@ -60,16 +62,10 @@ class FleetTransport
      */
     virtual bool open(WorkerChannel &out, double wait_seconds) = 0;
 
-    /** Dispose of a channel's fd (never kills the process). */
-    virtual void close(WorkerChannel &ch) = 0;
-
     /** True when a failed open() may succeed if retried (a remote
      *  worker may still dial in); false when failure is terminal
      *  (the zygote cannot fork). */
     virtual bool retryableOpenFailure() const = 0;
-
-    /** Transport name for diagnostics. */
-    virtual const char *name() const = 0;
 
     /** Bound TCP port (resolves ":0"), or -1 for local transports. */
     virtual int listenPort() const { return -1; }

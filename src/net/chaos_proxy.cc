@@ -3,27 +3,18 @@
 #include <chrono>
 #include <cstdlib>
 
-#if !defined(_WIN32)
 #include <sys/socket.h>
 #include <unistd.h>
-#endif
 
 #include "common/frame.hh"
+#include "common/rng.hh"
 #include "net/socket.hh"
 
 namespace unico::net {
 
 namespace {
 
-/** splitmix64 — the repo's standard cheap bijective mixer. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
+using common::mix64;
 
 /** Deterministic uniform [0,1) draw for one (frame, fault) decision. */
 double
@@ -48,23 +39,15 @@ le32(const unsigned char *p)
 void
 closeFd(int fd)
 {
-#if !defined(_WIN32)
     if (fd >= 0)
         ::close(fd);
-#else
-    (void)fd;
-#endif
 }
 
 void
 shutdownFd(int fd)
 {
-#if !defined(_WIN32)
     if (fd >= 0)
         ::shutdown(fd, SHUT_RDWR);
-#else
-    (void)fd;
-#endif
 }
 
 /** Outcome of pulling one whole raw frame off a stream. */

@@ -3,14 +3,12 @@
 #include <cerrno>
 #include <cstring>
 
-#if !defined(_WIN32)
 #include <arpa/inet.h>
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#endif
 
 namespace unico::net {
 
@@ -45,47 +43,6 @@ parseEndpoint(const std::string &addr, Endpoint &out, std::string *error)
     out.port = static_cast<std::uint16_t>(port);
     return true;
 }
-
-#if defined(_WIN32)
-
-// The fleet is POSIX-only; stubs keep common code linking.
-int
-tcpListen(const std::string &, std::string *error)
-{
-    if (error)
-        *error = "tcp transport unavailable on this platform";
-    return -1;
-}
-
-int
-boundPort(int)
-{
-    return -1;
-}
-
-int
-tcpAccept(int, double, common::IoStatus *status)
-{
-    if (status)
-        *status = common::IoStatus::Error;
-    return -1;
-}
-
-int
-tcpConnect(const std::string &, double, std::string *error)
-{
-    if (error)
-        *error = "tcp transport unavailable on this platform";
-    return -1;
-}
-
-bool
-tuneTcpSocket(int)
-{
-    return false;
-}
-
-#else
 
 namespace {
 
@@ -273,7 +230,5 @@ tcpConnect(const std::string &addr, double deadline_seconds,
     tuneTcpSocket(fd);
     return fd;
 }
-
-#endif // !_WIN32
 
 } // namespace unico::net

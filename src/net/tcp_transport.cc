@@ -2,9 +2,7 @@
 
 #include <chrono>
 
-#if !defined(_WIN32)
 #include <unistd.h>
-#endif
 
 #include "common/frame.hh"
 #include "common/json.hh"
@@ -21,12 +19,8 @@ constexpr double kHandshakeDeadlineSeconds = 5.0;
 void
 closeFd(int fd)
 {
-#if !defined(_WIN32)
     if (fd >= 0)
         ::close(fd);
-#else
-    (void)fd;
-#endif
 }
 
 /** True when the two identity strings are compatible (empty = wildcard,

@@ -14,16 +14,12 @@
 
 #include <gtest/gtest.h>
 
-#if defined(_WIN32)
-
-TEST(Chaos, SkippedOnWindows) { GTEST_SKIP(); }
-
-#else
-
+#include <cerrno>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fcntl.h>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -102,8 +98,10 @@ cliArgs(const std::string &dir, bool resume)
     return args;
 }
 
+/** Fork + exec @p args. The child's stdout goes to @p stdout_fd, or
+ *  to /dev/null when it is negative. */
 pid_t
-spawn(const std::vector<std::string> &args)
+spawn(const std::vector<std::string> &args, int stdout_fd = -1)
 {
     std::vector<char *> argv;
     argv.reserve(args.size() + 1);
@@ -115,8 +113,12 @@ spawn(const std::vector<std::string> &args)
     std::fflush(stdout);
     const pid_t pid = fork();
     if (pid == 0) {
-        // Child: silence stdout so test output stays readable.
-        std::freopen("/dev/null", "w", stdout);
+        // Child: silence stdout unless the caller reads it, so test
+        // output stays readable.
+        if (stdout_fd >= 0)
+            dup2(stdout_fd, STDOUT_FILENO);
+        else
+            std::freopen("/dev/null", "w", stdout);
         execv(argv[0], argv.data());
         _exit(127); // exec failed
     }
@@ -288,32 +290,46 @@ TEST(Chaos, SigtermDrainsCheckpointsAndExitsResumable)
     const std::string base = makeBaseline("gbase");
     const std::string dir = makeTempDir("term");
 
-    // SIGTERM mid-run: expect the documented resumable exit code.
-    bool interrupted = false;
-    for (int attempt = 0; attempt < 20 && !interrupted; ++attempt) {
-        const bool resume = fileExists(dir + "/ck.json");
-        const pid_t pid = spawn(cliArgs(dir, resume));
-        ASSERT_GT(pid, 0);
-        usleep(50 * 1000);
-        kill(pid, SIGTERM);
-        int status = 0;
-        waitpid(pid, &status, 0);
-        ASSERT_TRUE(WIFEXITED(status))
-            << "SIGTERM must be handled, not kill the process";
-        const int code = WEXITSTATUS(status);
-        if (code == 75 && fileExists(dir + "/ck.json")) {
-            // Graceful drain left a resumable checkpoint behind.
-            interrupted = true;
-        } else if (code == 75) {
-            // Interrupted before the first trial boundary: nothing
-            // to checkpoint yet; try again.
-        } else {
-            // The run finished before the signal landed; go again.
-            ASSERT_EQ(code, 0);
-            removeArtifacts(dir);
+    // SIGTERM right after the first checkpoint event, read from the
+    // CLI's progress stream: the run is then mid-search with a
+    // resumable generation on disk, however slow the build is.
+    std::vector<std::string> args = cliArgs(dir, false);
+    args.push_back("--progress-every");
+    args.push_back("1");
+    int fds[2];
+    ASSERT_EQ(pipe2(fds, O_CLOEXEC), 0);
+    const pid_t pid = spawn(args, fds[1]);
+    ::close(fds[1]);
+    ASSERT_GT(pid, 0);
+    // Drain stdout to EOF even after the signal, so the draining
+    // child never blocks on a full pipe or takes SIGPIPE.
+    const std::string marker = "\"event\":\"checkpoint\"";
+    bool signalled = false;
+    std::string seen;
+    char buf[4096];
+    for (;;) {
+        const ssize_t n = read(fds[0], buf, sizeof buf);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            break;
+        if (signalled)
+            continue;
+        seen.append(buf, static_cast<std::size_t>(n));
+        if (seen.find(marker) != std::string::npos) {
+            kill(pid, SIGTERM);
+            signalled = true;
         }
     }
-    ASSERT_TRUE(interrupted) << "SIGTERM never landed mid-run";
+    ::close(fds[0]);
+    int status = 0;
+    waitpid(pid, &status, 0);
+    ASSERT_TRUE(signalled) << "no checkpoint event on stdout";
+    ASSERT_TRUE(WIFEXITED(status))
+        << "SIGTERM must be handled, not kill the process";
+    ASSERT_EQ(WEXITSTATUS(status), 75);
+    // Graceful drain left a resumable checkpoint behind.
+    ASSERT_TRUE(fileExists(dir + "/ck.json"));
 
     // Resuming after the graceful stop completes the identical run.
     const auto out = runMaybeKill(cliArgs(dir, true), -1);
@@ -608,5 +624,3 @@ TEST(Shutdown, SignalFansOutToRegisteredTokensAndTeardownRearms)
     }
     EXPECT_FALSE(common::shutdownRequested());
 }
-
-#endif // !_WIN32

@@ -5,21 +5,19 @@
  * count, any thread count), transparent recovery from worker
  * SIGKILLs and corrupted response frames, circuit-breaker fallback
  * to in-process evaluation, and the transport fault ledger.
- *
- * Everything here is POSIX-only, like the fleet itself.
  */
 
 #include <gtest/gtest.h>
 
-#if !defined(_WIN32)
-
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/fault.hh"
 #include "common/rng.hh"
+#include "core/backend.hh"
 #include "core/driver.hh"
 #include "core/fault_env.hh"
 #include "core/fleet.hh"
@@ -147,6 +145,45 @@ TEST(Fleet, SpawnsRequestedWorkers)
     EXPECT_EQ(fleet.workerPids().size(), 3u);
     EXPECT_EQ(fleet.backendName(), sharedEnv().backendName());
     EXPECT_EQ(fleet.workloadDigest(), sharedEnv().workloadDigest());
+}
+
+TEST(EnvDecorator, FaultyAndFleetForwardEveryQuery)
+{
+    for (const std::string backend : {"spatial", "ascend"}) {
+        accel::EvalCache cache(1 << 20);
+        surrogate::SurrogateContext screen;
+        screen.options.enabled = true;
+        core::BackendOptions opt;
+        opt.cache = &cache;
+        opt.surrogate = &screen;
+        opt.scenario = accel::Scenario::Cloud;
+        const auto inner = core::makeBackendEnv(
+            backend, {workload::makeNetwork("resnet")}, opt);
+        const FaultyEnv faulty(*inner,
+                               common::FaultPlan(common::FaultSpec{}));
+        FleetConfig fc;
+        fc.workers = 1;
+        const FleetEnv fleet(*inner, fc);
+        common::Rng rng(1);
+        const accel::HwPoint h = inner->hwSpace().randomPoint(rng);
+        const core::CoSearchEnv *decorators[] = {&faulty, &fleet};
+        for (const core::CoSearchEnv *env : decorators) {
+            SCOPED_TRACE(backend + (env == &faulty ? " faulty" : " fleet"));
+            EXPECT_EQ(&env->hwSpace(), &inner->hwSpace());
+            EXPECT_EQ(env->powerBudgetMw(), inner->powerBudgetMw());
+            EXPECT_EQ(env->areaBudgetMm2(), inner->areaBudgetMm2());
+            EXPECT_EQ(env->describeHw(h), inner->describeHw(h));
+            EXPECT_EQ(env->minSeedBudget(), inner->minSeedBudget());
+            EXPECT_EQ(env->evalCache(), &cache);
+            EXPECT_TRUE(env->surrogateStats().enabled);
+            EXPECT_EQ(surrogate::toString(env->surrogateStats()),
+                      surrogate::toString(inner->surrogateStats()));
+            EXPECT_EQ(env->backendName(), backend);
+            EXPECT_EQ(env->scenarioName(), inner->scenarioName());
+            EXPECT_EQ(env->workloadDigest(), inner->workloadDigest());
+            EXPECT_EQ(env->expertDefault(), inner->expertDefault());
+        }
+    }
 }
 
 TEST(Fleet, SingleRunMatchesInProcessBitForBit)
@@ -421,5 +458,3 @@ TEST(Fleet, TransportStatsMergeAndTotals)
     EXPECT_EQ(b.workerHangs, 1u);
     EXPECT_EQ(b.workerRespawns, 2u);
 }
-
-#endif // !_WIN32

@@ -11,10 +11,8 @@
 
 #include <gtest/gtest.h>
 
-#if !defined(_WIN32)
 #include <fcntl.h>
 #include <unistd.h>
-#endif
 
 #include <string>
 #include <thread>
@@ -168,8 +166,6 @@ TEST(Frame, DamagedFirstFrameDoesNotConsumeTheStream)
     EXPECT_EQ(offset, 0u);
 }
 
-#if !defined(_WIN32)
-
 namespace {
 
 struct PipePair
@@ -322,5 +318,3 @@ TEST(Subprocess, FdMessageRoundTrip)
     EXPECT_EQ(std::string(buf, 4), "ping");
     ::close(fd);
 }
-
-#endif // !_WIN32

@@ -10,12 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#if defined(_WIN32)
-
-TEST(Io, SkippedOnWindows) { GTEST_SKIP(); }
-
-#else
-
 #include <csignal>
 #include <cstdint>
 #include <cstring>
@@ -240,5 +234,3 @@ TEST(Io, WriteToClosedReaderIsEofNotSigpipe)
               IoStatus::Eof);
     ::close(fds[1]);
 }
-
-#endif // !_WIN32

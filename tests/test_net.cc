@@ -16,12 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#if defined(_WIN32)
-
-TEST(Net, SkippedOnWindows) { GTEST_SKIP(); }
-
-#else
-
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -468,4 +462,29 @@ TEST(Net, MasterWithNoWorkersDegradesToInProcess)
     EXPECT_GE(fleet.transportStats().inprocFallbacks, 1u);
 }
 
-#endif // !_WIN32
+TEST(Net, UnbindableListenAddressThrowsAndWritesNoPortFile)
+{
+    // A listen address another socket already holds must fail loudly:
+    // silently degrading to in-process would leave a deploy script
+    // waiting on a port file that never appears.
+    const int busy = net::tcpListen("127.0.0.1:0");
+    ASSERT_GE(busy, 0);
+    const std::string addr =
+        "127.0.0.1:" + std::to_string(net::boundPort(busy));
+    const std::string port_file = tempPortFile("busy");
+
+    FleetConfig fc;
+    fc.workers = 2;
+    fc.listenAddr = addr;
+    fc.listenPortFile = port_file;
+    fc.connectWaitSeconds = 0.05;
+    try {
+        FleetEnv fleet(sharedEnv(), fc);
+        ADD_FAILURE() << "FleetEnv bound a port that is in use";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find(addr), std::string::npos)
+            << e.what();
+    }
+    EXPECT_FALSE(std::ifstream(port_file).good());
+    ::close(busy);
+}

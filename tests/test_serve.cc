@@ -18,12 +18,6 @@
 
 #include <gtest/gtest.h>
 
-#if defined(_WIN32)
-
-TEST(Serve, SkippedOnWindows) { GTEST_SKIP(); }
-
-#else
-
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -680,5 +674,3 @@ TEST(ServeHttp, CancelEndpointStopsJobWithoutKillingServer)
     ASSERT_EQ(kill(server, SIGINT), 0);
     EXPECT_EQ(reapWithin(server, 60.0), 75);
 }
-
-#endif // !_WIN32

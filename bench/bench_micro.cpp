@@ -553,11 +553,9 @@ surrogateCoSearch(benchmark::State &state, bool screened)
              {"mobilenet_v2", "resnet", "srgan", "vgg"})
             nets.push_back(workload::makeNetwork(name));
         accel::EvalCache cache(64 * 1024 * 1024);
-        common::CorpusTap tap;
         surrogate::SurrogateContext ctx;
         ctx.options.enabled = screened;
         ctx.options.keep = 0.25;
-        ctx.tap = &tap;
         core::BackendOptions env_opt;
         env_opt.scenario = accel::Scenario::Edge;
         env_opt.maxShapesPerNetwork = 2;

@@ -179,6 +179,15 @@ main(int argc, char **argv)
         return usage(args.program().c_str());
     }
 
+    // Search sizes: the bounds the job server enforces on a JobSpec.
+    const std::string size_error = core::searchSizeError(
+        args.getInt("batch", 20), args.getInt("iters", 8),
+        args.getInt("bmax", 200), args.getInt("threads", 1));
+    if (!size_error.empty()) {
+        std::cerr << "error: " << size_error << "\n";
+        return usage(args.program().c_str());
+    }
+
     // Evaluation cache: on by default; --no-cache disables it and
     // --cache-mb sizes it. Search results do not depend on either.
     const std::int64_t cache_mb = args.getInt("cache-mb", 64);
@@ -194,14 +203,12 @@ main(int argc, char **argv)
     // --no-surrogate wins over both. Exact evaluations stay the sole
     // source of truth — screened-out candidates never reach results,
     // checkpoints or the records/front/trace CSVs.
-    common::CorpusTap corpus_tap;
     surrogate::SurrogateContext surrogate_ctx;
     surrogate_ctx.options.enabled =
         (args.has("surrogate") || args.has("surrogate-keep")) &&
         !args.has("no-surrogate");
     surrogate_ctx.options.keep =
         args.getDouble("surrogate-keep", surrogate_ctx.options.keep);
-    surrogate_ctx.tap = &corpus_tap;
     if (surrogate_ctx.options.enabled) {
         if (!(surrogate_ctx.options.keep > 0.0) ||
             surrogate_ctx.options.keep > 1.0) {
@@ -431,13 +438,10 @@ main(int argc, char **argv)
     }
 
     // Baselines (nsga2) don't report cache counters themselves;
-    // snapshot them here so every algorithm prints the same digest.
-    // The corpus-tap counters fold into the cache stats (they share
-    // the diagnostics CSV), and the surrogate digest rides beside it.
-    if (const accel::EvalCache *c = env.evalCache()) {
+    // snapshot them here so every algorithm prints the same digest,
+    // with the surrogate digest beside it.
+    if (const accel::EvalCache *c = env.evalCache())
         result.cacheStats = c->stats();
-        corpus_tap.mergeInto(result.cacheStats);
-    }
     result.surrogateStats = env.surrogateStats();
 
     std::cout << "\n" << core::toString(core::summarize(result)) << "\n";

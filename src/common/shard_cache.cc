@@ -1,8 +1,6 @@
 #include "common/shard_cache.hh"
 
-#include <algorithm>
 #include <sstream>
-#include <utility>
 
 namespace unico::common {
 
@@ -15,77 +13,7 @@ toString(const CacheStats &stats)
         << stats.insertions << " evictions=" << stats.evictions
         << " entries=" << stats.entries << " bytes=" << stats.bytes
         << "/" << stats.capacityBytes << " shards=" << stats.shards;
-    if (stats.tapAppends > 0 || stats.tapRows > 0) {
-        oss << " tap_rows=" << stats.tapRows << " tap_appends="
-            << stats.tapAppends << " tap_duplicates=" << stats.tapDuplicates
-            << " tap_drops=" << stats.tapDrops << " tap_snapshots="
-            << stats.tapSnapshots << " tap_stalls=" << stats.tapStalls;
-    }
     return oss.str();
-}
-
-void
-CorpusTap::append(CorpusRow row)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++appends_;
-    if (seen_.count(row.key) > 0) {
-        ++duplicates_;
-        return;
-    }
-    if (rows_.size() >= maxRows_) {
-        ++drops_;
-        return;
-    }
-    seen_.emplace(row.key, rows_.size());
-    rows_.push_back(std::move(row));
-}
-
-std::vector<CorpusRow>
-CorpusTap::snapshot() const
-{
-    std::unique_lock<std::mutex> lock(mutex_, std::try_to_lock);
-    if (!lock.owns_lock()) {
-        // A writer holds the tap right now; record the contention,
-        // then wait — the writer's critical section is O(1).
-        lock.lock();
-        ++stalls_;
-    }
-    ++snapshots_;
-    std::vector<CorpusRow> out = rows_;
-    lock.unlock();
-    std::sort(out.begin(), out.end(),
-              [](const CorpusRow &a, const CorpusRow &b) {
-                  return a.key.hi != b.key.hi ? a.key.hi < b.key.hi
-                                              : a.key.lo < b.key.lo;
-              });
-    return out;
-}
-
-CorpusTap::TapStats
-CorpusTap::stats() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    TapStats s;
-    s.rows = rows_.size();
-    s.appends = appends_;
-    s.duplicates = duplicates_;
-    s.drops = drops_;
-    s.snapshots = snapshots_;
-    s.stalls = stalls_;
-    return s;
-}
-
-void
-CorpusTap::mergeInto(CacheStats &stats) const
-{
-    const TapStats s = this->stats();
-    stats.tapRows = s.rows;
-    stats.tapAppends = s.appends;
-    stats.tapDuplicates = s.duplicates;
-    stats.tapDrops = s.drops;
-    stats.tapSnapshots = s.snapshots;
-    stats.tapStalls = s.stalls;
 }
 
 } // namespace unico::common

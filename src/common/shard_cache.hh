@@ -145,8 +145,8 @@ class FingerprintBuilder
  *  is a bijection of the corresponding @p b word for fixed @p a, so
  *  two keys under one context collide only if the mapping
  *  fingerprints collide in both words. Keys never leave the process
- *  (the eval cache and corpus tap are in-memory), so the scheme can
- *  evolve without a compatibility shim. */
+ *  (the eval cache is in-memory), so the scheme can evolve without a
+ *  compatibility shim. */
 inline Fingerprint
 combine(const Fingerprint &a, const Fingerprint &b)
 {
@@ -169,15 +169,6 @@ struct CacheStats
     /** Per-shard eviction counts (index = shard); shows whether LRU
      *  pressure is spread evenly or one stripe is churning. */
     std::vector<std::uint64_t> shardEvictions;
-
-    /** Training-corpus tap counters (zero when no tap is attached;
-     *  filled from CorpusTap::stats() by whoever owns the tap). */
-    std::uint64_t tapRows = 0;      ///< rows currently retained
-    std::uint64_t tapAppends = 0;   ///< append() calls accepted
-    std::uint64_t tapDuplicates = 0; ///< appends dropped as duplicate keys
-    std::uint64_t tapDrops = 0;     ///< appends dropped at capacity
-    std::uint64_t tapSnapshots = 0; ///< snapshot() calls served
-    std::uint64_t tapStalls = 0;    ///< snapshots that contended with writers
 
     /** Hit fraction of all lookups (0 when none were made). */
     double
@@ -358,88 +349,6 @@ class ShardedLruCache
 
     std::size_t capacityBytes_;
     std::vector<std::unique_ptr<Shard>> shards_;
-};
-
-/** One training observation for the learned surrogate: the canonical
- *  evaluation fingerprint, the extracted feature vector and the exact
- *  targets (log-latency, log-energy, area, log-loss). */
-struct CorpusRow
-{
-    Fingerprint key;
-    std::vector<double> features;
-    std::vector<double> targets;
-};
-
-/**
- * Thread-safe training-corpus tap fed by exact evaluations.
- *
- * The evaluation hot path calls append() — an O(1) push plus a
- * fingerprint dedup check under a single mutex held only for that
- * push, so concurrent evaluators are never stalled behind a reader:
- * snapshot() copies the rows under the same lock but is called at
- * refit cadence (rarely), and its contention is *observable* rather
- * than silent — a snapshot that finds the mutex held counts a stall
- * in TapStats before blocking.
- *
- * The tap is observability/offline-corpus plumbing only: the online
- * screens train on their own run-local exact evals so that fleet and
- * threaded runs stay byte-identical. snapshot() returns rows sorted
- * canonically by fingerprint so corpus dumps are reproducible across
- * thread schedules.
- */
-class CorpusTap
-{
-  public:
-    /** Aggregated tap counters (names mirror the CacheStats fields). */
-    struct TapStats
-    {
-        std::uint64_t rows = 0;
-        std::uint64_t appends = 0;
-        std::uint64_t duplicates = 0;
-        std::uint64_t drops = 0;
-        std::uint64_t snapshots = 0;
-        std::uint64_t stalls = 0;
-    };
-
-    /** Bounds retained rows; appends beyond it are counted and dropped
-     *  (newest-loses keeps the retained set insertion-stable). */
-    static constexpr std::size_t kDefaultMaxRows = 1 << 16;
-
-    explicit CorpusTap(std::size_t max_rows = kDefaultMaxRows)
-        : maxRows_(max_rows)
-    {}
-
-    /** Record one exact evaluation; duplicate keys are dropped. */
-    void append(CorpusRow row);
-
-    /** Copy of the retained rows, sorted by fingerprint (hi, lo). */
-    std::vector<CorpusRow> snapshot() const;
-
-    TapStats stats() const;
-
-    /** Fold tap counters into a cache-stats snapshot for reporting. */
-    void mergeInto(CacheStats &stats) const;
-
-  private:
-    struct FingerprintHash
-    {
-        std::size_t
-        operator()(const Fingerprint &fp) const
-        {
-            return static_cast<std::size_t>(fp.hi ^
-                                            (fp.lo * 0x9e3779b97f4a7c15ULL));
-        }
-    };
-
-    mutable std::mutex mutex_;
-    std::size_t maxRows_;
-    std::vector<CorpusRow> rows_;
-    std::unordered_map<Fingerprint, std::size_t, FingerprintHash> seen_;
-    std::uint64_t appends_ = 0;
-    std::uint64_t duplicates_ = 0;
-    std::uint64_t drops_ = 0;
-    mutable std::uint64_t snapshots_ = 0;
-    mutable std::uint64_t stalls_ = 0;
 };
 
 } // namespace unico::common

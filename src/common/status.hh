@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 namespace unico::common {
 
@@ -175,41 +174,6 @@ struct TransportStats
         opsApplied += other.opsApplied;
     }
 };
-
-/**
- * Value-or-status result of a fallible evaluation. The value is
- * meaningful only when ok(); failed results carry the category and a
- * diagnostic message instead.
- */
-template <typename T>
-struct EvalResult
-{
-    EvalStatus status = EvalStatus::Ok;
-    T value{};
-    std::string message;
-
-    bool ok() const { return status == EvalStatus::Ok; }
-
-    static EvalResult
-    success(T v)
-    {
-        EvalResult r;
-        r.value = std::move(v);
-        return r;
-    }
-
-    static EvalResult
-    failure(EvalStatus s, std::string msg = {})
-    {
-        EvalResult r;
-        r.status = s;
-        r.message = std::move(msg);
-        return r;
-    }
-};
-
-/** Status + message of one completed job (see runParallelCaptured). */
-using JobOutcome = EvalResult<bool>;
 
 /**
  * Exception form of a failed evaluation, thrown by fault injectors

@@ -36,22 +36,6 @@ ThreadPool::submit(std::function<void()> job)
 }
 
 void
-ThreadPool::waitIdle()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    idle_.wait(lock, [this] { return queue_.empty() && inFlight_ == 0; });
-}
-
-std::vector<std::exception_ptr>
-ThreadPool::drainFailures()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::exception_ptr> out;
-    out.swap(failures_);
-    return out;
-}
-
-void
 ThreadPool::workerLoop()
 {
     for (;;) {
@@ -64,22 +48,8 @@ ThreadPool::workerLoop()
                 return;
             job = std::move(queue_.front());
             queue_.pop_front();
-            ++inFlight_;
         }
-        std::exception_ptr failure;
-        try {
-            job();
-        } catch (...) {
-            failure = std::current_exception();
-        }
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (failure)
-                failures_.push_back(std::move(failure));
-            --inFlight_;
-            if (queue_.empty() && inFlight_ == 0)
-                idle_.notify_all();
-        }
+        job();
     }
 }
 
@@ -167,34 +137,6 @@ runParallel(const std::vector<std::function<void()>> &jobs,
     const auto failures = batch.drainFailures();
     if (!failures.empty())
         std::rethrow_exception(failures.front());
-}
-
-std::vector<JobOutcome>
-runParallelCaptured(const std::vector<std::function<void()>> &jobs,
-                    std::size_t threads)
-{
-    std::vector<JobOutcome> outcomes(jobs.size(),
-                                     JobOutcome::success(true));
-    std::vector<std::function<void()>> wrapped;
-    wrapped.reserve(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        wrapped.push_back([&jobs, &outcomes, i] {
-            try {
-                jobs[i]();
-            } catch (const EvalFault &f) {
-                outcomes[i] = JobOutcome::failure(f.status(), f.what());
-            } catch (const std::exception &e) {
-                outcomes[i] =
-                    JobOutcome::failure(EvalStatus::Fatal, e.what());
-            } catch (...) {
-                outcomes[i] = JobOutcome::failure(
-                    EvalStatus::Fatal, "unknown exception");
-            }
-        });
-    }
-    // Wrapped jobs never throw, so runParallel cannot rethrow here.
-    runParallel(wrapped, threads);
-    return outcomes;
 }
 
 } // namespace unico::common

@@ -4,8 +4,8 @@
  *
  * Sec. 3.5 of the paper runs each successive-halving round as a set
  * of standalone parallel jobs. This pool provides that execution
- * substrate. It intentionally keeps the interface tiny: submit a
- * void() job, then wait for the whole batch.
+ * substrate. It intentionally keeps the interface tiny: submit void()
+ * jobs to a batch, then wait for the whole batch.
  */
 
 #ifndef UNICO_COMMON_THREAD_POOL_HH
@@ -21,19 +21,16 @@
 #include <vector>
 
 #include "common/cancel.hh"
-#include "common/status.hh"
 
 namespace unico::common {
 
 /**
- * Fixed-size worker pool with batch-wait semantics.
+ * Fixed-size worker pool whose work arrives in Batches.
  *
- * Jobs may throw: an exception escaping a job is captured into the
- * pool's failure list instead of terminating the program (a single
- * bad PPA evaluation must not abort a multi-hour co-search). After
- * waitIdle(), drainFailures() hands the captured exceptions to the
- * caller in completion order; the pool itself stays fully usable for
- * subsequent batches.
+ * Jobs may throw: a Batch captures an exception escaping one of its
+ * jobs instead of terminating the program (a single bad PPA
+ * evaluation must not abort a multi-hour co-search), and the pool
+ * stays fully usable for subsequent batches.
  */
 class ThreadPool
 {
@@ -49,12 +46,10 @@ class ThreadPool
     /**
      * One logical batch of jobs on a shared, long-lived pool.
      *
-     * waitIdle()/drainFailures() on the pool itself are global: two
-     * callers sharing one pool would steal each other's completions
-     * and exceptions. A Batch carries its own pending counter and
-     * failure list, so any number of concurrent batches can run on
-     * the same pool without interference. The destructor waits for
-     * the batch, so captured references outlive every job.
+     * A Batch carries its own pending counter and failure list, so any
+     * number of concurrent batches can run on the same pool without
+     * stealing each other's completions or exceptions. The destructor
+     * waits for the batch, so captured references outlive every job.
      *
      * Do not wait() on a batch from *inside* a job running on the
      * same pool: the worker would block waiting for work only it
@@ -90,31 +85,20 @@ class ThreadPool
         std::size_t pending_ = 0;
     };
 
-    /** Enqueue a job for asynchronous execution. */
-    void submit(std::function<void()> job);
-
-    /** Block until every submitted job has finished (or failed). */
-    void waitIdle();
-
-    /**
-     * Exceptions captured from failed jobs since the last drain, in
-     * job-completion order; clears the internal list.
-     */
-    std::vector<std::exception_ptr> drainFailures();
-
     /** Number of worker threads. */
     std::size_t size() const { return workers_.size(); }
 
   private:
+    /** Enqueue a job that never throws: Batch::submit, the only
+     *  caller, wraps each job in its exception capture. */
+    void submit(std::function<void()> job);
+
     void workerLoop();
 
     std::vector<std::thread> workers_;
     std::deque<std::function<void()>> queue_;
     std::mutex mutex_;
     std::condition_variable wakeWorker_;
-    std::condition_variable idle_;
-    std::vector<std::exception_ptr> failures_;
-    std::size_t inFlight_ = 0;
     bool stopping_ = false;
 };
 
@@ -125,8 +109,7 @@ class ThreadPool
  *
  * Every job runs to completion even if some fail; the first captured
  * exception (by job index for inline execution, completion order
- * otherwise) is rethrown after the batch finishes. Callers that need
- * per-job outcomes should use runParallelCaptured().
+ * otherwise) is rethrown after the batch finishes.
  *
  * When @p cancel is non-null, jobs that have not yet *started* when
  * the token is cancelled are skipped (running jobs are expected to
@@ -149,16 +132,6 @@ void runParallel(const std::vector<std::function<void()>> &jobs,
  */
 void runParallel(const std::vector<std::function<void()>> &jobs,
                  ThreadPool &pool, const CancelToken *cancel = nullptr);
-
-/**
- * Like runParallel(), but never throws due to a job: returns one
- * JobOutcome per job (index-aligned). An EvalFault maps onto its own
- * status; any other exception is classified EvalStatus::Fatal with
- * the exception message.
- */
-std::vector<JobOutcome>
-runParallelCaptured(const std::vector<std::function<void()>> &jobs,
-                    std::size_t threads);
 
 } // namespace unico::common
 

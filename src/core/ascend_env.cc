@@ -77,8 +77,7 @@ class AscendRunPolicy final : public LayeredRunPolicy
         // seconds and never touch the cache. One screen per layer,
         // trained run-locally on whatever exact rung is active.
         if (screens_[layer] == nullptr)
-            screens_[layer] = surrogate::makeCubeScreen(
-                surrogate_, op, hw_, preps_[layer]->context);
+            screens_[layer] = surrogate::makeCubeScreen(surrogate_, op, hw_);
         return std::make_unique<camodel::CubeSearchRun>(
             spaces_[layer],
             mapping::screeningEvaluator(screens_[layer].get(),

@@ -237,6 +237,17 @@ driverConfigForAlgo(const std::string &algo)
                                 "' (expected unico|hasco|mobohb|sh|msh)");
 }
 
+std::string
+searchSizeError(std::int64_t batch, std::int64_t iters, std::int64_t bmax,
+                std::int64_t threads)
+{
+    if (batch < 1 || iters < 1 || bmax < 1)
+        return "batch, iters and bmax must be >= 1";
+    if (threads < 1 || threads > 256)
+        return "threads must be 1..256";
+    return {};
+}
+
 namespace {
 
 /** Penalty objectives recorded for HW with no feasible mapping;

@@ -261,6 +261,15 @@ struct CoSearchResult
 DriverConfig driverConfigForAlgo(const std::string &algo);
 
 /**
+ * The first out-of-range search size, as the message both front-ends
+ * report, or empty when batch, iters and bmax are >= 1 and threads is
+ * 1..256. The CLI and the job manager check their values here so
+ * they accept and reject the same sizes.
+ */
+std::string searchSizeError(std::int64_t batch, std::int64_t iters,
+                            std::int64_t bmax, std::int64_t threads);
+
+/**
  * The bi-level co-optimizer in resumable stepped form.
  *
  * start() binds the environment (and restores a checkpoint when the

@@ -250,10 +250,11 @@ validateSpec(const JobSpec &spec)
 {
     if (spec.models.empty() && spec.workloads.empty())
         return "spec needs at least one model or workload";
-    if (spec.batch < 1 || spec.iters < 1 || spec.bmax < 1)
-        return "batch, iters and bmax must be >= 1";
-    if (spec.threads < 1 || spec.threads > 256)
-        return "threads must be 1..256";
+    if (std::string why = searchSizeError(
+            spec.batch, spec.iters, spec.bmax,
+            static_cast<std::int64_t>(spec.threads));
+        !why.empty())
+        return why;
     if (spec.resume && spec.checkpoint.empty())
         return "resume requires a checkpoint path";
     if (spec.checkpointEvery < 1 || spec.checkpointKeep < 1)

@@ -142,21 +142,14 @@ writeCacheCsv(const CoSearchResult &result, const std::string &path)
     common::TableWriter table(
         {"hits", "misses", "hit_rate", "insertions", "evictions",
          "entries", "bytes", "capacity_bytes", "shards",
-         "shard_evictions", "tap_rows", "tap_appends", "tap_duplicates",
-         "tap_drops", "tap_snapshots", "tap_stalls"});
+         "shard_evictions"});
     table.addRow({std::to_string(cs.hits), std::to_string(cs.misses),
                   common::TableWriter::num(cs.hitRate(), 4),
                   std::to_string(cs.insertions),
                   std::to_string(cs.evictions),
                   std::to_string(cs.entries), std::to_string(cs.bytes),
                   std::to_string(cs.capacityBytes),
-                  std::to_string(cs.shards), shard_evictions,
-                  std::to_string(cs.tapRows),
-                  std::to_string(cs.tapAppends),
-                  std::to_string(cs.tapDuplicates),
-                  std::to_string(cs.tapDrops),
-                  std::to_string(cs.tapSnapshots),
-                  std::to_string(cs.tapStalls)});
+                  std::to_string(cs.shards), shard_evictions});
     return table.writeCsv(path);
 }
 

@@ -57,8 +57,8 @@ class SpatialRunPolicy final : public LayeredRunPolicy
             });
         };
         if (screens_[layer] == nullptr)
-            screens_[layer] = surrogate::makeSpatialScreen(
-                surrogate_, op, hw_, prep.context);
+            screens_[layer] =
+                surrogate::makeSpatialScreen(surrogate_, op, hw_);
         return mapping::startSearch(
             engine_, spaces_[layer],
             mapping::screeningEvaluator(screens_[layer].get(),

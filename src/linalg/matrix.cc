@@ -100,18 +100,22 @@ dot(const Vector &a, const Vector &b)
     return acc;
 }
 
-Vector
-solveNormalEquations(const Matrix &gram, const Vector &rhs, double ridge)
+std::vector<Vector>
+solveNormalEquations(const Matrix &gram, const std::vector<Vector> &rhs,
+                     double ridge)
 {
     assert(gram.rows() == gram.cols());
-    assert(rhs.size() == gram.rows());
     assert(ridge >= 0.0);
     Matrix a = gram;
     a.addDiagonal(ridge);
     const Cholesky chol(std::move(a));
-    if (!chol.ok())
-        return Vector(rhs.size(), 0.0);
-    return chol.solve(rhs);
+    std::vector<Vector> out;
+    out.reserve(rhs.size());
+    for (const Vector &r : rhs) {
+        assert(r.size() == gram.rows());
+        out.push_back(chol.ok() ? chol.solve(r) : Vector(r.size(), 0.0));
+    }
+    return out;
 }
 
 Cholesky::Cholesky(Matrix a) : a_(std::move(a))

@@ -78,19 +78,24 @@ double dot(const Vector &a, const Vector &b);
 
 /**
  * Solve the ridge normal equations (G + ridge I) x = r for an
- * accumulated Gram matrix G = XᵀX and right-hand side r = Xᵀy.
+ * accumulated Gram matrix G = XᵀX and every right-hand side r = Xᵀy
+ * in @p rhs, on one factorization. Only the lower triangle of @p gram
+ * is read, so callers may accumulate just that half.
  *
  * This is the refit primitive of the online surrogate cost model: the
- * caller accumulates G and r incrementally (one rank-1 update per
- * observed sample) and periodically asks for fresh weights. The ridge
- * term keeps the system well posed for rank-deficient corpora
- * (duplicated or constant feature columns) and for fewer samples than
- * features — including the single-sample case. If the jittered
- * Cholesky still fails, a zero vector is returned so the caller
- * degrades to predicting the bias alone, deterministically.
+ * caller accumulates G and one r per prediction head incrementally
+ * (one rank-1 update per observed sample) and periodically asks for
+ * fresh weights. The ridge term keeps the system well posed for
+ * rank-deficient corpora (duplicated or constant feature columns) and
+ * for fewer samples than features — including the single-sample case.
+ * Whether the jittered Cholesky succeeds depends on G alone; if it
+ * fails, every solution is a zero vector so the caller degrades to
+ * predicting the bias alone, deterministically. Each solution is
+ * bit-identical to solving its right-hand side on its own.
  */
-Vector solveNormalEquations(const Matrix &gram, const Vector &rhs,
-                            double ridge);
+std::vector<Vector> solveNormalEquations(const Matrix &gram,
+                                         const std::vector<Vector> &rhs,
+                                         double ridge);
 
 /**
  * Cholesky factorization of a symmetric positive-definite matrix.
@@ -103,9 +108,10 @@ class Cholesky
 {
   public:
     /**
-     * Factorize @p a. If the matrix is not positive definite, jitter
-     * is added to the diagonal in increasing amounts until the
-     * factorization succeeds (up to a bound); ok() reports success.
+     * Factorize @p a, reading only its lower triangle. If the matrix
+     * is not positive definite, jitter is added to the diagonal in
+     * increasing amounts until the factorization succeeds (up to a
+     * bound); ok() reports success.
      */
     explicit Cholesky(Matrix a);
 

@@ -12,6 +12,26 @@ namespace unico::surrogate {
 
 namespace {
 
+/** Exact evaluations each per-layer screen observes before it starts
+ *  screening, so the always-feasible first candidate of every engine
+ *  is evaluated exactly. */
+constexpr std::uint64_t kWarmup = 12;
+
+/** Observations between two refits of a screen's model. */
+constexpr int kRefitEvery = 8;
+
+/** Ridge regularizer of a screen's refit solve. */
+constexpr double kRidge = 1e-3;
+
+/** Consecutive rejections after which a screened-out candidate is
+ *  admitted anyway, so the training signal never starves even at
+ *  tiny keep fractions. */
+constexpr int kForceAdmitAfter = 32;
+
+/** Recent predicted scores that define the keep-quantile admission
+ *  threshold. */
+constexpr std::size_t kScoreWindow = 64;
+
 /** log2 of a positive count (0 for values <= 0). */
 double
 log2Count(std::int64_t v)
@@ -79,13 +99,9 @@ SurrogateContext::snapshot() const
 OnlineCostModel::OnlineCostModel(std::size_t dim, double ridge,
                                  int refit_every)
     : dim_(dim), ridge_(ridge), refitEvery_(std::max(refit_every, 1)),
-      gram_(dim, dim, 0.0)
-{
-    for (int h = 0; h < kNumHeads; ++h) {
-        rhs_[h] = linalg::Vector(dim_, 0.0);
-        w_[h] = linalg::Vector(dim_, 0.0);
-    }
-}
+      gram_(dim, dim, 0.0), rhs_(kNumHeads, linalg::Vector(dim, 0.0)),
+      w_(kNumHeads, linalg::Vector(dim, 0.0))
+{}
 
 void
 OnlineCostModel::observe(const linalg::Vector &features,
@@ -96,7 +112,7 @@ OnlineCostModel::observe(const linalg::Vector &features,
         const double xi = features[i];
         if (xi == 0.0)
             continue;
-        for (std::size_t j = 0; j < dim_; ++j)
+        for (std::size_t j = 0; j <= i; ++j)
             gram_(i, j) += xi * features[j];
         for (int h = 0; h < kNumHeads; ++h)
             rhs_[h][i] += xi * targets[h];
@@ -109,8 +125,7 @@ OnlineCostModel::observe(const linalg::Vector &features,
 void
 OnlineCostModel::refit()
 {
-    for (int h = 0; h < kNumHeads; ++h)
-        w_[h] = linalg::solveNormalEquations(gram_, rhs_[h], ridge_);
+    w_ = linalg::solveNormalEquations(gram_, rhs_, ridge_);
     ++refits_;
     fitted_ = true;
 }
@@ -271,11 +286,9 @@ class LayerScreen final : public mapping::CandidateScreen<Cand>
   public:
     using Features = std::function<linalg::Vector(const Cand &)>;
 
-    LayerScreen(SurrogateContext *ctx, std::size_t dim, Features features,
-                common::Fingerprint context)
-        : ctx_(ctx), opt_(ctx->options), features_(std::move(features)),
-          context_(context), model_(dim, opt_.ridge, opt_.refitEvery),
-          warmup_(std::max(opt_.warmup, 1))
+    LayerScreen(SurrogateContext *ctx, std::size_t dim, Features features)
+        : ctx_(ctx), keep_(ctx->options.keep), features_(std::move(features)),
+          model_(dim, kRidge, kRefitEvery)
     {
         ctx_->sink.noteScreen();
     }
@@ -286,16 +299,15 @@ class LayerScreen final : public mapping::CandidateScreen<Cand>
     {
         // Warmup and an untrained model always admit; so does
         // keep >= 1 (the byte-identical screening-on/no-op mode).
-        if (model_.observations() <
-                static_cast<std::uint64_t>(warmup_) ||
-            !model_.ready() || opt_.keep >= 1.0) {
+        if (model_.observations() < kWarmup || !model_.ready() ||
+            keep_ >= 1.0) {
             note(true, false);
             return std::nullopt;
         }
         const linalg::Vector f = features_(c);
         const double predicted_log_loss = model_.predict(kHeadLogLoss, f);
         const bool admit = admitByQuantile(predicted_log_loss);
-        const bool forced = !admit && sinceAdmit_ >= opt_.forceAdmitAfter;
+        const bool forced = !admit && sinceAdmit_ >= kForceAdmitAfter;
         pushScore(predicted_log_loss);
         if (admit || forced) {
             note(true, forced);
@@ -305,21 +317,15 @@ class LayerScreen final : public mapping::CandidateScreen<Cand>
         return predictedEval(f, predicted_log_loss);
     }
 
-    /** Train on one exact evaluation and tap it into the corpus. */
+    /** Train on one exact evaluation. */
     void
     observeExact(const Cand &c, const mapping::MappingEval &eval) override
     {
-        const linalg::Vector f = features_(c);
-        const auto targets = extractTargets(eval);
         const std::uint64_t refits_before = model_.refits();
-        model_.observe(f, targets);
+        model_.observe(features_(c), extractTargets(eval));
         ctx_->sink.noteObservation();
         if (model_.refits() != refits_before)
             ctx_->sink.noteRefit();
-        if (ctx_->tap != nullptr)
-            ctx_->tap->append({common::combine(context_, c.fingerprint()),
-                               f,
-                               {targets.begin(), targets.end()}});
     }
 
   private:
@@ -345,8 +351,7 @@ class LayerScreen final : public mapping::CandidateScreen<Cand>
             if (s < score)
                 ++rank;
         }
-        const double threshold =
-            opt_.keep * static_cast<double>(window_.size());
+        const double threshold = keep_ * static_cast<double>(window_.size());
         return static_cast<double>(rank) < threshold;
     }
 
@@ -354,8 +359,7 @@ class LayerScreen final : public mapping::CandidateScreen<Cand>
     pushScore(double score)
     {
         window_.push_back(score);
-        while (window_.size() >
-               static_cast<std::size_t>(std::max(opt_.scoreWindow, 8)))
+        while (window_.size() > kScoreWindow)
             window_.pop_front();
     }
 
@@ -377,11 +381,9 @@ class LayerScreen final : public mapping::CandidateScreen<Cand>
     }
 
     SurrogateContext *ctx_;
-    SurrogateOptions opt_;
+    double keep_;
     Features features_;
-    common::Fingerprint context_;
     OnlineCostModel model_;
-    int warmup_;
     int sinceAdmit_ = 0;
     std::deque<double> window_;
 };
@@ -390,40 +392,33 @@ class LayerScreen final : public mapping::CandidateScreen<Cand>
 template <typename Cand>
 std::unique_ptr<mapping::CandidateScreen<Cand>>
 makeScreen(SurrogateContext *ctx, std::size_t dim,
-           typename LayerScreen<Cand>::Features features,
-           common::Fingerprint context)
+           typename LayerScreen<Cand>::Features features)
 {
     if (ctx == nullptr || !ctx->options.enabled)
         return nullptr;
-    return std::make_unique<LayerScreen<Cand>>(ctx, dim, std::move(features),
-                                               context);
+    return std::make_unique<LayerScreen<Cand>>(ctx, dim, std::move(features));
 }
 
 } // namespace
 
 std::unique_ptr<mapping::CandidateScreen<mapping::Mapping>>
 makeSpatialScreen(SurrogateContext *ctx, const workload::TensorOp &op,
-                  const accel::SpatialHwConfig &hw,
-                  common::Fingerprint context)
+                  const accel::SpatialHwConfig &hw)
 {
     return makeScreen<mapping::Mapping>(
-        ctx, spatialFeatureDim(),
-        [op, hw](const mapping::Mapping &m) {
+        ctx, spatialFeatureDim(), [op, hw](const mapping::Mapping &m) {
             return extractSpatialFeatures(op, hw, m);
-        },
-        context);
+        });
 }
 
 std::unique_ptr<mapping::CandidateScreen<camodel::CubeMapping>>
 makeCubeScreen(SurrogateContext *ctx, const workload::TensorOp &op,
-               const accel::CubeHwConfig &hw, common::Fingerprint context)
+               const accel::CubeHwConfig &hw)
 {
     return makeScreen<camodel::CubeMapping>(
-        ctx, cubeFeatureDim(),
-        [op, hw](const camodel::CubeMapping &m) {
+        ctx, cubeFeatureDim(), [op, hw](const camodel::CubeMapping &m) {
             return extractCubeFeatures(op, hw, m);
-        },
-        context);
+        });
 }
 
 } // namespace unico::surrogate

@@ -33,11 +33,11 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "accel/ascend.hh"
 #include "accel/spatial.hh"
 #include "camodel/cube_mapping.hh"
-#include "common/shard_cache.hh"
 #include "linalg/matrix.hh"
 #include "mapping/engine.hh"
 #include "mapping/mapping.hh"
@@ -45,7 +45,7 @@
 
 namespace unico::surrogate {
 
-/** Tuning knobs of the surrogate screening stage. */
+/** Switch and keep fraction of the surrogate screening stage. */
 struct SurrogateOptions
 {
     /** Master switch; false is the byte-identical legacy path. */
@@ -54,27 +54,6 @@ struct SurrogateOptions
     /** Fraction of candidates admitted to exact evaluation once the
      *  screen is trained; the rest are answered by the model. */
     double keep = 0.25;
-
-    /** Exact evaluations each per-layer screen observes before it
-     *  starts screening (clamped >= 1 so the always-feasible first
-     *  candidate of every engine is evaluated exactly). */
-    int warmup = 12;
-
-    /** Refit cadence: weights are recomputed from the accumulated
-     *  normal equations every this many observations. */
-    int refitEvery = 8;
-
-    /** Ridge regularizer of the refit solve. */
-    double ridge = 1e-3;
-
-    /** Screened-out candidates admitted unconditionally after this
-     *  many consecutive rejections, so the training signal never
-     *  starves even at tiny keep fractions. */
-    int forceAdmitAfter = 32;
-
-    /** Sliding window of recent predicted scores that defines the
-     *  keep-quantile admission threshold. */
-    int scoreWindow = 64;
 };
 
 /** Aggregated screening counters (plain snapshot, safe to copy). */
@@ -142,14 +121,13 @@ class SurrogateSink
 /**
  * Shared surrogate state of one run, owned by the caller (CLI, bench
  * or test) and passed to the backend environments like the eval
- * cache. The optional corpus tap receives every exact observation as
- * a (fingerprint, features, targets) row for offline corpus dumps.
+ * cache: the options every per-layer screen reads and the counters
+ * they all feed.
  */
 struct SurrogateContext
 {
     SurrogateOptions options;
     SurrogateSink sink;
-    common::CorpusTap *tap = nullptr;
 
     /** Options + counters folded into one reportable snapshot. */
     SurrogateStats snapshot() const;
@@ -167,10 +145,11 @@ enum SurrogateHead : int {
 /**
  * Incrementally refit ridge regression over kNumHeads targets.
  *
- * observe() performs a rank-1 update of the shared Gram matrix XᵀX
- * and the per-head right-hand sides Xᵀy; every refitEvery
- * observations the weights are recomputed via the jittered-Cholesky
- * normal-equation solve. All state is a pure function of the
+ * observe() performs a rank-1 update of the lower triangle of the
+ * shared Gram matrix XᵀX (all the Cholesky factorization reads) and
+ * of the per-head right-hand sides Xᵀy; every refitEvery
+ * observations one jittered-Cholesky factor of XᵀX + ridge·I solves
+ * all heads' normal equations. All state is a pure function of the
  * observation sequence, so identical corpora yield bit-identical
  * weights regardless of wall-clock or thread schedule.
  */
@@ -201,9 +180,9 @@ class OnlineCostModel
     std::size_t dim_;
     double ridge_;
     int refitEvery_;
-    linalg::Matrix gram_;
-    std::array<linalg::Vector, kNumHeads> rhs_;
-    std::array<linalg::Vector, kNumHeads> w_;
+    linalg::Matrix gram_; ///< lower triangle only
+    std::vector<linalg::Vector> rhs_;
+    std::vector<linalg::Vector> w_;
     std::uint64_t observations_ = 0;
     std::uint64_t refits_ = 0;
     bool fitted_ = false;
@@ -241,19 +220,17 @@ std::size_t cubeFeatureDim();
  * Per-layer screen for the spatial backend, or nullptr when @p ctx is
  * null or screening is disabled (the byte-identical default). The
  * screen trains run-locally on the exact evaluations that flow
- * through it; @p context is the query-context fingerprint used to key
- * corpus-tap rows consistently with the evaluation cache.
+ * through it.
  */
 std::unique_ptr<mapping::CandidateScreen<mapping::Mapping>>
 makeSpatialScreen(SurrogateContext *ctx, const workload::TensorOp &op,
-                  const accel::SpatialHwConfig &hw,
-                  common::Fingerprint context);
+                  const accel::SpatialHwConfig &hw);
 
 /** makeSpatialScreen for the cube core: the same screen over
  *  extractCubeFeatures. */
 std::unique_ptr<mapping::CandidateScreen<camodel::CubeMapping>>
 makeCubeScreen(SurrogateContext *ctx, const workload::TensorOp &op,
-               const accel::CubeHwConfig &hw, common::Fingerprint context);
+               const accel::CubeHwConfig &hw);
 
 } // namespace unico::surrogate
 

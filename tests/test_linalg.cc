@@ -8,6 +8,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "common/rng.hh"
 #include "linalg/matrix.hh"
@@ -202,7 +203,7 @@ TEST(NormalEquations, RecoversExactWeightsFromCleanData)
         const Vector x = {rng.gaussian(), rng.gaussian(), 1.0};
         accumulate(gram, rhs, x, 2.0 * x[0] - 3.0 * x[1] + 0.5);
     }
-    const Vector w = solveNormalEquations(gram, rhs, 1e-8);
+    const Vector w = solveNormalEquations(gram, {rhs}, 1e-8)[0];
     ASSERT_EQ(w.size(), 3u);
     EXPECT_NEAR(w[0], 2.0, 1e-5);
     EXPECT_NEAR(w[1], -3.0, 1e-5);
@@ -221,7 +222,7 @@ TEST(NormalEquations, RankDeficientDuplicatedColumnStaysFinite)
         const double v = rng.gaussian();
         accumulate(gram, rhs, {v, v, 1.0}, 4.0 * v + 1.0);
     }
-    const Vector w = solveNormalEquations(gram, rhs, 1e-6);
+    const Vector w = solveNormalEquations(gram, {rhs}, 1e-6)[0];
     for (const double wi : w)
         ASSERT_TRUE(std::isfinite(wi));
     // The aliased pair must jointly act like the true coefficient.
@@ -238,7 +239,7 @@ TEST(NormalEquations, SingleSampleDoesNotOverfitToInfinity)
     Vector rhs(3, 0.0);
     const Vector x = {2.0, -1.0, 1.0};
     accumulate(gram, rhs, x, 5.0);
-    const Vector w = solveNormalEquations(gram, rhs, 1e-6);
+    const Vector w = solveNormalEquations(gram, {rhs}, 1e-6)[0];
     for (const double wi : w)
         ASSERT_TRUE(std::isfinite(wi));
     EXPECT_NEAR(dot(w, x), 5.0, 1e-3);
@@ -248,7 +249,7 @@ TEST(NormalEquations, ZeroSamplesReturnsZeroWeights)
 {
     const Matrix gram(4, 4, 0.0);
     const Vector rhs(4, 0.0);
-    const Vector w = solveNormalEquations(gram, rhs, 1e-6);
+    const Vector w = solveNormalEquations(gram, {rhs}, 1e-6)[0];
     ASSERT_EQ(w.size(), 4u);
     for (const double wi : w)
         EXPECT_DOUBLE_EQ(wi, 0.0);
@@ -265,11 +266,61 @@ TEST(NormalEquations, DeterministicAcrossRepeatedSolves)
             x[i] = rng.gaussian();
         accumulate(gram, rhs, x, rng.gaussian());
     }
-    const Vector a = solveNormalEquations(gram, rhs, 1e-4);
-    const Vector b = solveNormalEquations(gram, rhs, 1e-4);
+    const Vector a = solveNormalEquations(gram, {rhs}, 1e-4)[0];
+    const Vector b = solveNormalEquations(gram, {rhs}, 1e-4)[0];
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i)
         EXPECT_EQ(a[i], b[i]); // bit-identical, not just close
+}
+
+TEST(NormalEquations, FailedFactorizationZeroesEverySolution)
+{
+    // Negative definite even after the largest jitter: every
+    // right-hand side degrades to the zero vector.
+    Matrix gram(2, 2, 0.0);
+    gram(0, 0) = gram(1, 1) = -1e6;
+    const std::vector<Vector> w =
+        solveNormalEquations(gram, {{1.0, 2.0}, {3.0, 4.0}}, 0.0);
+    ASSERT_EQ(w.size(), 2u);
+    for (const Vector &wk : w)
+        EXPECT_EQ(wk, Vector(2, 0.0));
+}
+
+TEST(NormalEquations, SharedFactorOfLowerTriangleMatchesSeparateSolves)
+{
+    // Several right-hand sides share one factorization, and only the
+    // lower triangle of the Gram matrix is read: each solution must
+    // equal the one-at-a-time solve of the full matrix bit for bit.
+    unico::common::Rng rng(41);
+    Matrix full(6, 6, 0.0);
+    std::vector<Vector> rhs(3, Vector(6, 0.0));
+    for (int s = 0; s < 9; ++s) {
+        Vector x(6, 1.0);
+        for (std::size_t i = 0; i + 1 < x.size(); ++i)
+            x[i] = rng.gaussian();
+        for (std::size_t i = 0; i < x.size(); ++i)
+            for (std::size_t j = 0; j < x.size(); ++j)
+                full(i, j) += x[i] * x[j];
+        for (Vector &r : rhs) {
+            const double y = rng.gaussian();
+            for (std::size_t i = 0; i < x.size(); ++i)
+                r[i] += x[i] * y;
+        }
+    }
+    Matrix lower = full;
+    for (std::size_t i = 0; i < 6; ++i)
+        for (std::size_t j = i + 1; j < 6; ++j)
+            lower(i, j) = 0.0;
+    const std::vector<Vector> shared = solveNormalEquations(lower, rhs, 1e-6);
+    ASSERT_EQ(shared.size(), rhs.size());
+    for (std::size_t k = 0; k < rhs.size(); ++k) {
+        const Vector alone = solveNormalEquations(full, {rhs[k]}, 1e-6)[0];
+        ASSERT_EQ(shared[k].size(), alone.size());
+        for (std::size_t i = 0; i < alone.size(); ++i)
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(shared[k][i]),
+                      std::bit_cast<std::uint64_t>(alone[i]))
+                << "rhs " << k << " entry " << i;
+    }
 }
 
 TEST(Cholesky, SolveLowerMultiBitIdenticalToSolveLower)

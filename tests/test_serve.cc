@@ -23,6 +23,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <fcntl.h>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -425,8 +426,10 @@ TEST(JobManagerEvents, LogIsReplayableAndTyped)
 
 namespace {
 
+/** Fork and exec @p args with stdout discarded; stderr goes to
+ *  @p stderr_fd when one is given. */
 pid_t
-spawn(const std::vector<std::string> &args)
+spawn(const std::vector<std::string> &args, int stderr_fd = -1)
 {
     std::vector<char *> argv;
     argv.reserve(args.size() + 1);
@@ -437,6 +440,8 @@ spawn(const std::vector<std::string> &args)
     const pid_t pid = fork();
     if (pid == 0) {
         std::freopen("/dev/null", "w", stdout);
+        if (stderr_fd >= 0)
+            dup2(stderr_fd, STDERR_FILENO);
         execv(argv[0], argv.data());
         _exit(127);
     }
@@ -547,6 +552,66 @@ statusOf(const std::string &response)
 }
 
 } // namespace
+
+TEST(ServeCli, RejectsTheSizesTheServerRejects)
+{
+    // Each bad size as a CLI flag and as the same JobSpec field: the
+    // CLI must exit 2 with the message POST /jobs answers.
+    struct Case
+    {
+        std::vector<std::string> flags;
+        void (*edit)(core::JobSpec &);
+    };
+    const Case cases[] = {
+        {{"--batch", "-5"}, [](core::JobSpec &s) { s.batch = -5; }},
+        {{"--algo", "nsga2", "--batch", "-5"},
+         [](core::JobSpec &s) {
+             s.algo = "nsga2";
+             s.batch = -5;
+         }},
+        {{"--batch", "0"}, [](core::JobSpec &s) { s.batch = 0; }},
+        {{"--iters", "0"}, [](core::JobSpec &s) { s.iters = 0; }},
+        {{"--bmax", "0"}, [](core::JobSpec &s) { s.bmax = 0; }},
+        {{"--threads", "-1"},
+         [](core::JobSpec &s) { s.threads = static_cast<std::size_t>(-1); }},
+    };
+    core::JobManagerConfig cfg;
+    cfg.shutdownFanout = false;
+    core::JobManager mgr(cfg);
+    for (const Case &c : cases) {
+        std::string label;
+        for (const auto &f : c.flags)
+            label += f + " ";
+        SCOPED_TRACE(label);
+        core::JobSpec spec = smallSpec(1, "");
+        c.edit(spec);
+        const core::SubmitResult rej = mgr.submit(spec);
+        ASSERT_EQ(rej.error, core::SubmitError::BadSpec);
+
+        std::vector<std::string> args = {kCli, "resnet"};
+        args.insert(args.end(), c.flags.begin(), c.flags.end());
+        int fds[2];
+        ASSERT_EQ(pipe2(fds, O_CLOEXEC), 0);
+        const pid_t pid = spawn(args, fds[1]);
+        ::close(fds[1]);
+        ASSERT_GT(pid, 0);
+        std::string err;
+        char buf[4096];
+        for (;;) {
+            const ssize_t n = read(fds[0], buf, sizeof buf);
+            if (n < 0 && errno == EINTR)
+                continue;
+            if (n <= 0)
+                break;
+            err.append(buf, static_cast<std::size_t>(n));
+        }
+        ::close(fds[0]);
+        EXPECT_EQ(reapWithin(pid, 60.0), 2);
+        EXPECT_NE(err.find("error: " + rej.message + "\n"),
+                  std::string::npos)
+            << err;
+    }
+}
 
 TEST(ServeHttp, JobByteIdenticalToCliAndSigintDrainsTo75)
 {

@@ -198,100 +198,6 @@ TEST(ShardCache, ConcurrentGetPutIsSafeAndLosesNothingLogically)
               static_cast<std::uint64_t>(kThreads) * kOps);
 }
 
-// --- Training-corpus tap ------------------------------------------------
-
-TEST(CorpusTap, AppendDedupsByFingerprintAndCountsEverything)
-{
-    common::CorpusTap tap;
-    const auto key = [](int i) {
-        return FingerprintBuilder().add(i).fingerprint();
-    };
-    tap.append({key(1), {1.0, 2.0}, {0.5}});
-    tap.append({key(2), {3.0, 4.0}, {0.7}});
-    tap.append({key(1), {9.0, 9.0}, {9.9}}); // duplicate key: dropped
-    const auto stats = tap.stats();
-    EXPECT_EQ(stats.rows, 2u);
-    EXPECT_EQ(stats.appends, 3u);
-    EXPECT_EQ(stats.duplicates, 1u);
-    EXPECT_EQ(stats.drops, 0u);
-    // The first row for a key wins.
-    for (const auto &row : tap.snapshot()) {
-        if (row.key == key(1)) {
-            EXPECT_EQ(row.targets[0], 0.5);
-        }
-    }
-}
-
-TEST(CorpusTap, CapacityBoundDropsAndCounts)
-{
-    common::CorpusTap tap(2);
-    for (int i = 0; i < 5; ++i)
-        tap.append({FingerprintBuilder().add(i).fingerprint(), {}, {}});
-    const auto stats = tap.stats();
-    EXPECT_EQ(stats.rows, 2u);
-    EXPECT_EQ(stats.appends, 5u);
-    EXPECT_EQ(stats.drops, 3u);
-}
-
-TEST(CorpusTap, SnapshotIsCanonicallySortedAndCountsServed)
-{
-    common::CorpusTap tap;
-    // Insert in one order; snapshot must sort by (hi, lo) regardless.
-    for (int i : {7, 3, 11, 1})
-        tap.append({FingerprintBuilder().add(i).fingerprint(), {}, {}});
-    const auto rows = tap.snapshot();
-    ASSERT_EQ(rows.size(), 4u);
-    for (std::size_t i = 1; i < rows.size(); ++i) {
-        const bool ordered =
-            rows[i - 1].key.hi != rows[i].key.hi
-                ? rows[i - 1].key.hi < rows[i].key.hi
-                : rows[i - 1].key.lo < rows[i].key.lo;
-        EXPECT_TRUE(ordered) << "snapshot out of order at " << i;
-    }
-    EXPECT_EQ(tap.stats().snapshots, 1u);
-}
-
-TEST(CorpusTap, ConcurrentAppendersAndSnapshottersAreSafe)
-{
-    common::CorpusTap tap;
-    std::vector<std::thread> workers;
-    for (int t = 0; t < 4; ++t) {
-        workers.emplace_back([&tap, t] {
-            for (int i = 0; i < 500; ++i)
-                tap.append({FingerprintBuilder()
-                                .add(t * 1000 + i)
-                                .fingerprint(),
-                            {static_cast<double>(i)},
-                            {1.0}});
-        });
-    }
-    workers.emplace_back([&tap] {
-        for (int i = 0; i < 50; ++i)
-            (void)tap.snapshot();
-    });
-    for (auto &w : workers)
-        w.join();
-    const auto stats = tap.stats();
-    EXPECT_EQ(stats.rows, 2000u);
-    EXPECT_EQ(stats.appends, 2000u);
-    EXPECT_EQ(stats.duplicates, 0u);
-    EXPECT_EQ(stats.snapshots, 50u);
-}
-
-TEST(CorpusTap, MergeIntoFoldsCountersIntoCacheStats)
-{
-    common::CorpusTap tap;
-    tap.append({FingerprintBuilder().add(1).fingerprint(), {}, {}});
-    (void)tap.snapshot();
-    common::CacheStats stats;
-    tap.mergeInto(stats);
-    EXPECT_EQ(stats.tapRows, 1u);
-    EXPECT_EQ(stats.tapAppends, 1u);
-    EXPECT_EQ(stats.tapSnapshots, 1u);
-    const std::string digest = common::toString(stats);
-    EXPECT_NE(digest.find("tap_rows=1"), std::string::npos);
-}
-
 TEST(ShardCache, StatsExposePerShardEvictions)
 {
     accel::EvalCache cache(2 * accel::EvalCache::entryBytes(), 1);

@@ -2,9 +2,11 @@
  * @file
  * Tests for the learned surrogate fast-path: deterministic feature
  * extraction, bit-stable ridge refits, the keep = 1.0 byte-identity
- * contract, screening engagement at small keep fractions, and the
+ * contract, screening engagement at small keep fractions, the
  * fidelity-tag guard that keeps surrogate predictions out of
- * incumbents, samples, Pareto fronts and result CSVs.
+ * incumbents, samples, Pareto fronts and result CSVs, CRC-64 pins of
+ * the refit weights and of screened search outputs, and screened
+ * searches that match across thread counts and fleet workers.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -23,9 +26,11 @@
 #include "camodel/cube_mapping.hh"
 #include "camodel/search.hh"
 #include "camodel/simulator.hh"
+#include "common/crc64.hh"
 #include "common/rng.hh"
-#include "common/shard_cache.hh"
+#include "core/backend.hh"
 #include "core/driver.hh"
+#include "core/fleet.hh"
 #include "core/report.hh"
 #include "core/spatial_env.hh"
 #include "costmodel/analytical.hh"
@@ -301,8 +306,6 @@ TEST(SurrogateModel, ScreeningEngagesWithoutLeaking)
     SurrogateContext ctx;
     ctx.options.enabled = true;
     ctx.options.keep = 0.25;
-    common::CorpusTap tap;
-    ctx.tap = &tap;
     const CoSearchResult result = runSpatial(&ctx);
 
     const auto stats = result.surrogateStats;
@@ -311,7 +314,6 @@ TEST(SurrogateModel, ScreeningEngagesWithoutLeaking)
     EXPECT_GT(stats.observations, 0u);
     EXPECT_GT(stats.refits, 0u);
     EXPECT_LT(stats.admitted, stats.candidates);
-    EXPECT_GT(tap.snapshot().size(), 0u);
 
     // Fidelity guard: every reported record and Pareto entry carries
     // exact-model numbers (finite, positive, consistent).
@@ -502,4 +504,118 @@ TEST(SurrogateModel, ScreenedCsvRowsMatchExactRecords)
     EXPECT_EQ(csvDataRows(front_csv), result.front.entries().size());
     std::remove(records_csv.c_str());
     std::remove(front_csv.c_str());
+}
+
+namespace {
+
+/** CRC-64 over the bit patterns of every head's weights. */
+std::uint64_t
+weightDigest(const OnlineCostModel &model)
+{
+    std::uint64_t crc = 0;
+    for (int h = 0; h < surrogate::kNumHeads; ++h)
+        for (const double w : model.weights(h)) {
+            const auto bits = std::bit_cast<std::uint64_t>(w);
+            crc = common::crc64(&bits, sizeof bits, crc);
+        }
+    return crc;
+}
+
+/** CRC-64 of the records, front and trace CSV bytes of @p result. */
+std::uint64_t
+csvDigest(const CoSearchResult &result, const core::CoSearchEnv &env)
+{
+    const std::string prefix = testing::TempDir() + "surrogate_digest";
+    EXPECT_TRUE(core::writeRecordsCsv(result, env, prefix + "_records.csv"));
+    EXPECT_TRUE(core::writeFrontCsv(result, env, prefix + "_front.csv"));
+    EXPECT_TRUE(core::writeTraceCsv(result, prefix + "_trace.csv"));
+    std::uint64_t crc = 0;
+    for (const char *kind : {"_records.csv", "_front.csv", "_trace.csv"}) {
+        const std::string path = prefix + kind;
+        std::ifstream in(path, std::ios::binary);
+        const std::string bytes((std::istreambuf_iterator<char>(in)),
+                                std::istreambuf_iterator<char>());
+        crc = common::crc64(bytes, crc);
+        std::remove(path.c_str());
+    }
+    return crc;
+}
+
+/** A keep-0.25 screened co-search of @p backend; returns the CSV
+ *  digest and checks that the screen answered some candidates. */
+std::uint64_t
+screenedRunDigest(const std::string &backend, workload::Network net,
+                  int bmax)
+{
+    SurrogateContext ctx;
+    ctx.options.enabled = true;
+    ctx.options.keep = 0.25;
+    core::BackendOptions opt;
+    opt.maxShapesPerNetwork = 2;
+    opt.surrogate = &ctx;
+    const auto env = core::makeBackendEnv(backend, {std::move(net)}, opt);
+    DriverConfig cfg = tinyConfig();
+    cfg.sh.bMax = bmax;
+    CoOptimizer driver(*env, cfg);
+    const CoSearchResult result = driver.run();
+    EXPECT_GT(env->surrogateStats().screenedOut, 0u) << backend;
+    return csvDigest(result, *env);
+}
+
+} // namespace
+
+TEST(SurrogateModel, RidgeWeightsMatchParent)
+{
+    // Digests recorded with one Cholesky factorization per head and a
+    // full Gram matrix. Solving every head on one factor of the
+    // lower-triangle Gram must leave every weight bit unchanged, on
+    // the well-posed RidgeRefitBitStable corpus and on a ridge-free,
+    // rank-deficient one whose factorization needs the jitter retry.
+    const auto corpus = spatialCorpus(48, 11);
+    OnlineCostModel ridge(surrogate::spatialFeatureDim(), 1e-3, 8);
+    OnlineCostModel jitter(surrogate::spatialFeatureDim(), 0.0, 8);
+    for (std::size_t i = 0; i < corpus.size(); ++i) {
+        ridge.observe(corpus[i], syntheticTargets(corpus[i]));
+        if (i < 16)
+            jitter.observe(corpus[i], syntheticTargets(corpus[i]));
+    }
+    EXPECT_EQ(weightDigest(ridge), 0x05e35f22e491b543ULL);
+    EXPECT_EQ(weightDigest(jitter), 0x5e76afd92a036d19ULL);
+}
+
+TEST(SurrogateModel, ScreenedSearchMatchesParent)
+{
+    // Digests of the records/front/trace CSVs that keep-0.25 screened
+    // searches wrote before the screen's refit was reworked.
+    EXPECT_EQ(screenedRunDigest("spatial", workload::makeMobileNet(), 64),
+              0xe8f29bc483f8374fULL);
+    EXPECT_EQ(screenedRunDigest("ascend", workload::makeFsrcnn(120, 320), 24),
+              0xc1dee989c687c3daULL);
+}
+
+TEST(SurrogateModel, ScreenedSearchIdenticalAcrossThreadsAndFleet)
+{
+    // Screens train only on their own run's exact evaluations, so a
+    // screened search makes the same decisions on one thread, on four,
+    // and in forked fleet workers.
+    SurrogateContext ctx;
+    ctx.options.enabled = true;
+    ctx.options.keep = 0.25;
+    SpatialEnvOptions opt;
+    opt.maxShapesPerNetwork = 2;
+    opt.surrogate = &ctx;
+    SpatialEnv env({workload::makeMobileNet()}, opt);
+    DriverConfig cfg = tinyConfig();
+    const CoSearchResult serial = CoOptimizer(env, cfg).run();
+    EXPECT_GT(env.surrogateStats().screenedOut, 0u);
+
+    cfg.realThreads = 4;
+    expectIdenticalResults(serial, CoOptimizer(env, cfg).run());
+
+    cfg.realThreads = 1;
+    core::FleetConfig fleet_cfg;
+    fleet_cfg.workers = 2;
+    core::FleetEnv fleet(env, fleet_cfg);
+    ASSERT_EQ(fleet.liveWorkers(), 2u);
+    expectIdenticalResults(serial, CoOptimizer(fleet, cfg).run());
 }

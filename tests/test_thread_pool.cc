@@ -16,23 +16,24 @@ using unico::common::EvalFault;
 using unico::common::EvalStatus;
 using unico::common::ThreadPool;
 using unico::common::runParallel;
-using unico::common::runParallelCaptured;
 
 TEST(ThreadPool, RunsAllJobs)
 {
     ThreadPool pool(4);
     std::atomic<int> counter{0};
+    ThreadPool::Batch batch(pool);
     for (int i = 0; i < 100; ++i)
-        pool.submit([&counter] { ++counter; });
-    pool.waitIdle();
+        batch.submit([&counter] { ++counter; });
+    batch.wait();
     EXPECT_EQ(counter.load(), 100);
 }
 
-TEST(ThreadPool, WaitIdleOnEmptyPool)
+TEST(ThreadPool, WaitOnEmptyBatch)
 {
     ThreadPool pool(2);
-    pool.waitIdle();
-    SUCCEED();
+    ThreadPool::Batch batch(pool);
+    batch.wait();
+    EXPECT_TRUE(batch.drainFailures().empty());
 }
 
 TEST(ThreadPool, SizeReflectsRequestedThreads)
@@ -51,11 +52,12 @@ TEST(ThreadPool, MultipleWaitBatches)
 {
     ThreadPool pool(2);
     std::atomic<int> counter{0};
-    for (int batch = 0; batch < 3; ++batch) {
+    for (int round = 0; round < 3; ++round) {
+        ThreadPool::Batch batch(pool);
         for (int i = 0; i < 10; ++i)
-            pool.submit([&counter] { ++counter; });
-        pool.waitIdle();
-        EXPECT_EQ(counter.load(), (batch + 1) * 10);
+            batch.submit([&counter] { ++counter; });
+        batch.wait();
+        EXPECT_EQ(counter.load(), (round + 1) * 10);
     }
 }
 
@@ -87,35 +89,40 @@ TEST(ThreadPool, ThrowingJobIsCapturedNotTerminal)
 {
     ThreadPool pool(2);
     std::atomic<int> counter{0};
+    ThreadPool::Batch batch(pool);
     for (int i = 0; i < 8; ++i)
-        pool.submit([&counter, i] {
+        batch.submit([&counter, i] {
             if (i == 3)
                 throw std::runtime_error("boom");
             ++counter;
         });
-    pool.waitIdle();
+    batch.wait();
     EXPECT_EQ(counter.load(), 7); // the other jobs still ran
-    const auto failures = pool.drainFailures();
+    const auto failures = batch.drainFailures();
     ASSERT_EQ(failures.size(), 1u);
     EXPECT_THROW(std::rethrow_exception(failures[0]),
                  std::runtime_error);
-    EXPECT_TRUE(pool.drainFailures().empty()); // drained
+    EXPECT_TRUE(batch.drainFailures().empty()); // drained
 }
 
 TEST(ThreadPool, PoolUsableAfterFailedBatch)
 {
     ThreadPool pool(2);
-    pool.submit([] { throw std::runtime_error("bad batch"); });
-    pool.waitIdle();
-    EXPECT_EQ(pool.drainFailures().size(), 1u);
+    {
+        ThreadPool::Batch bad(pool);
+        bad.submit([] { throw std::runtime_error("bad batch"); });
+        bad.wait();
+        EXPECT_EQ(bad.drainFailures().size(), 1u);
+    }
 
     // The pool must stay fully usable for subsequent batches.
     std::atomic<int> counter{0};
+    ThreadPool::Batch good(pool);
     for (int i = 0; i < 20; ++i)
-        pool.submit([&counter] { ++counter; });
-    pool.waitIdle();
+        good.submit([&counter] { ++counter; });
+    good.wait();
     EXPECT_EQ(counter.load(), 20);
-    EXPECT_TRUE(pool.drainFailures().empty());
+    EXPECT_TRUE(good.drainFailures().empty());
 }
 
 TEST(RunParallel, RethrowsFirstJobException)
@@ -131,24 +138,6 @@ TEST(RunParallel, RethrowsFirstJobException)
             });
         EXPECT_THROW(runParallel(jobs, threads), EvalFault);
         EXPECT_EQ(counter.load(), 9); // all jobs ran to completion
-    }
-}
-
-TEST(RunParallelCaptured, PerJobOutcomes)
-{
-    std::vector<std::function<void()>> jobs;
-    jobs.push_back([] {});
-    jobs.push_back([] { throw EvalFault(EvalStatus::Timeout, "hang"); });
-    jobs.push_back([] { throw std::runtime_error("segv"); });
-    jobs.push_back([] {});
-    for (std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-        const auto outcomes = runParallelCaptured(jobs, threads);
-        ASSERT_EQ(outcomes.size(), 4u);
-        EXPECT_TRUE(outcomes[0].ok());
-        EXPECT_EQ(outcomes[1].status, EvalStatus::Timeout);
-        EXPECT_EQ(outcomes[2].status, EvalStatus::Fatal);
-        EXPECT_EQ(outcomes[2].message, "segv");
-        EXPECT_TRUE(outcomes[3].ok());
     }
 }
 
@@ -181,8 +170,6 @@ TEST(ThreadPoolBatch, FailuresStayWithTheirBatch)
     good.wait();
     EXPECT_EQ(bad.drainFailures().size(), 1u);
     EXPECT_TRUE(good.drainFailures().empty());
-    // The global capture channel is untouched by batch failures.
-    EXPECT_TRUE(pool.drainFailures().empty());
 }
 
 TEST(RunParallel, PersistentPoolMatchesTransient)

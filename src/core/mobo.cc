@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "moo/scalarize.hh"
 
@@ -246,25 +248,33 @@ MoboHwSampler::saveState() const
 void
 MoboHwSampler::restoreState(const common::Json &state)
 {
-    all_.clear();
-    seenKeys_.clear();
-    ideal_.clear();
-    nadir_.clear();
-
-    // Replaying observe() rebuilds every derived field (normalized
-    // embeddings, dedup keys, running ideal/nadir) exactly.
+    // Read and check the whole snapshot before changing anything. A
+    // checkpoint's CRC trailer shows the file is intact, not that its
+    // fields fit this sampler, and observe(), normalize() and the GP
+    // index by those fields.
+    const auto fail = [](const std::string &what) {
+        throw std::runtime_error("sampler state: " + what);
+    };
+    std::vector<Obs> entries;
     const common::Json &obs = state.at("observations");
     for (std::size_t i = 0; i < obs.size(); ++i) {
         const common::Json &entry = obs.at(i);
-        accel::HwPoint h;
+        Obs e;
         const common::Json &hj = entry.at("h");
         for (std::size_t a = 0; a < hj.size(); ++a)
-            h.push_back(static_cast<std::size_t>(hj.at(a).asInt()));
-        moo::Objectives y;
+            e.h.push_back(static_cast<std::size_t>(hj.at(a).asInt()));
+        if (!space_.contains(e.h))
+            fail("observation " + std::to_string(i) +
+                 ": 'h' is not a point of the design space");
         const common::Json &yj = entry.at("y");
         for (std::size_t a = 0; a < yj.size(); ++a)
-            y.push_back(yj.at(a).asDouble());
-        observe(h, y, entry.at("hf").asBool());
+            e.y.push_back(yj.at(a).asDouble());
+        if (e.y.size() != numObjectives_)
+            fail("observation " + std::to_string(i) + ": 'y' has " +
+                 std::to_string(e.y.size()) + " objectives, not " +
+                 std::to_string(numObjectives_));
+        e.highFidelity = entry.at("hf").asBool();
+        entries.push_back(std::move(e));
     }
 
     common::Rng::State rs;
@@ -273,19 +283,47 @@ MoboHwSampler::restoreState(const common::Json &state)
         rs.s[i] = common::parseHexU64(rng.at(i).asString());
     rs.hasCachedGaussian = state.at("rngHasGaussian").asBool();
     rs.cachedGaussian = state.at("rngGaussian").asDouble();
-    rng_.restoreState(rs);
 
-    kernelTuned_ = state.at("kernelTuned").asBool();
+    const bool tuned = state.at("kernelTuned").asBool();
     const common::Json &kernel = state.at("kernel");
-    kernelParams_.kind = static_cast<surrogate::KernelKind>(
-        kernel.at("kind").asInt());
-    kernelParams_.lengthscale = kernel.at("lengthscale").asDouble();
-    kernelParams_.variance = kernel.at("variance").asDouble();
-    kernelParams_.noise = kernel.at("noise").asDouble();
-    kernelParams_.ardLengthscales.clear();
+    surrogate::KernelParams params;
+    const std::int64_t kind = kernel.at("kind").asInt();
+    if (kind != static_cast<int>(surrogate::KernelKind::SquaredExponential) &&
+        kind != static_cast<int>(surrogate::KernelKind::Matern52))
+        fail("unknown kernel kind " + std::to_string(kind));
+    params.kind = static_cast<surrogate::KernelKind>(kind);
+    params.lengthscale = kernel.at("lengthscale").asDouble();
+    params.variance = kernel.at("variance").asDouble();
+    params.noise = kernel.at("noise").asDouble();
+    if (!(std::isfinite(params.lengthscale) && params.lengthscale > 0.0))
+        fail("kernel lengthscale must be finite and positive");
+    if (!(std::isfinite(params.variance) && params.variance > 0.0))
+        fail("kernel variance must be finite and positive");
+    if (!(std::isfinite(params.noise) && params.noise >= 0.0))
+        fail("kernel noise must be finite and non-negative");
     const common::Json &ard = kernel.at("ard");
     for (std::size_t i = 0; i < ard.size(); ++i)
-        kernelParams_.ardLengthscales.push_back(ard.at(i).asDouble());
+        params.ardLengthscales.push_back(ard.at(i).asDouble());
+    if (!params.ardLengthscales.empty() &&
+        params.ardLengthscales.size() != space_.dims())
+        fail("kernel has " + std::to_string(params.ardLengthscales.size()) +
+             " ARD lengthscales for " + std::to_string(space_.dims()) +
+             " axes");
+    for (const double l : params.ardLengthscales)
+        if (!(std::isfinite(l) && l > 0.0))
+            fail("ARD lengthscales must be finite and positive");
+
+    // Replaying observe() rebuilds every derived field (normalized
+    // embeddings, dedup keys, running ideal/nadir) exactly.
+    all_.clear();
+    seenKeys_.clear();
+    ideal_.clear();
+    nadir_.clear();
+    for (const Obs &e : entries)
+        observe(e.h, e.y, e.highFidelity);
+    rng_.restoreState(rs);
+    kernelTuned_ = tuned;
+    kernelParams_ = std::move(params);
 }
 
 } // namespace unico::core

@@ -1,11 +1,13 @@
 #include "surrogate/gp.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <functional>
 #include <limits>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 
 #include "common/statistics.hh"
@@ -26,6 +28,34 @@ resolveThreads(std::size_t threads, std::size_t jobs)
     return std::min(threads, jobs);
 }
 
+/**
+ * The factor c of the nearest-point bound: for a kernel row k over n
+ * inputs of @p dims dimensions, the explained variance ‖L⁻¹k‖² that
+ * predict() computes is at least c · maxᵢ kᵢ². That is
+ * (1 − δ) / maxᵢ (L Lᵀ)ᵢᵢ when the rounding of the solve and of the
+ * sum of squares provably stays under δ / 10, and 0 (no bound)
+ * otherwise. DESIGN.md §10 has the proof.
+ */
+double
+nearestPointShrink(std::size_t n, std::size_t dims, double noise,
+                   double max_gram_diag)
+{
+    constexpr double kDelta = 1e-6;
+    const double u = std::numeric_limits<double>::epsilon() / 2.0;
+    const double nd = static_cast<double>(n);
+    // Rounding in the kernel matrix and its factor can take at most
+    // half this much off λ_min(L Lᵀ) ≥ σ_n².
+    const double lost = 2.0 * nd * (nd + static_cast<double>(dims) + 16.0) *
+                        u * max_gram_diag;
+    if (!(noise > 2.0 * lost && max_gram_diag > 0.0))
+        return 0.0;
+    const double kappa = std::sqrt(nd * max_gram_diag / (noise - lost));
+    const double gamma = nd * u / (1.0 - nd * u);
+    return gamma * (1.0 + 2.0 * kappa) <= kDelta / 10.0
+               ? (1.0 - kDelta) / max_gram_diag
+               : 0.0;
+}
+
 } // namespace
 
 GaussianProcess::GaussianProcess(KernelParams params) : params_(params)
@@ -44,8 +74,31 @@ GaussianProcess::fit(const std::vector<std::vector<double>> &x,
     const std::size_t n = x.size();
     const std::size_t start = n > max_points ? n - max_points : 0;
     x_.assign(x.begin() + static_cast<std::ptrdiff_t>(start), x.end());
+    indexCoordinates();
     setTargets(y);
     rebuild();
+}
+
+void
+GaussianProcess::indexCoordinates()
+{
+    const std::size_t n = x_.size();
+    const std::size_t dims = n > 0 ? x_[0].size() : 0;
+    coordValues_.clear();
+    coordStart_.assign(1, 0);
+    coordIndex_.assign(n * dims, 0);
+    for (std::size_t d = 0; d < dims; ++d) {
+        std::unordered_map<std::uint64_t, std::uint32_t> slot;
+        for (std::size_t i = 0; i < n; ++i) {
+            const auto [it, fresh] = slot.emplace(
+                std::bit_cast<std::uint64_t>(x_[i][d]),
+                static_cast<std::uint32_t>(coordValues_.size()));
+            if (fresh)
+                coordValues_.push_back(x_[i][d]);
+            coordIndex_[i * dims + d] = it->second;
+        }
+        coordStart_.push_back(coordValues_.size());
+    }
 }
 
 void
@@ -56,6 +109,7 @@ GaussianProcess::retarget(const std::vector<double> &y)
     // the one a fresh fit would build; only alpha and the LML change.
     FitResult fit;
     fit.chol = std::move(chol_);
+    fit.maxGramDiag = maxGramDiag_;
     if (fit.chol && fit.chol->ok())
         solveTargets(fit);
     install(std::move(fit));
@@ -91,8 +145,16 @@ GaussianProcess::computeFit(const KernelParams &params) const
         k(i, i) += params.noise;
     }
     out.chol = std::make_unique<linalg::Cholesky>(std::move(k));
-    if (out.chol->ok())
-        solveTargets(out);
+    if (!out.chol->ok())
+        return out;
+    const linalg::Matrix &l = out.chol->lower();
+    for (std::size_t i = 0; i < n; ++i) {
+        double diag = 0.0;
+        for (std::size_t c = 0; c <= i; ++c)
+            diag += l(i, c) * l(i, c);
+        out.maxGramDiag = std::max(out.maxGramDiag, diag);
+    }
+    solveTargets(out);
     return out;
 }
 
@@ -114,6 +176,7 @@ void
 GaussianProcess::install(FitResult fit)
 {
     chol_ = std::move(fit.chol);
+    maxGramDiag_ = fit.maxGramDiag;
     alpha_ = std::move(fit.alpha);
     lml_ = fit.lml;
     trained_ = fit.ok;
@@ -284,28 +347,37 @@ GaussianProcess::argmaxExpectedImprovement(
     }
 
     // Kernel rows, posterior means and, per candidate, a cutoff its EI
-    // cannot exceed: the EI at the prior variance k(x, x), which
-    // bounds the posterior variance predict() computes, plus a slack
-    // for rounding in the EI formula (DESIGN.md §10). Every value is
-    // computed with predict()'s exact expressions.
+    // cannot exceed: the EI at an upper bound on the variance predict()
+    // computes, plus a slack for rounding in the EI formula (DESIGN.md
+    // §10). The bound is the prior variance k(x, x) less the
+    // nearest-point bound on the explained variance. Kernel rows and
+    // means carry predict()'s bits.
     const std::size_t n = x_.size();
+    const double shrink =
+        nearestPointShrink(n, x_[0].size(), params_.noise, maxGramDiag_);
     linalg::Matrix kstar(m, n);
     std::vector<Prediction> preds(m);
-    std::vector<double> prior_var(m), cutoff(m);
+    std::vector<double> prior_var(m), cutoff(m), terms;
     for (std::size_t j = 0; j < m; ++j) {
+        double *row = &kstar(j, 0);
+        squaredDistances(xs[j], row, terms);
         double mean_std = 0.0;
+        double nearest = 0.0; // max_i k_i², NaN-free
         for (std::size_t i = 0; i < n; ++i) {
-            const double k = kernelValue(params_, xs[j], x_[i]);
-            kstar(j, i) = k;
+            const double k = kernelFromSquaredDistance(params_, row[i]);
+            row[i] = k;
             mean_std += k * alpha_[i];
+            nearest = std::max(nearest, k * k);
         }
         preds[j].mean = mean_std * yScale_ + yMean_;
         prior_var[j] = kernelValue(params_, xs[j], xs[j]);
-        const Prediction prior{
-            preds[j].mean, std::max(prior_var[j], 1e-12) * yScale_ * yScale_};
-        const double sigma = std::sqrt(std::max(prior.variance, 1e-18));
-        cutoff[j] = expectedImprovement(prior, incumbent) +
-                    1e-9 * (std::fabs(incumbent - prior.mean) + sigma);
+        const Prediction upper{
+            preds[j].mean,
+            std::max(prior_var[j] - shrink * nearest, 1e-12) * yScale_ *
+                yScale_};
+        const double sigma = std::sqrt(std::max(upper.variance, 1e-18));
+        cutoff[j] = expectedImprovement(upper, incumbent) +
+                    1e-9 * (std::fabs(incumbent - upper.mean) + sigma);
     }
 
     // Visit the highest cutoffs first so the running best rises early
@@ -361,6 +433,29 @@ GaussianProcess::argmaxExpectedImprovement(
     if (filled > 0)
         solveBlock();
     return best;
+}
+
+void
+GaussianProcess::squaredDistances(const std::vector<double> &x, double *r2,
+                                  std::vector<double> &terms) const
+{
+    const std::size_t dims = coordStart_.size() - 1;
+    assert(x.size() == dims);
+    terms.resize(coordValues_.size());
+    for (std::size_t d = 0; d < dims; ++d) {
+        const double l = lengthscaleOf(params_, d);
+        for (std::size_t u = coordStart_[d]; u < coordStart_[d + 1]; ++u) {
+            const double diff = (x[d] - coordValues_[u]) / l;
+            terms[u] = diff * diff;
+        }
+    }
+    const std::uint32_t *index = coordIndex_.data();
+    for (std::size_t i = 0; i < x_.size(); ++i, index += dims) {
+        double sum = 0.0;
+        for (std::size_t d = 0; d < dims; ++d)
+            sum += terms[index[d]];
+        r2[i] = sum;
+    }
 }
 
 double

@@ -12,6 +12,7 @@
 #ifndef UNICO_SURROGATE_GP_HH
 #define UNICO_SURROGATE_GP_HH
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -97,12 +98,27 @@ class GaussianProcess
      * expectedImprovement(predict(x), @p incumbent), the first one on
      * ties; xs.size() when @p xs is empty or every EI is NaN. Returns
      * exactly what that serial scan with a strict '>' returns, at a
-     * fraction of its cost: a candidate whose EI at its prior variance
+     * fraction of its cost: kernel rows come from squaredDistances()
+     * with predict()'s bits, a candidate whose EI at an upper bound on
+     * its posterior variance (the nearest-point bound, DESIGN.md §10)
      * cannot reach the running best skips its triangular solve, and
      * the rest are solved Cholesky::kSolveBlock at a time.
      */
     std::size_t argmaxExpectedImprovement(
         const std::vector<std::vector<double>> &xs, double incumbent) const;
+
+    /**
+     * Fill r2[0, size()) with the squared scaled distance from @p x to
+     * every retained input x_i, the r² that kernelValue(params(), @p x,
+     * x_i) sums, bit for bit: so kernelFromSquaredDistance(params(),
+     * r2[i]) is that kernel value. Each distinct term
+     * ((x_d - u) / l_d)² over the inputs' distinct coordinates u is
+     * computed once, into @p terms (a buffer callers may reuse), and
+     * every r² sums its terms from 0.0 in ascending dimension, as
+     * kernelValue() does.
+     */
+    void squaredDistances(const std::vector<double> &x, double *r2,
+                          std::vector<double> &terms) const;
 
     /** Log marginal likelihood of the current fit. */
     double logMarginalLikelihood() const;
@@ -115,10 +131,14 @@ class GaussianProcess
     struct FitResult
     {
         std::unique_ptr<linalg::Cholesky> chol;
+        double maxGramDiag = 0.0; ///< max_i (L Lᵀ)_ii of the factor
         std::vector<double> alpha;
         double lml = 0.0;
         bool ok = false;
     };
+
+    /** Rebuild the coordinate tables from x_. */
+    void indexCoordinates();
 
     /** Standardize the last size() entries of @p y into yStd_. */
     void setTargets(const std::vector<double> &y);
@@ -138,11 +158,18 @@ class GaussianProcess
 
     KernelParams params_;
     std::vector<std::vector<double>> x_;
+    /** The distinct coordinates of x_, keyed by bit pattern: those of
+     *  dimension d are coordValues_[coordStart_[d], coordStart_[d+1]),
+     *  and x_[i][d] is coordValues_[coordIndex_[i * dims + d]]. */
+    std::vector<double> coordValues_;
+    std::vector<std::size_t> coordStart_ = {0};
+    std::vector<std::uint32_t> coordIndex_;
     std::vector<double> yStd_;  ///< standardized targets
     double yMean_ = 0.0;
     double yScale_ = 1.0;
     std::vector<double> alpha_; ///< K^{-1} y
     std::unique_ptr<linalg::Cholesky> chol_;
+    double maxGramDiag_ = 0.0; ///< FitResult::maxGramDiag of chol_
     bool trained_ = false;
     double lml_ = 0.0;
 };

@@ -1,7 +1,6 @@
 #include "surrogate/kernel.hh"
 
 #include <cassert>
-#include <cmath>
 
 namespace unico::surrogate {
 
@@ -10,26 +9,16 @@ kernelValue(const KernelParams &params, const std::vector<double> &x,
             const std::vector<double> &z)
 {
     assert(x.size() == z.size());
-    // Squared scaled distance r^2 = sum ((x_i - z_i) / l_i)^2.
-    const bool ard = !params.ardLengthscales.empty();
-    assert(!ard || params.ardLengthscales.size() == x.size());
+    assert(params.ardLengthscales.empty() ||
+           params.ardLengthscales.size() == x.size());
+    // Squared scaled distance r^2 = sum ((x_i - z_i) / l_i)^2, summed
+    // from 0.0 in ascending dimension.
     double r2 = 0.0;
     for (std::size_t i = 0; i < x.size(); ++i) {
-        const double l = ard ? params.ardLengthscales[i]
-                             : params.lengthscale;
-        const double d = (x[i] - z[i]) / l;
+        const double d = (x[i] - z[i]) / lengthscaleOf(params, i);
         r2 += d * d;
     }
-    switch (params.kind) {
-      case KernelKind::SquaredExponential:
-        return params.variance * std::exp(-0.5 * r2);
-      case KernelKind::Matern52: {
-        const double a = std::sqrt(5.0 * r2);
-        return params.variance * (1.0 + a + 5.0 * r2 / 3.0) *
-               std::exp(-a);
-      }
-    }
-    return 0.0;
+    return kernelFromSquaredDistance(params, r2);
 }
 
 } // namespace unico::surrogate

@@ -1,10 +1,11 @@
 /**
  * @file
- * Chaos harness: forks the real co_search_cli binary, SIGKILLs it at
- * randomized points mid-search, resumes from the checkpoint rotation
- * window, and asserts the final outputs are byte-identical to an
- * uninterrupted run with the same seed — records CSV, Pareto-front
- * CSV, trace CSV and the final checkpoint document itself.
+ * Chaos harness: forks the real co_search_cli binary, SIGKILLs it
+ * mid-search right after a seeded number of its progress events,
+ * resumes from the checkpoint rotation window, and asserts the final
+ * outputs are byte-identical to an uninterrupted run with the same
+ * seed — records CSV, Pareto-front CSV, trace CSV and the final
+ * checkpoint document itself.
  *
  * Also covers the graceful path (SIGTERM drains and exits with the
  * resumable status code 75) and recovery from a corrupted newest
@@ -37,7 +38,7 @@ const char *const kCli = UNICO_CLI_PATH;
 /** Compile-time path of the chaos proxy binary. */
 const char *const kProxy = UNICO_PROXY_PATH;
 
-/** Deterministic LCG for kill delays (std::rand is process-global
+/** Deterministic LCG for kill points (std::rand is process-global
  *  state; the harness must not depend on it). */
 struct Lcg
 {
@@ -79,8 +80,9 @@ fileExists(const std::string &path)
     return ::stat(path.c_str(), &st) == 0;
 }
 
-/** The search configuration every scenario runs: ~0.4 s of real time
- *  across 10 trials, so randomized kills land mid-search. */
+/** The search configuration every scenario runs: 10 trials, each of
+ *  which streams several progress events, so a kill keyed on an event
+ *  count lands mid-search however fast the build is. */
 std::vector<std::string>
 cliArgs(const std::string &dir, bool resume)
 {
@@ -164,34 +166,61 @@ struct RunOutcome
 };
 
 /**
- * Run the CLI; SIGKILL it after @p kill_after_ms unless it exits
- * first. kill_after_ms < 0 lets it run to completion.
+ * Run the CLI. With @p kill_after_events > 0 it streams its progress
+ * events (--progress-every 1) and is SIGKILLed right after it prints
+ * that many, unless it exits first; otherwise it runs to completion.
  */
 RunOutcome
-runMaybeKill(const std::vector<std::string> &args, int kill_after_ms)
+runMaybeKill(std::vector<std::string> args, int kill_after_events)
 {
-    const pid_t pid = spawn(args);
-    EXPECT_GT(pid, 0);
     RunOutcome out;
     int status = 0;
-    if (kill_after_ms >= 0) {
-        // Poll in 1 ms steps until the deadline, then shoot.
-        for (int waited = 0; waited < kill_after_ms; ++waited) {
-            const pid_t r = waitpid(pid, &status, WNOHANG);
-            if (r == pid) {
-                out.exitCode =
-                    WIFEXITED(status) ? WEXITSTATUS(status) : -2;
-                return out;
-            }
-            usleep(1000);
-        }
-        kill(pid, SIGKILL);
+    if (kill_after_events <= 0) {
+        const pid_t pid = spawn(args);
+        EXPECT_GT(pid, 0);
         waitpid(pid, &status, 0);
-        out.killed = true;
+        out.exitCode = WIFEXITED(status) ? WEXITSTATUS(status) : -2;
         return out;
     }
+    args.push_back("--progress-every");
+    args.push_back("1");
+    int fds[2];
+    EXPECT_EQ(pipe2(fds, O_CLOEXEC), 0);
+    const pid_t pid = spawn(args, fds[1]);
+    ::close(fds[1]);
+    EXPECT_GT(pid, 0);
+    // Drain stdout to EOF even after the kill, so the child never
+    // blocks on a full pipe.
+    const std::string marker = "\"event\":";
+    int events = 0;
+    bool sent = false;
+    std::string line;
+    char buf[4096];
+    for (;;) {
+        const ssize_t n = read(fds[0], buf, sizeof buf);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            break;
+        for (ssize_t i = 0; i < n && !sent; ++i) {
+            if (buf[i] != '\n') {
+                line += buf[i];
+                continue;
+            }
+            if (line.find(marker) != std::string::npos &&
+                ++events == kill_after_events) {
+                kill(pid, SIGKILL);
+                sent = true;
+            }
+            line.clear();
+        }
+    }
+    ::close(fds[0]);
     waitpid(pid, &status, 0);
-    out.exitCode = WIFEXITED(status) ? WEXITSTATUS(status) : -2;
+    // A child that exited before the signal arrived was not killed.
+    out.killed = WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL;
+    if (!out.killed)
+        out.exitCode = WIFEXITED(status) ? WEXITSTATUS(status) : -2;
     return out;
 }
 
@@ -258,14 +287,15 @@ TEST(Chaos, SigkillAndResumeReproducesUninterruptedRun)
 
     int kills = 0;
     bool completed = false;
-    // Randomized kill points; once at least 3 kills landed, let the
-    // search finish. Each cycle is one spawn (fresh or resumed).
+    // Seeded kill points: each spawn (fresh or resumed) dies right
+    // after its 1st to 14th progress event; once at least 3 kills
+    // landed, let the search finish.
     for (int attempt = 0; attempt < 60 && !completed; ++attempt) {
         const bool resume = fileExists(dir + "/ck.json") ||
                             fileExists(dir + "/ck.json.1");
-        const int delay =
-            kills < 3 ? 5 + static_cast<int>(rng.next() % 150) : -1;
-        const auto out = runMaybeKill(cliArgs(dir, resume), delay);
+        const int events =
+            kills < 3 ? 1 + static_cast<int>(rng.next() % 14) : -1;
+        const auto out = runMaybeKill(cliArgs(dir, resume), events);
         if (out.killed) {
             ++kills;
         } else {
@@ -525,9 +555,9 @@ TEST(Chaos, MasterKillInFleetModeResumesAcrossTopologies)
             for (const char *extra : {"--workers", "3"})
                 args.push_back(extra);
         }
-        const int delay =
-            kills < 1 ? 20 + static_cast<int>(rng.next() % 150) : -1;
-        const auto out = runMaybeKill(args, delay);
+        const int events =
+            kills < 1 ? 1 + static_cast<int>(rng.next() % 14) : -1;
+        const auto out = runMaybeKill(args, events);
         if (out.killed) {
             ++kills;
         } else {

@@ -386,45 +386,122 @@ TEST(Gp, RetargetKeepsFailedFactorUntrained)
     EXPECT_EQ(bits(a.variance), bits(b.variance));
 }
 
+TEST(Gp, TableKernelRowsMatchKernelValue)
+{
+    // Training and query coordinates mix grid values, off-grid values,
+    // both signed zeros, NaN and far-away values; inputs repeat, so the
+    // tables hold fewer distinct values than points. A NaN input fails
+    // the factor, but the rows only read the retained inputs.
+    Rng rng(59);
+    const auto coordinate = [&] {
+        switch (rng.uniformInt(6)) {
+          case 0:
+            return static_cast<double>(rng.uniformInt(5)) / 4.0;
+          case 1:
+            return rng.uniform();
+          case 2:
+            return 0.0;
+          case 3:
+            return -0.0;
+          case 4:
+            return std::nan("");
+          default:
+            return 10.0 * rng.gaussian();
+        }
+    };
+    for (int c = 0; c < 64; ++c) {
+        const std::size_t dims = 1 + rng.uniformInt(6);
+        KernelParams params;
+        params.kind = c % 2 == 0 ? KernelKind::Matern52
+                                 : KernelKind::SquaredExponential;
+        params.lengthscale = 0.05 + rng.uniform();
+        if (c % 4 >= 2)
+            for (std::size_t d = 0; d < dims; ++d)
+                params.ardLengthscales.push_back(0.05 + 2.0 * rng.uniform());
+        const std::size_t n = 1 + rng.uniformInt(40);
+        std::vector<std::vector<double>> x;
+        std::vector<double> y;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (i > 0 && rng.uniformInt(4) == 0) {
+                x.push_back(x[rng.uniformInt(i)]);
+            } else {
+                x.emplace_back();
+                for (std::size_t d = 0; d < dims; ++d)
+                    x.back().push_back(coordinate());
+            }
+            y.push_back(rng.gaussian());
+        }
+        GaussianProcess gp(params);
+        gp.fit(x, y);
+        ASSERT_EQ(gp.size(), n);
+        std::vector<double> r2(n), terms;
+        for (int q = 0; q < 16; ++q) {
+            std::vector<double> query = x[rng.uniformInt(n)];
+            if (q % 2 == 0)
+                for (double &v : query)
+                    v = coordinate();
+            gp.squaredDistances(query, r2.data(), terms);
+            for (std::size_t i = 0; i < n; ++i)
+                ASSERT_EQ(bits(kernelFromSquaredDistance(gp.params(), r2[i])),
+                          bits(kernelValue(gp.params(), query, x[i])))
+                    << "case " << c << " query " << q << " input " << i;
+        }
+    }
+}
+
 TEST(Gp, ArgmaxEiMatchesSerialScan)
 {
-    // Grid-valued inputs (small grids repeat rows), training sizes on
-    // both sides of the solve block width, pools of 0 to 240, both
-    // kernels with and without ARD, and untrained GPs. An incumbent far
-    // below every mean makes every EI 0, so the first index must win.
+    // Grid-valued inputs (small grids repeat rows), training sizes from
+    // 1 to MoboConfig::maxGpPoints, pools of 0 to 240, both kernels with
+    // and without ARD, noise from 0 to 1e-2, and untrained GPs. At zero
+    // noise a third of the inputs are duplicates, so the Cholesky
+    // jitter ladder engages. Pools hold copies of training inputs and
+    // NaN candidates. An incumbent far below every mean makes every EI
+    // 0, so the first index must win.
     Rng rng(41);
     const std::size_t pools[] = {0, 1, 7, 8, 9, 240};
+    const double noises[] = {0.0, 1e-8, 1e-4, 1e-2};
     int cases = 0;
     for (int c = 0; c < 480; ++c) {
         const std::size_t dims = 1 + rng.uniformInt(6);
         std::vector<std::size_t> levels;
         for (std::size_t d = 0; d < dims; ++d)
             levels.push_back(1 + rng.uniformInt(c % 3 == 0 ? 4 : 16));
-        const std::size_t n = 1 + rng.uniformInt(70);
+        const std::size_t n = 1 + rng.uniformInt(c % 4 == 2 ? 256 : 70);
+        KernelParams params;
+        params.kind = c % 2 == 0 ? KernelKind::Matern52
+                                 : KernelKind::SquaredExponential;
+        params.lengthscale = 0.05 + rng.uniform();
+        params.noise = noises[(c / 3) % 4];
+        if (c % 4 == 1)
+            for (std::size_t d = 0; d < dims; ++d)
+                params.ardLengthscales.push_back(0.05 + 2.0 * rng.uniform());
         std::vector<std::vector<double>> x;
         std::vector<double> y;
         for (std::size_t i = 0; i < n; ++i) {
-            x.push_back(gridPoint(rng, levels));
+            if (params.noise == 0.0 && i > 0 && rng.uniformInt(3) == 0)
+                x.push_back(x[rng.uniformInt(i)]);
+            else
+                x.push_back(gridPoint(rng, levels));
             double v = 0.3 * rng.gaussian();
             for (std::size_t d = 0; d < dims; ++d)
                 v += std::sin(3.0 * x.back()[d] + static_cast<double>(d));
             y.push_back(v);
         }
-        KernelParams params;
-        params.kind = c % 2 == 0 ? KernelKind::Matern52
-                                 : KernelKind::SquaredExponential;
-        params.lengthscale = 0.05 + rng.uniform();
-        params.noise = c % 5 == 0 ? 1e-6 : 1e-3;
-        if (c % 4 == 1)
-            for (std::size_t d = 0; d < dims; ++d)
-                params.ardLengthscales.push_back(0.05 + 2.0 * rng.uniform());
         GaussianProcess gp(params);
         if (c % 10 != 9)
-            gp.fit(x, y, c % 7 == 0 ? 32 : 512);
+            gp.fit(x, y, c % 7 == 0 ? 32 : 256);
 
         std::vector<std::vector<double>> xs;
-        for (std::size_t j = 0; j < pools[c % 6]; ++j)
-            xs.push_back(gridPoint(rng, levels));
+        for (std::size_t j = 0; j < pools[c % 6]; ++j) {
+            if (j % 5 == 1) {
+                xs.push_back(x[rng.uniformInt(n)]);
+            } else {
+                xs.push_back(gridPoint(rng, levels));
+                if (j % 17 == 3)
+                    xs.back()[rng.uniformInt(dims)] = std::nan("");
+            }
+        }
         double incumbent = *std::min_element(y.begin(), y.end());
         if (c % 8 == 3)
             incumbent -= 1e6;

@@ -8,10 +8,12 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <stdexcept>
 #include <string>
 
 #include "accel/design_space.hh"
 #include "common/crc64.hh"
+#include "common/json.hh"
 #include "core/mobo.hh"
 
 using namespace unico;
@@ -93,6 +95,68 @@ proposalDigest(const core::MoboConfig &cfg, std::size_t objectives)
         }
     }
     return crc;
+}
+
+/** Snapshot of a sampler on makeSpace() with a few observations. */
+common::Json
+savedState()
+{
+    const auto ds = makeSpace();
+    MoboHwSampler sampler(ds, 3, 12);
+    for (const auto &h : sampler.sampleBatch(6))
+        sampler.observe(h, syntheticY(ds, h), true);
+    return sampler.saveState();
+}
+
+/** @p state with field @p key of its first observation set to
+ *  @p value. */
+common::Json
+withObservationField(common::Json state, const std::string &key,
+                     common::Json value)
+{
+    const common::Json &old = state.at("observations");
+    common::Json obs = common::Json::array();
+    for (std::size_t i = 0; i < old.size(); ++i) {
+        common::Json entry = old.at(i);
+        if (i == 0)
+            entry[key] = value;
+        obs.push(std::move(entry));
+    }
+    state["observations"] = std::move(obs);
+    return state;
+}
+
+/** @p state with kernel field @p key set to @p value. */
+common::Json
+withKernelField(common::Json state, const std::string &key,
+                common::Json value)
+{
+    common::Json kernel = state.at("kernel");
+    kernel[key] = std::move(value);
+    state["kernel"] = std::move(kernel);
+    return state;
+}
+
+common::Json
+numbers(std::initializer_list<double> values)
+{
+    common::Json out = common::Json::array();
+    for (const double v : values)
+        out.push(v);
+    return out;
+}
+
+/** restoreState(@p state) throws and leaves a sampler that already
+ *  holds savedState() exactly as it was. */
+void
+expectRejected(const common::Json &state)
+{
+    const auto ds = makeSpace();
+    MoboHwSampler sampler(ds, 3, 1);
+    sampler.restoreState(savedState());
+    const std::string before = sampler.saveState().dump();
+    EXPECT_THROW(sampler.restoreState(state), std::runtime_error);
+    EXPECT_EQ(sampler.saveState().dump(), before);
 }
 
 } // namespace
@@ -265,4 +329,63 @@ TEST(Mobo, HealthyFitDoesNotCountFallbacks)
         sampler.observe(h, syntheticY(ds, h), true);
     sampler.sampleBatch(8);
     EXPECT_EQ(sampler.gpFallbacks(), 0u);
+}
+
+TEST(Mobo, RestoreRoundTripsSavedState)
+{
+    const common::Json state = savedState();
+    const auto ds = makeSpace();
+    MoboHwSampler sampler(ds, 3, 1);
+    sampler.restoreState(state);
+    EXPECT_EQ(sampler.saveState().dump(), state.dump());
+}
+
+TEST(Mobo, RestoreRejectsPointOutsideSpace)
+{
+    // An axis index past its values, and more indices than axes.
+    expectRejected(
+        withObservationField(savedState(), "h", numbers({0, 0, 2})));
+    expectRejected(withObservationField(
+        savedState(), "h", numbers({0, 0, 0, 0, 0, 0, 0, 0, 0, 0})));
+}
+
+TEST(Mobo, RestoreRejectsWrongObjectiveCount)
+{
+    expectRejected(withObservationField(savedState(), "y", numbers({1.0})));
+}
+
+TEST(Mobo, RestoreRejectsUnknownKernelKind)
+{
+    expectRejected(withKernelField(savedState(), "kind", 7));
+    expectRejected(withKernelField(savedState(), "kind", -1));
+}
+
+TEST(Mobo, RestoreRejectsBadLengthscale)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const double l : {0.0, -0.3, nan})
+        expectRejected(withKernelField(savedState(), "lengthscale", l));
+}
+
+TEST(Mobo, RestoreRejectsBadVariance)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double v : {0.0, -1.0, inf})
+        expectRejected(withKernelField(savedState(), "variance", v));
+}
+
+TEST(Mobo, RestoreRejectsBadNoise)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const double v : {-1e-4, nan})
+        expectRejected(withKernelField(savedState(), "noise", v));
+}
+
+TEST(Mobo, RestoreRejectsBadArdLengthscales)
+{
+    // makeSpace() has three axes: one entry is too few, and every
+    // entry must be positive.
+    expectRejected(withKernelField(savedState(), "ard", numbers({0.3})));
+    expectRejected(
+        withKernelField(savedState(), "ard", numbers({0.3, 0.0, 0.3})));
 }

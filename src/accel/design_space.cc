@@ -47,17 +47,34 @@ HwPoint
 DesignSpace::randomPoint(common::Rng &rng) const
 {
     HwPoint p(axes_.size(), 0);
-    for (std::size_t i = 0; i < axes_.size(); ++i)
-        p[i] = rng.uniformInt(axes_[i].values.size());
+    randomPoint(rng, p);
     return p;
+}
+
+void
+DesignSpace::randomPoint(common::Rng &rng, std::span<std::size_t> out) const
+{
+    assert(out.size() == axes_.size());
+    for (std::size_t i = 0; i < axes_.size(); ++i)
+        out[i] = rng.uniformInt(axes_[i].values.size());
 }
 
 HwPoint
 DesignSpace::neighbor(const HwPoint &p, common::Rng &rng,
                       std::size_t max_moves) const
 {
+    HwPoint q(p.size(), 0);
+    neighbor(p, rng, max_moves, q);
+    return q;
+}
+
+void
+DesignSpace::neighbor(const HwPoint &p, common::Rng &rng,
+                      std::size_t max_moves, std::span<std::size_t> q) const
+{
     assert(contains(p));
-    HwPoint q = p;
+    assert(q.size() == p.size());
+    std::copy(p.begin(), p.end(), q.begin());
     const std::size_t moves = 1 + rng.uniformInt(std::max<std::size_t>(
                                       max_moves, 1));
     for (std::size_t m = 0; m < moves; ++m) {
@@ -78,7 +95,6 @@ DesignSpace::neighbor(const HwPoint &p, common::Rng &rng,
             q[axis] = rng.uniformInt(n);
         }
     }
-    return q;
 }
 
 HwPoint
@@ -97,13 +113,21 @@ DesignSpace::normalize(const HwPoint &p) const
 {
     assert(contains(p));
     std::vector<double> out(p.size(), 0.0);
+    normalize(p, out);
+    return out;
+}
+
+void
+DesignSpace::normalize(std::span<const std::size_t> p,
+                       std::span<double> out) const
+{
+    assert(p.size() == axes_.size() && out.size() == p.size());
     for (std::size_t i = 0; i < p.size(); ++i) {
         const std::size_t n = axes_[i].values.size();
         out[i] = n > 1
                      ? static_cast<double>(p[i]) / static_cast<double>(n - 1)
                      : 0.5;
     }
-    return out;
 }
 
 std::string

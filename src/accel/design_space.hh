@@ -14,6 +14,7 @@
 #define UNICO_ACCEL_DESIGN_SPACE_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,6 +59,10 @@ class DesignSpace
     /** Uniform random configuration. */
     HwPoint randomPoint(common::Rng &rng) const;
 
+    /** randomPoint(), written to @p out (dims() entries) with the same
+     *  draws. */
+    void randomPoint(common::Rng &rng, std::span<std::size_t> out) const;
+
     /**
      * Local mutation: move 1..@p max_moves axes by +-1 step (ordered
      * axes) or to a random value. Used by acquisition optimization
@@ -66,12 +71,22 @@ class DesignSpace
     HwPoint neighbor(const HwPoint &p, common::Rng &rng,
                      std::size_t max_moves = 2) const;
 
+    /** neighbor(), written to @p q (dims() entries) with the same
+     *  draws. */
+    void neighbor(const HwPoint &p, common::Rng &rng, std::size_t max_moves,
+                  std::span<std::size_t> q) const;
+
     /** Uniform crossover of two parents. */
     HwPoint crossover(const HwPoint &a, const HwPoint &b,
                       common::Rng &rng) const;
 
     /** Normalized [0,1]^d embedding for the surrogate model. */
     std::vector<double> normalize(const HwPoint &p) const;
+
+    /** normalize() of the point @p p, written to @p out (dims()
+     *  entries). */
+    void normalize(std::span<const std::size_t> p,
+                   std::span<double> out) const;
 
     /** Human-readable "name=value" listing. */
     std::string describe(const HwPoint &p) const;

@@ -56,7 +56,11 @@ Json::asInt() const
 {
     if (type_ != Type::Number)
         typeError("number");
-    return static_cast<std::int64_t>(std::llround(number_));
+    // Finite, integral and in [-2^63, 2^63); NaN fails the range test.
+    if (!(number_ >= -0x1p63 && number_ < 0x1p63) ||
+        std::trunc(number_) != number_)
+        throw std::runtime_error("json: not an integer in the int64 range");
+    return static_cast<std::int64_t>(number_);
 }
 
 const std::string &
@@ -396,16 +400,51 @@ class Parser
         fail("unterminated string");
     }
 
+    bool
+    digitAt(std::size_t i) const
+    {
+        return i < text_.size() && text_[i] >= '0' && text_[i] <= '9';
+    }
+
+    /** An RFC 8259 number: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
+     *  whose value is finite. */
     Json
     parseNumber()
     {
         skipSpace();
+        std::size_t p = pos_;
+        if (p < text_.size() && text_[p] == '-')
+            ++p;
+        if (!digitAt(p))
+            fail("bad number");
+        if (text_[p++] != '0')
+            while (digitAt(p))
+                ++p;
+        if (p < text_.size() && text_[p] == '.') {
+            if (!digitAt(++p))
+                fail("bad number");
+            while (digitAt(p))
+                ++p;
+        }
+        if (p < text_.size() && (text_[p] == 'e' || text_[p] == 'E')) {
+            ++p;
+            if (p < text_.size() && (text_[p] == '+' || text_[p] == '-'))
+                ++p;
+            if (!digitAt(p))
+                fail("bad number");
+            while (digitAt(p))
+                ++p;
+        }
+        // strtod must read exactly the scanned text: it would go on
+        // past a leading zero ("01", "0x10").
         const char *start = text_.c_str() + pos_;
         char *end = nullptr;
         const double v = std::strtod(start, &end);
-        if (end == start)
+        if (end != text_.c_str() + p)
             fail("bad number");
-        pos_ += static_cast<std::size_t>(end - start);
+        if (std::isinf(v))
+            fail("number out of range");
+        pos_ = p;
         return Json(v);
     }
 

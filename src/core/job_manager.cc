@@ -1,6 +1,7 @@
 #include "core/job_manager.hh"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
 
@@ -65,6 +66,17 @@ stringArray(const common::Json &value)
     return out;
 }
 
+/** The integer @p value as a @p T; throws when it does not fit. */
+template <typename T>
+T
+integer(const common::Json &value)
+{
+    const std::int64_t v = value.asInt();
+    if (!std::in_range<T>(v))
+        throw std::runtime_error("integer out of range");
+    return static_cast<T>(v);
+}
+
 } // namespace
 
 JobSpec
@@ -92,29 +104,27 @@ jobSpecFromJson(const common::Json &doc)
             } else if (key == "area_budget") {
                 spec.areaBudgetMm2 = value.asDouble();
             } else if (key == "max_shapes") {
-                spec.maxShapes = value.asInt();
+                spec.maxShapes = integer<std::int64_t>(value);
             } else if (key == "algo") {
                 spec.algo = value.asString();
             } else if (key == "batch") {
-                spec.batch = static_cast<int>(value.asInt());
+                spec.batch = integer<int>(value);
             } else if (key == "iters") {
-                spec.iters = static_cast<int>(value.asInt());
+                spec.iters = integer<int>(value);
             } else if (key == "bmax") {
-                spec.bmax = static_cast<int>(value.asInt());
+                spec.bmax = integer<int>(value);
             } else if (key == "seed") {
-                spec.seed = static_cast<std::uint64_t>(value.asInt());
+                spec.seed = integer<std::uint64_t>(value);
             } else if (key == "threads") {
-                spec.threads =
-                    static_cast<std::size_t>(value.asInt());
+                spec.threads = integer<std::size_t>(value);
             } else if (key == "checkpoint") {
                 spec.checkpoint = value.asString();
             } else if (key == "resume") {
                 spec.resume = value.asBool();
             } else if (key == "checkpoint_every") {
-                spec.checkpointEvery =
-                    static_cast<int>(value.asInt());
+                spec.checkpointEvery = integer<int>(value);
             } else if (key == "checkpoint_keep") {
-                spec.checkpointKeep = static_cast<int>(value.asInt());
+                spec.checkpointKeep = integer<int>(value);
             } else if (key == "csv_prefix") {
                 spec.csvPrefix = value.asString();
             } else if (key == "fault_rate") {
@@ -124,8 +134,7 @@ jobSpecFromJson(const common::Json &doc)
             } else if (key == "corrupt_rate") {
                 spec.corruptRate = value.asDouble();
             } else if (key == "fault_seed") {
-                spec.faultSeed =
-                    static_cast<std::uint64_t>(value.asInt());
+                spec.faultSeed = integer<std::uint64_t>(value);
             } else if (key == "surrogate_keep") {
                 spec.surrogateKeep = value.asDouble();
             } else {
@@ -259,11 +268,12 @@ validateSpec(const JobSpec &spec)
         return "resume requires a checkpoint path";
     if (spec.checkpointEvery < 1 || spec.checkpointKeep < 1)
         return "checkpoint_every and checkpoint_keep must be >= 1";
-    if (spec.surrogateKeep < 0.0 || spec.surrogateKeep > 1.0)
+    // Written so that NaN fails too.
+    const auto unit = [](double v) { return v >= 0.0 && v <= 1.0; };
+    if (!unit(spec.surrogateKeep))
         return "surrogate_keep must be in [0, 1]";
-    if (spec.faultRate < 0.0 || spec.faultRate > 1.0 ||
-        spec.hangRate < 0.0 || spec.hangRate > 1.0 ||
-        spec.corruptRate < 0.0 || spec.corruptRate > 1.0)
+    if (!unit(spec.faultRate) || !unit(spec.hangRate) ||
+        !unit(spec.corruptRate))
         return "fault rates must be in [0, 1]";
     try {
         driverConfigForAlgo(spec.algo);

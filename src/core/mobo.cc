@@ -20,6 +20,25 @@ MoboHwSampler::MoboHwSampler(const accel::DesignSpace &space,
       rng_(seed)
 {
     assert(num_objectives > 0);
+    std::uint64_t points = 1;
+    for (std::size_t d = 0; d < space_.dims(); ++d) {
+        const std::uint64_t values = space_.axis(d).values.size();
+        if (points > std::numeric_limits<std::uint64_t>::max() / values)
+            throw std::invalid_argument(
+                "MOBO sampler: the design space has 2^64 or more points");
+        stride_.push_back(points);
+        points *= values;
+    }
+}
+
+std::uint64_t
+MoboHwSampler::code(std::span<const std::size_t> p) const
+{
+    assert(p.size() == stride_.size());
+    std::uint64_t c = 0;
+    for (std::size_t d = 0; d < p.size(); ++d)
+        c += p[d] * stride_[d];
+    return c;
 }
 
 void
@@ -33,7 +52,7 @@ MoboHwSampler::observe(const accel::HwPoint &h, const moo::Objectives &y,
     obs.y = y;
     obs.highFidelity = high_fidelity;
     all_.push_back(std::move(obs));
-    seenKeys_.insert(h);
+    seen_.emplace(code(h), 0);
 
     if (ideal_.empty()) {
         ideal_ = y;
@@ -73,15 +92,25 @@ MoboHwSampler::normalize(const moo::Objectives &y) const
 
 struct MoboHwSampler::BatchModel
 {
+    explicit BatchModel(const surrogate::KernelParams &params) : gp(params)
+    {}
+
     std::vector<const Obs *> hf;       ///< high-fidelity observations
     std::vector<std::vector<double>> x; ///< their design vectors
     surrogate::GaussianProcess gp;
     bool fitted = false; ///< gp holds this batch's factor
+    common::FlatIndex batch; ///< code() of the batch's points so far
+    /** One slot's candidates, reused by every slot: the pool's
+     *  points (dims() per row), the codes scored so far, and the
+     *  normalized rows of the scored ones with their pool rows. */
+    std::vector<std::size_t> pool;
+    common::FlatIndex scored;
+    std::vector<double> xs;
+    std::vector<std::size_t> cands;
 };
 
 accel::HwPoint
-MoboHwSampler::proposeOne(BatchModel &model,
-                          const std::set<accel::HwPoint> &batch_keys)
+MoboHwSampler::proposeOne(BatchModel &model)
 {
     const auto &hf = model.hf;
     if (hf.size() < 4) {
@@ -131,11 +160,16 @@ MoboHwSampler::proposeOne(BatchModel &model,
     }
     const double incumbent = *std::min_element(s.begin(), s.end());
 
-    // Candidate pool: uniform random plus mutations of the elite.
-    std::vector<accel::HwPoint> pool;
-    pool.reserve(cfg_.candidatePool + cfg_.eliteMutants);
-    for (std::size_t i = 0; i < cfg_.candidatePool; ++i)
-        pool.push_back(space_.randomPoint(rng_));
+    // Candidate pool: uniform random plus mutations of the elite,
+    // drawn in that order into the batch's point buffer.
+    const std::size_t dims = space_.dims();
+    const std::size_t pool_size = cfg_.candidatePool + cfg_.eliteMutants;
+    model.pool.resize(pool_size * dims);
+    const auto point = [&](std::size_t k) {
+        return std::span<std::size_t>(model.pool.data() + k * dims, dims);
+    };
+    for (std::size_t k = 0; k < cfg_.candidatePool; ++k)
+        space_.randomPoint(rng_, point(k));
     const auto order = [&] {
         std::vector<std::size_t> idx(hf.size());
         for (std::size_t i = 0; i < idx.size(); ++i)
@@ -147,7 +181,7 @@ MoboHwSampler::proposeOne(BatchModel &model,
     const std::size_t elites = std::min<std::size_t>(8, order.size());
     for (std::size_t i = 0; i < cfg_.eliteMutants; ++i) {
         const Obs *elite = hf[order[i % elites]];
-        pool.push_back(space_.neighbor(elite->h, rng_, 2));
+        space_.neighbor(elite->h, rng_, 2, point(cfg_.candidatePool + i));
     }
 
     // Expected-improvement maximization over the pool, skipping
@@ -155,21 +189,27 @@ MoboHwSampler::proposeOne(BatchModel &model,
     // Duplicate pool entries are scored once: the strict '>' argmax
     // means a repeat could never win anyway, so dropping it saves a
     // GP prediction without changing the proposal.
-    std::set<accel::HwPoint> scored;
-    std::vector<const accel::HwPoint *> cands;
-    std::vector<std::vector<double>> xs;
-    for (const auto &cand : pool) {
-        if (batch_keys.count(cand) || seenKeys_.count(cand))
+    model.scored.clear();
+    model.cands.clear();
+    model.xs.resize(pool_size * dims);
+    for (std::size_t k = 0; k < pool_size; ++k) {
+        const std::uint64_t c = code(point(k));
+        if (model.batch.contains(c) || seen_.contains(c))
             continue;
-        if (!scored.insert(cand).second)
+        if (!model.scored.emplace(c, 0).second)
             continue;
-        cands.push_back(&cand);
-        xs.push_back(space_.normalize(cand));
+        space_.normalize(point(k),
+                         std::span<double>(
+                             model.xs.data() + model.cands.size() * dims,
+                             dims));
+        model.cands.push_back(k);
     }
-    const std::size_t best = gp.argmaxExpectedImprovement(xs, incumbent);
-    if (best == cands.size())
+    const std::size_t best = gp.argmaxExpectedImprovement(
+        model.xs.data(), model.cands.size(), incumbent);
+    if (best == model.cands.size())
         return space_.randomPoint(rng_);
-    return *cands[best];
+    const auto winner = point(model.cands[best]);
+    return accel::HwPoint(winner.begin(), winner.end());
 }
 
 std::vector<accel::HwPoint>
@@ -177,7 +217,7 @@ MoboHwSampler::sampleBatch(std::size_t n)
 {
     // No observation arrives inside a batch, so the training set is
     // gathered once for all of its slots.
-    BatchModel model{{}, {}, surrogate::GaussianProcess(kernelParams_)};
+    BatchModel model(kernelParams_);
     for (const auto &obs : all_) {
         if (obs.highFidelity) {
             model.hf.push_back(&obs);
@@ -185,18 +225,17 @@ MoboHwSampler::sampleBatch(std::size_t n)
         }
     }
     std::vector<accel::HwPoint> batch;
-    std::set<accel::HwPoint> batch_keys;
     batch.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         accel::HwPoint h = rng_.bernoulli(cfg_.randomFraction)
                                ? space_.randomPoint(rng_)
-                               : proposeOne(model, batch_keys);
+                               : proposeOne(model);
         // Retry a few times to keep the batch diverse; accept
         // duplicates only as a last resort (tiny spaces).
-        for (int attempt = 0; attempt < 16 && batch_keys.count(h);
+        for (int attempt = 0; attempt < 16 && model.batch.contains(code(h));
              ++attempt)
             h = space_.randomPoint(rng_);
-        batch_keys.insert(h);
+        model.batch.emplace(code(h), 0);
         batch.push_back(std::move(h));
     }
     return batch;
@@ -316,7 +355,7 @@ MoboHwSampler::restoreState(const common::Json &state)
     // Replaying observe() rebuilds every derived field (normalized
     // embeddings, dedup keys, running ideal/nadir) exactly.
     all_.clear();
-    seenKeys_.clear();
+    seen_.clear();
     ideal_.clear();
     nadir_.clear();
     for (const Obs &e : entries)

@@ -11,10 +11,11 @@
 #define UNICO_CORE_MOBO_HH
 
 #include <cstdint>
-#include <set>
+#include <span>
 #include <vector>
 
 #include "accel/design_space.hh"
+#include "common/flat_index.hh"
 #include "common/json.hh"
 #include "common/rng.hh"
 #include "moo/pareto.hh"
@@ -45,6 +46,8 @@ struct MoboConfig
 class MoboHwSampler
 {
   public:
+    /** Throws std::invalid_argument when @p space has 2⁶⁴ or more
+     *  points: points are deduplicated on their index in it. */
     MoboHwSampler(const accel::DesignSpace &space,
                   std::size_t num_objectives, std::uint64_t seed,
                   MoboConfig cfg = MoboConfig{});
@@ -115,15 +118,18 @@ class MoboHwSampler
      *  sampleBatch() call. */
     struct BatchModel;
 
-    accel::HwPoint proposeOne(BatchModel &model,
-                              const std::set<accel::HwPoint> &batch_keys);
+    accel::HwPoint proposeOne(BatchModel &model);
+
+    /** The mixed-radix index of point @p p in the design space. */
+    std::uint64_t code(std::span<const std::size_t> p) const;
 
     const accel::DesignSpace &space_;
     std::size_t numObjectives_;
     MoboConfig cfg_;
     common::Rng rng_;
+    std::vector<std::uint64_t> stride_; ///< place value of each axis
     std::vector<Obs> all_;
-    std::set<accel::HwPoint> seenKeys_;
+    common::FlatIndex seen_; ///< code() of every observed point
     moo::Objectives ideal_;
     moo::Objectives nadir_;
     surrogate::KernelParams kernelParams_;

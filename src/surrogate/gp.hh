@@ -15,8 +15,10 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
+#include "common/flat_index.hh"
 #include "linalg/matrix.hh"
 #include "surrogate/kernel.hh"
 
@@ -94,31 +96,39 @@ class GaussianProcess
     Prediction predict(const std::vector<double> &x) const;
 
     /**
-     * Index of the candidate in @p xs with the largest
-     * expectedImprovement(predict(x), @p incumbent), the first one on
-     * ties; xs.size() when @p xs is empty or every EI is NaN. Returns
-     * exactly what that serial scan with a strict '>' returns, at a
-     * fraction of its cost: kernel rows come from squaredDistances()
-     * with predict()'s bits, a candidate whose EI at an upper bound on
-     * its posterior variance (the nearest-point bound, DESIGN.md §10)
-     * cannot reach the running best skips its triangular solve, and
-     * the rest are solved Cholesky::kSolveBlock at a time.
+     * Index of the candidate with the largest
+     * expectedImprovement(predict(x), @p incumbent) among the @p count
+     * rows of @p xs (row-major, one row per candidate, each with the
+     * training inputs' dimension), the first one on ties; @p count
+     * when it is 0 or every EI is NaN. Returns exactly what that
+     * serial scan with a strict '>' returns, at a fraction of its
+     * cost (DESIGN.md §10). Each candidate's r² row comes from
+     * squaredDistances(); its buckets in the fit's KernelBracket bound
+     * its posterior mean and variance, hence its EI, without an exp.
+     * Candidates are visited by descending bound, and the visit stops
+     * at the first bound below the running best. A visited candidate
+     * gets predict()'s kernel row and mean, skips its triangular solve
+     * when the EI at its nearest-point variance bound cannot reach the
+     * running best, and is otherwise solved Cholesky::kSolveBlock at a
+     * time. Not const: it fills the term-row cache of
+     * squaredDistances().
      */
-    std::size_t argmaxExpectedImprovement(
-        const std::vector<std::vector<double>> &xs, double incumbent) const;
+    std::size_t argmaxExpectedImprovement(const double *xs,
+                                          std::size_t count,
+                                          double incumbent);
 
     /**
-     * Fill r2[0, size()) with the squared scaled distance from @p x to
-     * every retained input x_i, the r² that kernelValue(params(), @p x,
-     * x_i) sums, bit for bit: so kernelFromSquaredDistance(params(),
-     * r2[i]) is that kernel value. Each distinct term
-     * ((x_d - u) / l_d)² over the inputs' distinct coordinates u is
-     * computed once, into @p terms (a buffer callers may reuse), and
-     * every r² sums its terms from 0.0 in ascending dimension, as
-     * kernelValue() does.
+     * Fill r2[0, size()) with the squared scaled distance from @p x
+     * (one candidate row) to every retained input x_i, the r² that
+     * kernelValue(params(), x, x_i) sums, bit for bit: so
+     * kernelFromSquaredDistance(params(), r2[i]) is that kernel value.
+     * Each distinct term ((x_d - u) / l_d)² over the inputs' distinct
+     * coordinates u of dimension d is computed once per distinct
+     * candidate coordinate x_d and fit: fit() empties the cache of
+     * these term rows, retarget() keeps it. Every r² sums its terms
+     * from 0.0 in ascending dimension, as kernelValue() does.
      */
-    void squaredDistances(const std::vector<double> &x, double *r2,
-                          std::vector<double> &terms) const;
+    void squaredDistances(const double *x, double *r2);
 
     /** Log marginal likelihood of the current fit. */
     double logMarginalLikelihood() const;
@@ -137,7 +147,8 @@ class GaussianProcess
         bool ok = false;
     };
 
-    /** Rebuild the coordinate tables from x_. */
+    /** Rebuild the coordinate tables from x_ and empty the term-row
+     *  cache. */
     void indexCoordinates();
 
     /** Standardize the last size() entries of @p y into yStd_. */
@@ -164,12 +175,25 @@ class GaussianProcess
     std::vector<double> coordValues_;
     std::vector<std::size_t> coordStart_ = {0};
     std::vector<std::uint32_t> coordIndex_;
+    /** Term rows of the candidate coordinates seen since the last
+     *  fit(): termSlot_[d] maps a coordinate's bit pattern to the
+     *  offset in termRows_ of its row ((x_d - u) / l_d)² over
+     *  coordValues_[coordStart_[d], coordStart_[d+1]). */
+    std::vector<common::FlatIndex> termSlot_;
+    std::vector<double> termRows_;
+    /** One candidate's terms, laid out like coordValues_. */
+    std::vector<double> terms_;
+    /** Scratch of argmaxExpectedImprovement(), reused across calls:
+     *  kSolveBlock rows of size() and per-candidate values. */
+    std::vector<double> rows_, priorVar_, absAlpha_;
+    std::vector<std::pair<double, std::size_t>> visit_;
     std::vector<double> yStd_;  ///< standardized targets
     double yMean_ = 0.0;
     double yScale_ = 1.0;
     std::vector<double> alpha_; ///< K^{-1} y
     std::unique_ptr<linalg::Cholesky> chol_;
     double maxGramDiag_ = 0.0; ///< FitResult::maxGramDiag of chol_
+    KernelBracket bracket_;    ///< built by install() for params_
     bool trained_ = false;
     double lml_ = 0.0;
 };

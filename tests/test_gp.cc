@@ -9,6 +9,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "common/rng.hh"
 #include "surrogate/gp.hh"
@@ -51,6 +52,17 @@ serialArgmaxEi(const GaussianProcess &gp,
         }
     }
     return best;
+}
+
+/** argmaxExpectedImprovement() over the rows of @p xs. */
+std::size_t
+argmaxEi(GaussianProcess &gp, const std::vector<std::vector<double>> &xs,
+         double incumbent)
+{
+    std::vector<double> rows;
+    for (const auto &x : xs)
+        rows.insert(rows.end(), x.begin(), x.end());
+    return gp.argmaxExpectedImprovement(rows.data(), xs.size(), incumbent);
 }
 
 /** A grid point with @p levels values per axis, normalized the way
@@ -434,13 +446,13 @@ TEST(Gp, TableKernelRowsMatchKernelValue)
         GaussianProcess gp(params);
         gp.fit(x, y);
         ASSERT_EQ(gp.size(), n);
-        std::vector<double> r2(n), terms;
+        std::vector<double> r2(n);
         for (int q = 0; q < 16; ++q) {
             std::vector<double> query = x[rng.uniformInt(n)];
             if (q % 2 == 0)
                 for (double &v : query)
                     v = coordinate();
-            gp.squaredDistances(query, r2.data(), terms);
+            gp.squaredDistances(query.data(), r2.data());
             for (std::size_t i = 0; i < n; ++i)
                 ASSERT_EQ(bits(kernelFromSquaredDistance(gp.params(), r2[i])),
                           bits(kernelValue(gp.params(), query, x[i])))
@@ -505,12 +517,254 @@ TEST(Gp, ArgmaxEiMatchesSerialScan)
         double incumbent = *std::min_element(y.begin(), y.end());
         if (c % 8 == 3)
             incumbent -= 1e6;
-        ASSERT_EQ(gp.argmaxExpectedImprovement(xs, incumbent),
+        ASSERT_EQ(argmaxEi(gp, xs, incumbent),
                   serialArgmaxEi(gp, xs, incumbent))
             << "case " << c;
         ++cases;
     }
     EXPECT_GE(cases, 400);
+
+    // The row-skipping bound at its edges. Noise 1e-8 with
+    // near-duplicate inputs makes Σ|α| large; lengthscales from 0.01 to
+    // 4 put r² inside the bracket table, past its range and, for the
+    // 1e300 coordinates, at +inf; candidates carry ±inf, NaN and
+    // ±1e300 coordinates; and a NaN target gives a GP whose α is NaN,
+    // where no candidate may be skipped.
+    const double scales[] = {0.01, 0.05, 0.3, 1.0, 4.0};
+    const double odd[] = {std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity(),
+                          std::nan(""), 1e300, -1e300};
+    int nan_alpha = 0;
+    for (int c = 0; c < 200; ++c) {
+        const std::size_t dims = 1 + rng.uniformInt(4);
+        KernelParams params;
+        params.kind = c % 2 == 0 ? KernelKind::Matern52
+                                 : KernelKind::SquaredExponential;
+        params.lengthscale = scales[c % 5];
+        if (c % 4 >= 2)
+            for (std::size_t d = 0; d < dims; ++d)
+                params.ardLengthscales.push_back(scales[rng.uniformInt(5)]);
+        params.noise = c % 3 == 0 ? 1e-4 : 1e-8;
+        const std::size_t n = 2 + rng.uniformInt(60);
+        std::vector<std::vector<double>> x;
+        std::vector<double> y;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (i > 0 && rng.uniformInt(2) == 0) {
+                x.push_back(x[rng.uniformInt(i)]);
+                for (double &v : x.back())
+                    v += 1e-7 * rng.gaussian();
+            } else {
+                x.emplace_back();
+                for (std::size_t d = 0; d < dims; ++d)
+                    x.back().push_back(rng.uniform());
+            }
+            y.push_back(std::sin(5.0 * x.back()[0]) + 0.1 * rng.gaussian());
+        }
+        double incumbent = *std::min_element(y.begin(), y.end());
+        if (c % 8 == 5) {
+            y[rng.uniformInt(n)] = std::nan("");
+            ++nan_alpha;
+        }
+        if (c % 7 == 3)
+            incumbent -= 1e6;
+        GaussianProcess gp(params);
+        gp.fit(x, y);
+
+        std::vector<std::vector<double>> xs;
+        const std::size_t m = 1 + rng.uniformInt(240);
+        for (std::size_t j = 0; j < m; ++j) {
+            if (j % 4 == 1) {
+                xs.push_back(x[rng.uniformInt(n)]);
+                for (double &v : xs.back())
+                    v += 1e-9 * rng.gaussian();
+            } else {
+                xs.emplace_back();
+                for (std::size_t d = 0; d < dims; ++d)
+                    xs.back().push_back(1.2 * rng.uniform() - 0.1);
+            }
+            if (j % 13 == 7)
+                xs.back()[rng.uniformInt(dims)] = odd[rng.uniformInt(5)];
+        }
+        ASSERT_EQ(argmaxEi(gp, xs, incumbent),
+                  serialArgmaxEi(gp, xs, incumbent))
+            << "edge case " << c;
+    }
+    EXPECT_GE(nan_alpha, 20);
+}
+
+TEST(Kernel, BracketBoundsKernelRowSums)
+{
+    // bound() holds for any weights: rows mixing r² inside the table,
+    // on bucket edges and past its range, with weights over twelve
+    // orders of magnitude; and rows against the rounding of the sums,
+    // where a weight 10²⁰ times larger, on an r² whose kernel
+    // underflows to 0, swallows a unit weight of the other sign on the
+    // tail's edge. There the three sums round alike and only the
+    // rounding term keeps the interval around the exact sum.
+    using B = KernelBracket;
+    Rng rng(97);
+    for (const KernelKind kind :
+         {KernelKind::Matern52, KernelKind::SquaredExponential}) {
+        for (const double variance : {1.0, 2.5}) {
+            KernelParams params;
+            params.kind = kind;
+            params.variance = variance;
+            const B bracket(params);
+            for (int c = 0; c < 400; ++c) {
+                std::vector<double> r2, w;
+                if (c % 4 == 0) {
+                    const double sign = c % 8 == 0 ? 1.0 : -1.0;
+                    r2 = {B::kRange, 1e6};
+                    w = {sign, -sign * 1e20};
+                    if (c % 16 < 8) {
+                        std::swap(r2[0], r2[1]);
+                        std::swap(w[0], w[1]);
+                    }
+                } else {
+                    const std::size_t n = 1 + rng.uniformInt(64);
+                    for (std::size_t i = 0; i < n; ++i) {
+                        switch (rng.uniformInt(3)) {
+                          case 0:
+                            r2.push_back(B::kRange * rng.uniform());
+                            break;
+                          case 1:
+                            r2.push_back(rng.uniformInt(B::kBuckets) *
+                                         B::kStep);
+                            break;
+                          default:
+                            r2.push_back(B::kRange + 1e4 * rng.uniform());
+                        }
+                        w.push_back(rng.gaussian() *
+                                    std::pow(10.0, 12.0 * rng.uniform() - 6.0));
+                    }
+                }
+                std::vector<double> abs_w;
+                double abs_sum = 0.0, sum = 0.0, kmax = 0.0;
+                for (std::size_t i = 0; i < r2.size(); ++i) {
+                    const double k = kernelFromSquaredDistance(params, r2[i]);
+                    sum += k * w[i];
+                    kmax = std::max(kmax, k);
+                    abs_w.push_back(std::fabs(w[i]));
+                    abs_sum += abs_w.back();
+                }
+                const B::RowBounds b = bracket.bound(
+                    r2.data(), w.data(), abs_w.data(), abs_sum, r2.size());
+                ASSERT_LE(b.sumLo, sum) << "case " << c;
+                ASSERT_GE(b.sumHi, sum) << "case " << c;
+                ASSERT_LE(b.maxLo, kmax) << "case " << c;
+            }
+            // No bucket, or a non-finite weight: no bound.
+            const double one = 1.0;
+            const double inf = std::numeric_limits<double>::infinity();
+            for (const double r2 : {B::kTailEnd, inf, std::nan("")}) {
+                const B::RowBounds b = bracket.bound(&r2, &one, &one, 1.0, 1);
+                EXPECT_TRUE(std::isnan(b.sumLo) && std::isnan(b.sumHi) &&
+                            std::isnan(b.maxLo));
+            }
+            const double r2 = 1.0;
+            EXPECT_TRUE(std::isnan(bracket.bound(&r2, &inf, &inf, inf, 1).sumLo));
+        }
+    }
+}
+
+TEST(Kernel, BracketHoldsAtBucketEdgesAndInside)
+{
+    // Every bucket's bracket holds kernelFromSquaredDistance at both
+    // edges, one ulp inside each, and at random r² within; the tail's
+    // holds from kRange to just under kTailEnd; and r² past that (or
+    // NaN) has no bucket.
+    using B = KernelBracket;
+    Rng rng(83);
+    for (const KernelKind kind :
+         {KernelKind::Matern52, KernelKind::SquaredExponential}) {
+        for (const double variance : {1.0, 0.37}) {
+            KernelParams params;
+            params.kind = kind;
+            params.variance = variance;
+            const B bracket(params);
+            ASSERT_TRUE(bracket.builtFor(params));
+            const auto holds = [&](std::uint32_t t, double r2) {
+                const double k = kernelFromSquaredDistance(params, r2);
+                return bracket.lower(t) <= k && k <= bracket.upper(t);
+            };
+            for (std::uint32_t t = 0; t < B::kBuckets; ++t) {
+                const double lo = t * B::kStep;
+                const double hi = (t + 1) * B::kStep;
+                const double inside[] = {
+                    lo, std::nextafter(lo, hi), std::nextafter(hi, lo),
+                    lo + rng.uniform() * B::kStep};
+                for (const double r2 : inside) {
+                    ASSERT_EQ(B::bucket(r2), t) << r2;
+                    ASSERT_TRUE(holds(t, r2)) << "bucket " << t << " r2 " << r2;
+                }
+                ASSERT_TRUE(holds(t, hi)) << "bucket " << t;
+                ASSERT_GE(bracket.lower(t), 0.0);
+            }
+            const double tail[] = {
+                B::kRange, std::nextafter(B::kRange, 1e9), 100.0, 1e6, 1e300,
+                std::nextafter(B::kTailEnd, 0.0)};
+            for (const double r2 : tail) {
+                ASSERT_EQ(B::bucket(r2), B::kBuckets) << r2;
+                ASSERT_TRUE(holds(B::kBuckets, r2)) << r2;
+            }
+            EXPECT_EQ(bracket.lower(B::kBuckets), 0.0);
+            for (const double r2 : {B::kTailEnd, 1e305,
+                                    std::numeric_limits<double>::infinity(),
+                                    std::nan("")})
+                EXPECT_EQ(B::bucket(r2), B::kBuckets + 1) << r2;
+        }
+    }
+}
+
+TEST(Gp, TermRowsFollowTheFit)
+{
+    // One GP refitted to new inputs (fit, hyperparameter search, ARD)
+    // and retargeted between argmax calls over the same grid
+    // coordinates: the cached term rows must be those of the current
+    // inputs and lengthscales, never of an earlier fit.
+    Rng rng(31);
+    const std::vector<std::size_t> levels = {5, 9, 3};
+    GaussianProcess gp;
+    std::vector<std::vector<double>> xs;
+    for (int j = 0; j < 120; ++j)
+        xs.push_back(gridPoint(rng, levels));
+    std::vector<std::vector<double>> x;
+    std::vector<double> y;
+    for (int round = 0; round < 12; ++round) {
+        if (round % 4 == 3) {
+            for (double &v : y)
+                v = -v;
+            gp.retarget(y);
+        } else {
+            x.clear();
+            y.clear();
+            const std::size_t n = 8 + rng.uniformInt(40);
+            for (std::size_t i = 0; i < n; ++i) {
+                x.push_back(gridPoint(rng, levels));
+                y.push_back(std::cos(4.0 * x.back()[0]) * x.back()[1] +
+                            0.1 * rng.gaussian());
+            }
+            if (round % 4 == 0)
+                gp.fit(x, y);
+            else if (round % 4 == 1)
+                gp.fitWithHyperopt(x, y, 512, 1);
+            else
+                gp.fitArd(x, y, 512, 1, 1);
+        }
+        ASSERT_TRUE(gp.trained());
+        const double incumbent = *std::min_element(y.begin(), y.end());
+        ASSERT_EQ(argmaxEi(gp, xs, incumbent),
+                  serialArgmaxEi(gp, xs, incumbent))
+            << "round " << round;
+        std::vector<double> r2(gp.size());
+        for (const auto &query : xs) {
+            gp.squaredDistances(query.data(), r2.data());
+            for (std::size_t i = 0; i < gp.size(); ++i)
+                ASSERT_EQ(bits(kernelFromSquaredDistance(gp.params(), r2[i])),
+                          bits(kernelValue(gp.params(), query, x[i])))
+                    << "round " << round;
+        }
+    }
 }
 
 TEST(Gp, HyperoptClearsStaleArdState)

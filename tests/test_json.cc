@@ -96,6 +96,31 @@ TEST(Json, MalformedInputThrows)
     EXPECT_THROW(Json::parse("{\"a\" 1}"), std::runtime_error);
     EXPECT_THROW(Json::parse("tru"), std::runtime_error);
     EXPECT_THROW(Json::parse("[1] trailing"), std::runtime_error);
+    // Numbers outside the RFC 8259 grammar, and values that overflow
+    // to infinity.
+    for (const char *bad :
+         {"4294967302x", "NaN", "-nan", "nan", "0x10", "+1", "1e999",
+          "-1e999", "Infinity", "-Infinity", ".5", "5.", "01", "-01", "-",
+          "1e", "1e+", "1.e5", "[01]", "{\"a\": 0x10}", "[+1]"})
+        EXPECT_THROW(Json::parse(bad), std::runtime_error) << bad;
+    for (const char *good :
+         {"0", "-0", "5", "-5.25", "1e3", "1E-3", "1.5e+300", "4294967302",
+          "1e-400", "4.9406564584124654e-324", "1e308", "-1e308"})
+        EXPECT_NO_THROW(Json::parse(good)) << good;
+}
+
+TEST(Json, AsIntRequiresAnInt64Integer)
+{
+    EXPECT_EQ(Json::parse("4294967302").asInt(), 4294967302LL);
+    EXPECT_EQ(Json::parse("-9223372036854775808").asInt(),
+              std::numeric_limits<std::int64_t>::min());
+    EXPECT_EQ(Json::parse("1e3").asInt(), 1000);
+    for (const char *bad : {"6.4", "-0.5", "9223372036854775808", "1e19",
+                            "-1e19", "1e308"})
+        EXPECT_THROW(Json::parse(bad).asInt(), std::runtime_error) << bad;
+    EXPECT_THROW(Json(std::nan("")).asInt(), std::runtime_error);
+    EXPECT_THROW(Json(std::numeric_limits<double>::infinity()).asInt(),
+                 std::runtime_error);
 }
 
 TEST(Json, MissingKeyThrows)

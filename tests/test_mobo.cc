@@ -97,6 +97,29 @@ proposalDigest(const core::MoboConfig &cfg, std::size_t objectives)
     return crc;
 }
 
+/** CRC-64 of every configuration proposed over 14 batches of N = 8 on
+ *  the 64-point makeSpace(), every sample high fidelity. The 240-point
+ *  pools repeat points, batches repeat pool points, and after about
+ *  eight batches every point has been seen, so each slot falls back to
+ *  a random point and retries past the batch's duplicates. */
+std::uint64_t
+smallSpaceDigest()
+{
+    const auto ds = makeSpace();
+    MoboHwSampler sampler(ds, 3, 29);
+    std::uint64_t crc = 0;
+    for (int b = 0; b < 14; ++b) {
+        for (const auto &h : sampler.sampleBatch(8)) {
+            for (const std::size_t axis : h) {
+                const std::uint64_t v = axis;
+                crc = common::crc64(&v, sizeof v, crc);
+            }
+            sampler.observe(h, syntheticY(ds, h), true);
+        }
+    }
+    return crc;
+}
+
 /** Snapshot of a sampler on makeSpace() with a few observations. */
 common::Json
 savedState()
@@ -174,6 +197,27 @@ TEST(Mobo, ProposalsMatchParent)
     EXPECT_EQ(proposalDigest(mobohb, 4), 0x6e79f61344f7edb3ULL);
     EXPECT_EQ(proposalDigest(ard, 4), 0x372619ebeaf2d3e0ULL);
     EXPECT_EQ(proposalDigest(core::MoboConfig{}, 3), 0xb32c6a19c19ecb3fULL);
+    // Pool, batch and seen-set deduplication and the random fallback.
+    EXPECT_EQ(smallSpaceDigest(), 0x4a77839c0ec7642cULL);
+}
+
+TEST(Mobo, RefusesSpacesOf2Pow64PointsOrMore)
+{
+    // Points are deduplicated on their mixed-radix index, a uint64.
+    const auto binary = [](int axes) {
+        accel::DesignSpace ds;
+        for (int a = 0; a < axes; ++a)
+            ds.addAxis("a" + std::to_string(a), {0, 1});
+        return ds;
+    };
+    const auto ds63 = binary(63);
+    EXPECT_NO_THROW(MoboHwSampler(ds63, 2, 1));
+    const auto ds64 = binary(64);
+    EXPECT_THROW(MoboHwSampler(ds64, 2, 1), std::invalid_argument);
+    accel::DesignSpace wide;
+    for (int a = 0; a < 4; ++a)
+        wide.addAxis("w" + std::to_string(a), std::vector<double>(65536, 0.0));
+    EXPECT_THROW(MoboHwSampler(wide, 2, 1), std::invalid_argument);
 }
 
 TEST(Mobo, ColdStartSamplesRandomValidPoints)
@@ -338,6 +382,21 @@ TEST(Mobo, RestoreRoundTripsSavedState)
     MoboHwSampler sampler(ds, 3, 1);
     sampler.restoreState(state);
     EXPECT_EQ(sampler.saveState().dump(), state.dump());
+
+    // The restored sampler proposes what the uninterrupted one does,
+    // so restoreState() rebuilt the seen points as well: past the
+    // space's 64 points, every slot skips them all and falls back.
+    MoboHwSampler straight(ds, 3, 12);
+    for (const auto &h : straight.sampleBatch(6))
+        straight.observe(h, syntheticY(ds, h), true);
+    for (int b = 0; b < 9; ++b) {
+        const auto want = straight.sampleBatch(8);
+        ASSERT_EQ(sampler.sampleBatch(8), want) << "batch " << b;
+        for (const auto &h : want) {
+            straight.observe(h, syntheticY(ds, h), true);
+            sampler.observe(h, syntheticY(ds, h), true);
+        }
+    }
 }
 
 TEST(Mobo, RestoreRejectsPointOutsideSpace)

@@ -20,6 +20,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -200,6 +201,57 @@ TEST(JobSpecJson, RejectsUnknownFieldByName)
         EXPECT_NE(std::string(e.what()).find("bogus"),
                   std::string::npos);
     }
+}
+
+TEST(JobManagerSubmit, RejectsNumbersThatAreNotJsonOrDoNotFit)
+{
+    // The path POST /jobs takes: parse, jobSpecFromJson, submit. Each
+    // body must end in a parse error or BadSpec, never in a job.
+    core::JobManagerConfig cfg;
+    cfg.maxConcurrent = 1;
+    cfg.shutdownFanout = false;
+    core::JobManager mgr(cfg);
+    const char *bodies[] = {
+        R"({"model":"resnet","batch":4294967302})",
+        R"({"model":"resnet","surrogate_keep":NaN})",
+        R"({"model":"resnet","fault_rate":-nan})",
+        R"({"model":"resnet","seed":0x10})",
+        R"({"model":"resnet","batch":6.4,"iters":+1})",
+        R"({"model":"resnet","batch":6.4})",
+        R"({"model":"resnet","iters":+1})",
+        R"({"model":"resnet","seed":1e999})",
+        R"({"model":"resnet","seed":-1})",
+        R"({"model":"resnet","threads":-1})",
+        R"({"model":"resnet","checkpoint_keep":2147483648})",
+        R"({"model":"resnet","fault_seed":Infinity})",
+        R"({"model":"resnet","surrogate_keep":.5})",
+        R"({"model":"resnet","surrogate_keep":5.})",
+        R"({"model":"resnet","iters":01})",
+    };
+    for (const char *body : bodies) {
+        try {
+            const core::SubmitResult sub =
+                mgr.submit(core::jobSpecFromJson(common::Json::parse(body)));
+            EXPECT_EQ(sub.error, core::SubmitError::BadSpec) << body;
+        } catch (const std::runtime_error &) {
+            // A typed parse error: the server answers 400.
+        }
+    }
+    EXPECT_EQ(mgr.list().size(), 0u);
+
+    // In-range values still parse, and a NaN rate set in code fails
+    // the [0, 1] checks.
+    const core::JobSpec ok = core::jobSpecFromJson(common::Json::parse(
+        R"({"model":"resnet","batch":2147483647,"seed":9007199254740992,)"
+        R"("surrogate_keep":0.5,"fault_rate":1e-3})"));
+    EXPECT_EQ(ok.batch, 2147483647);
+    EXPECT_EQ(ok.seed, 9007199254740992u);
+    core::JobSpec nan_rate = smallSpec(1, "");
+    nan_rate.faultRate = std::nan("");
+    EXPECT_EQ(mgr.submit(nan_rate).error, core::SubmitError::BadSpec);
+    core::JobSpec nan_keep = smallSpec(1, "");
+    nan_keep.surrogateKeep = std::nan("");
+    EXPECT_EQ(mgr.submit(nan_keep).error, core::SubmitError::BadSpec);
 }
 
 TEST(JobManagerSubmit, TypedRejections)

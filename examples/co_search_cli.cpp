@@ -179,13 +179,22 @@ main(int argc, char **argv)
         return usage(args.program().c_str());
     }
 
-    // Search sizes: the bounds the job server enforces on a JobSpec.
-    const std::string size_error = core::searchSizeError(
-        args.getInt("batch", 20), args.getInt("iters", 8),
-        args.getInt("bmax", 200), args.getInt("threads", 1));
-    if (!size_error.empty()) {
-        std::cerr << "error: " << size_error << "\n";
-        return usage(args.program().c_str());
+    // Search sizes, checkpoint rotation and fault rates: the bounds
+    // the job server enforces on a JobSpec.
+    for (const std::string &error :
+         {core::searchSizeError(args.getInt("batch", 20),
+                                args.getInt("iters", 8),
+                                args.getInt("bmax", 200),
+                                args.getInt("threads", 1)),
+          core::checkpointRotationError(args.getInt("checkpoint-every", 1),
+                                        args.getInt("checkpoint-keep", 3)),
+          core::faultRateError(args.getDouble("fault-rate", 0.0),
+                               args.getDouble("hang-rate", 0.0),
+                               args.getDouble("corrupt-rate", 0.0))}) {
+        if (!error.empty()) {
+            std::cerr << "error: " << error << "\n";
+            return usage(args.program().c_str());
+        }
     }
 
     // Evaluation cache: on by default; --no-cache disables it and

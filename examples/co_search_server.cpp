@@ -63,6 +63,16 @@ main(int argc, char **argv)
     if (args.has("help"))
         return usage();
 
+    // One scheduler thread per concurrent job, so the CLI's thread
+    // bound applies; a queue of 0 could accept nothing.
+    const std::int64_t max_concurrent = args.getInt("max-concurrent", 2);
+    const std::int64_t max_queued = args.getInt("max-queued", 16);
+    if (max_concurrent < 1 || max_concurrent > 256 || max_queued < 1) {
+        std::cerr << "error: --max-concurrent must be 1..256 and "
+                     "--max-queued >= 1\n";
+        return usage();
+    }
+
     const std::int64_t cache_mb = args.getInt("cache-mb", 64);
     accel::EvalCache cache(
         args.has("no-cache") || cache_mb <= 0
@@ -70,10 +80,8 @@ main(int argc, char **argv)
             : static_cast<std::size_t>(cache_mb) * 1024 * 1024);
 
     core::JobManagerConfig mgr_cfg;
-    mgr_cfg.maxConcurrent =
-        static_cast<std::size_t>(args.getInt("max-concurrent", 2));
-    mgr_cfg.maxQueued =
-        static_cast<std::size_t>(args.getInt("max-queued", 16));
+    mgr_cfg.maxConcurrent = static_cast<std::size_t>(max_concurrent);
+    mgr_cfg.maxQueued = static_cast<std::size_t>(max_queued);
     if (!args.has("no-cache") && cache_mb > 0)
         mgr_cfg.sharedCache = &cache;
 

@@ -16,6 +16,11 @@ using core::HwEvalRecord;
 
 namespace {
 
+/** Chance that a child is the crossover of its two parents, and that
+ *  it is then mutated to a neighbor. */
+constexpr double kCrossoverProb = 0.9;
+constexpr double kMutationProb = 0.4;
+
 struct Individual
 {
     accel::HwPoint hw;
@@ -138,10 +143,10 @@ runNsga2(core::CoSearchEnv &env, const Nsga2Config &cfg)
             const Individual &pa = tournament(pop, rng);
             const Individual &pb = tournament(pop, rng);
             accel::HwPoint child =
-                rng.bernoulli(cfg.crossoverProb)
+                rng.bernoulli(kCrossoverProb)
                     ? space.crossover(pa.hw, pb.hw, rng)
                     : pa.hw;
-            if (rng.bernoulli(cfg.mutationProb))
+            if (rng.bernoulli(kMutationProb))
                 child = space.neighbor(child, rng, 2);
             double seconds = 0.0;
             offspring.push_back(evaluate(env, child, cfg_local.swBudget,

@@ -24,8 +24,6 @@ struct Nsga2Config
     int population = 20;     ///< mu (and lambda) population size
     int generations = 10;    ///< evolution steps after the init gen
     int swBudget = 300;      ///< SW search budget per individual
-    double crossoverProb = 0.9;
-    double mutationProb = 0.4;
     std::size_t workers = 8; ///< virtual worker pool for the clock
     std::uint64_t seed = 1;
 };

@@ -109,29 +109,4 @@ Rng::bernoulli(double p)
     return uniform() < p;
 }
 
-std::size_t
-Rng::categorical(const std::vector<double> &weights)
-{
-    assert(!weights.empty());
-    double total = 0.0;
-    for (double w : weights)
-        total += (w > 0.0 ? w : 0.0);
-    if (total <= 0.0)
-        return uniformInt(weights.size());
-    double r = uniform() * total;
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-        const double w = weights[i] > 0.0 ? weights[i] : 0.0;
-        if (r < w)
-            return i;
-        r -= w;
-    }
-    return weights.size() - 1;
-}
-
-Rng
-Rng::split()
-{
-    return Rng(next() ^ 0x1d8af8f4e2b0c3a5ULL);
-}
-
 } // namespace unico::common

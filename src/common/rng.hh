@@ -103,9 +103,6 @@ class Rng
     /** Bernoulli draw with success probability p. */
     bool bernoulli(double p);
 
-    /** Index drawn proportionally to non-negative weights. */
-    std::size_t categorical(const std::vector<double> &weights);
-
     /** In-place Fisher-Yates shuffle. */
     template <typename T>
     void
@@ -126,9 +123,6 @@ class Rng
     {
         return v[uniformInt(v.size())];
     }
-
-    /** Derive an independent child generator (for parallel jobs). */
-    Rng split();
 
     /** Full generator state, for checkpoint/resume. */
     struct State

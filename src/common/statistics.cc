@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 #include <numeric>
 
 namespace unico::common {
@@ -33,20 +32,6 @@ double
 stddev(const std::vector<double> &v)
 {
     return std::sqrt(variance(v));
-}
-
-double
-minValue(const std::vector<double> &v)
-{
-    assert(!v.empty());
-    return *std::min_element(v.begin(), v.end());
-}
-
-double
-maxValue(const std::vector<double> &v)
-{
-    assert(!v.empty());
-    return *std::max_element(v.begin(), v.end());
 }
 
 double
@@ -128,19 +113,6 @@ spearman(const std::vector<double> &a, const std::vector<double> &b)
     return pearson(ranks(a), ranks(b));
 }
 
-std::vector<double>
-runningMin(const std::vector<double> &v)
-{
-    std::vector<double> out;
-    out.reserve(v.size());
-    double best = std::numeric_limits<double>::infinity();
-    for (double x : v) {
-        best = std::min(best, x);
-        out.push_back(best);
-    }
-    return out;
-}
-
 std::vector<std::size_t>
 argsortAscending(const std::vector<double> &v)
 {
@@ -159,15 +131,6 @@ argsortDescending(const std::vector<double> &v)
     std::stable_sort(idx.begin(), idx.end(),
                      [&](std::size_t a, std::size_t b) { return v[a] > v[b]; });
     return idx;
-}
-
-double
-l2Norm(const std::vector<double> &v)
-{
-    double acc = 0.0;
-    for (double x : v)
-        acc += x * x;
-    return std::sqrt(acc);
 }
 
 double

@@ -25,12 +25,6 @@ double variance(const std::vector<double> &v);
 /** Population standard deviation. */
 double stddev(const std::vector<double> &v);
 
-/** Minimum value; requires a non-empty vector. */
-double minValue(const std::vector<double> &v);
-
-/** Maximum value; requires a non-empty vector. */
-double maxValue(const std::vector<double> &v);
-
 /**
  * Linear-interpolated percentile.
  *
@@ -58,21 +52,11 @@ double pearson(const std::vector<double> &a, const std::vector<double> &b);
 /** Spearman rank correlation; 0 when undefined. */
 double spearman(const std::vector<double> &a, const std::vector<double> &b);
 
-/**
- * Running best-so-far transform: out[i] = min(v[0..i]).
- * Used to turn a raw mapping-search history into the monotone
- * convergence curve assumed by the paper (Sec. 3.1).
- */
-std::vector<double> runningMin(const std::vector<double> &v);
-
 /** Indices that would sort v ascending (stable). */
 std::vector<std::size_t> argsortAscending(const std::vector<double> &v);
 
 /** Indices that would sort v descending (stable). */
 std::vector<std::size_t> argsortDescending(const std::vector<double> &v);
-
-/** Euclidean norm of a vector. */
-double l2Norm(const std::vector<double> &v);
 
 /** Euclidean distance between two equally sized vectors. */
 double l2Distance(const std::vector<double> &a, const std::vector<double> &b);

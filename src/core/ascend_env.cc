@@ -117,7 +117,7 @@ class AscendRunPolicy final : public LayeredRunPolicy
 
 AscendEnv::AscendEnv(std::vector<workload::Network> networks,
                      AscendEnvOptions opt)
-    : opt_(opt), model_(opt.tech),
+    : opt_(opt),
       layers_(collectDominantLayers(networks, opt.maxShapesPerNetwork))
 {
     assert(!networks.empty());

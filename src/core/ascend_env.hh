@@ -29,7 +29,6 @@ struct AscendEnvOptions
     /** Edge-device chip area constraint of Sec. 4.6. */
     double areaBudgetMm2 = 200.0;
     std::size_t maxShapesPerNetwork = 5;
-    camodel::CubeTech tech;
     /** Shared evaluation cache (owned by the caller, e.g. the CLI);
      *  nullptr disables memoization. Results are bit-identical with
      *  or without it — only wall-clock changes. */

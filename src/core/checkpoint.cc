@@ -182,17 +182,17 @@ configFingerprint(const DriverConfig &cfg)
     // maxIter is deliberately excluded: per-trial behaviour depends
     // only on the trial index, so a checkpoint taken after k trials
     // resumes under any maxIter > k (a killed run does not know how
-    // many trials it completed).
+    // many trials it completed). The 0 after randomFraction is the
+    // retired ARD flag, kept so that existing keys still match.
     oss << cfg.name << '|' << cfg.batchSize << '|'
         << cfg.sh.bMax << '|' << cfg.sh.eta << '|' << cfg.sh.kFrac << '|'
         << cfg.sh.pFrac << '|' << toString(cfg.budgetMode) << '|'
         << toString(cfg.updateMode) << '|' << cfg.useRobustness << '|'
-        << cfg.alpha << '|' << cfg.randomFraction << '|'
-        << cfg.ardSurrogate << '|' << cfg.workers << '|'
-        << cfg.minBudgetPerRound << '|' << common::hexU64(cfg.seed)
-        << '|' << cfg.recovery.maxRetries << '|'
-        << cfg.recovery.backoffBaseSeconds << '|'
-        << cfg.recovery.backoffCapSeconds << '|'
+        << cfg.alpha << '|' << cfg.randomFraction << '|' << 0 << '|'
+        << cfg.workers << '|' << cfg.minBudgetPerRound << '|'
+        << common::hexU64(cfg.seed) << '|' << cfg.recovery.maxRetries
+        << '|' << RecoveryConfig::kBackoffBaseSeconds << '|'
+        << RecoveryConfig::kBackoffCapSeconds << '|'
         << cfg.recovery.degradeAfterFaults;
     return oss.str();
 }

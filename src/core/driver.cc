@@ -94,35 +94,6 @@ toString(UpdateMode mode)
     return "?";
 }
 
-BudgetMode
-budgetModeFromString(const std::string &name)
-{
-    if (name == "full")
-        return BudgetMode::FullBudget;
-    if (name == "sh")
-        return BudgetMode::SH;
-    if (name == "msh")
-        return BudgetMode::MSH;
-    if (name == "hyperband")
-        return BudgetMode::Hyperband;
-    throw std::invalid_argument("unknown budget mode '" + name +
-                                "' (expected full|sh|msh|hyperband)");
-}
-
-UpdateMode
-updateModeFromString(const std::string &name)
-{
-    if (name == "all")
-        return UpdateMode::All;
-    if (name == "high-fidelity")
-        return UpdateMode::HighFidelity;
-    if (name == "champion")
-        return UpdateMode::Champion;
-    throw std::invalid_argument(
-        "unknown update mode '" + name +
-        "' (expected all|high-fidelity|champion)");
-}
-
 DriverConfig
 DriverConfig::unico()
 {
@@ -248,6 +219,24 @@ searchSizeError(std::int64_t batch, std::int64_t iters, std::int64_t bmax,
     return {};
 }
 
+std::string
+checkpointRotationError(std::int64_t every, std::int64_t keep)
+{
+    if (every < 1 || keep < 1)
+        return "checkpoint_every and checkpoint_keep must be >= 1";
+    return {};
+}
+
+std::string
+faultRateError(double transient, double hang, double corrupt)
+{
+    // Written so that NaN fails too.
+    const auto unit = [](double v) { return v >= 0.0 && v <= 1.0; };
+    if (!unit(transient) || !unit(hang) || !unit(corrupt))
+        return "fault rates must be in [0, 1]";
+    return {};
+}
+
 namespace {
 
 /** Penalty objectives recorded for HW with no feasible mapping;
@@ -366,7 +355,6 @@ CoSearch::start()
     numObj_ = cfg_.useRobustness ? 4 : 3;
     MoboConfig mobo_cfg;
     mobo_cfg.randomFraction = cfg_.randomFraction;
-    mobo_cfg.useArd = cfg_.ardSurrogate;
     // GP grid-search fits reuse the evaluation worker budget; the
     // selection is thread-count independent, so this only affects
     // wall-clock.
@@ -458,14 +446,6 @@ CoSearch::step()
         return false;
     runTrial();
     return !result_.interrupted && iter_ < cfg_.maxIter;
-}
-
-bool
-CoSearch::finished() const
-{
-    return started_ &&
-           (sealed_ || result_.interrupted || iter_ >= cfg_.maxIter ||
-            runToken_.cancelled());
 }
 
 void
@@ -666,8 +646,8 @@ CoSearch::runTrial()
                     // Capped exponential backoff, charged to the
                     // virtual clock like any other search cost.
                     seconds += std::min(
-                        cfg_.recovery.backoffCapSeconds,
-                        cfg_.recovery.backoffBaseSeconds *
+                        RecoveryConfig::kBackoffCapSeconds,
+                        RecoveryConfig::kBackoffBaseSeconds *
                             std::pow(2.0, attempts - 1));
                     // Degradation ladder: repeated faults on one
                     // candidate drop it from the cycle-level

@@ -60,11 +60,6 @@ enum class UpdateMode {
 const char *toString(BudgetMode mode);
 const char *toString(UpdateMode mode);
 
-/** Inverse of toString(); throws std::invalid_argument on an
- *  unknown name. Round-trip: fromString(toString(m)) == m. */
-BudgetMode budgetModeFromString(const std::string &name);
-UpdateMode updateModeFromString(const std::string &name);
-
 /**
  * Recovery policy of the fault-tolerant evaluation supervisor.
  *
@@ -79,11 +74,12 @@ UpdateMode updateModeFromString(const std::string &name);
  */
 struct RecoveryConfig
 {
+    /** Backoff after the i-th retry: base * 2^(i-1), capped. */
+    static constexpr double kBackoffBaseSeconds = 5.0;
+    static constexpr double kBackoffCapSeconds = 60.0;
+
     /** Retries per candidate per SH round before penalty fallback. */
     int maxRetries = 3;
-    /** Backoff after the i-th retry: base * 2^(i-1), capped. */
-    double backoffBaseSeconds = 5.0;
-    double backoffCapSeconds = 60.0;
     /** Faults on one candidate before degrading its PPA engine. */
     int degradeAfterFaults = 2;
 };
@@ -141,8 +137,6 @@ struct DriverConfig
     /** Fraction of HW samples drawn at random instead of by the
      *  acquisition (BOHB-style exploration; MOBOHB uses 1/3). */
     double randomFraction = 0.0;
-    /** Use per-dimension ARD lengthscales in the surrogate. */
-    bool ardSurrogate = false;
     std::size_t workers = 8;          ///< virtual worker pool size
     /** Host threads actually used to run SW-search jobs of one SH
      *  round concurrently (Sec. 3.5's parallel implementation).
@@ -263,11 +257,19 @@ DriverConfig driverConfigForAlgo(const std::string &algo);
 /**
  * The first out-of-range search size, as the message both front-ends
  * report, or empty when batch, iters and bmax are >= 1 and threads is
- * 1..256. The CLI and the job manager check their values here so
- * they accept and reject the same sizes.
+ * 1..256. The CLI and the job manager check their values here and in
+ * the two checks below, so they accept and reject the same runs.
  */
 std::string searchSizeError(std::int64_t batch, std::int64_t iters,
                             std::int64_t bmax, std::int64_t threads);
+
+/** The message both front-ends report when the checkpoint cadence or
+ *  the rotation window is below 1, or empty. */
+std::string checkpointRotationError(std::int64_t every, std::int64_t keep);
+
+/** The message both front-ends report when a fault-injection rate is
+ *  outside [0, 1] or NaN, or empty. */
+std::string faultRateError(double transient, double hang, double corrupt);
 
 /**
  * The bi-level co-optimizer in resumable stepped form.
@@ -314,9 +316,6 @@ class CoSearch
 
     /** Trials completed so far (including restored ones). */
     int completedIterations() const { return completedIters_; }
-
-    /** True once every trial ran or the search was interrupted. */
-    bool finished() const;
 
     /** Seal and return the outcome (final checkpoint, totals);
      *  idempotent after the first call. */

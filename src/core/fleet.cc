@@ -183,6 +183,10 @@ namespace {
 // Worker side
 // ---------------------------------------------------------------------------
 
+/** Runs resident in one worker; the least recently used beyond this
+ *  are evicted and rebuilt by history replay on their next request. */
+constexpr std::size_t kWorkerResidentRuns = 256;
+
 /** Outcome record of one applied op, kept so a re-request after a
  *  lost/corrupt response can answer with the identical result
  *  without re-applying the op. */
@@ -442,8 +446,7 @@ class WorkerServer
             it = runs_.emplace(mapKey, std::move(res)).first;
         }
         it->second.stamp = ++clock_;
-        while (runs_.size() > std::max<std::size_t>(
-                                  1, cfg_.workerResidentRuns)) {
+        while (runs_.size() > kWorkerResidentRuns) {
             auto victim = runs_.end();
             for (auto j = runs_.begin(); j != runs_.end(); ++j)
                 if (j != it &&
@@ -885,29 +888,20 @@ class WorkerPool
             int &fd, bool &chaosKill, bool &remote)
     {
         std::unique_lock<std::mutex> lock(mutex_);
+        std::vector<bool> alive(slots_.size());
         for (;;) {
-            int home = -1;
-            std::uint64_t best = 0;
-            bool anyAlive = false;
             bool anyOpening = false;
             int idle = -1;
             for (std::size_t i = 0; i < slots_.size(); ++i) {
                 anyOpening |= slots_[i].opening;
-                if (!slots_[i].alive)
-                    continue;
-                anyAlive = true;
-                // Highest-random-weight: stable per-key order that
-                // only reshuffles the dead worker's keys.
-                const std::uint64_t score =
-                    rendezvousScore(key.hi, key.lo, i);
-                if (home < 0 || score > best) {
-                    home = static_cast<int>(i);
-                    best = score;
-                }
-                if (idle < 0 && !slots_[i].busy)
+                alive[i] = slots_[i].alive;
+                if (idle < 0 && slots_[i].alive && !slots_[i].busy)
                     idle = static_cast<int>(i);
             }
-            if (!anyAlive) {
+            // Highest-random-weight: a stable per-key order that only
+            // reshuffles the dead worker's keys.
+            const int home = rendezvousHome(key.hi, key.lo, alive);
+            if (home < 0) {
                 if (!anyOpening)
                     return -1;
                 // A reopen may yet repopulate the fleet; wait for it
@@ -1279,6 +1273,9 @@ class RemoteRun : public MappingRun
 // Remote worker client
 // ---------------------------------------------------------------------------
 
+/** First step of a remote worker's reconnect backoff, in seconds. */
+constexpr double kReconnectBaseSeconds = 0.05;
+
 /** Uniform draw in [0, 1) from a mixed state — for backoff jitter. */
 double
 unitJitter(std::uint64_t z)
@@ -1331,7 +1328,7 @@ runFleetWorkerClient(const CoSearchEnv &env, const FleetWorkerOptions &opts)
             // so the master is not hit by a thundering herd.
             const int k = std::min(consecutiveFailures - 1, 6);
             const double cap = std::min(
-                opts.reconnectBaseSeconds * static_cast<double>(1 << k),
+                kReconnectBaseSeconds * static_cast<double>(1 << k),
                 opts.reconnectMaxSeconds);
             const double sleepFor =
                 cap * (0.5 + 0.5 * unitJitter(

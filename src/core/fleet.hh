@@ -62,9 +62,6 @@ struct FleetConfig
      *  declared flapping and permanently retired. When every slot is
      *  retired the whole fleet degrades to in-process evaluation. */
     int maxRespawnsPerWorker = 3;
-    /** Worker-side resident-run cap (LRU evicted; evicted runs are
-     *  rebuilt by history replay on their next request). */
-    std::size_t workerResidentRuns = 256;
     /** Chaos testing: SIGKILL a worker before this many requests,
      *  at deterministic seeded points (0 = no chaos). The kills hit
      *  real worker processes mid-run; results must not change. */
@@ -99,12 +96,12 @@ struct FleetWorkerOptions
     std::string connectAddr;
     /** Per-attempt connect + handshake deadline. */
     double connectDeadlineSeconds = 10.0;
-    /** Jittered exponential reconnect backoff: base * 2^k, capped. */
-    double reconnectBaseSeconds = 0.05;
+    /** Cap of the jittered exponential reconnect backoff,
+     *  0.05 s * 2^k. */
     double reconnectMaxSeconds = 2.0;
     /** Consecutive failed connect attempts before giving up. */
     int maxReconnectAttempts = 10;
-    /** Resident-run / chaos knobs applied inside the worker. */
+    /** Chaos knobs applied inside the worker. */
     FleetConfig cfg;
 };
 
@@ -132,7 +129,9 @@ std::uint64_t rendezvousScore(std::uint64_t hi, std::uint64_t lo,
                               std::size_t slot);
 
 /** Home slot for a run key: argmax of rendezvousScore over slots
- *  where @p alive is true; -1 when none are. */
+ *  where @p alive is true, the lowest on ties; -1 when none are. The
+ *  fleet sends each request to its run's home unless that slot is
+ *  busy. */
 int rendezvousHome(std::uint64_t hi, std::uint64_t lo,
                    const std::vector<bool> &alive);
 

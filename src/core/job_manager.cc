@@ -266,15 +266,17 @@ validateSpec(const JobSpec &spec)
         return why;
     if (spec.resume && spec.checkpoint.empty())
         return "resume requires a checkpoint path";
-    if (spec.checkpointEvery < 1 || spec.checkpointKeep < 1)
-        return "checkpoint_every and checkpoint_keep must be >= 1";
+    if (std::string why = checkpointRotationError(spec.checkpointEvery,
+                                                  spec.checkpointKeep);
+        !why.empty())
+        return why;
     // Written so that NaN fails too.
-    const auto unit = [](double v) { return v >= 0.0 && v <= 1.0; };
-    if (!unit(spec.surrogateKeep))
+    if (!(spec.surrogateKeep >= 0.0 && spec.surrogateKeep <= 1.0))
         return "surrogate_keep must be in [0, 1]";
-    if (!unit(spec.faultRate) || !unit(spec.hangRate) ||
-        !unit(spec.corruptRate))
-        return "fault rates must be in [0, 1]";
+    if (std::string why = faultRateError(spec.faultRate, spec.hangRate,
+                                         spec.corruptRate);
+        !why.empty())
+        return why;
     try {
         driverConfigForAlgo(spec.algo);
     } catch (const std::exception &e) {

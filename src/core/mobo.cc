@@ -11,6 +11,20 @@
 
 namespace unico::core {
 
+namespace {
+
+/** Candidates per slot: uniform random points, then mutants of the
+ *  elite. */
+constexpr std::size_t kCandidatePool = 192;
+constexpr std::size_t kEliteMutants = 48;
+/** Subset-of-data cap of the GP's training window. */
+constexpr std::size_t kMaxGpPoints = 256;
+/** The saved kernel state's "kind": the checkpoint format's tag of
+ *  the Matérn-5/2 kernel (the retired squared exponential was 0). */
+constexpr int kMatern52Kind = 1;
+
+} // namespace
+
 MoboHwSampler::MoboHwSampler(const accel::DesignSpace &space,
                              std::size_t num_objectives,
                              std::uint64_t seed, MoboConfig cfg)
@@ -124,7 +138,7 @@ MoboHwSampler::proposeOne(BatchModel &model)
     std::vector<double> s;
     s.reserve(hf.size());
     for (const Obs *obs : hf)
-        s.push_back(moo::parego(normalize(obs->y), w, cfg_.rho));
+        s.push_back(moo::parego(normalize(obs->y), w));
 
     // Only the first model-guided slot of a batch factorizes: the
     // later ones share its inputs and kernel, so retargeting gives the
@@ -136,17 +150,13 @@ MoboHwSampler::proposeOne(BatchModel &model)
     if (model.fitted) {
         gp.retarget(s);
     } else if (!kernelTuned_) {
-        if (cfg_.useArd)
-            gp.fitArd(model.x, s, cfg_.maxGpPoints, 2, cfg_.gpThreads);
-        else
-            gp.fitWithHyperopt(model.x, s, cfg_.maxGpPoints,
-                               cfg_.gpThreads);
+        gp.fitWithHyperopt(model.x, s, kMaxGpPoints, cfg_.gpThreads);
         if (gp.trained()) {
             kernelParams_ = gp.params();
             kernelTuned_ = true;
         }
     } else {
-        gp.fit(model.x, s, cfg_.maxGpPoints);
+        gp.fit(model.x, s, kMaxGpPoints);
     }
     model.fitted = true;
     // Graceful degradation: a failed fit (Cholesky jitter ladder
@@ -163,12 +173,12 @@ MoboHwSampler::proposeOne(BatchModel &model)
     // Candidate pool: uniform random plus mutations of the elite,
     // drawn in that order into the batch's point buffer.
     const std::size_t dims = space_.dims();
-    const std::size_t pool_size = cfg_.candidatePool + cfg_.eliteMutants;
+    const std::size_t pool_size = kCandidatePool + kEliteMutants;
     model.pool.resize(pool_size * dims);
     const auto point = [&](std::size_t k) {
         return std::span<std::size_t>(model.pool.data() + k * dims, dims);
     };
-    for (std::size_t k = 0; k < cfg_.candidatePool; ++k)
+    for (std::size_t k = 0; k < kCandidatePool; ++k)
         space_.randomPoint(rng_, point(k));
     const auto order = [&] {
         std::vector<std::size_t> idx(hf.size());
@@ -179,9 +189,9 @@ MoboHwSampler::proposeOne(BatchModel &model)
         return idx;
     }();
     const std::size_t elites = std::min<std::size_t>(8, order.size());
-    for (std::size_t i = 0; i < cfg_.eliteMutants; ++i) {
+    for (std::size_t i = 0; i < kEliteMutants; ++i) {
         const Obs *elite = hf[order[i % elites]];
-        space_.neighbor(elite->h, rng_, 2, point(cfg_.candidatePool + i));
+        space_.neighbor(elite->h, rng_, 2, point(kCandidatePool + i));
     }
 
     // Expected-improvement maximization over the pool, skipping
@@ -255,15 +265,14 @@ MoboHwSampler::saveState() const
     state["rngGaussian"] = rs.cachedGaussian;
 
     state["kernelTuned"] = kernelTuned_;
+    // "kind" and "ard" keep the checkpoint format: the kernel is
+    // always the Matérn-5/2 (kind 1) with one shared lengthscale.
     common::Json kernel = common::Json::object();
-    kernel["kind"] = static_cast<int>(kernelParams_.kind);
+    kernel["kind"] = kMatern52Kind;
     kernel["lengthscale"] = kernelParams_.lengthscale;
     kernel["variance"] = kernelParams_.variance;
     kernel["noise"] = kernelParams_.noise;
-    common::Json ard = common::Json::array();
-    for (double l : kernelParams_.ardLengthscales)
-        ard.push(l);
-    kernel["ard"] = std::move(ard);
+    kernel["ard"] = common::Json::array();
     state["kernel"] = std::move(kernel);
 
     common::Json obs = common::Json::array();
@@ -327,10 +336,8 @@ MoboHwSampler::restoreState(const common::Json &state)
     const common::Json &kernel = state.at("kernel");
     surrogate::KernelParams params;
     const std::int64_t kind = kernel.at("kind").asInt();
-    if (kind != static_cast<int>(surrogate::KernelKind::SquaredExponential) &&
-        kind != static_cast<int>(surrogate::KernelKind::Matern52))
+    if (kind != kMatern52Kind)
         fail("unknown kernel kind " + std::to_string(kind));
-    params.kind = static_cast<surrogate::KernelKind>(kind);
     params.lengthscale = kernel.at("lengthscale").asDouble();
     params.variance = kernel.at("variance").asDouble();
     params.noise = kernel.at("noise").asDouble();
@@ -341,16 +348,9 @@ MoboHwSampler::restoreState(const common::Json &state)
     if (!(std::isfinite(params.noise) && params.noise >= 0.0))
         fail("kernel noise must be finite and non-negative");
     const common::Json &ard = kernel.at("ard");
-    for (std::size_t i = 0; i < ard.size(); ++i)
-        params.ardLengthscales.push_back(ard.at(i).asDouble());
-    if (!params.ardLengthscales.empty() &&
-        params.ardLengthscales.size() != space_.dims())
-        fail("kernel has " + std::to_string(params.ardLengthscales.size()) +
-             " ARD lengthscales for " + std::to_string(space_.dims()) +
-             " axes");
-    for (const double l : params.ardLengthscales)
-        if (!(std::isfinite(l) && l > 0.0))
-            fail("ARD lengthscales must be finite and positive");
+    if (!ard.isArray() || ard.size() != 0)
+        fail("kernel 'ard' must be an empty array: the kernel has one "
+             "shared lengthscale");
 
     // Replaying observe() rebuilds every derived field (normalized
     // embeddings, dedup keys, running ideal/nadir) exactly.

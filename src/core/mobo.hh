@@ -26,16 +26,9 @@ namespace unico::core {
 /** Tunables of the MOBO hardware sampler. */
 struct MoboConfig
 {
-    std::size_t candidatePool = 192; ///< random candidates per slot
-    std::size_t eliteMutants = 48;   ///< mutated elite candidates
-    std::size_t maxGpPoints = 256;   ///< subset-of-data cap
-    double rho = 0.2;                ///< ParEGO augmentation
     /** Fraction of each batch drawn uniformly at random (BOHB-style
      *  exploration mix; 0 = fully model-guided). */
     double randomFraction = 0.0;
-    /** Tune per-dimension ARD lengthscales when first fitting the
-     *  surrogate (slower, but down-weights irrelevant HW axes). */
-    bool useArd = false;
     /** Worker threads for the GP hyperparameter grid search
      *  (0 = hardware concurrency; results are thread-count
      *  independent). */

@@ -91,7 +91,7 @@ class SpatialRunPolicy final : public LayeredRunPolicy
 
 SpatialEnv::SpatialEnv(std::vector<workload::Network> networks,
                        SpatialEnvOptions opt)
-    : opt_(opt), space_(opt.scenario), model_(opt.tech),
+    : opt_(opt), space_(opt.scenario),
       layers_(collectDominantLayers(networks, opt.maxShapesPerNetwork))
 {
     assert(!networks.empty());

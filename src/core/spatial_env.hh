@@ -32,7 +32,6 @@ struct SpatialEnvOptions
      *  per-HW mapping-search work; layers are count-weighted so the
      *  latency profile is preserved). */
     std::size_t maxShapesPerNetwork = 6;
-    costmodel::TechParams tech;
     /** Shared evaluation cache (owned by the caller, e.g. the CLI);
      *  nullptr disables memoization. Results are bit-identical with
      *  or without it — only wall-clock changes. */

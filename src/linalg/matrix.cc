@@ -6,82 +6,6 @@
 
 namespace unico::linalg {
 
-Matrix
-Matrix::identity(std::size_t n)
-{
-    Matrix m(n, n, 0.0);
-    for (std::size_t i = 0; i < n; ++i)
-        m(i, i) = 1.0;
-    return m;
-}
-
-Vector
-Matrix::mul(const Vector &v) const
-{
-    assert(v.size() == cols_);
-    Vector out(rows_, 0.0);
-    for (std::size_t r = 0; r < rows_; ++r) {
-        double acc = 0.0;
-        for (std::size_t c = 0; c < cols_; ++c)
-            acc += data_[r * cols_ + c] * v[c];
-        out[r] = acc;
-    }
-    return out;
-}
-
-Matrix
-Matrix::mul(const Matrix &other) const
-{
-    assert(cols_ == other.rows_);
-    const std::size_t n = rows_;
-    const std::size_t depth = cols_;
-    const std::size_t m = other.cols_;
-    Matrix out(n, m, 0.0);
-    // Transpose B once so every dot product walks two contiguous
-    // rows, and block the (r, c) loops so a tile of B-transpose stays
-    // resident in cache across the whole row block.
-    std::vector<double> bt(m * depth);
-    for (std::size_t k = 0; k < depth; ++k)
-        for (std::size_t c = 0; c < m; ++c)
-            bt[c * depth + k] = other(k, c);
-    constexpr std::size_t kBlock = 64;
-    for (std::size_t rb = 0; rb < n; rb += kBlock) {
-        const std::size_t r_end = std::min(n, rb + kBlock);
-        for (std::size_t cb = 0; cb < m; cb += kBlock) {
-            const std::size_t c_end = std::min(m, cb + kBlock);
-            for (std::size_t r = rb; r < r_end; ++r) {
-                const double *a_row = &data_[r * depth];
-                for (std::size_t c = cb; c < c_end; ++c) {
-                    const double *b_row = &bt[c * depth];
-                    // Single k-ascending accumulator with the same
-                    // zero-skip as the naive triple loop: the exact
-                    // floating-point addition order is preserved, so
-                    // results are bit-identical.
-                    double acc = 0.0;
-                    for (std::size_t k = 0; k < depth; ++k) {
-                        const double a = a_row[k];
-                        if (a == 0.0)
-                            continue;
-                        acc += a * b_row[k];
-                    }
-                    out(r, c) = acc;
-                }
-            }
-        }
-    }
-    return out;
-}
-
-Matrix
-Matrix::transposed() const
-{
-    Matrix out(cols_, rows_, 0.0);
-    for (std::size_t r = 0; r < rows_; ++r)
-        for (std::size_t c = 0; c < cols_; ++c)
-            out(c, r) = (*this)(r, c);
-    return out;
-}
-
 void
 Matrix::addDiagonal(double c)
 {

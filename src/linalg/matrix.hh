@@ -2,12 +2,11 @@
  * @file
  * Dense row-major matrix/vector types used by the Gaussian-process
  * surrogate, sized for the small systems that appear in MOBO (hundreds
- * of rows). The two hot kernels are blocked for speed: Matrix::mul
- * tiles a transposed right operand, and Cholesky::solveLowerMulti
- * solves eight right-hand sides at once on two-lane vectors. Both keep
- * the naive loop's floating-point operation order for every output
- * element, so their results are bit-identical to the plain loops and
- * no compiler flag is needed.
+ * of rows). The hot kernel is blocked for speed:
+ * Cholesky::solveLowerMulti solves eight right-hand sides at once on
+ * two-lane vectors. It keeps the naive loop's floating-point operation
+ * order for every output element, so its results are bit-identical to
+ * solveLower() column by column and no compiler flag is needed.
  */
 
 #ifndef UNICO_LINALG_MATRIX_HH
@@ -32,9 +31,6 @@ class Matrix
         : rows_(rows), cols_(cols), data_(rows * cols, fill)
     {}
 
-    /** Identity matrix of size n. */
-    static Matrix identity(std::size_t n);
-
     std::size_t rows() const { return rows_; }
     std::size_t cols() const { return cols_; }
 
@@ -54,15 +50,6 @@ class Matrix
 
     /** Raw storage (row-major). */
     const std::vector<double> &data() const { return data_; }
-
-    /** Matrix-vector product. */
-    Vector mul(const Vector &v) const;
-
-    /** Matrix-matrix product. */
-    Matrix mul(const Matrix &other) const;
-
-    /** Transpose. */
-    Matrix transposed() const;
 
     /** Add c to every diagonal entry (jitter). */
     void addDiagonal(double c);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <numeric>
 #include <sstream>
 
@@ -153,22 +152,6 @@ MappingSpace::MappingSpace(const workload::TensorOp &op) : op_(op)
             spatialChoices_.push_back(d);
     if (spatialChoices_.size() < 2)
         spatialChoices_ = {DimK, DimX};
-}
-
-double
-MappingSpace::log10Size() const
-{
-    double log_size = 0.0;
-    for (int d = 0; d < kNumDims; ++d) {
-        // l1 and l2 tile choices per dim.
-        log_size += 2.0 * std::log10(
-            static_cast<double>(ladders_[d].size()));
-    }
-    // Spatial dim pair and loop-order permutations (7! = 5040).
-    log_size += std::log10(static_cast<double>(
-        spatialChoices_.size() * spatialChoices_.size()));
-    log_size += std::log10(5040.0);
-    return log_size;
 }
 
 std::int64_t

@@ -93,9 +93,6 @@ class MappingSpace
         return ladders_[dim];
     }
 
-    /** Approximate cardinality of the mapping space (log10). */
-    double log10Size() const;
-
     /**
      * The minimal mapping: all tiles 1, identity loop order, default
      * spatial dims. It has no data reuse but fits any buffer, so

@@ -11,6 +11,11 @@ namespace unico::serve {
 
 namespace {
 
+/** Budget for reading one request (header + body). */
+constexpr double kRequestTimeoutSeconds = 10.0;
+/** Budget for writing one response or one stream chunk. */
+constexpr double kWriteTimeoutSeconds = 30.0;
+
 /** Value of ?key= in a raw request target, or empty. */
 std::string
 queryParam(const std::string &target, const std::string &key)
@@ -121,7 +126,7 @@ void
 JobServer::handleConnection(int fd)
 {
     const double write_deadline =
-        common::monotonicNow() + cfg_.writeTimeoutSeconds;
+        common::monotonicNow() + kWriteTimeoutSeconds;
     auto respond = [&](int status, const common::Json &body) {
         common::writeFullUntil(
             fd, makeHttpResponse(status, "application/json",
@@ -131,7 +136,7 @@ JobServer::handleConnection(int fd)
 
     HttpRequest req;
     const HttpParseStatus parsed = readHttpRequest(
-        fd, req, common::monotonicNow() + cfg_.requestTimeoutSeconds);
+        fd, req, common::monotonicNow() + kRequestTimeoutSeconds);
     if (parsed != HttpParseStatus::Ok) {
         if (parsed == HttpParseStatus::Timeout)
             respond(408, errorBody("request read timed out"));
@@ -241,7 +246,7 @@ JobServer::handleConnection(int fd)
         if (common::writeFullUntil(
                 fd,
                 makeStreamingResponseHead(200, "application/x-ndjson"),
-                common::monotonicNow() + cfg_.writeTimeoutSeconds) !=
+                common::monotonicNow() + kWriteTimeoutSeconds) !=
             common::IoStatus::Ok) {
             ::close(fd);
             return;
@@ -260,7 +265,7 @@ JobServer::handleConnection(int fd)
             if (common::writeFullUntil(
                     fd, lines,
                     common::monotonicNow() +
-                        cfg_.writeTimeoutSeconds) !=
+                        kWriteTimeoutSeconds) !=
                 common::IoStatus::Ok)
                 break; // client went away; the job is unaffected
         }

@@ -45,10 +45,6 @@ struct JobServerConfig
 {
     /** Bind address; port 0 picks a free port (see port()). */
     std::string addr = "127.0.0.1:0";
-    /** Budget for reading one request (header + body). */
-    double requestTimeoutSeconds = 10.0;
-    /** Budget for writing one response / one stream chunk. */
-    double writeTimeoutSeconds = 30.0;
 };
 
 /**

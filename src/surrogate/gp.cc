@@ -124,7 +124,7 @@ GaussianProcess::fit(const std::vector<std::vector<double>> &x,
     x_.assign(x.begin() + static_cast<std::ptrdiff_t>(start), x.end());
     indexCoordinates();
     setTargets(y);
-    rebuild();
+    install(computeFit(params_));
 }
 
 void
@@ -238,18 +238,11 @@ GaussianProcess::install(FitResult fit)
 }
 
 void
-GaussianProcess::rebuild()
-{
-    install(computeFit(params_));
-}
-
-void
 GaussianProcess::fitWithHyperopt(const std::vector<std::vector<double>> &x,
                                  const std::vector<double> &y,
                                  std::size_t max_points,
                                  std::size_t threads)
 {
-    params_.ardLengthscales.clear(); // isotropic grid search
     fit(x, y, max_points);
     if (!trained_ || x_.size() < 4)
         return;
@@ -287,66 +280,10 @@ GaussianProcess::fitWithHyperopt(const std::vector<std::vector<double>> &x,
         }
     }
     // When nothing beats the initial fit, the current posterior is
-    // already that fit — no rebuild needed.
+    // already that fit — no refit needed.
     if (best_i < grid.size()) {
         params_ = grid[best_i];
         install(std::move(fits[best_i]));
-    }
-}
-
-void
-GaussianProcess::fitArd(const std::vector<std::vector<double>> &x,
-                        const std::vector<double> &y,
-                        std::size_t max_points, int passes,
-                        std::size_t threads)
-{
-    fitWithHyperopt(x, y, max_points, threads);
-    if (!trained_ || x_.empty() || x_[0].size() < 2)
-        return;
-
-    const std::size_t dims = x_[0].size();
-    params_.ardLengthscales.assign(dims, params_.lengthscale);
-    rebuild();
-    if (!trained_)
-        return;
-
-    // Coordinate-wise LML ascent over a multiplicative ladder; each
-    // dimension's candidate fits run concurrently, the winner is
-    // picked serially in ladder order (strict '>').
-    static const double scales[] = {0.35, 0.6, 1.0, 1.8, 3.2};
-    for (int pass = 0; pass < passes; ++pass) {
-        for (std::size_t d = 0; d < dims; ++d) {
-            const double base = params_.ardLengthscales[d];
-            std::vector<KernelParams> grid;
-            for (double scale : scales) {
-                if (scale == 1.0)
-                    continue;
-                KernelParams p = params_;
-                p.ardLengthscales[d] = base * scale;
-                grid.push_back(p);
-            }
-            std::vector<FitResult> fits(grid.size());
-            std::vector<std::function<void()>> jobs;
-            jobs.reserve(grid.size());
-            for (std::size_t i = 0; i < grid.size(); ++i)
-                jobs.push_back([this, &grid, &fits, i] {
-                    fits[i] = computeFit(grid[i]);
-                });
-            common::runParallel(jobs, resolveThreads(threads, jobs.size()));
-
-            double best_lml = lml_;
-            std::size_t best_i = grid.size();
-            for (std::size_t i = 0; i < grid.size(); ++i) {
-                if (fits[i].ok && fits[i].lml > best_lml) {
-                    best_lml = fits[i].lml;
-                    best_i = i;
-                }
-            }
-            if (best_i < grid.size()) {
-                params_ = grid[best_i];
-                install(std::move(fits[best_i]));
-            }
-        }
     }
 }
 
@@ -528,7 +465,7 @@ GaussianProcess::squaredDistances(const double *x, double *r2)
             std::bit_cast<std::uint64_t>(x[d]),
             static_cast<std::uint32_t>(termRows_.size()));
         if (fresh) {
-            const double l = lengthscaleOf(params_, d);
+            const double l = params_.lengthscale;
             for (std::size_t u = begin; u < end; ++u) {
                 const double diff = (x[d] - coordValues_[u]) / l;
                 termRows_.push_back(diff * diff);
@@ -557,12 +494,6 @@ expectedImprovement(const Prediction &pred, double best)
     const double cdf = 0.5 * std::erfc(-z / std::sqrt(2.0));
     const double ei = (best - pred.mean) * cdf + sigma * pdf;
     return std::max(ei, 0.0);
-}
-
-double
-lowerConfidenceBound(const Prediction &pred, double beta)
-{
-    return pred.mean - beta * std::sqrt(std::max(pred.variance, 0.0));
 }
 
 } // namespace unico::surrogate

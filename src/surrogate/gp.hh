@@ -63,20 +63,6 @@ class GaussianProcess
                          std::size_t threads = 0);
 
     /**
-     * Fit with per-dimension ARD lengthscales: starts from the
-     * isotropic hyperopt optimum and runs @p passes rounds of
-     * coordinate-wise log-marginal-likelihood ascent over each
-     * dimension's lengthscale. Irrelevant inputs end up with long
-     * lengthscales and stop influencing the posterior. Ladder
-     * candidates are fitted on @p threads workers with the same
-     * determinism guarantee as fitWithHyperopt().
-     */
-    void fitArd(const std::vector<std::vector<double>> &x,
-                const std::vector<double> &y,
-                std::size_t max_points = 512, int passes = 2,
-                std::size_t threads = 0);
-
-    /**
      * Refit to new targets @p y over the inputs of the last fit,
      * keeping the hyperparameters and the Cholesky factor: the targets
      * are re-standardized, then alpha and the log marginal likelihood
@@ -122,7 +108,7 @@ class GaussianProcess
      * (one candidate row) to every retained input x_i, the r² that
      * kernelValue(params(), x, x_i) sums, bit for bit: so
      * kernelFromSquaredDistance(params(), r2[i]) is that kernel value.
-     * Each distinct term ((x_d - u) / l_d)² over the inputs' distinct
+     * Each distinct term ((x_d - u) / l)² over the inputs' distinct
      * coordinates u of dimension d is computed once per distinct
      * candidate coordinate x_d and fit: fit() empties the cache of
      * these term rows, retarget() keeps it. Every r² sums its terms
@@ -165,8 +151,6 @@ class GaussianProcess
     /** Adopt a fit as the current posterior. */
     void install(FitResult fit);
 
-    void rebuild();
-
     KernelParams params_;
     std::vector<std::vector<double>> x_;
     /** The distinct coordinates of x_, keyed by bit pattern: those of
@@ -177,7 +161,7 @@ class GaussianProcess
     std::vector<std::uint32_t> coordIndex_;
     /** Term rows of the candidate coordinates seen since the last
      *  fit(): termSlot_[d] maps a coordinate's bit pattern to the
-     *  offset in termRows_ of its row ((x_d - u) / l_d)² over
+     *  offset in termRows_ of its row ((x_d - u) / l)² over
      *  coordValues_[coordStart_[d], coordStart_[d+1]). */
     std::vector<common::FlatIndex> termSlot_;
     std::vector<double> termRows_;
@@ -204,9 +188,6 @@ class GaussianProcess
  *        same scale as @p pred).
  */
 double expectedImprovement(const Prediction &pred, double best);
-
-/** Lower confidence bound mean - beta * stddev (minimization). */
-double lowerConfidenceBound(const Prediction &pred, double beta);
 
 } // namespace unico::surrogate
 

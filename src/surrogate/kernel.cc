@@ -9,11 +9,9 @@ double
 squaredScaledDistance(const KernelParams &params, const double *x,
                       const double *z, std::size_t dims)
 {
-    assert(params.ardLengthscales.empty() ||
-           params.ardLengthscales.size() == dims);
     double r2 = 0.0;
     for (std::size_t i = 0; i < dims; ++i) {
-        const double d = (x[i] - z[i]) / lengthscaleOf(params, i);
+        const double d = (x[i] - z[i]) / params.lengthscale;
         r2 += d * d;
     }
     return r2;
@@ -29,7 +27,7 @@ kernelValue(const KernelParams &params, const std::vector<double> &x,
 }
 
 KernelBracket::KernelBracket(const KernelParams &params)
-    : kind_(params.kind), variance_(params.variance)
+    : variance_(params.variance)
 {
     // Bucket t spans the edges t·h and (t+1)·h, both exact; the tail
     // spans kRange onwards, with 0 as its lower edge.

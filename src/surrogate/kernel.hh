@@ -1,6 +1,6 @@
 /**
  * @file
- * Covariance kernels for the Gaussian-process surrogate.
+ * The Matérn-5/2 covariance kernel of the Gaussian-process surrogate.
  */
 
 #ifndef UNICO_SURROGATE_KERNEL_HH
@@ -13,55 +13,28 @@
 
 namespace unico::surrogate {
 
-/** Kernel families supported by the GP. */
-enum class KernelKind {
-    SquaredExponential,
-    Matern52,
-};
-
-/** Kernel hyperparameters over normalized inputs. */
+/** Matérn-5/2 kernel hyperparameters over normalized inputs. */
 struct KernelParams
 {
-    KernelKind kind = KernelKind::Matern52;
     double lengthscale = 0.3; ///< shared lengthscale in [0,1]^d space
     double variance = 1.0;    ///< signal variance
     double noise = 1e-4;      ///< observation noise variance
-    /** Per-dimension ARD lengthscales; when non-empty they override
-     *  the shared lengthscale (automatic relevance determination:
-     *  large lengthscale = irrelevant input). */
-    std::vector<double> ardLengthscales;
 };
-
-/** Lengthscale of input dimension @p dim. */
-inline double
-lengthscaleOf(const KernelParams &params, std::size_t dim)
-{
-    return params.ardLengthscales.empty() ? params.lengthscale
-                                          : params.ardLengthscales[dim];
-}
 
 /**
  * The kernel as a function of the squared scaled distance
- * r² = Σ ((x_i - z_i) / l_i)². kernelValue() finishes with it, so a
+ * r² = Σ ((x_i - z_i) / l)². kernelValue() finishes with it, so a
  * caller that sums r² in kernelValue()'s order gets its bits.
  */
 inline double
 kernelFromSquaredDistance(const KernelParams &params, double r2)
 {
-    switch (params.kind) {
-      case KernelKind::SquaredExponential:
-        return params.variance * std::exp(-0.5 * r2);
-      case KernelKind::Matern52: {
-        const double a = std::sqrt(5.0 * r2);
-        return params.variance * (1.0 + a + 5.0 * r2 / 3.0) *
-               std::exp(-a);
-      }
-    }
-    return 0.0;
+    const double a = std::sqrt(5.0 * r2);
+    return params.variance * (1.0 + a + 5.0 * r2 / 3.0) * std::exp(-a);
 }
 
 /** The r² that kernelValue() passes to kernelFromSquaredDistance():
- *  Σ ((x_d - z_d) / l_d)² over @p dims coordinates, summed from 0.0
+ *  Σ ((x_d - z_d) / l)² over @p dims coordinates, summed from 0.0
  *  in ascending dimension. */
 double squaredScaledDistance(const KernelParams &params, const double *x,
                              const double *z, std::size_t dims);
@@ -100,12 +73,11 @@ class KernelBracket
     explicit KernelBracket(const KernelParams &params);
 
     /** True when built for @p params' kernel (the bracket depends on
-     *  its kind and variance only; lengthscales scale r²). */
+     *  its variance only; the lengthscale scales r²). */
     bool
     builtFor(const KernelParams &params) const
     {
-        return !table_.empty() && kind_ == params.kind &&
-               variance_ == params.variance;
+        return !table_.empty() && variance_ == params.variance;
     }
 
     /** The bucket of @p r2, or kBuckets + 1 when it has none. */
@@ -154,7 +126,6 @@ class KernelBracket
                     double abs_sum, std::size_t n) const;
 
   private:
-    KernelKind kind_ = KernelKind::Matern52;
     double variance_ = 0.0;
     /** Midpoint and half-width of every bucket's bracket, interleaved:
      *  bucket t's are entries 2t and 2t + 1. Those of bucket

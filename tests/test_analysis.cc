@@ -1,44 +1,17 @@
 /**
  * @file
- * Tests for workload characterization (operator mix, roofline).
+ * Tests for the roofline oracle (tests/roofline.hh) that bounds the
+ * cost models' latencies from below.
  */
 
 #include <gtest/gtest.h>
 
-#include "workload/analysis.hh"
+#include "roofline.hh"
 #include "workload/model_zoo.hh"
 
 using namespace unico::workload;
-
-TEST(OperatorMixAnalysis, FractionsSumToOneForCoveredKinds)
-{
-    for (const char *name : {"mobilenet", "resnet", "bert"}) {
-        const auto mix = analyzeMix(makeNetwork(name));
-        const double sum = mix.convMacFraction +
-                           mix.depthwiseMacFraction +
-                           mix.gemmMacFraction;
-        EXPECT_NEAR(sum, 1.0, 1e-12) << name;
-        EXPECT_GT(mix.totalMacs, 0) << name;
-        EXPECT_GT(mix.totalParams, 0) << name;
-        EXPECT_GT(mix.layerCount, 0u) << name;
-        EXPECT_LE(mix.uniqueShapeCount, mix.layerCount) << name;
-    }
-}
-
-TEST(OperatorMixAnalysis, KindFractionsMatchArchitecture)
-{
-    EXPECT_GT(analyzeMix(makeBert()).gemmMacFraction, 0.95);
-    EXPECT_GT(analyzeMix(makeVgg()).convMacFraction, 0.5);
-    EXPECT_GT(analyzeMix(makeMobileNet()).depthwiseMacFraction, 0.01);
-    EXPECT_LT(analyzeMix(makeBert()).depthwiseMacFraction, 1e-12);
-}
-
-TEST(OperatorMixAnalysis, EmptyNetwork)
-{
-    const auto mix = analyzeMix(Network("empty"));
-    EXPECT_EQ(mix.totalMacs, 0);
-    EXPECT_DOUBLE_EQ(mix.convMacFraction, 0.0);
-}
+using unico::oracle::roofline;
+using unico::oracle::rooflineCycles;
 
 TEST(Roofline, ClassifiesByRidgePoint)
 {
@@ -80,25 +53,4 @@ TEST(Roofline, CyclesLowerBoundedByComputeRoof)
     EXPECT_NEAR(cycles,
                 static_cast<double>(net.totalMacs()) / peak,
                 cycles * 1e-9);
-}
-
-TEST(Roofline, MemoryBoundFractionMonotoneInBandwidth)
-{
-    const auto net = makeMobileNetV2();
-    const double starved = memoryBoundMacFraction(net, 256.0, 1.0);
-    const double rich = memoryBoundMacFraction(net, 256.0, 1024.0);
-    EXPECT_GE(starved, rich);
-    EXPECT_GE(starved, 0.0);
-    EXPECT_LE(starved, 1.0);
-}
-
-TEST(Roofline, GemvNetworksMoreMemoryBound)
-{
-    // BERT (large GEMMs, high reuse) vs MobileNet (depthwise layers
-    // with little reuse): at a bandwidth-starved design point the
-    // depthwise network has a larger memory-bound share.
-    const double bert = memoryBoundMacFraction(makeBert(), 256.0, 4.0);
-    const double mobilenet =
-        memoryBoundMacFraction(makeMobileNet(), 256.0, 4.0);
-    EXPECT_GT(mobilenet, bert);
 }

@@ -22,11 +22,13 @@
 #include <cstdlib>
 #include <fcntl.h>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <string>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
+#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -447,17 +449,23 @@ TEST(Chaos, TcpFleetThroughChaosProxyWithWorkerKillStaysByteIdentical)
     const std::string dir = makeTempDir("proxy");
 
     // Master: TCP listener on a free port, short deadlines so chaos
-    // losses fail over fast instead of serializing 30 s stalls.
+    // losses fail over fast instead of serializing 30 s stalls. Its
+    // progress events stream into a pipe: the worker kill below fires
+    // on one of them.
     std::vector<std::string> margs = cliArgs(dir, false);
     for (const char *extra :
          {"--workers", "2", "--fleet-listen", "127.0.0.1:0",
           "--fleet-connect-wait", "30", "--fleet-reconnect-wait", "2",
-          "--worker-eval-deadline", "2", "--threads", "2"}) {
+          "--worker-eval-deadline", "2", "--threads", "2",
+          "--progress-every", "1"}) {
         margs.push_back(extra);
     }
     margs.push_back("--fleet-port-file");
     margs.push_back(dir + "/master.port");
-    const pid_t master = spawn(margs);
+    int fds[2];
+    ASSERT_EQ(pipe2(fds, O_CLOEXEC), 0);
+    const pid_t master = spawn(margs, fds[1]);
+    ::close(fds[1]);
     ASSERT_GT(master, 0);
     const int mport = awaitPortFile(dir + "/master.port");
     ASSERT_GT(mport, 0);
@@ -496,17 +504,65 @@ TEST(Chaos, TcpFleetThroughChaosProxyWithWorkerKillStaysByteIdentical)
     ASSERT_GT(w1, 0);
     ASSERT_GT(w2, 0);
 
-    // Let the fleet do real work, then SIGKILL one worker process —
-    // its slot must fail over (retry on the survivor, reopen, or
-    // in-process replay) — and dial a replacement in.
-    usleep(1500 * 1000);
-    kill(w1, SIGKILL);
-    waitpid(w1, nullptr, 0);
+    // SIGKILL one worker process on the master's first trial event,
+    // once the fleet has done real work and has more to do: its slot
+    // must fail over (retry on the survivor, reopen, or in-process
+    // replay). The drain thread reads the master's stdout to EOF, so
+    // the master never blocks on a full pipe.
+    std::promise<bool> fired;
+    std::thread drain([&fired, fd = fds[0], victim = w1] {
+        const std::string marker = "\"event\":\"trial\"";
+        bool sent = false;
+        std::string line;
+        char buf[4096];
+        for (;;) {
+            const ssize_t n = read(fd, buf, sizeof buf);
+            if (n < 0 && errno == EINTR)
+                continue;
+            if (n <= 0)
+                break;
+            for (ssize_t i = 0; i < n && !sent; ++i) {
+                if (buf[i] != '\n') {
+                    line += buf[i];
+                    continue;
+                }
+                if (line.find(marker) != std::string::npos) {
+                    kill(victim, SIGKILL);
+                    sent = true;
+                    fired.set_value(true);
+                }
+                line.clear();
+            }
+        }
+        ::close(fd);
+        if (!sent)
+            fired.set_value(false);
+    });
+    std::future<bool> killed = fired.get_future();
+    if (killed.wait_for(std::chrono::seconds(300)) !=
+        std::future_status::ready)
+        kill(master, SIGKILL); // ends the stream, and the thread
+    const bool w1_killed = killed.get();
+    EXPECT_TRUE(w1_killed) << "the master printed no trial event";
+    if (!w1_killed)
+        kill(w1, SIGKILL);
+    int w1_status = 0;
+    waitpid(w1, &w1_status, 0);
+    EXPECT_TRUE(WIFSIGNALED(w1_status) && WTERMSIG(w1_status) == SIGKILL)
+        << "worker w1 exited before the kill";
+    // w1 is reaped; the master must still be searching.
+    siginfo_t info = {};
+    EXPECT_EQ(waitid(P_PID, static_cast<id_t>(master), &info,
+                     WEXITED | WNOHANG | WNOWAIT),
+              0);
+    EXPECT_EQ(info.si_pid, 0) << "the master finished before w1 died";
+    // Dial a replacement in.
     w1 = spawn(workerArgs());
-    ASSERT_GT(w1, 0);
+    EXPECT_GT(w1, 0);
 
     // The master must complete successfully despite everything.
     const int master_rc = reapWithin(master, 300.0);
+    drain.join();
     EXPECT_EQ(master_rc, 0);
 
     // Proxy: SIGTERM prints the ledger and exits 0. Workers exit 0

@@ -122,6 +122,23 @@ TEST(Checkpoint, FingerprintSensitiveToSearchParameters)
               core::configFingerprint(other));
 }
 
+TEST(Checkpoint, ConfigKeyMatchesParent)
+{
+    // Keys recorded before the ARD flag and the backoff fields left
+    // DriverConfig: the retired flag's slot stays a literal 0 and the
+    // backoff constants print as the fields did, so checkpoints written
+    // by either build resume under the other.
+    EXPECT_EQ(core::configFingerprint(DriverConfig::unico()),
+              "UNICO|30|300|2|0.5|0.15|msh|high-fidelity|1|0.05|0|0|8|8|"
+              "0x0000000000000001|3|5|60|2");
+    EXPECT_EQ(core::configFingerprint(DriverConfig::hascoLike()),
+              "HASCO|30|300|2|0.5|0.15|full|champion|0|0.05|0|0|8|8|"
+              "0x0000000000000001|3|5|60|2");
+    EXPECT_EQ(core::configFingerprint(DriverConfig::mobohbLike()),
+              "MOBOHB|30|300|2|0.5|0.15|hyperband|all|0|0.05|0.333333|0|8|"
+              "8|0x0000000000000001|3|5|60|2");
+}
+
 TEST(Checkpoint, DriverWritesAfterEveryIteration)
 {
     const std::string path = tmpPath("writes");

@@ -249,33 +249,6 @@ TEST(Driver, RealThreadsBitIdenticalToSerial)
 }
 
 // ---------------------------------------------------------------------
-// Mode-name round trips: the CLI and checkpoint layers parse the
-// strings toString() produces.
-// ---------------------------------------------------------------------
-
-TEST(DriverModes, BudgetModeNamesRoundTrip)
-{
-    for (const auto mode :
-         {BudgetMode::FullBudget, BudgetMode::SH, BudgetMode::MSH,
-          BudgetMode::Hyperband})
-        EXPECT_EQ(core::budgetModeFromString(toString(mode)), mode)
-            << toString(mode);
-    EXPECT_THROW(core::budgetModeFromString("turbo"),
-                 std::invalid_argument);
-    EXPECT_THROW(core::budgetModeFromString(""), std::invalid_argument);
-}
-
-TEST(DriverModes, UpdateModeNamesRoundTrip)
-{
-    for (const auto mode : {UpdateMode::All, UpdateMode::HighFidelity,
-                            UpdateMode::Champion})
-        EXPECT_EQ(core::updateModeFromString(toString(mode)), mode)
-            << toString(mode);
-    EXPECT_THROW(core::updateModeFromString("sometimes"),
-                 std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------
 // The driver is backend-agnostic: the same contracts hold over every
 // registered evaluation stack, constructed through the registry.
 // ---------------------------------------------------------------------

@@ -96,18 +96,17 @@ TEST(Kernel, DecaysWithDistance)
     EXPECT_GT(far, 0.0);
 }
 
-TEST(Kernel, SquaredExponentialVsMatern)
+TEST(Kernel, MaternFiveHalvesClosedForm)
 {
-    KernelParams se;
-    se.kind = KernelKind::SquaredExponential;
-    KernelParams m52;
-    m52.kind = KernelKind::Matern52;
-    // Same variance at zero distance.
-    EXPECT_NEAR(kernelValue(se, {0.5}, {0.5}),
-                kernelValue(m52, {0.5}, {0.5}), 1e-12);
-    // Matern has heavier tails than SE at long range.
-    EXPECT_GT(kernelValue(m52, {0.0}, {1.0}),
-              kernelValue(se, {0.0}, {1.0}));
+    // k(r) = σ² (1 + √5 r + 5r²/3) exp(-√5 r), r = ‖x - z‖ / l.
+    KernelParams p;
+    p.lengthscale = 0.4;
+    p.variance = 1.7;
+    const double r = 0.5 / 0.4; // |(0.1, 0.2) - (0.4, 0.6)| = 0.5
+    const double want = 1.7 *
+                        (1.0 + std::sqrt(5.0) * r + 5.0 * r * r / 3.0) *
+                        std::exp(-std::sqrt(5.0) * r);
+    EXPECT_NEAR(kernelValue(p, {0.1, 0.2}, {0.4, 0.6}), want, 1e-12);
 }
 
 TEST(Gp, UntrainedPredictsPrior)
@@ -225,66 +224,6 @@ TEST(Acquisition, EiGrowsWithUncertainty)
               expectedImprovement(certain, 4.0));
 }
 
-TEST(Acquisition, LcbBelowMean)
-{
-    Prediction pred{3.0, 4.0};
-    EXPECT_DOUBLE_EQ(lowerConfidenceBound(pred, 1.0), 1.0);
-    EXPECT_DOUBLE_EQ(lowerConfidenceBound(pred, 0.0), 3.0);
-}
-
-TEST(Kernel, ArdLengthscalesOverrideShared)
-{
-    KernelParams iso;
-    iso.lengthscale = 0.2;
-    KernelParams ard = iso;
-    ard.ardLengthscales = {0.2, 1000.0};
-    // Distance only along the "irrelevant" second dim: ARD kernel
-    // barely decays, isotropic kernel decays hard.
-    const double k_iso = kernelValue(iso, {0.5, 0.0}, {0.5, 1.0});
-    const double k_ard = kernelValue(ard, {0.5, 0.0}, {0.5, 1.0});
-    EXPECT_GT(k_ard, 0.99 * ard.variance);
-    EXPECT_LT(k_iso, 0.1);
-}
-
-TEST(Gp, ArdLearnsIrrelevantDimension)
-{
-    // Target depends only on x0; x1 is noise. ARD should stretch the
-    // lengthscale of dim 1 beyond dim 0's.
-    Rng rng(11);
-    std::vector<std::vector<double>> x;
-    std::vector<double> y;
-    for (int i = 0; i < 40; ++i) {
-        const double x0 = rng.uniform();
-        const double x1 = rng.uniform();
-        x.push_back({x0, x1});
-        y.push_back(std::sin(6.0 * x0));
-    }
-    GaussianProcess gp;
-    gp.fitArd(x, y);
-    ASSERT_TRUE(gp.trained());
-    ASSERT_EQ(gp.params().ardLengthscales.size(), 2u);
-    EXPECT_GT(gp.params().ardLengthscales[1],
-              gp.params().ardLengthscales[0]);
-}
-
-TEST(Gp, ArdNeverWorseLmlThanIsotropic)
-{
-    Rng rng(13);
-    std::vector<std::vector<double>> x;
-    std::vector<double> y;
-    for (int i = 0; i < 30; ++i) {
-        const double a = rng.uniform(), b = rng.uniform();
-        x.push_back({a, b});
-        y.push_back(a * a + 0.1 * b);
-    }
-    GaussianProcess iso;
-    iso.fitWithHyperopt(x, y);
-    GaussianProcess ard;
-    ard.fitArd(x, y);
-    EXPECT_GE(ard.logMarginalLikelihood(),
-              iso.logMarginalLikelihood() - 1e-9);
-}
-
 TEST(Gp, HyperoptBitIdenticalAcrossThreadCounts)
 {
     // The hyperparameter grid is evaluated in parallel but the argmin
@@ -313,33 +252,6 @@ TEST(Gp, HyperoptBitIdenticalAcrossThreadCounts)
     }
 }
 
-TEST(Gp, ArdBitIdenticalAcrossThreadCounts)
-{
-    Rng rng(23);
-    std::vector<std::vector<double>> x;
-    std::vector<double> y;
-    for (int i = 0; i < 30; ++i) {
-        const double a = rng.uniform(), b = rng.uniform();
-        x.push_back({a, b});
-        y.push_back(a * a - 0.4 * b);
-    }
-    GaussianProcess serial, threaded;
-    serial.fitArd(x, y, 512, 2, 1);
-    threaded.fitArd(x, y, 512, 2, 4);
-    ASSERT_EQ(serial.params().ardLengthscales.size(),
-              threaded.params().ardLengthscales.size());
-    for (std::size_t d = 0; d < serial.params().ardLengthscales.size();
-         ++d)
-        EXPECT_EQ(serial.params().ardLengthscales[d],
-                  threaded.params().ardLengthscales[d]);
-    EXPECT_EQ(serial.logMarginalLikelihood(),
-              threaded.logMarginalLikelihood());
-    const auto ps = serial.predict({0.4, 0.6});
-    const auto pt = threaded.predict({0.4, 0.6});
-    EXPECT_EQ(ps.mean, pt.mean);
-    EXPECT_EQ(ps.variance, pt.variance);
-}
-
 TEST(Gp, RetargetMatchesFreshFit)
 {
     Rng rng(43);
@@ -350,7 +262,7 @@ TEST(Gp, RetargetMatchesFreshFit)
         y1.push_back(rng.gaussian());
         y2.push_back(std::sin(4.0 * x.back()[0]) + 0.1 * rng.gaussian());
     }
-    // 40 < 60 keeps only the newest points, like MoboConfig::maxGpPoints.
+    // 40 < 60 keeps only the newest points, like the sampler's window.
     for (const std::size_t window : {512u, 40u}) {
         GaussianProcess shared;
         shared.fitWithHyperopt(x, y1, window, 1);
@@ -424,12 +336,9 @@ TEST(Gp, TableKernelRowsMatchKernelValue)
     for (int c = 0; c < 64; ++c) {
         const std::size_t dims = 1 + rng.uniformInt(6);
         KernelParams params;
-        params.kind = c % 2 == 0 ? KernelKind::Matern52
-                                 : KernelKind::SquaredExponential;
-        params.lengthscale = 0.05 + rng.uniform();
-        if (c % 4 >= 2)
-            for (std::size_t d = 0; d < dims; ++d)
-                params.ardLengthscales.push_back(0.05 + 2.0 * rng.uniform());
+        params.lengthscale = (c % 4 >= 2 ? 2.0 : 1.0) * rng.uniform() + 0.05;
+        params.variance = c % 2 == 0 ? 1.0 : 0.25 + 4.0 * rng.uniform();
+        params.noise = c % 3 == 0 ? 1e-2 : 1e-4;
         const std::size_t n = 1 + rng.uniformInt(40);
         std::vector<std::vector<double>> x;
         std::vector<double> y;
@@ -464,8 +373,9 @@ TEST(Gp, TableKernelRowsMatchKernelValue)
 TEST(Gp, ArgmaxEiMatchesSerialScan)
 {
     // Grid-valued inputs (small grids repeat rows), training sizes from
-    // 1 to MoboConfig::maxGpPoints, pools of 0 to 240, both kernels with
-    // and without ARD, noise from 0 to 1e-2, and untrained GPs. At zero
+    // 1 to the sampler's 256-point window, pools of 0 to 240,
+    // lengthscales from 0.05 to 2.05, signal variances from 0.25 to
+    // 4.25, noise from 0 to 1e-2, and untrained GPs. At zero
     // noise a third of the inputs are duplicates, so the Cholesky
     // jitter ladder engages. Pools hold copies of training inputs and
     // NaN candidates. An incumbent far below every mean makes every EI
@@ -481,13 +391,9 @@ TEST(Gp, ArgmaxEiMatchesSerialScan)
             levels.push_back(1 + rng.uniformInt(c % 3 == 0 ? 4 : 16));
         const std::size_t n = 1 + rng.uniformInt(c % 4 == 2 ? 256 : 70);
         KernelParams params;
-        params.kind = c % 2 == 0 ? KernelKind::Matern52
-                                 : KernelKind::SquaredExponential;
-        params.lengthscale = 0.05 + rng.uniform();
+        params.lengthscale = (c % 4 == 1 ? 2.0 : 1.0) * rng.uniform() + 0.05;
+        params.variance = c % 2 == 0 ? 1.0 : 0.25 + 4.0 * rng.uniform();
         params.noise = noises[(c / 3) % 4];
-        if (c % 4 == 1)
-            for (std::size_t d = 0; d < dims; ++d)
-                params.ardLengthscales.push_back(0.05 + 2.0 * rng.uniform());
         std::vector<std::vector<double>> x;
         std::vector<double> y;
         for (std::size_t i = 0; i < n; ++i) {
@@ -527,9 +433,10 @@ TEST(Gp, ArgmaxEiMatchesSerialScan)
     // The row-skipping bound at its edges. Noise 1e-8 with
     // near-duplicate inputs makes Σ|α| large; lengthscales from 0.01 to
     // 4 put r² inside the bracket table, past its range and, for the
-    // 1e300 coordinates, at +inf; candidates carry ±inf, NaN and
-    // ±1e300 coordinates; and a NaN target gives a GP whose α is NaN,
-    // where no candidate may be skipped.
+    // 1e300 coordinates, at +inf, with signal variances from 0.1 to 10;
+    // candidates carry ±inf, NaN and ±1e300 coordinates; and a NaN
+    // target gives a GP whose α is NaN, where no candidate may be
+    // skipped.
     const double scales[] = {0.01, 0.05, 0.3, 1.0, 4.0};
     const double odd[] = {std::numeric_limits<double>::infinity(),
                           -std::numeric_limits<double>::infinity(),
@@ -538,12 +445,10 @@ TEST(Gp, ArgmaxEiMatchesSerialScan)
     for (int c = 0; c < 200; ++c) {
         const std::size_t dims = 1 + rng.uniformInt(4);
         KernelParams params;
-        params.kind = c % 2 == 0 ? KernelKind::Matern52
-                                 : KernelKind::SquaredExponential;
-        params.lengthscale = scales[c % 5];
-        if (c % 4 >= 2)
-            for (std::size_t d = 0; d < dims; ++d)
-                params.ardLengthscales.push_back(scales[rng.uniformInt(5)]);
+        params.lengthscale =
+            c % 4 >= 2 ? scales[rng.uniformInt(5)] : scales[c % 5];
+        params.variance =
+            c % 2 == 0 ? 1.0 : 0.1 * std::pow(100.0, rng.uniform());
         params.noise = c % 3 == 0 ? 1e-4 : 1e-8;
         const std::size_t n = 2 + rng.uniformInt(60);
         std::vector<std::vector<double>> x;
@@ -603,67 +508,63 @@ TEST(Kernel, BracketBoundsKernelRowSums)
     // rounding term keeps the interval around the exact sum.
     using B = KernelBracket;
     Rng rng(97);
-    for (const KernelKind kind :
-         {KernelKind::Matern52, KernelKind::SquaredExponential}) {
-        for (const double variance : {1.0, 2.5}) {
-            KernelParams params;
-            params.kind = kind;
-            params.variance = variance;
-            const B bracket(params);
-            for (int c = 0; c < 400; ++c) {
-                std::vector<double> r2, w;
-                if (c % 4 == 0) {
-                    const double sign = c % 8 == 0 ? 1.0 : -1.0;
-                    r2 = {B::kRange, 1e6};
-                    w = {sign, -sign * 1e20};
-                    if (c % 16 < 8) {
-                        std::swap(r2[0], r2[1]);
-                        std::swap(w[0], w[1]);
-                    }
-                } else {
-                    const std::size_t n = 1 + rng.uniformInt(64);
-                    for (std::size_t i = 0; i < n; ++i) {
-                        switch (rng.uniformInt(3)) {
-                          case 0:
-                            r2.push_back(B::kRange * rng.uniform());
-                            break;
-                          case 1:
-                            r2.push_back(rng.uniformInt(B::kBuckets) *
-                                         B::kStep);
-                            break;
-                          default:
-                            r2.push_back(B::kRange + 1e4 * rng.uniform());
-                        }
-                        w.push_back(rng.gaussian() *
-                                    std::pow(10.0, 12.0 * rng.uniform() - 6.0));
-                    }
+    for (const double variance : {1.0, 2.5, 0.37, 7.0}) {
+        KernelParams params;
+        params.variance = variance;
+        const B bracket(params);
+        for (int c = 0; c < 400; ++c) {
+            std::vector<double> r2, w;
+            if (c % 4 == 0) {
+                const double sign = c % 8 == 0 ? 1.0 : -1.0;
+                r2 = {B::kRange, 1e6};
+                w = {sign, -sign * 1e20};
+                if (c % 16 < 8) {
+                    std::swap(r2[0], r2[1]);
+                    std::swap(w[0], w[1]);
                 }
-                std::vector<double> abs_w;
-                double abs_sum = 0.0, sum = 0.0, kmax = 0.0;
-                for (std::size_t i = 0; i < r2.size(); ++i) {
-                    const double k = kernelFromSquaredDistance(params, r2[i]);
-                    sum += k * w[i];
-                    kmax = std::max(kmax, k);
-                    abs_w.push_back(std::fabs(w[i]));
-                    abs_sum += abs_w.back();
+            } else {
+                const std::size_t n = 1 + rng.uniformInt(64);
+                for (std::size_t i = 0; i < n; ++i) {
+                    switch (rng.uniformInt(3)) {
+                      case 0:
+                        r2.push_back(B::kRange * rng.uniform());
+                        break;
+                      case 1:
+                        r2.push_back(rng.uniformInt(B::kBuckets) *
+                                     B::kStep);
+                        break;
+                      default:
+                        r2.push_back(B::kRange + 1e4 * rng.uniform());
+                    }
+                    w.push_back(rng.gaussian() *
+                                std::pow(10.0, 12.0 * rng.uniform() - 6.0));
                 }
-                const B::RowBounds b = bracket.bound(
-                    r2.data(), w.data(), abs_w.data(), abs_sum, r2.size());
-                ASSERT_LE(b.sumLo, sum) << "case " << c;
-                ASSERT_GE(b.sumHi, sum) << "case " << c;
-                ASSERT_LE(b.maxLo, kmax) << "case " << c;
             }
-            // No bucket, or a non-finite weight: no bound.
-            const double one = 1.0;
-            const double inf = std::numeric_limits<double>::infinity();
-            for (const double r2 : {B::kTailEnd, inf, std::nan("")}) {
-                const B::RowBounds b = bracket.bound(&r2, &one, &one, 1.0, 1);
-                EXPECT_TRUE(std::isnan(b.sumLo) && std::isnan(b.sumHi) &&
-                            std::isnan(b.maxLo));
+            std::vector<double> abs_w;
+            double abs_sum = 0.0, sum = 0.0, kmax = 0.0;
+            for (std::size_t i = 0; i < r2.size(); ++i) {
+                const double k = kernelFromSquaredDistance(params, r2[i]);
+                sum += k * w[i];
+                kmax = std::max(kmax, k);
+                abs_w.push_back(std::fabs(w[i]));
+                abs_sum += abs_w.back();
             }
-            const double r2 = 1.0;
-            EXPECT_TRUE(std::isnan(bracket.bound(&r2, &inf, &inf, inf, 1).sumLo));
+            const B::RowBounds b = bracket.bound(
+                r2.data(), w.data(), abs_w.data(), abs_sum, r2.size());
+            ASSERT_LE(b.sumLo, sum) << "case " << c;
+            ASSERT_GE(b.sumHi, sum) << "case " << c;
+            ASSERT_LE(b.maxLo, kmax) << "case " << c;
         }
+        // No bucket, or a non-finite weight: no bound.
+        const double one = 1.0;
+        const double inf = std::numeric_limits<double>::infinity();
+        for (const double r2 : {B::kTailEnd, inf, std::nan("")}) {
+            const B::RowBounds b = bracket.bound(&r2, &one, &one, 1.0, 1);
+            EXPECT_TRUE(std::isnan(b.sumLo) && std::isnan(b.sumHi) &&
+                        std::isnan(b.maxLo));
+        }
+        const double r2 = 1.0;
+        EXPECT_TRUE(std::isnan(bracket.bound(&r2, &inf, &inf, inf, 1).sumLo));
     }
 }
 
@@ -675,53 +576,49 @@ TEST(Kernel, BracketHoldsAtBucketEdgesAndInside)
     // NaN) has no bucket.
     using B = KernelBracket;
     Rng rng(83);
-    for (const KernelKind kind :
-         {KernelKind::Matern52, KernelKind::SquaredExponential}) {
-        for (const double variance : {1.0, 0.37}) {
-            KernelParams params;
-            params.kind = kind;
-            params.variance = variance;
-            const B bracket(params);
-            ASSERT_TRUE(bracket.builtFor(params));
-            const auto holds = [&](std::uint32_t t, double r2) {
-                const double k = kernelFromSquaredDistance(params, r2);
-                return bracket.lower(t) <= k && k <= bracket.upper(t);
-            };
-            for (std::uint32_t t = 0; t < B::kBuckets; ++t) {
-                const double lo = t * B::kStep;
-                const double hi = (t + 1) * B::kStep;
-                const double inside[] = {
-                    lo, std::nextafter(lo, hi), std::nextafter(hi, lo),
-                    lo + rng.uniform() * B::kStep};
-                for (const double r2 : inside) {
-                    ASSERT_EQ(B::bucket(r2), t) << r2;
-                    ASSERT_TRUE(holds(t, r2)) << "bucket " << t << " r2 " << r2;
-                }
-                ASSERT_TRUE(holds(t, hi)) << "bucket " << t;
-                ASSERT_GE(bracket.lower(t), 0.0);
+    for (const double variance : {1.0, 0.37, 2.5, 7.0}) {
+        KernelParams params;
+        params.variance = variance;
+        const B bracket(params);
+        ASSERT_TRUE(bracket.builtFor(params));
+        const auto holds = [&](std::uint32_t t, double r2) {
+            const double k = kernelFromSquaredDistance(params, r2);
+            return bracket.lower(t) <= k && k <= bracket.upper(t);
+        };
+        for (std::uint32_t t = 0; t < B::kBuckets; ++t) {
+            const double lo = t * B::kStep;
+            const double hi = (t + 1) * B::kStep;
+            const double inside[] = {
+                lo, std::nextafter(lo, hi), std::nextafter(hi, lo),
+                lo + rng.uniform() * B::kStep};
+            for (const double r2 : inside) {
+                ASSERT_EQ(B::bucket(r2), t) << r2;
+                ASSERT_TRUE(holds(t, r2)) << "bucket " << t << " r2 " << r2;
             }
-            const double tail[] = {
-                B::kRange, std::nextafter(B::kRange, 1e9), 100.0, 1e6, 1e300,
-                std::nextafter(B::kTailEnd, 0.0)};
-            for (const double r2 : tail) {
-                ASSERT_EQ(B::bucket(r2), B::kBuckets) << r2;
-                ASSERT_TRUE(holds(B::kBuckets, r2)) << r2;
-            }
-            EXPECT_EQ(bracket.lower(B::kBuckets), 0.0);
-            for (const double r2 : {B::kTailEnd, 1e305,
-                                    std::numeric_limits<double>::infinity(),
-                                    std::nan("")})
-                EXPECT_EQ(B::bucket(r2), B::kBuckets + 1) << r2;
+            ASSERT_TRUE(holds(t, hi)) << "bucket " << t;
+            ASSERT_GE(bracket.lower(t), 0.0);
         }
+        const double tail[] = {
+            B::kRange, std::nextafter(B::kRange, 1e9), 100.0, 1e6, 1e300,
+            std::nextafter(B::kTailEnd, 0.0)};
+        for (const double r2 : tail) {
+            ASSERT_EQ(B::bucket(r2), B::kBuckets) << r2;
+            ASSERT_TRUE(holds(B::kBuckets, r2)) << r2;
+        }
+        EXPECT_EQ(bracket.lower(B::kBuckets), 0.0);
+        for (const double r2 : {B::kTailEnd, 1e305,
+                                std::numeric_limits<double>::infinity(),
+                                std::nan("")})
+            EXPECT_EQ(B::bucket(r2), B::kBuckets + 1) << r2;
     }
 }
 
 TEST(Gp, TermRowsFollowTheFit)
 {
-    // One GP refitted to new inputs (fit, hyperparameter search, ARD)
-    // and retargeted between argmax calls over the same grid
-    // coordinates: the cached term rows must be those of the current
-    // inputs and lengthscales, never of an earlier fit.
+    // One GP refitted to new inputs (fit, hyperparameter search, a fit
+    // to the newest half) and retargeted between argmax calls over the
+    // same grid coordinates: the cached term rows must be those of the
+    // current inputs and lengthscale, never of an earlier fit.
     Rng rng(31);
     const std::vector<std::size_t> levels = {5, 9, 3};
     GaussianProcess gp;
@@ -749,7 +646,7 @@ TEST(Gp, TermRowsFollowTheFit)
             else if (round % 4 == 1)
                 gp.fitWithHyperopt(x, y, 512, 1);
             else
-                gp.fitArd(x, y, 512, 1, 1);
+                gp.fit(x, y, n / 2);
         }
         ASSERT_TRUE(gp.trained());
         const double incumbent = *std::min_element(y.begin(), y.end());
@@ -757,28 +654,13 @@ TEST(Gp, TermRowsFollowTheFit)
                   serialArgmaxEi(gp, xs, incumbent))
             << "round " << round;
         std::vector<double> r2(gp.size());
+        const std::size_t first = x.size() - gp.size();
         for (const auto &query : xs) {
             gp.squaredDistances(query.data(), r2.data());
             for (std::size_t i = 0; i < gp.size(); ++i)
                 ASSERT_EQ(bits(kernelFromSquaredDistance(gp.params(), r2[i])),
-                          bits(kernelValue(gp.params(), query, x[i])))
+                          bits(kernelValue(gp.params(), query, x[first + i])))
                     << "round " << round;
         }
     }
-}
-
-TEST(Gp, HyperoptClearsStaleArdState)
-{
-    Rng rng(17);
-    std::vector<std::vector<double>> x;
-    std::vector<double> y;
-    for (int i = 0; i < 20; ++i) {
-        x.push_back({rng.uniform(), rng.uniform()});
-        y.push_back(rng.gaussian());
-    }
-    GaussianProcess gp;
-    gp.fitArd(x, y);
-    EXPECT_FALSE(gp.params().ardLengthscales.empty());
-    gp.fitWithHyperopt(x, y);
-    EXPECT_TRUE(gp.params().ardLengthscales.empty());
 }

@@ -191,11 +191,8 @@ TEST(Mobo, ProposalsMatchParent)
     // blocked EI argmax must propose exactly the same configurations.
     core::MoboConfig mobohb;
     mobohb.randomFraction = 1.0 / 3.0;
-    core::MoboConfig ard;
-    ard.useArd = true;
     EXPECT_EQ(proposalDigest(core::MoboConfig{}, 4), 0x26c9c8c276dbe6dbULL);
     EXPECT_EQ(proposalDigest(mobohb, 4), 0x6e79f61344f7edb3ULL);
-    EXPECT_EQ(proposalDigest(ard, 4), 0x372619ebeaf2d3e0ULL);
     EXPECT_EQ(proposalDigest(core::MoboConfig{}, 3), 0xb32c6a19c19ecb3fULL);
     // Pool, batch and seen-set deduplication and the random fallback.
     EXPECT_EQ(smallSpaceDigest(), 0x4a77839c0ec7642cULL);
@@ -318,23 +315,6 @@ TEST(Mobo, FullRandomFractionBypassesModel)
         EXPECT_TRUE(ds.contains(h));
 }
 
-TEST(Mobo, ArdSamplerProposesValidPoints)
-{
-    const auto ds = makeSpace();
-    core::MoboConfig cfg;
-    cfg.useArd = true;
-    MoboHwSampler sampler(ds, 3, 9, cfg);
-    common::Rng rng(9);
-    for (int i = 0; i < 24; ++i) {
-        const auto h = ds.randomPoint(rng);
-        sampler.observe(h, syntheticY(ds, h), true);
-    }
-    const auto batch = sampler.sampleBatch(8);
-    EXPECT_EQ(batch.size(), 8u);
-    for (const auto &h : batch)
-        EXPECT_TRUE(ds.contains(h));
-}
-
 TEST(Mobo, GpFitFailureDegradesToSpaceFilling)
 {
     // NaN objectives poison the GP targets: the fit produces a
@@ -415,8 +395,9 @@ TEST(Mobo, RestoreRejectsWrongObjectiveCount)
 
 TEST(Mobo, RestoreRejectsUnknownKernelKind)
 {
-    expectRejected(withKernelField(savedState(), "kind", 7));
-    expectRejected(withKernelField(savedState(), "kind", -1));
+    // 1 is the Matérn-5/2; 0 was the retired squared exponential.
+    for (const int kind : {0, 7, -1})
+        expectRejected(withKernelField(savedState(), "kind", kind));
 }
 
 TEST(Mobo, RestoreRejectsBadLengthscale)
@@ -440,11 +421,34 @@ TEST(Mobo, RestoreRejectsBadNoise)
         expectRejected(withKernelField(savedState(), "noise", v));
 }
 
-TEST(Mobo, RestoreRejectsBadArdLengthscales)
+TEST(Mobo, RestoreRejectsArdLengthscales)
 {
-    // makeSpace() has three axes: one entry is too few, and every
-    // entry must be positive.
+    // The kernel has one shared lengthscale, so "ard" must be an empty
+    // array: any entries are rejected, even one valid lengthscale per
+    // axis of makeSpace(), and so is anything that is not an array.
     expectRejected(withKernelField(savedState(), "ard", numbers({0.3})));
     expectRejected(
-        withKernelField(savedState(), "ard", numbers({0.3, 0.0, 0.3})));
+        withKernelField(savedState(), "ard", numbers({0.3, 0.3, 0.3})));
+    expectRejected(withKernelField(savedState(), "ard", 0.3));
+    expectRejected(withKernelField(savedState(), "ard", "[]"));
+    expectRejected(
+        withKernelField(savedState(), "ard", common::Json::object()));
+    expectRejected(withKernelField(savedState(), "ard", common::Json()));
+}
+
+TEST(Mobo, SavedKernelStateMatchesParent)
+{
+    // The kernel state's bytes, recorded before the ARD fit and the
+    // squared-exponential kernel were deleted: checkpoints keep
+    // "kind": 1 and an empty "ard", so old and new files read alike.
+    const auto ds = makeSpace();
+    MoboHwSampler sampler(ds, 3, 12);
+    for (int b = 0; b < 2; ++b)
+        for (const auto &h : sampler.sampleBatch(b == 0 ? 6 : 8))
+            sampler.observe(h, syntheticY(ds, h), true);
+    const common::Json state = sampler.saveState();
+    EXPECT_TRUE(state.at("kernelTuned").asBool());
+    EXPECT_EQ(state.at("kernel").dump(),
+              "{\"ard\":[],\"kind\":1,\"lengthscale\":0.20000000000000001,"
+              "\"noise\":0.0001,\"variance\":1}");
 }

@@ -2,14 +2,13 @@
  * @file
  * Property tests for the multi-objective primitives: archive
  * invariants under random insertion streams, consistency between the
- * archive and non-dominated sorting, and indicator coherence.
+ * archive and non-dominated sorting, and hypervolume coherence.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
 #include "moo/hypervolume.hh"
-#include "moo/indicators.hh"
 #include "moo/pareto.hh"
 
 using namespace unico::moo;
@@ -103,33 +102,6 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<std::size_t, std::size_t>{3, 50},
                       std::pair<std::size_t, std::size_t>{3, 120},
                       std::pair<std::size_t, std::size_t>{4, 60}));
-
-TEST(MooProperty, IgdZeroIffFrontCoversReference)
-{
-    Rng rng(5);
-    const auto ref = randomPoints(rng, 10, 3);
-    EXPECT_DOUBLE_EQ(igd(ref, ref), 0.0);
-    auto shifted = ref;
-    for (auto &p : shifted)
-        for (auto &v : p)
-            v += 0.1;
-    EXPECT_GT(igd(shifted, ref), 0.0);
-}
-
-TEST(MooProperty, EpsilonConsistentWithDomination)
-{
-    Rng rng(7);
-    const auto a = randomPoints(rng, 20, 3);
-    // A front shifted to be strictly better has epsilon <= 0 against
-    // the original, and the original has epsilon >= the shift
-    // against it.
-    auto better = a;
-    for (auto &p : better)
-        for (auto &v : p)
-            v -= 0.25;
-    EXPECT_LE(additiveEpsilon(better, a), -0.25 + 1e-12);
-    EXPECT_NEAR(additiveEpsilon(a, better), 0.25, 1e-12);
-}
 
 TEST(MooProperty, HypervolumeMonotoneUnderArchiveGrowth)
 {

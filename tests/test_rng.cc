@@ -123,30 +123,6 @@ TEST(Rng, BernoulliExtremes)
     }
 }
 
-TEST(Rng, CategoricalRespectsWeights)
-{
-    Rng rng(25);
-    std::vector<double> w = {1.0, 0.0, 3.0};
-    std::vector<int> counts(3, 0);
-    const int n = 40000;
-    for (int i = 0; i < n; ++i)
-        ++counts[rng.categorical(w)];
-    EXPECT_EQ(counts[1], 0);
-    EXPECT_NEAR(static_cast<double>(counts[0]) / n, 0.25, 0.02);
-    EXPECT_NEAR(static_cast<double>(counts[2]) / n, 0.75, 0.02);
-}
-
-TEST(Rng, CategoricalAllZeroWeightsIsUniform)
-{
-    Rng rng(27);
-    std::vector<double> w = {0.0, 0.0};
-    std::vector<int> counts(2, 0);
-    for (int i = 0; i < 2000; ++i)
-        ++counts[rng.categorical(w)];
-    EXPECT_GT(counts[0], 500);
-    EXPECT_GT(counts[1], 500);
-}
-
 TEST(Rng, ShuffleIsPermutation)
 {
     Rng rng(29);
@@ -165,18 +141,6 @@ TEST(Rng, PickReturnsElement)
         const int x = rng.pick(v);
         EXPECT_TRUE(x == 10 || x == 20 || x == 30);
     }
-}
-
-TEST(Rng, SplitProducesIndependentStream)
-{
-    Rng a(33);
-    Rng child = a.split();
-    // Child stream should differ from the parent continuation.
-    int differing = 0;
-    for (int i = 0; i < 64; ++i)
-        if (a.next() != child.next())
-            ++differing;
-    EXPECT_GT(differing, 60);
 }
 
 /** Property: uniformInt(n) is unbiased enough across a seed sweep. */

@@ -529,6 +529,30 @@ reapWithin(pid_t pid, double wait_seconds)
     return -3;
 }
 
+/** Run @p args to exit; returns its exit code and fills @p err with
+ *  everything it wrote to stderr. */
+int
+runForStderr(const std::vector<std::string> &args, std::string &err)
+{
+    int fds[2];
+    EXPECT_EQ(pipe2(fds, O_CLOEXEC), 0);
+    const pid_t pid = spawn(args, fds[1]);
+    ::close(fds[1]);
+    EXPECT_GT(pid, 0);
+    err.clear();
+    char buf[4096];
+    for (;;) {
+        const ssize_t n = read(fds[0], buf, sizeof buf);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            break;
+        err.append(buf, static_cast<std::size_t>(n));
+    }
+    ::close(fds[0]);
+    return reapWithin(pid, 60.0);
+}
+
 /** One-shot HTTP exchange: send @p request, read to connection
  *  close, return the raw response (head + body). */
 std::string
@@ -607,8 +631,9 @@ statusOf(const std::string &response)
 
 TEST(ServeCli, RejectsTheSizesTheServerRejects)
 {
-    // Each bad size as a CLI flag and as the same JobSpec field: the
-    // CLI must exit 2 with the message POST /jobs answers.
+    // Each bad size, fault rate or checkpoint rotation as a CLI flag
+    // and as the same JobSpec field: the CLI must exit 2 with the
+    // message POST /jobs answers.
     struct Case
     {
         std::vector<std::string> flags;
@@ -626,6 +651,15 @@ TEST(ServeCli, RejectsTheSizesTheServerRejects)
         {{"--bmax", "0"}, [](core::JobSpec &s) { s.bmax = 0; }},
         {{"--threads", "-1"},
          [](core::JobSpec &s) { s.threads = static_cast<std::size_t>(-1); }},
+        {{"--fault-rate", "2"}, [](core::JobSpec &s) { s.faultRate = 2.0; }},
+        {{"--hang-rate", "-0.1"},
+         [](core::JobSpec &s) { s.hangRate = -0.1; }},
+        {{"--corrupt-rate", "nan"},
+         [](core::JobSpec &s) { s.corruptRate = std::nan(""); }},
+        {{"--checkpoint-every", "0"},
+         [](core::JobSpec &s) { s.checkpointEvery = 0; }},
+        {{"--checkpoint-keep", "-4"},
+         [](core::JobSpec &s) { s.checkpointKeep = -4; }},
     };
     core::JobManagerConfig cfg;
     cfg.shutdownFanout = false;
@@ -642,26 +676,33 @@ TEST(ServeCli, RejectsTheSizesTheServerRejects)
 
         std::vector<std::string> args = {kCli, "resnet"};
         args.insert(args.end(), c.flags.begin(), c.flags.end());
-        int fds[2];
-        ASSERT_EQ(pipe2(fds, O_CLOEXEC), 0);
-        const pid_t pid = spawn(args, fds[1]);
-        ::close(fds[1]);
-        ASSERT_GT(pid, 0);
         std::string err;
-        char buf[4096];
-        for (;;) {
-            const ssize_t n = read(fds[0], buf, sizeof buf);
-            if (n < 0 && errno == EINTR)
-                continue;
-            if (n <= 0)
-                break;
-            err.append(buf, static_cast<std::size_t>(n));
-        }
-        ::close(fds[0]);
-        EXPECT_EQ(reapWithin(pid, 60.0), 2);
+        EXPECT_EQ(runForStderr(args, err), 2);
         EXPECT_NE(err.find("error: " + rej.message + "\n"),
                   std::string::npos)
             << err;
+    }
+}
+
+TEST(ServeCli, ServerRejectsBadCapacityFlags)
+{
+    // A negative or zero scheduler count and an unbounded or empty
+    // queue are usage errors: exit 2 with a diagnostic, before the
+    // server binds or writes its port file.
+    const std::string dir = makeTempDir("flags");
+    const std::vector<std::vector<std::string>> cases = {
+        {"--max-concurrent", "-1"}, {"--max-concurrent", "0"},
+        {"--max-concurrent", "257"}, {"--max-queued", "-1"},
+        {"--max-queued", "0"}};
+    for (const auto &flags : cases) {
+        SCOPED_TRACE(flags[0] + " " + flags[1]);
+        std::vector<std::string> args = {kServer, "--listen", "127.0.0.1:0",
+                                         "--port-file", dir + "/port"};
+        args.insert(args.end(), flags.begin(), flags.end());
+        std::string err;
+        EXPECT_EQ(runForStderr(args, err), 2);
+        EXPECT_EQ(err.rfind("error: ", 0), 0u) << err;
+        EXPECT_FALSE(fileExists(dir + "/port"));
     }
 }
 

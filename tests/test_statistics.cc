@@ -27,12 +27,6 @@ TEST(Statistics, VarianceAndStddev)
     EXPECT_DOUBLE_EQ(stats::stddev({2.0, 4.0}), 1.0);
 }
 
-TEST(Statistics, MinMax)
-{
-    EXPECT_DOUBLE_EQ(stats::minValue({3.0, -1.0, 7.0}), -1.0);
-    EXPECT_DOUBLE_EQ(stats::maxValue({3.0, -1.0, 7.0}), 7.0);
-}
-
 TEST(Statistics, PercentileEndpoints)
 {
     const std::vector<double> v = {10.0, 20.0, 30.0, 40.0};
@@ -98,13 +92,6 @@ TEST(Statistics, AucShortHistory)
     EXPECT_DOUBLE_EQ(stats::aucAboveTerminal({3.0}), 0.0);
 }
 
-TEST(Statistics, RunningMinIsMonotone)
-{
-    const auto out = stats::runningMin({5.0, 7.0, 3.0, 4.0, 1.0});
-    const std::vector<double> expected = {5.0, 5.0, 3.0, 3.0, 1.0};
-    EXPECT_EQ(out, expected);
-}
-
 TEST(Statistics, PearsonPerfectCorrelation)
 {
     EXPECT_NEAR(stats::pearson({1, 2, 3}, {2, 4, 6}), 1.0, 1e-12);
@@ -144,9 +131,8 @@ TEST(Statistics, ArgsortDescending)
     EXPECT_EQ(idx, expected);
 }
 
-TEST(Statistics, L2NormAndDistance)
+TEST(Statistics, L2Distance)
 {
-    EXPECT_DOUBLE_EQ(stats::l2Norm({3.0, 4.0}), 5.0);
     EXPECT_DOUBLE_EQ(stats::l2Distance({1.0, 1.0}, {4.0, 5.0}), 5.0);
 }
 

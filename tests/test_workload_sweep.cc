@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/spatial_env.hh"
-#include "workload/analysis.hh"
+#include "roofline.hh"
 #include "workload/model_zoo.hh"
 
 using namespace unico;
@@ -64,7 +64,7 @@ TEST_P(WorkloadSweep, LatencyLowerBoundedByRoofline)
         for (std::int64_t i = 0; i < wop.count; ++i)
             dominant.add(wop.op);
     const double roof_cycles =
-        workload::rooflineCycles(dominant, 64.0, 32.0);
+        oracle::rooflineCycles(dominant, 64.0, 32.0);
     const double roof_ms = roof_cycles / 1e6; // 1 GHz
     EXPECT_GE(ppa.latencyMs, 0.9 * roof_ms) << GetParam();
 }

@@ -1,16 +1,21 @@
 /**
  * @file
  * Crash-resilience overhead sweep: forks the real co_search_cli
- * binary, SIGKILLs it K times at deterministic points mid-search,
- * resumes after every kill, and reports the wall-clock cost and the
- * re-executed-trial overhead of each kill count relative to the
- * uninterrupted run — the price of crash-consistency.
+ * binary, SIGKILLs it K times mid-search, resumes after every kill,
+ * and reports the wall-clock cost and the re-executed-trial overhead
+ * of each kill count relative to the uninterrupted run — the price of
+ * crash-consistency. Each killed run streams its progress events
+ * (--progress-every 1) and is killed right after a seeded number of
+ * "checkpoint" events, so a kill lands mid-search however fast the
+ * build is: every killed run persists at least one trial, and enough
+ * trials remain for the kills still to come. K must be below --iters,
+ * and a row that delivers fewer than K kills fails the bench.
  *
  * Expected shape: outputs stay byte-identical at every K (asserted),
  * total wall time grows roughly linearly with K (each kill discards
- * at most one in-flight trial plus the partial work of the killed
- * process), and the re-executed-trial count stays <= K with the
- * default checkpoint cadence of 1.
+ * the partial trial in flight plus the killed process's start-up),
+ * and the re-executed-trial count stays at 0, since every kill
+ * follows a checkpoint save.
  *
  * A second sweep exercises the evaluation fleet: the CLI runs with
  * --workers 4 and the master SIGKILLs K of its own worker processes
@@ -38,11 +43,13 @@
  */
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fcntl.h>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -92,8 +99,10 @@ fileExists(const std::string &path)
     return ::stat(path.c_str(), &st) == 0;
 }
 
+/** Fork + exec @p args. The child's stdout goes to @p stdout_fd, or
+ *  to /dev/null when it is negative. */
 pid_t
-spawn(const std::vector<std::string> &args)
+spawn(const std::vector<std::string> &args, int stdout_fd = -1)
 {
     std::vector<char *> argv;
     for (const auto &a : args)
@@ -104,34 +113,70 @@ spawn(const std::vector<std::string> &args)
     std::fflush(stdout);
     const pid_t pid = fork();
     if (pid == 0) {
-        std::freopen("/dev/null", "w", stdout);
+        if (stdout_fd >= 0)
+            dup2(stdout_fd, STDOUT_FILENO);
+        else
+            std::freopen("/dev/null", "w", stdout);
         execv(argv[0], argv.data());
         _exit(127);
     }
     return pid;
 }
 
-/** Run to completion or SIGKILL after delay_ms; true = killed. */
+/**
+ * Run the CLI to completion, or — with @p kill_at > 0 — stream its
+ * progress events and SIGKILL it right after its kill_at-th
+ * checkpoint event, unless it exits first. True = killed.
+ */
 bool
-runMaybeKill(const std::vector<std::string> &args, int delay_ms,
-             int &exit_code)
+runMaybeKill(std::vector<std::string> args, int kill_at, int &exit_code)
 {
-    const pid_t pid = spawn(args);
     int status = 0;
-    if (delay_ms >= 0) {
-        for (int waited = 0; waited < delay_ms; ++waited) {
-            if (waitpid(pid, &status, WNOHANG) == pid) {
-                exit_code =
-                    WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-                return false;
-            }
-            usleep(1000);
-        }
-        kill(pid, SIGKILL);
-        waitpid(pid, &status, 0);
-        return true;
+    if (kill_at <= 0) {
+        waitpid(spawn(args), &status, 0);
+        exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+        return false;
     }
+    args.push_back("--progress-every");
+    args.push_back("1");
+    int fds[2];
+    if (pipe2(fds, O_CLOEXEC) != 0) {
+        std::perror("pipe2");
+        std::exit(1);
+    }
+    const pid_t pid = spawn(args, fds[1]);
+    ::close(fds[1]);
+    // Drain stdout to EOF even after the kill, so the child never
+    // blocks on a full pipe.
+    int checkpoints = 0;
+    bool sent = false;
+    std::string line;
+    char buf[4096];
+    for (;;) {
+        const ssize_t n = read(fds[0], buf, sizeof buf);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            break;
+        for (ssize_t i = 0; i < n && !sent; ++i) {
+            if (buf[i] != '\n') {
+                line += buf[i];
+                continue;
+            }
+            if (line.find("\"event\":\"checkpoint\"") !=
+                    std::string::npos &&
+                ++checkpoints == kill_at) {
+                kill(pid, SIGKILL);
+                sent = true;
+            }
+            line.clear();
+        }
+    }
+    ::close(fds[0]);
     waitpid(pid, &status, 0);
+    // A child that exited before the signal arrived was not killed.
+    if (WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
+        return true;
     exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
     return false;
 }
@@ -213,8 +258,8 @@ int
 main(int argc, char **argv)
 {
     const unico::common::CliArgs args(argc, argv);
-    const std::string iters =
-        std::to_string(args.getInt("iters", 10));
+    const int n_iters = static_cast<int>(args.getInt("iters", 10));
+    const std::string iters = std::to_string(n_iters);
     const std::string batch =
         std::to_string(args.getInt("batch", 16));
     const std::string bmax = std::to_string(args.getInt("bmax", 400));
@@ -225,6 +270,15 @@ main(int argc, char **argv)
         parseIntList(args.getString("worker-kills", "0,2,4,8"));
     const std::string workers =
         std::to_string(args.getInt("workers", 4));
+    for (const int k : kill_counts) {
+        // Each kill needs a persisted trial of its own, and the final
+        // run one more.
+        if (k < 0 || k >= n_iters) {
+            std::cerr << "--kills values must lie in [0, --iters); got "
+                      << k << " with --iters " << n_iters << "\n";
+            return 2;
+        }
+    }
 
     const std::string dir = "/tmp/unico_bench_chaos";
     mkdir(dir.c_str(), 0755);
@@ -287,13 +341,22 @@ main(int argc, char **argv)
             const bool resume =
                 fileExists(dir + "/" + tag + ".json") ||
                 fileExists(dir + "/" + tag + ".json.1");
-            const int delay =
-                kills < target_kills
-                    ? 5 + static_cast<int>(rng.next() % 150)
-                    : -1;
+            int kill_at = -1;
+            if (kills < target_kills) {
+                // Kill after j new checkpoints, 1 <= j <= slack: the
+                // run persists at least one trial and leaves one for
+                // each later kill plus one for the final run.
+                const int later = target_kills - kills - 1;
+                const int slack =
+                    n_iters - 1 - prev_completed - later;
+                kill_at = 1 + static_cast<int>(
+                                  rng.next() %
+                                  static_cast<std::uint64_t>(
+                                      std::max(slack, 1)));
+            }
             ++runs;
             const bool killed =
-                runMaybeKill(cli(tag, resume), delay, code);
+                runMaybeKill(cli(tag, resume), kill_at, code);
             if (killed) {
                 ++kills;
                 // Trials finished by the killed process but not yet
@@ -328,6 +391,11 @@ main(int argc, char **argv)
         std::printf("%6d %6d %10.1f %9.2fx %9d %10s\n", kills, runs,
                     wall_ms, wall_ms / base_ms, replayed,
                     identical ? "yes" : "NO");
+        if (kills < target_kills) {
+            std::cerr << tag << ": delivered " << kills << " of "
+                      << target_kills << " kills\n";
+            return 1;
+        }
         csv << kills << ',' << runs << ',' << wall_ms << ','
             << wall_ms / base_ms << ',' << replayed << ','
             << (identical ? 1 : 0) << "\n";

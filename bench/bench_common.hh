@@ -120,7 +120,6 @@ inline std::unique_ptr<core::CoSearchEnv>
 makeBenchEnv(const std::string &backend,
              const std::vector<std::string> &nets,
              accel::Scenario scenario, std::size_t max_shapes = 5,
-             accel::EvalCache *cache = nullptr,
              surrogate::SurrogateContext *surrogate = nullptr)
 {
     std::vector<workload::Network> networks;
@@ -130,7 +129,6 @@ makeBenchEnv(const std::string &backend,
     core::BackendOptions env_opt;
     env_opt.scenario = scenario;
     env_opt.maxShapesPerNetwork = max_shapes;
-    env_opt.cache = cache;
     env_opt.surrogate = surrogate;
     return core::makeBackendEnv(backend, std::move(networks), env_opt);
 }
@@ -139,10 +137,9 @@ makeBenchEnv(const std::string &backend,
 inline std::unique_ptr<core::CoSearchEnv>
 makeBenchEnv(const BenchOptions &opt, const std::vector<std::string> &nets,
              accel::Scenario scenario, std::size_t max_shapes = 5,
-             accel::EvalCache *cache = nullptr,
              surrogate::SurrogateContext *surrogate = nullptr)
 {
-    return makeBenchEnv(opt.backend, nets, scenario, max_shapes, cache,
+    return makeBenchEnv(opt.backend, nets, scenario, max_shapes,
                         surrogate);
 }
 

@@ -50,7 +50,7 @@ main(int argc, char **argv)
                   << surrogate_ctx.options.keep << "\n\n";
     const auto train_env = makeBenchEnv(opt, training,
                                         accel::Scenario::Edge, 3,
-                                        nullptr, &surrogate_ctx);
+                                        &surrogate_ctx);
 
     auto unico_cfg = benchDriverConfig(core::DriverConfig::unico(), opt);
     core::CoOptimizer unico_driver(*train_env, unico_cfg);

@@ -18,8 +18,8 @@
 #include "camodel/simulator.hh"
 #include "common/rng.hh"
 #include "common/shard_cache.hh"
-#include "core/backend.hh"
 #include "core/driver.hh"
+#include "core/spatial_env.hh"
 #include "costmodel/analytical.hh"
 #include "mapping/engine.hh"
 #include "moo/hypervolume.hh"
@@ -86,19 +86,6 @@ BM_CycleLevelEvaluate(benchmark::State &state)
 }
 BENCHMARK(BM_CycleLevelEvaluate);
 
-/** Spatial evaluation through the production cache path. */
-mapping::MappingEval
-cachedSpatial(const costmodel::AnalyticalCostModel &model,
-              const costmodel::PreparedSpatialQuery &prep,
-              const mapping::Mapping &m, accel::EvalCache *cache)
-{
-    return mapping::cachedEvaluate(cache, prep.context, m, [&] {
-        return mapping::latencyEval(
-            model.evaluate(prep, m),
-            costmodel::AnalyticalCostModel::nominalEvalSeconds());
-    });
-}
-
 /** Cube evaluation through the production cache path; the entry
  *  carries the query's nominal seconds, as the ascend policy's do. */
 mapping::MappingEval
@@ -112,29 +99,6 @@ cachedCube(const camodel::CycleAccurateModel &model,
         return mapping::latencyEval(ppa, model.nominalEvalSeconds(stats));
     });
 }
-
-void
-BM_AnalyticalEvaluateCachedWarm(benchmark::State &state)
-{
-    const costmodel::AnalyticalCostModel model;
-    const auto op = convOp();
-    const auto hw = spatialHw();
-    const auto prep = model.prepare(op, hw);
-    const mapping::MappingSpace space(op);
-    common::Rng rng(1);
-    std::vector<mapping::Mapping> mappings;
-    for (int i = 0; i < 64; ++i)
-        mappings.push_back(space.random(rng));
-    accel::EvalCache cache(16 * 1024 * 1024);
-    for (const auto &m : mappings)
-        cachedSpatial(model, prep, m, &cache); // warm every entry
-    std::size_t i = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(cachedSpatial(
-            model, prep, mappings[i++ % mappings.size()], &cache));
-    }
-}
-BENCHMARK(BM_AnalyticalEvaluateCachedWarm);
 
 void
 BM_CycleLevelEvaluateCachedWarm(benchmark::State &state)
@@ -204,19 +168,48 @@ BM_MshRoundsCached(benchmark::State &state)
 }
 BENCHMARK(BM_MshRoundsCached);
 
+/** The pre-overhaul reference's per-call context hash: the (tech,
+ *  hw, op) triple of one spatial query, hashed from scratch. */
+common::Fingerprint
+spatialContextFingerprint(const costmodel::TechParams &tech,
+                          const accel::SpatialHwConfig &hw,
+                          const workload::TensorOp &op)
+{
+    common::FingerprintBuilder fb;
+    fb.add(std::string_view{"A"}); // model-kind salt
+    fb.add(tech.clockGhz)
+        .add(tech.macPj)
+        .add(tech.l1BasePj)
+        .add(tech.l1SlopePj)
+        .add(tech.l2BasePj)
+        .add(tech.l2SlopePj)
+        .add(tech.dramPj)
+        .add(tech.nocPjPerByteHop)
+        .add(tech.dramBytesPerCycle)
+        .add(tech.peAreaMm2)
+        .add(tech.sramMm2PerKb)
+        .add(tech.nocAreaMm2PerPeBw)
+        .add(tech.staticMwPerMm2)
+        .add(tech.registerReuse);
+    fb.add(hw.peX).add(hw.peY).add(hw.l1Bytes).add(hw.l2Bytes)
+        .add(hw.nocBandwidth)
+        .add(static_cast<int>(hw.dataflow));
+    fb.add(op.fingerprint());
+    return fb.fingerprint();
+}
+
 /**
- * Cold-evaluation kernels: one cache-miss query = cache-key
- * fingerprint + model evaluation, the exact work a mapping engine
- * pays for every previously unseen candidate. The unprepared
- * variants replicate the pre-overhaul kernel — re-hashing the query
- * context fingerprint and re-deriving operand masks / sqrt energy
- * constants per call, as the cached path historically did, and for
- * the cube running the per-L0-tile inner pipeline (retained verbatim
- * as the traced path; trace cap 1 keeps recording cost negligible).
- * The prepared variants amortize the context through
- * PreparedSpatialQuery/PreparedCubeQuery and (cube) the closed-form
- * fast path — the production stack since the layer policies build one
- * context per layer-run. The ns_per_eval counter carries both into
+ * Cold-evaluation kernels: the work a mapping engine pays for every
+ * previously unseen candidate. The unprepared variants replicate the
+ * pre-overhaul kernel — re-hashing the query context fingerprint and
+ * re-deriving operand masks / sqrt energy constants per call, as the
+ * cached path historically did, and for the cube running the
+ * per-L0-tile inner pipeline (retained verbatim as the traced path;
+ * trace cap 1 keeps recording cost negligible). The prepared variants
+ * are the production calls: the spatial policy queries the model
+ * through its PreparedSpatialQuery with no cache key, and the cube
+ * policy keys its cache and runs the closed-form fast path through
+ * PreparedCubeQuery. The ns_per_eval counter carries both into
  * BENCH_micro.json, where CI guards the ratio.
  */
 void
@@ -236,9 +229,7 @@ BM_ColdEvalSpatial(benchmark::State &state)
     for (auto _ : state) {
         const auto &m = mappings[i];
         i = (i + 1) & (mappings.size() - 1); // size is a power of two
-        keys += accel::evalCacheKey(model.queryFingerprint(op, hw),
-                                    m.fingerprint())
-                    .lo;
+        keys += spatialContextFingerprint(model.tech(), hw, op).lo;
         lat += model.evaluate(op, hw, m).latencyMs;
     }
     benchmark::DoNotOptimize(keys);
@@ -264,15 +255,12 @@ BM_ColdEvalSpatialPrepared(benchmark::State &state)
         mappings.push_back(space.random(rng));
     const costmodel::PreparedSpatialQuery prep = model.prepare(op, hw);
     std::size_t i = 0;
-    std::uint64_t keys = 0;
     double lat = 0.0;
     for (auto _ : state) {
         const auto &m = mappings[i];
         i = (i + 1) & (mappings.size() - 1); // size is a power of two
-        keys += accel::evalCacheKey(prep.context, m.fingerprint()).lo;
         lat += model.evaluate(prep, m).latencyMs;
     }
-    benchmark::DoNotOptimize(keys);
     benchmark::DoNotOptimize(lat);
     // iterations * 1e-9 under kIsRate|kInvert reports elapsed
     // nanoseconds per evaluation.
@@ -539,17 +527,17 @@ BENCHMARK(BM_ModelZooBuild);
 /**
  * End-to-end spatial co-search on the Fig. 9 training workload,
  * exact-only vs surrogate-screened (keep = 0.25). Counters carry the
- * acceptance metrics into BENCH_micro.json: cold exact evaluations
- * (= evaluation-cache insertions — every unique mapping that reached
- * the exact model), screening decision totals, and the final
- * constrained front's hypervolume in fixed log10 coordinates. The
- * fixed log-domain reference makes the hypervolume comparable across
- * the two registrations without shared min-max bounds.
+ * acceptance metrics into BENCH_micro.json: exact evaluations (the
+ * candidates of every spent sweep that the screen did not answer),
+ * screening decision totals, and the final constrained front's
+ * hypervolume in fixed log10 coordinates. The fixed log-domain
+ * reference makes the hypervolume comparable across the two
+ * registrations without shared min-max bounds.
  */
 void
 surrogateCoSearch(benchmark::State &state, bool screened)
 {
-    double cold_evals = 0.0;
+    double exact_evals = 0.0;
     double hv = 0.0;
     surrogate::SurrogateStats sstats;
     for (auto _ : state) {
@@ -557,17 +545,14 @@ surrogateCoSearch(benchmark::State &state, bool screened)
         for (const char *name :
              {"mobilenet_v2", "resnet", "srgan", "vgg"})
             nets.push_back(workload::makeNetwork(name));
-        accel::EvalCache cache(64 * 1024 * 1024);
         surrogate::SurrogateContext ctx;
         ctx.options.enabled = screened;
         ctx.options.keep = 0.25;
-        core::BackendOptions env_opt;
+        core::SpatialEnvOptions env_opt;
         env_opt.scenario = accel::Scenario::Edge;
         env_opt.maxShapesPerNetwork = 2;
-        env_opt.cache = &cache;
         env_opt.surrogate = &ctx;
-        auto env =
-            core::makeBackendEnv("spatial", std::move(nets), env_opt);
+        core::SpatialEnv env(std::move(nets), env_opt);
         core::DriverConfig cfg = core::DriverConfig::unico();
         cfg.batchSize = 6;
         cfg.maxIter = 3;
@@ -575,10 +560,13 @@ surrogateCoSearch(benchmark::State &state, bool screened)
         cfg.minBudgetPerRound = 8;
         cfg.workers = 1;
         cfg.seed = 9;
-        core::CoOptimizer driver(*env, cfg);
+        core::CoOptimizer driver(env, cfg);
         const core::CoSearchResult result = driver.run();
-        cold_evals = static_cast<double>(cache.stats().insertions);
         sstats = result.surrogateStats;
+        // One budget unit is a sweep: one candidate per layer.
+        exact_evals = static_cast<double>(result.evaluations *
+                                              env.layers().size() -
+                                          sstats.screenedOut);
         std::vector<moo::Objectives> pts;
         pts.reserve(result.front.size());
         std::size_t dims = 3;
@@ -592,7 +580,7 @@ surrogateCoSearch(benchmark::State &state, bool screened)
         }
         hv = moo::hypervolume(pts, moo::Objectives(dims, 9.0));
     }
-    state.counters["cold_exact_evals"] = cold_evals;
+    state.counters["exact_evals"] = exact_evals;
     state.counters["screen_candidates"] =
         static_cast<double>(sstats.candidates);
     state.counters["screened_out"] =

@@ -10,14 +10,12 @@
  *      returning to the job's first progress event being observable,
  *      i.e. how long a client waits before its NDJSON stream starts.
  *
- *   2. throughput — jobs/minute for a batch of identical small
- *      searches at 1, 2 and 4 concurrent scheduler slots, showing
- *      how co-scheduling amortizes over the shared eval cache.
+ *   2. throughput — jobs/minute for a batch of small spatial
+ *      searches at 1, 2 and 4 concurrent scheduler slots.
  *
  *   3. cache-sharing uplift — hit rate of one cache shared by all
- *      jobs of a batch versus a per-job private cache. Sharing is
- *      byte-neutral by contract, so this uplift is pure wall-clock
- *      win.
+ *      ascend jobs of a batch (the backend that memoizes) versus a
+ *      per-job private cache. Sharing is byte-neutral by contract.
  *
  * Lands in BENCH_serve.json (machine-readable, uploaded by CI next
  * to BENCH_micro.json / BENCH_chaos.json) plus a console table.
@@ -61,6 +59,16 @@ benchSpec(std::uint64_t seed, int iters, int batch, int bmax)
     spec.batch = batch;
     spec.bmax = bmax;
     spec.seed = seed;
+    return spec;
+}
+
+/** @p spec on the ascend backend, whose simulator queries the shared
+ *  cache memoizes. */
+core::JobSpec
+ascendSpec(core::JobSpec spec)
+{
+    spec.backend = "ascend";
+    spec.models = {"unet"};
     return spec;
 }
 
@@ -148,8 +156,7 @@ main(int argc, char **argv)
             for (int i = 0; i < jobs; ++i)
                 specs.push_back(
                     benchSpec(seed + i, iters, batch, bmax));
-            accel::EvalCache cache(64 * 1024 * 1024);
-            const double ms = runBatch(specs, concurrent, &cache);
+            const double ms = runBatch(specs, concurrent, nullptr);
             const double per_minute =
                 static_cast<double>(jobs) / (ms / 60000.0);
             table.addRow({std::to_string(concurrent),
@@ -176,7 +183,8 @@ main(int argc, char **argv)
         // steady state when clients re-run reference configs).
         std::vector<core::JobSpec> specs;
         for (int i = 0; i < jobs; ++i)
-            specs.push_back(benchSpec(seed, iters, batch, bmax));
+            specs.push_back(
+                ascendSpec(benchSpec(seed, iters, batch, bmax)));
 
         accel::EvalCache shared(64 * 1024 * 1024);
         runBatch(specs, 2, &shared);

@@ -60,10 +60,13 @@
  * signal kills immediately. --wall-deadline bounds the whole run and
  * --eval-wall-deadline each evaluation attempt in real seconds.
  *
- * Evaluation cache: PPA queries are memoized in a sharded LRU cache
- * (--cache-mb sets the byte budget, default 64 MB; --no-cache
- * disables it). Results, checkpoints and the records/front/trace
- * CSVs are bit-identical either way — only wall-clock changes.
+ * Evaluation cache (ascend runs): cycle-level simulator queries are
+ * memoized in a sharded LRU cache (--cache-mb sets the byte budget,
+ * default 64 MB; --no-cache disables it). Results, checkpoints and
+ * the records/front/trace CSVs are bit-identical either way — only
+ * wall-clock changes. Spatial runs query the analytical model
+ * directly: they ignore both flags, print no cache: line and write no
+ * <prefix>_cache.csv.
  *
  * Progress: --progress-every N prints one JSON object per line on
  * stdout — the stepped driver's typed progress events (started /
@@ -116,7 +119,7 @@ usage(const char *prog)
            " [--threads T]\n"
            "  [--max-shapes K] [--csv-prefix PREFIX]"
            " [--progress-every N]\n"
-           "  [--cache-mb MB] [--no-cache]\n"
+           "  [--cache-mb MB] [--no-cache]   (ascend)\n"
            "  [--surrogate] [--surrogate-keep F] [--no-surrogate]\n"
            "  [--fault-rate F] [--hang-rate F] [--corrupt-rate F]"
            " [--fault-seed S]\n"
@@ -198,7 +201,8 @@ main(int argc, char **argv)
     }
 
     // Evaluation cache: on by default; --no-cache disables it and
-    // --cache-mb sizes it. Search results do not depend on either.
+    // --cache-mb sizes it. Only the ascend backend memoizes, and
+    // search results do not depend on either flag.
     const std::int64_t cache_mb = args.getInt("cache-mb", 64);
     accel::EvalCache cache(
         args.has("no-cache") || cache_mb <= 0

@@ -13,8 +13,9 @@
  * vocabulary (see core/job_manager.hh); every job runs through the
  * same stepped driver, so a job served here writes byte-identical
  * records/front/trace CSVs and checkpoints to the same config run
- * through the CLI. All jobs share one evaluation cache (read-mostly,
- * byte-neutral — sharing changes wall-clock time, never results).
+ * through the CLI. All ascend jobs share one evaluation cache
+ * (read-mostly, byte-neutral — sharing changes wall-clock time, never
+ * results); spatial jobs query the analytical model directly.
  *
  * Shutdown: SIGINT/SIGTERM fans out to every live job's CancelToken;
  * each job drains at its next cooperative boundary and persists a
@@ -43,7 +44,7 @@ usage()
     std::cout
         << "usage: co_search_server [--listen HOST:PORT]\n"
            "  [--port-file PATH] [--max-concurrent N] [--max-queued N]\n"
-           "  [--cache-mb MB] [--no-cache]\n"
+           "  [--cache-mb MB] [--no-cache]   (ascend jobs)\n"
            "\n"
            "Submit jobs as JSON (co_search_cli vocabulary), e.g.:\n"
            "  curl -s http://127.0.0.1:7780/jobs -d \\\n"

@@ -72,19 +72,18 @@ struct CachedEval
 };
 
 /**
- * The shared evaluation cache of the co-search hot loop, keyed by
- * canonical fingerprints of (model tech, hardware config, operator,
- * mapping). One instance is shared by every model query of a run.
+ * The shared evaluation cache of the cycle-level (ascend) backend,
+ * keyed by canonical fingerprints of (model tech, hardware config,
+ * operator, mapping). One instance is shared by every model query of
+ * a run.
  */
 using EvalCache = common::ShardedLruCache<CachedEval>;
 
 /**
  * Canonical evaluation-cache key: a prepared query-context prefix
  * (model kind + tech + op + hw) combined with one mapping
- * fingerprint. Every producer (both cost models, the caching
- * evaluator decorators, prepared query contexts) must build keys
- * through this single helper so entries written by one path are hits
- * for every other.
+ * fingerprint. Every producer must build keys through this single
+ * helper so entries written by one path are hits for every other.
  */
 inline common::Fingerprint
 evalCacheKey(const common::Fingerprint &context,

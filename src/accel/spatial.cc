@@ -41,15 +41,6 @@ SpatialHwConfig::describe() const
     return oss.str();
 }
 
-common::Fingerprint
-SpatialHwConfig::fingerprint() const
-{
-    common::FingerprintBuilder fb;
-    fb.add(peX).add(peY).add(l1Bytes).add(l2Bytes).add(nocBandwidth)
-        .add(static_cast<int>(dataflow));
-    return fb.fingerprint();
-}
-
 namespace {
 
 std::vector<double>

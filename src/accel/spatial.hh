@@ -14,7 +14,6 @@
 #include <string>
 
 #include "accel/design_space.hh"
-#include "common/shard_cache.hh"
 
 namespace unico::accel {
 
@@ -42,9 +41,6 @@ struct SpatialHwConfig
 
     /** "pe=AxB l1=... l2=... noc=... df=..." summary. */
     std::string describe() const;
-
-    /** Canonical fingerprint for the evaluation cache. */
-    common::Fingerprint fingerprint() const;
 };
 
 /** Deployment scenario (power envelope and space size, Sec. 4.1). */

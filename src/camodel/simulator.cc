@@ -401,9 +401,9 @@ common::Fingerprint
 CycleAccurateModel::techFingerprint(const CubeTech &tech)
 {
     common::FingerprintBuilder fb;
-    // Model-kind salt: cycle-level entries never collide with
-    // analytical ones. traceLimit is deliberately excluded — it only
-    // affects the (uncached) trace, not PPA or charged seconds.
+    // Model-kind salt: keeps cycle-level keys apart from any other
+    // model's. traceLimit is deliberately excluded — it only affects
+    // the (uncached) trace, not PPA or charged seconds.
     fb.add(std::string_view{"C"});
     fb.add(tech.clockGhz)
         .add(tech.dramBytesPerCycle)

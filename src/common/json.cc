@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -172,10 +173,14 @@ dumpNumber(std::string &out, double v)
         out += v > 0 ? "1e308" : (v < 0 ? "-1e308" : "0");
         return;
     }
+    // %.17g round-trips IEEE-754 doubles exactly. to_chars with
+    // general format and precision 17 is defined as printf's %.17g
+    // in the C locale, without printf's format parsing and locale
+    // lookups; checkpoints print about 10^4 numbers per save.
     char buf[32];
-    // %.17g round-trips IEEE-754 doubles exactly.
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    out += buf;
+    const auto res = std::to_chars(buf, buf + sizeof(buf), v,
+                                   std::chars_format::general, 17);
+    out.append(buf, res.ptr);
 }
 
 void

@@ -79,7 +79,6 @@ makeSpatial(std::vector<workload::Network> networks,
     env_opt.scenario = opt.scenario;
     env_opt.engine = opt.engine;
     env_opt.maxShapesPerNetwork = opt.maxShapesPerNetwork;
-    env_opt.cache = opt.cache;
     env_opt.surrogate = opt.surrogate;
     env_opt.cancel = opt.cancel;
     return std::make_unique<SpatialEnv>(std::move(networks), env_opt);

@@ -53,7 +53,9 @@ struct BackendOptions
     double areaBudgetMm2 = 200.0;
     /** Dominant unique layer shapes kept per network. */
     std::size_t maxShapesPerNetwork = 5;
-    /** Shared evaluation cache; nullptr disables memoization. */
+    /** Shared evaluation cache (ascend backend); nullptr disables
+     *  memoization. The spatial backend queries its analytical model
+     *  directly and ignores it. */
     accel::EvalCache *cache = nullptr;
     /** Learned surrogate screening context; nullptr (or a disabled
      *  context) keeps the exact-only byte-identical path. */

@@ -108,9 +108,10 @@ class CoSearchEnv
 
     /**
      * The shared evaluation cache the environment's runs memoize
-     * through, or nullptr when caching is disabled. Decorator
-     * environments (fault injection) forward to the wrapped env so
-     * the driver can report cache statistics from any stack.
+     * through, or nullptr when caching is disabled or the backend
+     * does not memoize (spatial). Decorator environments (fault
+     * injection) forward to the wrapped env so the driver can report
+     * cache statistics from any stack.
      */
     virtual const accel::EvalCache *evalCache() const { return nullptr; }
 

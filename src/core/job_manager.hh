@@ -147,8 +147,9 @@ struct JobManagerConfig
     /** Queued-but-not-running bound; excess submits are rejected
      *  with SubmitError::QueueFull. */
     std::size_t maxQueued = 16;
-    /** Optional evaluation cache shared by every job (read-mostly;
-     *  byte-neutral). nullptr = each job runs uncached. */
+    /** Optional evaluation cache shared by every ascend job
+     *  (read-mostly; byte-neutral; spatial jobs never memoize).
+     *  nullptr = each job runs uncached. */
     accel::EvalCache *sharedCache = nullptr;
     /** Register each job's CancelToken with the process shutdown
      *  fan-out so SIGINT/SIGTERM drains all jobs. */

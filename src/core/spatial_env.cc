@@ -13,7 +13,10 @@ namespace {
  * searches come from the FlexTensor/GAMMA-style engines over the
  * analytical model, and every evaluation charges the model's fixed
  * nominal seconds (the shared core applies the charge after each
- * layer step, preserving the historical charging order).
+ * layer step, preserving the historical charging order). The model
+ * is queried directly, with no evaluation cache: a prepared query
+ * costs about 100 ns, and a search repeats too few of them for the
+ * key hashing and entry inserts of a cache to pay off.
  */
 class SpatialRunPolicy final : public LayeredRunPolicy
 {
@@ -22,10 +25,10 @@ class SpatialRunPolicy final : public LayeredRunPolicy
                      const std::vector<mapping::MappingSpace> &spaces,
                      const costmodel::AnalyticalCostModel &model,
                      accel::SpatialHwConfig hw,
-                     mapping::EngineKind engine, accel::EvalCache *cache,
+                     mapping::EngineKind engine,
                      surrogate::SurrogateContext *surrogate)
         : layers_(layers), spaces_(spaces), model_(model), hw_(hw),
-          engine_(engine), cache_(cache), surrogate_(surrogate),
+          engine_(engine), surrogate_(surrogate),
           screens_(layers.size()), preps_(layers.size())
     {
     }
@@ -42,19 +45,13 @@ class SpatialRunPolicy final : public LayeredRunPolicy
                 std::make_unique<costmodel::PreparedSpatialQuery>(
                     model_.prepare(op, hw_));
         const costmodel::PreparedSpatialQuery &prep = *preps_[layer];
-        // Layering: screening above caching above the model. The
-        // cache sits below the fault-injection wrappers (they
-        // decorate MappingRun, not the evaluator), so only clean
-        // model outputs are ever stored; the screen sits above the
-        // cache so screened-out candidates never touch it. One screen
-        // per layer, trained only on this run's exact evals (makes
-        // fleet and threaded runs byte-identical).
+        // Layering: the screen sits directly above the model. One
+        // screen per layer, trained only on this run's exact evals
+        // (makes fleet and threaded runs byte-identical).
         auto evaluator = [this, &prep](const mapping::Mapping &m) {
-            return mapping::cachedEvaluate(cache_, prep.context, m, [&] {
-                return mapping::latencyEval(
-                    model_.evaluate(prep, m),
-                    costmodel::AnalyticalCostModel::nominalEvalSeconds());
-            });
+            return mapping::latencyEval(
+                model_.evaluate(prep, m),
+                costmodel::AnalyticalCostModel::nominalEvalSeconds());
         };
         if (screens_[layer] == nullptr)
             screens_[layer] =
@@ -80,7 +77,6 @@ class SpatialRunPolicy final : public LayeredRunPolicy
     const costmodel::AnalyticalCostModel &model_;
     accel::SpatialHwConfig hw_;
     mapping::EngineKind engine_;
-    accel::EvalCache *cache_;
     surrogate::SurrogateContext *surrogate_;
     std::vector<std::unique_ptr<mapping::CandidateScreen<mapping::Mapping>>>
         screens_;
@@ -113,7 +109,7 @@ SpatialEnv::createRun(const accel::HwPoint &h, std::uint64_t seed) const
         layers_,
         std::make_unique<SpatialRunPolicy>(layers_, mapSpaces_, model_,
                                            space_.decode(h), opt_.engine,
-                                           opt_.cache, opt_.surrogate),
+                                           opt_.surrogate),
         seed, opt_.cancel);
 }
 

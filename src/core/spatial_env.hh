@@ -32,10 +32,6 @@ struct SpatialEnvOptions
      *  per-HW mapping-search work; layers are count-weighted so the
      *  latency profile is preserved). */
     std::size_t maxShapesPerNetwork = 6;
-    /** Shared evaluation cache (owned by the caller, e.g. the CLI);
-     *  nullptr disables memoization. Results are bit-identical with
-     *  or without it — only wall-clock changes. */
-    accel::EvalCache *cache = nullptr;
     /** Learned surrogate screening context (owned by the caller);
      *  nullptr or options.enabled == false keeps the exact-only path
      *  byte-identical to builds without the surrogate. */
@@ -60,10 +56,6 @@ class SpatialEnv : public CoSearchEnv
     createRun(const accel::HwPoint &h, std::uint64_t seed) const override;
     double powerBudgetMw() const override;
     std::string describeHw(const accel::HwPoint &h) const override;
-    const accel::EvalCache *evalCache() const override
-    {
-        return opt_.cache;
-    }
     surrogate::SurrogateStats surrogateStats() const override
     {
         return opt_.surrogate != nullptr

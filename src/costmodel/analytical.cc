@@ -297,8 +297,8 @@ AnalyticalCostModel::evaluate(const PreparedSpatialQuery &prep,
 }
 
 PreparedSpatialQuery
-AnalyticalCostModel::makeContext(const TensorOp &op,
-                                 const SpatialHwConfig &hw) const
+AnalyticalCostModel::prepare(const TensorOp &op,
+                             const SpatialHwConfig &hw) const
 {
     PreparedSpatialQuery q;
     q.extents = Tile{op.n, op.k, op.c, op.y, op.x, op.r, op.s};
@@ -335,53 +335,11 @@ AnalyticalCostModel::makeContext(const TensorOp &op,
     return q;
 }
 
-PreparedSpatialQuery
-AnalyticalCostModel::prepare(const TensorOp &op,
-                             const SpatialHwConfig &hw) const
-{
-    PreparedSpatialQuery q = makeContext(op, hw);
-    q.context = queryFingerprint(op, hw);
-    return q;
-}
-
 Ppa
 AnalyticalCostModel::evaluate(const TensorOp &op, const SpatialHwConfig &hw,
                               const Mapping &m) const
 {
-    return evaluate(makeContext(op, hw), m);
-}
-
-common::Fingerprint
-AnalyticalCostModel::techFingerprint(const TechParams &tech)
-{
-    common::FingerprintBuilder fb;
-    // Model-kind salt: an analytical and a cycle-level query must
-    // never share a cache entry even if other fields collide.
-    fb.add(std::string_view{"A"});
-    fb.add(tech.clockGhz)
-        .add(tech.macPj)
-        .add(tech.l1BasePj)
-        .add(tech.l1SlopePj)
-        .add(tech.l2BasePj)
-        .add(tech.l2SlopePj)
-        .add(tech.dramPj)
-        .add(tech.nocPjPerByteHop)
-        .add(tech.dramBytesPerCycle)
-        .add(tech.peAreaMm2)
-        .add(tech.sramMm2PerKb)
-        .add(tech.nocAreaMm2PerPeBw)
-        .add(tech.staticMwPerMm2)
-        .add(tech.registerReuse);
-    return fb.fingerprint();
-}
-
-common::Fingerprint
-AnalyticalCostModel::queryFingerprint(const workload::TensorOp &op,
-                                      const SpatialHwConfig &hw) const
-{
-    common::FingerprintBuilder fb;
-    fb.add(techFp_).add(hw.fingerprint()).add(op.fingerprint());
-    return fb.fingerprint();
+    return evaluate(prepare(op, hw), m);
 }
 
 } // namespace unico::costmodel

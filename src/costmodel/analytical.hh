@@ -55,9 +55,8 @@ struct TechParams
  * and then amortized over thousands of mapping evaluations. It
  * precomputes everything evaluate() needs that does not depend on
  * the mapping: operand-dim masks, byte capacity limits, the
- * sqrt-bearing SRAM access energies, fully invariant energy terms,
- * hardware area/static power, and the query fingerprint prefix of
- * the evaluation-cache key (mapping::cachedEvaluate).
+ * sqrt-bearing SRAM access energies, fully invariant energy terms
+ * and hardware area/static power.
  *
  * The struct is self-contained by value — it holds no references to
  * the TensorOp/SpatialHwConfig it was built from, so it may outlive
@@ -89,8 +88,6 @@ struct PreparedSpatialQuery
     double avgHops = 0.0;        ///< average NoC hop count
     double areaMm2 = 0.0;        ///< mapping-independent area
     double staticMw = 0.0;       ///< leakage at that area
-    /** (model kind, tech, op, hw) fingerprint prefix. */
-    common::Fingerprint context{};
 };
 
 /** Analytical PPA estimation engine for the spatial template. */
@@ -98,7 +95,7 @@ class AnalyticalCostModel
 {
   public:
     explicit AnalyticalCostModel(TechParams tech = TechParams{})
-        : tech_(tech), techFp_(techFingerprint(tech))
+        : tech_(tech)
     {}
 
     /** Technology constants in use. */
@@ -114,9 +111,9 @@ class AnalyticalCostModel
                         const mapping::Mapping &m) const;
 
     /**
-     * Build the candidate-invariant query context for (op, hw),
-     * including the cache-key fingerprint prefix. Build once per
-     * layer-run, then evaluate every candidate through it.
+     * Build the candidate-invariant query context for (op, hw).
+     * Build once per layer-run, then evaluate every candidate
+     * through it.
      */
     PreparedSpatialQuery prepare(const workload::TensorOp &op,
                                  const accel::SpatialHwConfig &hw) const;
@@ -129,15 +126,6 @@ class AnalyticalCostModel
     accel::Ppa evaluate(const PreparedSpatialQuery &prep,
                         const mapping::Mapping &m) const;
 
-    /**
-     * Stable fingerprint of one (model kind, tech constants, op, hw)
-     * query context; combined with a mapping fingerprint it forms the
-     * evaluation-cache key.
-     */
-    common::Fingerprint
-    queryFingerprint(const workload::TensorOp &op,
-                     const accel::SpatialHwConfig &hw) const;
-
     /** Mapping-independent area of a hardware configuration. */
     double areaMm2(const accel::SpatialHwConfig &hw) const;
 
@@ -148,15 +136,7 @@ class AnalyticalCostModel
     static double nominalEvalSeconds() { return 2.0; }
 
   private:
-    static common::Fingerprint techFingerprint(const TechParams &tech);
-
-    /** prepare() without the fingerprint prefix (used by the
-     *  unprepared evaluate() wrapper, which never touches the cache). */
-    PreparedSpatialQuery makeContext(const workload::TensorOp &op,
-                                     const accel::SpatialHwConfig &hw) const;
-
     TechParams tech_;
-    common::Fingerprint techFp_;
 };
 
 } // namespace unico::costmodel

@@ -8,10 +8,9 @@
  * successive halving grants additional budget to surviving runs by
  * calling step() again, and the recorded histories feed both the
  * AUC promotion criterion of the modified successive halving and the
- * robustness metric R. The run, screen and cache types are generic
- * over the candidate type (spatial Mapping, cube CubeMapping), so
- * every backend shares one bookkeeping, screening and memoization
- * path.
+ * robustness metric R. The run and screen types are generic over the
+ * candidate type (spatial Mapping, cube CubeMapping), so every
+ * backend shares one bookkeeping and screening path.
  */
 
 #ifndef UNICO_MAPPING_ENGINE_HH
@@ -73,13 +72,13 @@ using Evaluator = std::function<MappingEval(const Cand &)>;
 using MappingEvaluator = Evaluator<Mapping>;
 
 /**
- * Evaluate @p cand through @p cache: the one memoization path of
- * every backend. The key is evalCacheKey(@p context, fingerprint of
- * @p cand); a miss runs @p compute() (which returns the exact eval,
- * its nominal seconds included) and stores it; a hit returns that
- * eval bit for bit, so search trajectories and the virtual-cost
- * ledger do not depend on cache state. A null @p cache just runs
- * @p compute().
+ * Evaluate @p cand through @p cache: the memoization path of the
+ * cycle-level (ascend) backend. The key is evalCacheKey(@p context,
+ * fingerprint of @p cand); a miss runs @p compute() (which returns
+ * the exact eval, its nominal seconds included) and stores it; a hit
+ * returns that eval bit for bit, so search trajectories and the
+ * virtual-cost ledger do not depend on cache state. A null @p cache
+ * just runs @p compute().
  */
 template <typename Cand, typename Compute>
 MappingEval

@@ -42,82 +42,6 @@ Mapping::operator==(const Mapping &other) const
 
 namespace {
 
-/** wyhash-style folded multiply: the full 128-bit product of two
- *  keyed words, XOR-folded to 64 bits. */
-inline std::uint64_t
-foldMul(std::uint64_t x, std::uint64_t y)
-{
-    const unsigned __int128 p = static_cast<unsigned __int128>(x) * y;
-    return static_cast<std::uint64_t>(p) ^
-           static_cast<std::uint64_t>(p >> 64);
-}
-
-} // namespace
-
-common::Fingerprint
-Mapping::fingerprint() const
-{
-    // The fingerprint is hashed once per evaluation — cold (cache
-    // key + model query) and warm (cache key + probe) alike — so
-    // hashing cost is hot-path cost. Tile extents fit 16 bits for
-    // every template the space generates, so the whole mapping packs
-    // into four words (14 tile lanes, both spatial dims, the loop
-    // order — a permutation of 0..6, 3 bits each — and a scheme-tag
-    // bit), hashed with six folded multiplies instead of a 23-step
-    // builder stream. Fingerprints never leave the process, so the
-    // scheme can change; the wide FingerprintBuilder fallback keeps
-    // correctness for any future template whose tiles exceed the
-    // lane width, with the tag (tail bit 63 here, a leading tag word
-    // there) separating the two streams' domains.
-    bool narrow = true;
-    for (int d = 0; d < kNumDims; ++d)
-        narrow = narrow && l1Tile[d] < (std::int64_t{1} << 16) &&
-                 l2Tile[d] < (std::int64_t{1} << 16);
-    if (narrow) {
-        // Lanes 0..6 are l1Tile, 7..13 are l2Tile.
-        auto lane = [this](int i) {
-            return static_cast<std::uint64_t>(
-                i < kNumDims ? l1Tile[i] : l2Tile[i - kNumDims]);
-        };
-        auto word = [&lane](int base) {
-            return (lane(base) << 48) | (lane(base + 1) << 32) |
-                   (lane(base + 2) << 16) | lane(base + 3);
-        };
-        std::uint64_t ord = 0;
-        for (int d = 0; d < kNumDims; ++d)
-            ord = (ord << 3) | static_cast<std::uint64_t>(order[d]);
-        const std::uint64_t tail =
-            (std::uint64_t{1} << 63) | // scheme tag
-            (lane(12) << 43) | (lane(13) << 27) |
-            (static_cast<std::uint64_t>(spatialX) << 24) |
-            (static_cast<std::uint64_t>(spatialY) << 21) | ord;
-        // Chained 2:1 compression: h1 absorbs every input word, so a
-        // pairwise collision needs a 64-bit fold collision (~2^-64 —
-        // ample for the <=1e7 in-process keys a run ever makes).
-        const std::uint64_t h0 = foldMul(word(0) ^ 0xa0761d6478bd642fULL,
-                                         word(4) ^ 0xe7037ed1a0b428dbULL);
-        const std::uint64_t h1 = foldMul(word(8) ^ h0,
-                                         tail ^ 0x8ebc6af09c88c6e3ULL);
-        return common::Fingerprint{
-            foldMul(h0 ^ 0x589965cc75374cc3ULL,
-                    h1 ^ 0x1d8e4e27c47d124fULL),
-            foldMul(h0 + 0xeb44accab455d165ULL,
-                    h1 + 0x9e3779b97f4a7c15ULL)};
-    }
-    common::FingerprintBuilder fb;
-    fb.add(std::uint64_t{2}); // scheme: one field per mix step
-    for (int d = 0; d < kNumDims; ++d)
-        fb.add(l1Tile[d]);
-    for (int d = 0; d < kNumDims; ++d)
-        fb.add(l2Tile[d]);
-    fb.add(spatialX).add(spatialY);
-    for (int d = 0; d < kNumDims; ++d)
-        fb.add(order[d]);
-    return fb.fingerprint();
-}
-
-namespace {
-
 /** Tile ladder: 1, 2, 3, 4, 6, 8, 12, ... capped by extent, plus the
  *  extent itself (so a "no tiling" choice always exists). */
 std::vector<std::int64_t>

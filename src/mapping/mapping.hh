@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "common/rng.hh"
-#include "common/shard_cache.hh"
 #include "workload/tensor_op.hh"
 
 namespace unico::mapping {
@@ -63,11 +62,6 @@ struct Mapping
 
     /** Structural equality. */
     bool operator==(const Mapping &other) const;
-
-    /** Canonical fingerprint over every facet (tiles, spatial dims,
-     *  loop order) for the evaluation cache; equal mappings have
-     *  equal fingerprints. */
-    common::Fingerprint fingerprint() const;
 };
 
 /**

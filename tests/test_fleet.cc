@@ -174,7 +174,7 @@ TEST(EnvDecorator, FaultyAndFleetForwardEveryQuery)
             EXPECT_EQ(env->areaBudgetMm2(), inner->areaBudgetMm2());
             EXPECT_EQ(env->describeHw(h), inner->describeHw(h));
             EXPECT_EQ(env->minSeedBudget(), inner->minSeedBudget());
-            EXPECT_EQ(env->evalCache(), &cache);
+            EXPECT_EQ(env->evalCache(), inner->evalCache());
             EXPECT_TRUE(env->surrogateStats().enabled);
             EXPECT_EQ(surrogate::toString(env->surrogateStats()),
                       surrogate::toString(inner->surrogateStats()));

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the framed message transport and the EINTR-safe I/O
- * helpers underneath it: encode/decode round-trips, exhaustive
+ * helpers underneath it: the CRC-64/XZ check value and the sliced
+ * CRC against a bytewise reference, encode/decode round-trips, exhaustive
  * torn-frame coverage (truncation at every byte boundary), exhaustive
  * corruption coverage (every single-bit flip is rejected by the
  * CRC-64 / header checks), multi-frame stream decoding, and the
@@ -14,12 +15,16 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <array>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/crc64.hh"
 #include "common/frame.hh"
 #include "common/io.hh"
+#include "common/rng.hh"
 #include "common/subprocess.hh"
 
 using namespace unico;
@@ -35,7 +40,63 @@ samplePayload()
     return R"({"op":"step","ops":[[0,4]],"seed":"0x2a"})";
 }
 
+/** The textbook bitwise-table CRC-64/XZ, one byte per step. */
+std::uint64_t
+bytewiseCrc64(const unsigned char *data, std::size_t len)
+{
+    static const std::array<std::uint64_t, 256> table = [] {
+        std::array<std::uint64_t, 256> t{};
+        for (std::uint64_t i = 0; i < 256; ++i) {
+            std::uint64_t crc = i;
+            for (int bit = 0; bit < 8; ++bit)
+                crc = (crc >> 1) ^ ((crc & 1) ? 0xC96C5795D7870F42ULL : 0);
+            t[i] = crc;
+        }
+        return t;
+    }();
+    std::uint64_t crc = ~std::uint64_t{0};
+    for (std::size_t i = 0; i < len; ++i)
+        crc = table[(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
+    return ~crc;
+}
+
 } // namespace
+
+TEST(Crc64, MatchesTheXzCheckValue)
+{
+    EXPECT_EQ(common::crc64(std::string("123456789")),
+              0x995DC9BBDF1939FAULL);
+}
+
+TEST(Crc64, EmptyInputIsZero)
+{
+    EXPECT_EQ(common::crc64(std::string()), 0u);
+    EXPECT_EQ(common::crc64(nullptr, 0), 0u);
+}
+
+TEST(Crc64, ChainsAcrossSplits)
+{
+    const std::string text = samplePayload() + std::string(37, 'q');
+    for (std::size_t cut = 0; cut <= text.size(); ++cut) {
+        const std::string a = text.substr(0, cut);
+        const std::string b = text.substr(cut);
+        EXPECT_EQ(common::crc64(b, common::crc64(a)), common::crc64(text))
+            << "cut at " << cut;
+    }
+}
+
+TEST(Crc64, SlicedMatchesBytewiseAtEveryLengthAndAlignment)
+{
+    common::Rng rng(64);
+    std::vector<unsigned char> buf(1024 + 8);
+    for (auto &byte : buf)
+        byte = static_cast<unsigned char>(rng.next());
+    for (std::size_t offset = 0; offset < 8; ++offset)
+        for (std::size_t len = 0; len <= 1024; ++len)
+            ASSERT_EQ(common::crc64(buf.data() + offset, len),
+                      bytewiseCrc64(buf.data() + offset, len))
+                << "offset " << offset << ", length " << len;
+}
 
 TEST(Frame, RoundTripsPayloads)
 {

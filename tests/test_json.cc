@@ -1,17 +1,23 @@
 /**
  * @file
  * Tests for the minimal JSON value type used by checkpoint files:
- * parse/dump round-trips, exact double round-trips, hex encoding of
- * 64-bit integers and malformed-input rejection.
+ * parse/dump round-trips, exact double round-trips, the exact text
+ * of dumped doubles, hex encoding of 64-bit integers and
+ * malformed-input rejection.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
+#include <string>
 
 #include "common/json.hh"
+#include "common/rng.hh"
 
 using unico::common::Json;
 using unico::common::hexU64;
@@ -64,6 +70,47 @@ TEST(Json, DoublesRoundTripExactly)
         arr.push(v);
         const Json back = Json::parse(arr.dump());
         EXPECT_EQ(back.at(0).asDouble(), v); // bitwise-exact
+    }
+}
+
+TEST(Json, DoublesDumpAsPrintfG17)
+{
+    // Checkpoint CRCs and the end-to-end digests cover the dumped
+    // text, not just the parsed values, so a finite double must dump
+    // exactly as printf("%.17g") prints it.
+    const auto g17 = [](double v) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%.17g", v);
+        return std::string(buf);
+    };
+    const double edges[] = {0.0,
+                            -0.0,
+                            std::numeric_limits<double>::denorm_min(),
+                            -std::numeric_limits<double>::denorm_min(),
+                            DBL_MIN,
+                            DBL_MAX,
+                            -DBL_MAX,
+                            0.1,
+                            1e21,
+                            1e-7,
+                            9007199254740994.0}; // 2^53 + 2
+    for (double v : edges)
+        EXPECT_EQ(Json(v).dump(), g17(v)) << "bits " << std::hex
+                                          << std::bit_cast<std::uint64_t>(v);
+    unico::common::Rng rng(2026);
+    int checked = 0;
+    while (checked < 100000) {
+        const double v = std::bit_cast<double>(rng.next());
+        if (!std::isfinite(v))
+            continue;
+        ++checked;
+        const std::string text = Json(v).dump();
+        if (text != g17(v)) {
+            ADD_FAILURE() << "bits " << std::hex
+                          << std::bit_cast<std::uint64_t>(v) << ": "
+                          << text << " vs " << g17(v);
+            break;
+        }
     }
 }
 

@@ -5,8 +5,9 @@
  * In-process: typed submit rejection, JSON spec parsing, the
  * replayable event log, pause/resume, and the two isolation
  * contracts — (a) two jobs running concurrently (sharing one eval
- * cache) write byte-identical records/front/trace CSVs to the same
- * configs run serially and uncached through the plain driver, and
+ * cache, which only ascend jobs use) write byte-identical
+ * records/front/trace CSVs to the same configs run serially and
+ * uncached through the plain driver, and
  * (b) cancelling one job mid-run does not perturb its neighbour.
  *
  * End-to-end: forks the real co_search_server binary, drives it over
@@ -317,12 +318,22 @@ TEST(JobManagerIsolation, ConcurrentJobsMatchSerialByteForByte)
 {
     const std::string dir = makeTempDir("conc");
 
-    core::JobSpec spec1 = smallSpec(11, dir + "/ref1");
-    core::JobSpec spec2 = smallSpec(22, dir + "/ref2");
-    referenceRun(spec1);
-    referenceRun(spec2);
+    // A spatial pair, then an ascend pair (the backend that memoizes).
+    core::JobSpec specs[] = {smallSpec(11, dir + "/ref1"),
+                             smallSpec(22, dir + "/ref2"),
+                             smallSpec(33, dir + "/ref3"),
+                             smallSpec(44, dir + "/ref4")};
+    for (int i : {2, 3}) {
+        specs[i].backend = "ascend";
+        specs[i].models = {"fsrcnn_120x320"};
+        specs[i].batch = 4;
+        specs[i].iters = 2;
+        specs[i].bmax = 12;
+    }
+    for (const auto &spec : specs)
+        referenceRun(spec);
 
-    // Concurrent re-run of both specs under one manager, sharing one
+    // Concurrent re-run of each pair under one manager, sharing one
     // evaluation cache (the references ran uncached — sharing must be
     // byte-neutral).
     accel::EvalCache cache(8 * 1024 * 1024);
@@ -332,24 +343,30 @@ TEST(JobManagerIsolation, ConcurrentJobsMatchSerialByteForByte)
     cfg.shutdownFanout = false;
     core::JobManager mgr(cfg);
 
-    spec1.csvPrefix = dir + "/mgr1";
-    spec2.csvPrefix = dir + "/mgr2";
-    const auto s1 = mgr.submit(spec1);
-    const auto s2 = mgr.submit(spec2);
-    ASSERT_TRUE(s1.ok());
-    ASSERT_TRUE(s2.ok());
+    const auto runPair = [&](int first) {
+        std::uint64_t ids[2] = {0, 0};
+        for (int k = 0; k < 2; ++k) {
+            core::JobSpec spec = specs[first + k];
+            spec.csvPrefix = dir + "/mgr" + std::to_string(first + k + 1);
+            const auto sub = mgr.submit(spec);
+            ASSERT_TRUE(sub.ok());
+            ids[k] = sub.id;
+        }
+        for (int k = 0; k < 2; ++k) {
+            const auto st = mgr.wait(ids[k]);
+            ASSERT_TRUE(st.has_value());
+            EXPECT_EQ(st->state, core::JobState::Completed);
+            const std::string n = std::to_string(first + k + 1);
+            expectSameCsvs(dir + "/ref" + n, dir + "/mgr" + n);
+        }
+    };
 
-    const auto st1 = mgr.wait(s1.id);
-    const auto st2 = mgr.wait(s2.id);
-    ASSERT_TRUE(st1.has_value());
-    ASSERT_TRUE(st2.has_value());
-    EXPECT_EQ(st1->state, core::JobState::Completed);
-    EXPECT_EQ(st2->state, core::JobState::Completed);
+    // Spatial jobs query the analytical model directly.
+    runPair(0);
+    EXPECT_EQ(cache.stats().hits + cache.stats().misses, 0u);
 
-    expectSameCsvs(dir + "/ref1", dir + "/mgr1");
-    expectSameCsvs(dir + "/ref2", dir + "/mgr2");
-
-    // The cache actually was shared — both jobs hit the same table.
+    // The ascend jobs actually shared the cache — both hit one table.
+    runPair(2);
     EXPECT_GT(cache.stats().hits + cache.stats().misses, 0u);
 }
 

@@ -4,7 +4,9 @@
  * fingerprint stability and uniqueness, thread safety, and — the
  * non-negotiable contract — bit-identical co-search results with the
  * cache on or off, under any thread count, fault injection and
- * checkpoint/resume.
+ * checkpoint/resume. The cycle-level (ascend) backend is the one
+ * that memoizes; the spatial backend queries its analytical model
+ * directly and must leave a cache it is handed untouched.
  */
 
 #include <gtest/gtest.h>
@@ -14,27 +16,27 @@
 #include <thread>
 #include <vector>
 
-#include "accel/spatial.hh"
+#include "accel/ascend.hh"
+#include "camodel/cube_mapping.hh"
 #include "camodel/simulator.hh"
 #include "common/fault.hh"
 #include "common/rng.hh"
 #include "common/shard_cache.hh"
+#include "core/ascend_env.hh"
+#include "core/backend.hh"
 #include "core/driver.hh"
 #include "core/fault_env.hh"
-#include "core/spatial_env.hh"
-#include "costmodel/analytical.hh"
 #include "mapping/engine.hh"
-#include "mapping/mapping.hh"
 #include "workload/model_zoo.hh"
 
 using namespace unico;
 using common::Fingerprint;
 using common::FingerprintBuilder;
+using core::AscendEnv;
+using core::AscendEnvOptions;
 using core::CoOptimizer;
 using core::CoSearchResult;
 using core::DriverConfig;
-using core::SpatialEnv;
-using core::SpatialEnvOptions;
 
 namespace {
 
@@ -51,13 +53,13 @@ tinyConfig(DriverConfig cfg)
 }
 
 CoSearchResult
-runSpatial(accel::EvalCache *cache, DriverConfig cfg,
-           common::FaultSpec faults = common::FaultSpec{})
+runAscend(accel::EvalCache *cache, DriverConfig cfg,
+          common::FaultSpec faults = common::FaultSpec{})
 {
-    SpatialEnvOptions opt;
+    AscendEnvOptions opt;
     opt.maxShapesPerNetwork = 2;
     opt.cache = cache;
-    SpatialEnv env({workload::makeMobileNet()}, opt);
+    AscendEnv env({workload::makeNetwork("fsrcnn_120x320")}, opt);
     if (faults.active()) {
         core::FaultyEnv faulty(env, common::FaultPlan(faults));
         return CoOptimizer(faulty, cfg).run();
@@ -216,16 +218,14 @@ TEST(ShardCache, StatsExposePerShardEvictions)
 
 TEST(ShardCache, FingerprintIsStableAcrossRecomputation)
 {
-    const auto op = workload::TensorOp::conv("a", 64, 32, 28, 28, 3, 3);
+    const auto op = workload::TensorOp::gemm("a", 64, 32, 28);
     EXPECT_EQ(op.fingerprint(), op.fingerprint());
 
     common::Rng rng(3);
-    const mapping::MappingSpace space(op);
-    const mapping::Mapping m = space.random(rng);
+    const camodel::CubeMappingSpace space(op);
+    const camodel::CubeMapping m = space.random(rng);
     EXPECT_EQ(m.fingerprint(), m.fingerprint());
 
-    accel::SpatialHwConfig hw;
-    EXPECT_EQ(hw.fingerprint(), hw.fingerprint());
     EXPECT_EQ(accel::CubeHwConfig::expertDefault().fingerprint(),
               accel::CubeHwConfig::expertDefault().fingerprint());
 }
@@ -241,9 +241,9 @@ TEST(ShardCache, FingerprintIgnoresOpNameButNotShape)
 
 TEST(ShardCache, DistinctInputsYieldDistinctFingerprints)
 {
-    // Every decodable HW point of the edge spatial space must have a
-    // unique fingerprint (sampled subset).
-    const accel::SpatialDesignSpace space(accel::Scenario::Edge);
+    // Every decodable HW point of the cube space must have a unique
+    // fingerprint (sampled subset).
+    const accel::AscendDesignSpace space;
     common::Rng rng(17);
     std::set<std::pair<std::uint64_t, std::uint64_t>> seen;
     std::set<std::string> described;
@@ -257,8 +257,8 @@ TEST(ShardCache, DistinctInputsYieldDistinctFingerprints)
     }
 
     // Distinct mappings of one op get distinct fingerprints.
-    const auto op = workload::TensorOp::conv("c", 64, 32, 28, 28, 3, 3);
-    const mapping::MappingSpace mspace(op);
+    const auto op = workload::TensorOp::gemm("c", 384, 512, 256);
+    const camodel::CubeMappingSpace mspace(op);
     std::set<std::pair<std::uint64_t, std::uint64_t>> mseen;
     std::set<std::string> mdescribed;
     for (int i = 0; i < 500; ++i) {
@@ -271,20 +271,14 @@ TEST(ShardCache, DistinctInputsYieldDistinctFingerprints)
     }
 }
 
-TEST(ShardCache, ModelKindsAndTechRungsNeverShareKeys)
+TEST(ShardCache, TechRungsNeverShareKeys)
 {
     const auto op = workload::TensorOp::gemm("g", 64, 64, 64);
-    const costmodel::AnalyticalCostModel analytical;
     const camodel::CycleAccurateModel cycle;
     const camodel::CycleAccurateModel degraded = cycle.degraded();
-    const accel::SpatialHwConfig shw;
     const auto chw = accel::CubeHwConfig::expertDefault();
-    const auto fa = analytical.queryFingerprint(op, shw);
-    const auto fc = cycle.queryFingerprint(op, chw);
-    const auto fd = degraded.queryFingerprint(op, chw);
-    EXPECT_NE(fa, fc);
-    EXPECT_NE(fc, fd);
-    EXPECT_NE(fa, fd);
+    EXPECT_NE(cycle.queryFingerprint(op, chw),
+              degraded.queryFingerprint(op, chw));
 }
 
 // --- Cached model evaluation --------------------------------------------
@@ -306,44 +300,6 @@ expectSameEval(const mapping::MappingEval &a, const mapping::MappingEval &b)
 }
 
 } // namespace
-
-TEST(ShardCache, AnalyticalCachedEvaluateMatchesUncached)
-{
-    const costmodel::AnalyticalCostModel model;
-    const auto op = workload::TensorOp::conv("c", 64, 32, 28, 28, 3, 3);
-    accel::SpatialHwConfig hw;
-    hw.peX = hw.peY = 8;
-    hw.l1Bytes = 16 * 1024;
-    hw.l2Bytes = 512 * 1024;
-    const auto prep = model.prepare(op, hw);
-    const double secs = costmodel::AnalyticalCostModel::nominalEvalSeconds();
-    const mapping::MappingSpace space(op);
-    common::Rng rng(5);
-    accel::EvalCache cache(1 << 20);
-    int computed = 0;
-    for (int i = 0; i < 32; ++i) {
-        const auto m = space.random(rng);
-        const auto compute = [&] {
-            ++computed;
-            return mapping::latencyEval(model.evaluate(prep, m), secs);
-        };
-        const mapping::MappingEval plain =
-            mapping::latencyEval(model.evaluate(op, hw, m), secs);
-        const mapping::MappingEval miss =
-            mapping::cachedEvaluate(&cache, prep.context, m, compute);
-        const mapping::MappingEval hit =
-            mapping::cachedEvaluate(&cache, prep.context, m, compute);
-        expectSameEval(miss, plain);
-        expectSameEval(hit, plain);
-        // No cache: every call computes.
-        expectSameEval(
-            mapping::cachedEvaluate(nullptr, prep.context, m, compute),
-            plain);
-    }
-    EXPECT_EQ(computed, 64);
-    EXPECT_EQ(cache.stats().hits, 32u);
-    EXPECT_EQ(cache.stats().misses, 32u);
-}
 
 TEST(ShardCache, CycleLevelCachedEvaluateReplaysSeconds)
 {
@@ -384,8 +340,8 @@ TEST(ShardCache, CoSearchBitIdenticalCacheOnVsOff)
 {
     const auto cfg = tinyConfig(DriverConfig::unico());
     accel::EvalCache cache(64 << 20);
-    const CoSearchResult with = runSpatial(&cache, cfg);
-    const CoSearchResult without = runSpatial(nullptr, cfg);
+    const CoSearchResult with = runAscend(&cache, cfg);
+    const CoSearchResult without = runAscend(nullptr, cfg);
     expectIdentical(with, without);
     EXPECT_GT(with.cacheStats.hits, 0u);
     EXPECT_GT(with.cacheStats.hitRate(), 0.0);
@@ -397,15 +353,16 @@ TEST(ShardCache, CoSearchIdenticalAcrossThreadCounts)
     auto cfg = tinyConfig(DriverConfig::unico());
     cfg.realThreads = 1;
     accel::EvalCache c1(64 << 20);
-    const CoSearchResult r1 = runSpatial(&c1, cfg);
+    const CoSearchResult r1 = runAscend(&c1, cfg);
     cfg.realThreads = 2;
     accel::EvalCache c2(64 << 20);
-    const CoSearchResult r2 = runSpatial(&c2, cfg);
+    const CoSearchResult r2 = runAscend(&c2, cfg);
     cfg.realThreads = 8;
     accel::EvalCache c8(64 << 20);
-    const CoSearchResult r8 = runSpatial(&c8, cfg);
+    const CoSearchResult r8 = runAscend(&c8, cfg);
     expectIdentical(r1, r2);
     expectIdentical(r1, r8);
+    EXPECT_GT(r8.cacheStats.hits, 0u);
 }
 
 TEST(ShardCache, CoSearchWithFaultsBitIdenticalCacheOnVsOff)
@@ -418,11 +375,12 @@ TEST(ShardCache, CoSearchWithFaultsBitIdenticalCacheOnVsOff)
     faults.corruptRate = 0.05;
     faults.seed = 23;
     accel::EvalCache cache(64 << 20);
-    const CoSearchResult with = runSpatial(&cache, cfg, faults);
-    const CoSearchResult without = runSpatial(nullptr, cfg, faults);
+    const CoSearchResult with = runAscend(&cache, cfg, faults);
+    const CoSearchResult without = runAscend(nullptr, cfg, faults);
     expectIdentical(with, without);
     EXPECT_EQ(with.faults.transient, without.faults.transient);
     EXPECT_EQ(with.faults.corrupt, without.faults.corrupt);
+    EXPECT_GT(with.cacheStats.hits, 0u);
 }
 
 TEST(ShardCache, CheckpointResumeWithFreshCacheMatchesStraightRun)
@@ -433,7 +391,7 @@ TEST(ShardCache, CheckpointResumeWithFreshCacheMatchesStraightRun)
 
     auto full_cfg = tinyConfig(DriverConfig::unico());
     accel::EvalCache c_full(64 << 20);
-    const CoSearchResult full = runSpatial(&c_full, full_cfg);
+    const CoSearchResult full = runAscend(&c_full, full_cfg);
 
     // Run the first iteration with one cache, then resume with a
     // fresh (cold) cache: the checkpoint carries no cache state, so
@@ -442,14 +400,38 @@ TEST(ShardCache, CheckpointResumeWithFreshCacheMatchesStraightRun)
     part_cfg.maxIter = 1;
     part_cfg.checkpointPath = path;
     accel::EvalCache c_part(64 << 20);
-    runSpatial(&c_part, part_cfg);
+    runAscend(&c_part, part_cfg);
 
     auto resume_cfg = full_cfg;
     resume_cfg.checkpointPath = path;
     resume_cfg.resumeFromCheckpoint = true;
     accel::EvalCache c_resume(64 << 20);
-    const CoSearchResult resumed = runSpatial(&c_resume, resume_cfg);
+    const CoSearchResult resumed = runAscend(&c_resume, resume_cfg);
 
     expectIdentical(full, resumed);
+    EXPECT_GT(c_resume.stats().hits, 0u);
     std::remove(path.c_str());
+}
+
+TEST(ShardCache, SpatialBackendLeavesAGivenCacheUntouched)
+{
+    // The spatial backend queries its analytical model directly, so a
+    // cache handed to it through BackendOptions changes nothing and
+    // sees no lookup.
+    const auto cfg = tinyConfig(DriverConfig::unico());
+    const auto run = [&cfg](accel::EvalCache *cache) {
+        core::BackendOptions opt;
+        opt.maxShapesPerNetwork = 2;
+        opt.cache = cache;
+        const auto env = core::makeBackendEnv(
+            "spatial", {workload::makeMobileNet()}, opt);
+        EXPECT_EQ(env->evalCache(), nullptr);
+        return CoOptimizer(*env, cfg).run();
+    };
+    accel::EvalCache cache(64 << 20);
+    const CoSearchResult with = run(&cache);
+    const CoSearchResult without = run(nullptr);
+    expectIdentical(with, without);
+    EXPECT_EQ(cache.stats().hits + cache.stats().misses, 0u);
+    EXPECT_EQ(cache.stats().entries, 0u);
 }

@@ -339,16 +339,98 @@ BM_ColdEvalCubePrepared(benchmark::State &state)
 }
 BENCHMARK(BM_ColdEvalCubePrepared);
 
+/**
+ * The mapping mutation every annealing and genetic step pays for.
+ * BM_MappingMutateFullRepair replicates the pre-change operator (the
+ * same draws, then a full repair() that re-snaps all 14 tiles to their
+ * ladders); BM_MappingMutate is the production call, which fixes only
+ * the facet it moved. CI guards the ns_per_eval ratio.
+ */
+mapping::Mapping
+mutateWithFullRepair(const mapping::MappingSpace &space,
+                     const mapping::Mapping &m, common::Rng &rng)
+{
+    using mapping::kNumDims;
+    mapping::Mapping out = m;
+    const auto step = [&](std::int64_t &tile, int d) {
+        const auto &ladder = space.tileLadder(d);
+        auto it = std::lower_bound(ladder.begin(), ladder.end(), tile);
+        std::size_t idx = static_cast<std::size_t>(it - ladder.begin());
+        if (rng.bernoulli(0.5) && idx + 1 < ladder.size())
+            ++idx;
+        else if (idx > 0)
+            --idx;
+        tile = ladder[idx];
+    };
+    switch (rng.uniformInt(std::uint64_t{5})) {
+      case 0: {
+        const int d = static_cast<int>(rng.uniformInt(
+            std::uint64_t{kNumDims}));
+        step(out.l1Tile[d], d);
+        break;
+      }
+      case 1: {
+        const int d = static_cast<int>(rng.uniformInt(
+            std::uint64_t{kNumDims}));
+        step(out.l2Tile[d], d);
+        break;
+      }
+      case 2:
+        if (rng.bernoulli(0.5))
+            out.spatialX = rng.pick(space.spatialChoices());
+        else
+            out.spatialY = rng.pick(space.spatialChoices());
+        break;
+      case 3: {
+        const std::size_t i = rng.uniformInt(std::uint64_t{kNumDims});
+        const std::size_t j = rng.uniformInt(std::uint64_t{kNumDims});
+        std::swap(out.order[i], out.order[j]);
+        break;
+      }
+      default: {
+        const int d = static_cast<int>(rng.uniformInt(
+            std::uint64_t{kNumDims}));
+        out.l1Tile[d] = rng.pick(space.tileLadder(d));
+        out.l2Tile[d] = rng.pick(space.tileLadder(d));
+        break;
+      }
+    }
+    space.repair(out);
+    return out;
+}
+
+template <typename Mutate>
 void
-BM_MappingMutate(benchmark::State &state)
+mutateLoop(benchmark::State &state, Mutate mutate)
 {
     const mapping::MappingSpace space(convOp());
     common::Rng rng(3);
     mapping::Mapping m = space.random(rng);
     for (auto _ : state) {
-        m = space.mutate(m, rng);
+        m = mutate(space, m, rng);
         benchmark::DoNotOptimize(m);
     }
+    // iterations * 1e-9 under kIsRate|kInvert reports elapsed
+    // nanoseconds per mutation.
+    state.counters["ns_per_eval"] = benchmark::Counter(
+        static_cast<double>(state.iterations()) * 1e-9,
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+void
+BM_MappingMutateFullRepair(benchmark::State &state)
+{
+    mutateLoop(state, mutateWithFullRepair);
+}
+BENCHMARK(BM_MappingMutateFullRepair);
+
+void
+BM_MappingMutate(benchmark::State &state)
+{
+    mutateLoop(state, [](const mapping::MappingSpace &space,
+                         const mapping::Mapping &m, common::Rng &rng) {
+        return space.mutate(m, rng);
+    });
 }
 BENCHMARK(BM_MappingMutate);
 

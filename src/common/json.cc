@@ -1,6 +1,7 @@
 #include "common/json.hh"
 
 #include <bit>
+#include <cassert>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -140,7 +141,7 @@ Json::members() const
 namespace {
 
 void
-dumpString(std::string &out, const std::string &s)
+dumpString(std::string &out, std::string_view s)
 {
     out += '"';
     for (char c : s) {
@@ -183,67 +184,150 @@ dumpNumber(std::string &out, double v)
     out.append(buf, res.ptr);
 }
 
-void
-newlineIndent(std::string &out, int indent, int depth)
-{
-    if (indent <= 0)
-        return;
-    out += '\n';
-    out.append(static_cast<std::size_t>(indent) *
-                   static_cast<std::size_t>(depth),
-               ' ');
-}
-
 } // namespace
 
 void
-Json::dumpTo(std::string &out, int indent, int depth) const
+JsonWriter::newline(std::size_t level)
+{
+    if (indent_ <= 0)
+        return;
+    out_ += '\n';
+    out_.append(static_cast<std::size_t>(indent_) * level, ' ');
+}
+
+void
+JsonWriter::separate()
+{
+    if (open_.back()++ > 0)
+        out_ += ',';
+    newline(level());
+}
+
+void
+JsonWriter::beforeValue()
+{
+    if (afterKey_)
+        afterKey_ = false; // a member value follows its key
+    else if (!open_.empty())
+        separate();        // an array element
+}
+
+void
+JsonWriter::close(char bracket)
+{
+    assert(!open_.empty() && !afterKey_);
+    const bool empty = open_.back() == 0;
+    open_.pop_back();
+    if (!empty)
+        newline(level());
+    out_ += bracket;
+}
+
+JsonWriter &
+JsonWriter::beginArray()
+{
+    beforeValue();
+    out_ += '[';
+    open_.push_back(0);
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::endArray()
+{
+    close(']');
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::beginObject()
+{
+    beforeValue();
+    out_ += '{';
+    open_.push_back(0);
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::endObject()
+{
+    close('}');
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::key(std::string_view k)
+{
+    assert(!open_.empty() && !afterKey_);
+    separate();
+    dumpString(out_, k);
+    out_ += indent_ > 0 ? ": " : ":";
+    afterKey_ = true;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::null()
+{
+    beforeValue();
+    out_ += "null";
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::boolean(bool b)
+{
+    beforeValue();
+    out_ += b ? "true" : "false";
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::number(double v)
+{
+    beforeValue();
+    dumpNumber(out_, v);
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::string(std::string_view s)
+{
+    beforeValue();
+    dumpString(out_, s);
+    return *this;
+}
+
+void
+Json::writeTo(JsonWriter &w) const
 {
     switch (type_) {
       case Type::Null:
-        out += "null";
+        w.null();
         break;
       case Type::Bool:
-        out += bool_ ? "true" : "false";
+        w.boolean(bool_);
         break;
       case Type::Number:
-        dumpNumber(out, number_);
+        w.number(number_);
         break;
       case Type::String:
-        dumpString(out, string_);
+        w.string(string_);
         break;
-      case Type::Array: {
-        out += '[';
-        bool first = true;
-        for (const auto &v : array_) {
-            if (!first)
-                out += ',';
-            first = false;
-            newlineIndent(out, indent, depth + 1);
-            v.dumpTo(out, indent, depth + 1);
-        }
-        if (!array_.empty())
-            newlineIndent(out, indent, depth);
-        out += ']';
+      case Type::Array:
+        w.beginArray();
+        for (const auto &v : array_)
+            v.writeTo(w);
+        w.endArray();
         break;
-      }
-      case Type::Object: {
-        out += '{';
-        bool first = true;
+      case Type::Object:
+        w.beginObject();
         for (const auto &[key, v] : object_) {
-            if (!first)
-                out += ',';
-            first = false;
-            newlineIndent(out, indent, depth + 1);
-            dumpString(out, key);
-            out += indent > 0 ? ": " : ":";
-            v.dumpTo(out, indent, depth + 1);
+            w.key(key);
+            v.writeTo(w);
         }
-        if (!object_.empty())
-            newlineIndent(out, indent, depth);
-        out += '}';
+        w.endObject();
         break;
-      }
     }
 }
 
@@ -251,7 +335,8 @@ std::string
 Json::dump(int indent) const
 {
     std::string out;
-    dumpTo(out, indent, 0);
+    JsonWriter w(out, indent);
+    writeTo(w);
     return out;
 }
 

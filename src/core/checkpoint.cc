@@ -1,6 +1,7 @@
 #include "core/checkpoint.hh"
 
 #include <algorithm>
+#include <cassert>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -13,22 +14,25 @@
 
 #include "common/crc64.hh"
 #include "common/io.hh"
+#include "core/mobo.hh"
 
 namespace unico::core {
 
 namespace {
 
 using common::Json;
+using common::JsonWriter;
 
 /** Infinity-safe double encoding (JSON has no Inf literal). */
-Json
-numberOrInf(double v)
+void
+writeNumberOrInf(JsonWriter &w, double v)
 {
     if (v == std::numeric_limits<double>::infinity())
-        return Json("inf");
-    if (v == -std::numeric_limits<double>::infinity())
-        return Json("-inf");
-    return Json(v);
+        w.string("inf");
+    else if (v == -std::numeric_limits<double>::infinity())
+        w.string("-inf");
+    else
+        w.number(v);
 }
 
 double
@@ -45,13 +49,13 @@ parseNumberOrInf(const Json &j)
     return j.asDouble();
 }
 
-Json
-objectivesToJson(const moo::Objectives &y)
+void
+writeObjectives(JsonWriter &w, const moo::Objectives &y)
 {
-    Json arr = Json::array();
+    w.beginArray();
     for (double v : y)
-        arr.push(v);
-    return arr;
+        w.number(v);
+    w.endArray();
 }
 
 moo::Objectives
@@ -64,15 +68,6 @@ objectivesFromJson(const Json &j)
     return y;
 }
 
-Json
-hwToJson(const accel::HwPoint &h)
-{
-    Json arr = Json::array();
-    for (std::size_t axis : h)
-        arr.push(axis);
-    return arr;
-}
-
 accel::HwPoint
 hwFromJson(const Json &j)
 {
@@ -83,26 +78,32 @@ hwFromJson(const Json &j)
     return h;
 }
 
-Json
-recordToJson(const HwEvalRecord &rec)
+// The writers below list members in key order, the order a Json
+// object (a std::map) prints them in.
+
+void
+writeRecord(JsonWriter &w, const HwEvalRecord &rec)
 {
-    Json j = Json::object();
-    j["hw"] = hwToJson(rec.hw);
-    j["latencyMs"] = rec.ppa.latencyMs;
-    j["powerMw"] = rec.ppa.powerMw;
-    j["areaMm2"] = rec.ppa.areaMm2;
-    j["energyMj"] = rec.ppa.energyMj;
-    j["feasible"] = rec.ppa.feasible;
-    j["sensitivity"] = rec.sensitivity;
-    j["budgetSpent"] = rec.budgetSpent;
-    j["constraintOk"] = rec.constraintOk;
-    j["fullySearched"] = rec.fullySearched;
-    j["highFidelity"] = rec.highFidelity;
-    j["iteration"] = rec.iteration;
-    j["faults"] = rec.faults;
-    j["degraded"] = rec.degraded;
-    j["penalized"] = rec.penalized;
-    return j;
+    w.beginObject();
+    w.key("areaMm2").number(rec.ppa.areaMm2);
+    w.key("budgetSpent").number(rec.budgetSpent);
+    w.key("constraintOk").boolean(rec.constraintOk);
+    w.key("degraded").boolean(rec.degraded);
+    w.key("energyMj").number(rec.ppa.energyMj);
+    w.key("faults").number(rec.faults);
+    w.key("feasible").boolean(rec.ppa.feasible);
+    w.key("fullySearched").boolean(rec.fullySearched);
+    w.key("highFidelity").boolean(rec.highFidelity);
+    w.key("hw").beginArray();
+    for (std::size_t axis : rec.hw)
+        w.number(static_cast<double>(axis));
+    w.endArray();
+    w.key("iteration").number(rec.iteration);
+    w.key("latencyMs").number(rec.ppa.latencyMs);
+    w.key("penalized").boolean(rec.penalized);
+    w.key("powerMw").number(rec.ppa.powerMw);
+    w.key("sensitivity").number(rec.sensitivity);
+    w.endObject();
 }
 
 HwEvalRecord
@@ -127,25 +128,37 @@ recordFromJson(const Json &j)
     return rec;
 }
 
-Json
-faultsToJson(const FaultStats &f)
+void
+writeFaults(JsonWriter &w, const FaultStats &f)
 {
-    Json j = Json::object();
-    j["transient"] = static_cast<std::size_t>(f.transient);
-    j["timeout"] = static_cast<std::size_t>(f.timeout);
-    j["corrupt"] = static_cast<std::size_t>(f.corrupt);
-    j["fatal"] = static_cast<std::size_t>(f.fatal);
-    j["retries"] = static_cast<std::size_t>(f.retries);
-    j["degradations"] = static_cast<std::size_t>(f.degradations);
-    j["penalized"] = static_cast<std::size_t>(f.penalized);
-    j["gpFallbacks"] = static_cast<std::size_t>(f.gpFallbacks);
-    j["checkpointRecoveries"] =
-        static_cast<std::size_t>(f.checkpointRecoveries);
     // f.transport is deliberately NOT serialized: transport faults
     // are recovered transparently by the fleet, so a checkpoint (and
     // therefore a resume) must be byte-identical whether or not
     // workers were killed along the way.
-    return j;
+    w.beginObject();
+    w.key("checkpointRecoveries")
+        .number(static_cast<double>(f.checkpointRecoveries));
+    w.key("corrupt").number(static_cast<double>(f.corrupt));
+    w.key("degradations").number(static_cast<double>(f.degradations));
+    w.key("fatal").number(static_cast<double>(f.fatal));
+    w.key("gpFallbacks").number(static_cast<double>(f.gpFallbacks));
+    w.key("penalized").number(static_cast<double>(f.penalized));
+    w.key("retries").number(static_cast<double>(f.retries));
+    w.key("timeout").number(static_cast<double>(f.timeout));
+    w.key("transient").number(static_cast<double>(f.transient));
+    w.endObject();
+}
+
+void
+writeTracePoint(JsonWriter &w, const TracePoint &tp)
+{
+    w.beginObject();
+    w.key("front").beginArray();
+    for (const auto &y : tp.front)
+        writeObjectives(w, y);
+    w.endArray();
+    w.key("hours").number(tp.hours);
+    w.endObject();
 }
 
 std::uint64_t
@@ -236,58 +249,83 @@ checkpointCompatibility(const SearchCheckpoint &ck,
     return CheckpointIoStatus::success();
 }
 
-common::Json
-toJson(const SearchCheckpoint &ck)
+const std::string &
+CheckpointWriter::format(const CheckpointSource &src)
 {
-    Json doc = Json::object();
-    doc["version"] = ck.version;
-    doc["configKey"] = ck.configKey;
-    doc["backend"] = ck.backend;
-    doc["scenario"] = ck.scenario;
-    doc["workloadDigest"] = ck.workloadDigest;
-    doc["completedIterations"] = ck.completedIterations;
-    doc["clockSeconds"] = ck.clockSeconds;
-    doc["clockEvaluations"] =
-        static_cast<std::size_t>(ck.clockEvaluations);
-    doc["sampler"] = ck.samplerState;
+    write(src);
+#ifndef NDEBUG
+    // Debug builds check that no cached element changed after the
+    // save that wrote it: a writer without a cache prints the same.
+    CheckpointWriter fresh;
+    assert(fresh.write(src) == doc_);
+#endif
+    return doc_;
+}
 
-    Json sel = Json::object();
-    sel["vBest"] = numberOrInf(ck.selector.vBest);
-    sel["uul"] = numberOrInf(ck.selector.uul);
-    Json dist = Json::array();
-    for (double d : ck.selector.distances)
-        dist.push(d);
-    sel["distances"] = std::move(dist);
-    doc["selector"] = std::move(sel);
+const std::string &
+CheckpointWriter::write(const CheckpointSource &src)
+{
+    const CoSearchResult &result = src.result;
+    doc_.clear();
+    JsonWriter w(doc_, 2);
+    w.beginObject();
+    w.key("backend").string(src.stack.backend);
+    w.key("clockEvaluations")
+        .number(static_cast<double>(src.clockEvaluations));
+    w.key("clockSeconds").number(src.clockSeconds);
+    w.key("completedIterations").number(src.completedIterations);
+    w.key("configKey").string(src.configKey);
+    w.key("faults");
+    writeFaults(w, result.faults);
 
-    Json records = Json::array();
-    for (const auto &rec : ck.result.records)
-        records.push(recordToJson(rec));
-    doc["records"] = std::move(records);
-
-    Json front = Json::array();
-    for (const auto &entry : ck.result.front.entries()) {
-        Json e = Json::object();
-        e["objectives"] = objectivesToJson(entry.objectives);
-        e["id"] = static_cast<std::size_t>(entry.id);
-        front.push(std::move(e));
+    w.key("front").beginArray();
+    for (const auto &entry : result.front.entries()) {
+        w.beginObject();
+        w.key("id").number(static_cast<double>(entry.id));
+        w.key("objectives");
+        writeObjectives(w, entry.objectives);
+        w.endObject();
     }
-    doc["front"] = std::move(front);
+    w.endArray();
 
-    Json trace = Json::array();
-    for (const auto &tp : ck.result.trace) {
-        Json t = Json::object();
-        t["hours"] = tp.hours;
-        Json pts = Json::array();
-        for (const auto &y : tp.front)
-            pts.push(objectivesToJson(y));
-        t["front"] = std::move(pts);
-        trace.push(std::move(t));
-    }
-    doc["trace"] = std::move(trace);
+    w.key("records").cachedArray(
+        records_, result.records.size(),
+        [&result](JsonWriter &e, std::size_t i) {
+            writeRecord(e, result.records[i]);
+        });
+    w.key("sampler");
+    src.sampler.writeState(w, observations_);
+    w.key("scenario").string(src.stack.scenario);
 
-    doc["faults"] = faultsToJson(ck.result.faults);
-    return doc;
+    const std::vector<double> &dist = src.selector.distances();
+    w.key("selector").beginObject();
+    w.key("distances").cachedArray(
+        distances_, dist.size(),
+        [&dist](JsonWriter &e, std::size_t i) { e.number(dist[i]); });
+    w.key("uul");
+    writeNumberOrInf(w, src.selector.uul());
+    w.key("vBest");
+    writeNumberOrInf(w, src.selector.bestScalar());
+    w.endObject();
+
+    w.key("trace").cachedArray(
+        trace_, result.trace.size(),
+        [&result](JsonWriter &e, std::size_t i) {
+            writeTracePoint(e, result.trace[i]);
+        });
+    w.key("version").number(kCheckpointVersion);
+    w.key("workloadDigest").string(src.stack.workloadDigest);
+    w.endObject();
+    return doc_;
+}
+
+void
+CheckpointWriter::reset()
+{
+    records_.clear();
+    observations_.clear();
+    distances_.clear();
+    trace_.clear();
 }
 
 SearchCheckpoint
@@ -431,13 +469,16 @@ rotatedCheckpointPath(const std::string &path, int n)
 }
 
 CheckpointIoStatus
-saveCheckpointFile(const std::string &path, const SearchCheckpoint &ck)
+saveCheckpointFile(const std::string &path, std::string_view document)
 {
-    std::string body = toJson(ck).dump(2);
+    std::string body;
+    body.reserve(document.size() + 32);
+    body.append(document);
     body += "\n";
-    std::ostringstream trailer;
-    trailer << kCrcPrefix << common::hexU64(common::crc64(body)) << "\n";
-    body += trailer.str();
+    const std::uint64_t crc = common::crc64(body);
+    body += kCrcPrefix;
+    body += common::hexU64(crc);
+    body += "\n";
 
     const std::string tmp = path + ".tmp";
     if (auto st = writeDurable(tmp, body); !st)
@@ -452,7 +493,7 @@ saveCheckpointFile(const std::string &path, const SearchCheckpoint &ck)
 }
 
 CheckpointIoStatus
-saveCheckpointRotated(const std::string &path, const SearchCheckpoint &ck,
+saveCheckpointRotated(const std::string &path, std::string_view document,
                       int keep)
 {
     // Shift generations oldest-first so every intermediate state
@@ -467,7 +508,7 @@ saveCheckpointRotated(const std::string &path, const SearchCheckpoint &ck,
             return CheckpointIoStatus::failure(
                 errnoMessage("rotate", from + " -> " + to));
     }
-    return saveCheckpointFile(path, ck);
+    return saveCheckpointFile(path, document);
 }
 
 std::optional<SearchCheckpoint>

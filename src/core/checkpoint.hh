@@ -31,6 +31,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json.hh"
@@ -39,10 +40,13 @@
 
 namespace unico::core {
 
+/** Format version CheckpointWriter writes. */
+constexpr int kCheckpointVersion = 3;
+
 /** Everything needed to resume a co-search mid-run. */
 struct SearchCheckpoint
 {
-    int version = 3;
+    int version = kCheckpointVersion;
     /** Fingerprint of the producing DriverConfig; resume refuses a
      *  checkpoint whose fingerprint differs from the live config. */
     std::string configKey;
@@ -84,9 +88,58 @@ class CheckpointMismatchError : public std::runtime_error
 };
 
 
-/** Serialize / deserialize a checkpoint document. */
-common::Json toJson(const SearchCheckpoint &ck);
+/** Read a checkpoint document (versions 1 to 3). */
 SearchCheckpoint checkpointFromJson(const common::Json &doc);
+
+/** The live search state a checkpoint is written from, by reference:
+ *  nothing is copied. */
+struct CheckpointSource
+{
+    std::string_view configKey;
+    const StackIdentity &stack;
+    int completedIterations;
+    double clockSeconds;
+    std::uint64_t clockEvaluations;
+    const MoboHwSampler &sampler;
+    const HighFidelitySelector &selector;
+    const CoSearchResult &result;
+};
+
+/**
+ * Streams version-3 checkpoint documents from live search state, with
+ * no DOM: the text is what Json::dump(2) prints for the document
+ * checkpointFromJson() reads, members in key order.
+ *
+ * Between two saves of one search, the records, the sampler
+ * observations, the selector distances and the trace points only
+ * grow, and each element is final before the save that first writes
+ * it (a trial sets the high-fidelity flags of the elements it appends
+ * before it saves). So the writer keeps every element's text and
+ * formats only what was appended since its last save. reset() drops
+ * that text; the search calls it whenever it restores state (resume,
+ * interrupt rollback), and an array that shrank is formatted anew.
+ * Debug builds check each document against a writer with no cached
+ * text.
+ */
+class CheckpointWriter
+{
+  public:
+    /** The document for @p src, without the integrity trailer. Valid
+     *  until the next call. */
+    const std::string &format(const CheckpointSource &src);
+
+    /** Forget every element's text. */
+    void reset();
+
+  private:
+    const std::string &write(const CheckpointSource &src);
+
+    std::string doc_;
+    common::JsonArrayCache records_;
+    common::JsonArrayCache observations_;
+    common::JsonArrayCache distances_;
+    common::JsonArrayCache trace_;
+};
 
 /**
  * Outcome of a checkpoint I/O operation. ok() is false on failure,
@@ -121,11 +174,12 @@ checkpointCompatibility(const SearchCheckpoint &ck,
                         const StackIdentity &live);
 
 /**
- * Durable atomic write: serialize with a CRC-64 trailer, fsync the
- * temp file and its directory, then rename over @p path.
+ * Durable atomic write of checkpoint @p document with a CRC-64
+ * trailer: fsync the temp file and its directory, then rename over
+ * @p path.
  */
 CheckpointIoStatus saveCheckpointFile(const std::string &path,
-                                      const SearchCheckpoint &ck);
+                                      std::string_view document);
 
 /**
  * Like saveCheckpointFile(), but first shifts existing generations
@@ -134,7 +188,7 @@ CheckpointIoStatus saveCheckpointFile(const std::string &path,
  * keep <= 1 disables rotation.
  */
 CheckpointIoStatus saveCheckpointRotated(const std::string &path,
-                                         const SearchCheckpoint &ck,
+                                         std::string_view document,
                                          int keep);
 
 /** The n-th rotated generation path (n = 0 is @p path itself). */

@@ -254,7 +254,8 @@ penaltyObjectives(std::size_t dims)
 CoSearch::CoSearch(CoSearchEnv &env, DriverConfig cfg, JobContext *ctx,
                    ProgressObserver *observer)
     : env_(env), cfg_(std::move(cfg)),
-      ctx_(ctx != nullptr ? ctx : &ownedCtx_), observer_(observer)
+      ctx_(ctx != nullptr ? ctx : &ownedCtx_), observer_(observer),
+      checkpointWriter_(std::make_unique<CheckpointWriter>())
 {
     assert(cfg_.batchSize >= 1);
     assert(cfg_.maxIter >= 1);
@@ -320,18 +321,12 @@ CoSearch::saveCheckpoint(int completed)
 {
     if (cfg_.checkpointPath.empty())
         return;
-    SearchCheckpoint ck;
-    ck.configKey = configFingerprint(cfg_);
-    ck.backend = stackId_.backend;
-    ck.scenario = stackId_.scenario;
-    ck.workloadDigest = stackId_.workloadDigest;
-    ck.completedIterations = completed;
-    ck.clockSeconds = ctx_->clock.seconds();
-    ck.clockEvaluations = ctx_->clock.evaluations();
-    ck.samplerState = sampler_->saveState();
-    ck.selector = selector_->saveState();
-    ck.result = result_;
-    const auto st = saveCheckpointRotated(cfg_.checkpointPath, ck,
+    const std::string key = configFingerprint(cfg_);
+    const std::string &document = checkpointWriter_->format(
+        CheckpointSource{key, stackId_, completed, ctx_->clock.seconds(),
+                         ctx_->clock.evaluations(), *sampler_, *selector_,
+                         result_});
+    const auto st = saveCheckpointRotated(cfg_.checkpointPath, document,
                                           cfg_.checkpointKeep);
     if (st.ok()) {
         lastSavedIter_ = completed;
@@ -411,6 +406,7 @@ CoSearch::start()
             ctx_->clock.restore(rec->checkpoint.clockSeconds,
                                 rec->checkpoint.clockEvaluations);
             result_ = std::move(rec->checkpoint.result);
+            checkpointWriter_->reset();
             startIter_ = rec->checkpoint.completedIterations;
             result_.faults.checkpointRecoveries +=
                 static_cast<std::uint64_t>(rec->rejected.size());
@@ -743,6 +739,7 @@ CoSearch::runTrial()
         result_.faults = snap_faults;
         if (need_sampler_snap)
             sampler_->restoreState(snap_sampler);
+        checkpointWriter_->reset();
         result_.interrupted = true;
         result_.interruptReason =
             common::toString(runToken_.reason());

@@ -40,6 +40,7 @@ namespace unico::core {
 
 class MoboHwSampler;
 class HighFidelitySelector;
+class CheckpointWriter;
 
 /** SW search budget allocation policy across a HW batch. */
 enum class BudgetMode {
@@ -337,6 +338,7 @@ class CoSearch
     std::size_t numObj_ = 3;
     std::unique_ptr<MoboHwSampler> sampler_;
     std::unique_ptr<HighFidelitySelector> selector_;
+    std::unique_ptr<CheckpointWriter> checkpointWriter_;
     std::vector<double> championW_;
     int minBudget_ = 1;
     StackIdentity stackId_;

@@ -56,6 +56,9 @@ class HighFidelitySelector
     /** Best (smallest) fidelity scalar seen so far. */
     double bestScalar() const { return vBest_; }
 
+    /** The distance set D, in insertion order; it only grows. */
+    const std::vector<double> &distances() const { return distances_; }
+
     /** Fidelity scalar of a single objective vector (Eq. 1). */
     double scalar(const moo::Objectives &normalized_y) const;
 

@@ -294,6 +294,47 @@ MoboHwSampler::saveState() const
 }
 
 void
+MoboHwSampler::writeState(common::JsonWriter &w,
+                          common::JsonArrayCache &observations) const
+{
+    // saveState()'s members in key order, as its Json objects print
+    // them.
+    const auto rs = rng_.saveState();
+    w.beginObject();
+    w.key("kernel").beginObject();
+    w.key("ard").beginArray().endArray();
+    w.key("kind").number(kMatern52Kind);
+    w.key("lengthscale").number(kernelParams_.lengthscale);
+    w.key("noise").number(kernelParams_.noise);
+    w.key("variance").number(kernelParams_.variance);
+    w.endObject();
+    w.key("kernelTuned").boolean(kernelTuned_);
+    w.key("observations").cachedArray(
+        observations, all_.size(),
+        [this](common::JsonWriter &e, std::size_t i) {
+            const Obs &o = all_[i];
+            e.beginObject();
+            e.key("h").beginArray();
+            for (std::size_t axis : o.h)
+                e.number(static_cast<double>(axis));
+            e.endArray();
+            e.key("hf").boolean(o.highFidelity);
+            e.key("y").beginArray();
+            for (double v : o.y)
+                e.number(v);
+            e.endArray();
+            e.endObject();
+        });
+    w.key("rng").beginArray();
+    for (int i = 0; i < 4; ++i)
+        w.string(common::hexU64(rs.s[i]));
+    w.endArray();
+    w.key("rngGaussian").number(rs.cachedGaussian);
+    w.key("rngHasGaussian").boolean(rs.hasCachedGaussian);
+    w.endObject();
+}
+
+void
 MoboHwSampler::restoreState(const common::Json &state)
 {
     // Read and check the whole snapshot before changing anything. A

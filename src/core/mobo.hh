@@ -95,6 +95,15 @@ class MoboHwSampler
      */
     common::Json saveState() const;
 
+    /**
+     * Stream saveState()'s document into @p w. The observations only
+     * grow, and the driver flags an observation high fidelity in the
+     * trial that adds it, so @p observations keeps each one's text
+     * from the first call that writes it (see JsonWriter::cachedArray).
+     */
+    void writeState(common::JsonWriter &w,
+                    common::JsonArrayCache &observations) const;
+
     /** Restore a snapshot produced by saveState(). */
     void restoreState(const common::Json &state);
 

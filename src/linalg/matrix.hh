@@ -2,11 +2,15 @@
  * @file
  * Dense row-major matrix/vector types used by the Gaussian-process
  * surrogate, sized for the small systems that appear in MOBO (hundreds
- * of rows). The hot kernel is blocked for speed:
- * Cholesky::solveLowerMulti solves eight right-hand sides at once on
- * two-lane vectors. It keeps the naive loop's floating-point operation
- * order for every output element, so its results are bit-identical to
- * solveLower() column by column and no compiler flag is needed.
+ * of rows). The hot kernels are interleaved for speed:
+ * Cholesky::factorize advances four rows of a column together, and
+ * Cholesky::solveLowerMulti / solveMulti solve up to eight right-hand
+ * sides at once on two-lane vectors, two rows at a time in the forward
+ * sweep. Each keeps the naive loop's floating-point operation order
+ * for every output element, so the factor is bit-identical to the
+ * entry-at-a-time loop, the multi solves are bit-identical to
+ * solveLower() / solve() column by column, and no compiler flag is
+ * needed.
  */
 
 #ifndef UNICO_LINALG_MATRIX_HH
@@ -77,8 +81,10 @@ double dot(const Vector &a, const Vector &b);
  * for fewer samples than features — including the single-sample case.
  * Whether the jittered Cholesky succeeds depends on G alone; if it
  * fails, every solution is a zero vector so the caller degrades to
- * predicting the bias alone, deterministically. Each solution is
- * bit-identical to solving its right-hand side on its own.
+ * predicting the bias alone, deterministically. All right-hand sides
+ * share one forward and one backward sweep (Cholesky::solveMulti),
+ * and each solution is bit-identical to solving its right-hand side
+ * on its own.
  */
 std::vector<Vector> solveNormalEquations(const Matrix &gram,
                                          const std::vector<Vector> &rhs,
@@ -111,17 +117,25 @@ class Cholesky
     /** Solve L y = b (forward substitution). */
     Vector solveLower(const Vector &b) const;
 
-    /** Right-hand sides solveLowerMulti() advances together. */
+    /** Most right-hand sides solveLowerMulti() advances together. */
     static constexpr std::size_t kSolveBlock = 8;
 
     /**
      * Solve L Y = B for every column of @p b (n rows, any number of
-     * columns). Columns are solved kSolveBlock at a time with the same
-     * k-ascending multiply-then-subtract order as solveLower(), so
-     * column c of the result is bit-identical to solveLower() of
-     * column c of @p b.
+     * columns). Columns are solved up to kSolveBlock at a time with
+     * the same k-ascending multiply-then-subtract order as
+     * solveLower(), so column c of the result is bit-identical to
+     * solveLower() of column c of @p b.
      */
     Matrix solveLowerMulti(const Matrix &b) const;
+
+    /**
+     * Solve A X = B for every column of @p b: solveLowerMulti()'s
+     * forward sweep, then the backward sweep with Lᵀ on the same
+     * lanes, so column c of the result is bit-identical to solve() of
+     * column c of @p b.
+     */
+    Matrix solveMulti(const Matrix &b) const;
 
     /** Sum of log of diagonal entries of L (0.5 * log det A). */
     double halfLogDet() const;

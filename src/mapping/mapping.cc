@@ -90,6 +90,20 @@ MappingSpace::snapToLadder(int dim, std::int64_t v) const
     return *it;
 }
 
+bool
+MappingSpace::separateSpatial(Mapping &m) const
+{
+    if (m.spatialX != m.spatialY || spatialChoices_.size() <= 1)
+        return false;
+    for (int d : spatialChoices_) {
+        if (d != m.spatialX) {
+            m.spatialY = d;
+            return true;
+        }
+    }
+    return false;
+}
+
 Mapping
 MappingSpace::minimal() const
 {
@@ -130,7 +144,15 @@ MappingSpace::random(common::Rng &rng) const
 Mapping
 MappingSpace::mutate(const Mapping &m, common::Rng &rng) const
 {
+    // m is repaired, so every facet this move leaves alone is valid
+    // already; repairing the one it touched is all repair() would do.
     Mapping out = m;
+    // The tile moves keep both levels on the ladder; repair() would
+    // only restore l1 <= l2 on the moved dimension.
+    const auto orderTiles = [&out](int d) {
+        if (out.l1Tile[d] > out.l2Tile[d])
+            std::swap(out.l1Tile[d], out.l2Tile[d]);
+    };
     switch (rng.uniformInt(std::uint64_t{5})) {
       case 0: { // L1 tile step
         const int d = static_cast<int>(rng.uniformInt(
@@ -144,6 +166,7 @@ MappingSpace::mutate(const Mapping &m, common::Rng &rng) const
         else if (idx > 0)
             --idx;
         out.l1Tile[d] = ladder[idx];
+        orderTiles(d);
         break;
       }
       case 1: { // L2 tile step
@@ -158,6 +181,7 @@ MappingSpace::mutate(const Mapping &m, common::Rng &rng) const
         else if (idx > 0)
             --idx;
         out.l2Tile[d] = ladder[idx];
+        orderTiles(d);
         break;
       }
       case 2: { // reassign a spatial dim
@@ -165,9 +189,10 @@ MappingSpace::mutate(const Mapping &m, common::Rng &rng) const
             out.spatialX = rng.pick(spatialChoices_);
         else
             out.spatialY = rng.pick(spatialChoices_);
+        separateSpatial(out);
         break;
       }
-      case 3: { // swap two loop-order slots
+      case 3: { // swap two loop-order slots (stays a permutation)
         const std::size_t i = rng.uniformInt(std::uint64_t{kNumDims});
         const std::size_t j = rng.uniformInt(std::uint64_t{kNumDims});
         std::swap(out.order[i], out.order[j]);
@@ -178,11 +203,15 @@ MappingSpace::mutate(const Mapping &m, common::Rng &rng) const
             std::uint64_t{kNumDims}));
         out.l1Tile[d] = rng.pick(ladders_[d]);
         out.l2Tile[d] = rng.pick(ladders_[d]);
+        orderTiles(d);
         break;
       }
     }
-    repair(out);
-    assert(isValid(out));
+#ifndef NDEBUG
+    Mapping repaired = out;
+    repair(repaired);
+    assert(repaired == out && isValid(out));
+#endif
     return out;
 }
 
@@ -218,15 +247,8 @@ MappingSpace::repair(Mapping &m) const
         m.l1Tile[d] = std::min(l1, l2);
         m.l2Tile[d] = std::max(l1, l2);
     }
-    if (m.spatialX == m.spatialY && spatialChoices_.size() > 1) {
-        for (int d : spatialChoices_) {
-            if (d != m.spatialX) {
-                m.spatialY = d;
-                changed = true;
-                break;
-            }
-        }
-    }
+    if (separateSpatial(m))
+        changed = true;
     // Restore a valid permutation if duplicated entries crept in.
     std::array<bool, kNumDims> seen{};
     bool perm_ok = true;

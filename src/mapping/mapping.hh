@@ -94,10 +94,23 @@ class MappingSpace
      */
     Mapping minimal() const;
 
+    /** Loop dims the spatial unroll picks from (at least two). */
+    const std::vector<int> &
+    spatialChoices() const
+    {
+        return spatialChoices_;
+    }
+
     /** Uniform random valid mapping. */
     Mapping random(common::Rng &rng) const;
 
-    /** Local mutation of one mapping facet; always returns valid. */
+    /**
+     * Local mutation of one mapping facet. @p m must be repaired (a
+     * repair() of it would change nothing), as every mapping
+     * minimal(), random(), crossover() and mutate() return is. Only
+     * the moved facet is fixed up, so the result is repaired too and
+     * equals the move followed by a full repair().
+     */
     Mapping mutate(const Mapping &m, common::Rng &rng) const;
 
     /** Crossover of two mappings; always returns valid. */
@@ -113,6 +126,9 @@ class MappingSpace
 
   private:
     std::int64_t snapToLadder(int dim, std::int64_t v) const;
+
+    /** Move spatialY off spatialX when they collide; true if moved. */
+    bool separateSpatial(Mapping &m) const;
 
     workload::TensorOp op_;
     std::array<std::int64_t, kNumDims> extents_;

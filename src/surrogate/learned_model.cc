@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 #include <deque>
 #include <functional>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -107,13 +109,34 @@ void
 OnlineCostModel::observe(const linalg::Vector &features,
                          const std::array<double, kNumHeads> &targets)
 {
+    // GCC vector lanes, two pairs per step: the update is element-wise
+    // (one multiply and one add per entry), so this gives the bits of
+    // the scalar loop.
+    typedef double Lanes __attribute__((vector_size(16)));
+    constexpr std::size_t kLanes = sizeof(Lanes) / sizeof(double);
+    const auto load = [](const double *p) {
+        Lanes v;
+        std::memcpy(&v, p, sizeof(v));
+        return v;
+    };
     assert(features.size() == dim_);
+    const double *f = features.data();
     for (std::size_t i = 0; i < dim_; ++i) {
-        const double xi = features[i];
+        const double xi = f[i];
         if (xi == 0.0)
             continue;
-        for (std::size_t j = 0; j <= i; ++j)
-            gram_(i, j) += xi * features[j];
+        double *row = &gram_(i, 0);
+        const Lanes x2 = {xi, xi};
+        std::size_t j = 0;
+        for (; j + 2 * kLanes <= i + 1; j += 2 * kLanes) {
+            const Lanes lo = load(row + j) + x2 * load(f + j);
+            const Lanes hi =
+                load(row + j + kLanes) + x2 * load(f + j + kLanes);
+            std::memcpy(row + j, &lo, sizeof(lo));
+            std::memcpy(row + j + kLanes, &hi, sizeof(hi));
+        }
+        for (; j <= i; ++j)
+            row[j] += xi * f[j];
         for (int h = 0; h < kNumHeads; ++h)
             rhs_[h][i] += xi * targets[h];
     }
@@ -304,13 +327,16 @@ class LayerScreen final : public mapping::CandidateScreen<Cand>
             note(true, false);
             return std::nullopt;
         }
-        const linalg::Vector f = features_(c);
+        linalg::Vector f = features_(c);
         const double predicted_log_loss = model_.predict(kHeadLogLoss, f);
         const bool admit = admitByQuantile(predicted_log_loss);
         const bool forced = !admit && sinceAdmit_ >= kForceAdmitAfter;
         pushScore(predicted_log_loss);
         if (admit || forced) {
             note(true, forced);
+            // screeningEvaluator trains on this candidate next.
+            admittedCand_ = c;
+            admittedFeatures_ = std::move(f);
             return std::nullopt;
         }
         note(false, false);
@@ -322,7 +348,12 @@ class LayerScreen final : public mapping::CandidateScreen<Cand>
     observeExact(const Cand &c, const mapping::MappingEval &eval) override
     {
         const std::uint64_t refits_before = model_.refits();
-        model_.observe(features_(c), extractTargets(eval));
+        // Features are a pure function of the candidate, so those
+        // screen() computed for an equal candidate are these.
+        if (!admittedCand_ || !(*admittedCand_ == c))
+            admittedFeatures_ = features_(c);
+        admittedCand_.reset();
+        model_.observe(admittedFeatures_, extractTargets(eval));
         ctx_->sink.noteObservation();
         if (model_.refits() != refits_before)
             ctx_->sink.noteRefit();
@@ -386,6 +417,9 @@ class LayerScreen final : public mapping::CandidateScreen<Cand>
     OnlineCostModel model_;
     int sinceAdmit_ = 0;
     std::deque<double> window_;
+    /** The last candidate screen() admitted, and its features. */
+    std::optional<Cand> admittedCand_;
+    linalg::Vector admittedFeatures_;
 };
 
 /** A LayerScreen, or nullptr when screening is off. */

@@ -11,8 +11,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/cancel.hh"
 #include "common/fault.hh"
@@ -22,6 +24,8 @@
 #include "core/fault_env.hh"
 #include "core/spatial_env.hh"
 #include "workload/model_zoo.hh"
+
+#include "checkpoint_oracle.hh"
 
 using namespace unico;
 using core::CoOptimizer;
@@ -167,8 +171,8 @@ TEST(Checkpoint, DocumentRoundTripsThroughJson)
     const auto ck = core::loadCheckpointFile(path);
     ASSERT_TRUE(ck.has_value());
     // Serialize the loaded checkpoint again: identical document.
-    const auto round = core::checkpointFromJson(core::toJson(*ck));
-    EXPECT_EQ(core::toJson(round).dump(2), core::toJson(*ck).dump(2));
+    const auto round = core::checkpointFromJson(oracle::toJson(*ck));
+    EXPECT_EQ(oracle::toJson(round).dump(2), oracle::toJson(*ck).dump(2));
     std::remove(path.c_str());
 }
 
@@ -285,6 +289,13 @@ stubCheckpoint(int completed)
     return ck;
 }
 
+/** stubCheckpoint()'s document text. */
+std::string
+stubDocument(int completed)
+{
+    return oracle::checkpointDocument(stubCheckpoint(completed));
+}
+
 void
 removeRotation(const std::string &path, int keep)
 {
@@ -297,7 +308,7 @@ removeRotation(const std::string &path, int keep)
 TEST(CheckpointDurability, SaveReportsTypedStatus)
 {
     const std::string path = tmpPath("typed");
-    const auto ok = core::saveCheckpointFile(path, stubCheckpoint(1));
+    const auto ok = core::saveCheckpointFile(path, stubDocument(1));
     EXPECT_TRUE(ok.ok());
     EXPECT_TRUE(static_cast<bool>(ok));
     EXPECT_TRUE(ok.message.empty());
@@ -305,7 +316,7 @@ TEST(CheckpointDurability, SaveReportsTypedStatus)
 
     // Unwritable destination: failure with a reason, not a bare bool.
     const auto bad = core::saveCheckpointFile(
-        "/nonexistent_dir_unico/ck.json", stubCheckpoint(1));
+        "/nonexistent_dir_unico/ck.json", stubDocument(1));
     EXPECT_FALSE(bad.ok());
     EXPECT_FALSE(bad.message.empty());
 }
@@ -313,7 +324,7 @@ TEST(CheckpointDurability, SaveReportsTypedStatus)
 TEST(CheckpointDurability, CrcTrailerDetectsBitFlip)
 {
     const std::string path = tmpPath("bitflip");
-    ASSERT_TRUE(core::saveCheckpointFile(path, stubCheckpoint(3)));
+    ASSERT_TRUE(core::saveCheckpointFile(path, stubDocument(3)));
     ASSERT_TRUE(core::loadCheckpointFile(path).has_value());
 
     std::string bytes;
@@ -332,7 +343,7 @@ TEST(CheckpointDurability, CrcTrailerDetectsBitFlip)
 TEST(CheckpointDurability, CrcTrailerDetectsTruncation)
 {
     const std::string path = tmpPath("trunc");
-    ASSERT_TRUE(core::saveCheckpointFile(path, stubCheckpoint(3)));
+    ASSERT_TRUE(core::saveCheckpointFile(path, stubDocument(3)));
     std::string bytes;
     {
         std::ifstream in(path, std::ios::binary);
@@ -368,7 +379,7 @@ TEST(CheckpointRotation, KeepsLastKGenerations)
     removeRotation(path, 3);
     for (int i = 1; i <= 5; ++i)
         ASSERT_TRUE(
-            core::saveCheckpointRotated(path, stubCheckpoint(i), 3));
+            core::saveCheckpointRotated(path, stubDocument(i), 3));
 
     // Window holds saves 5, 4, 3 — save 2 fell off the end.
     const auto g0 = core::loadCheckpointFile(path);
@@ -390,8 +401,8 @@ TEST(CheckpointRotation, KeepOneDisablesRotation)
 {
     const std::string path = tmpPath("keep1");
     removeRotation(path, 3);
-    ASSERT_TRUE(core::saveCheckpointRotated(path, stubCheckpoint(1), 1));
-    ASSERT_TRUE(core::saveCheckpointRotated(path, stubCheckpoint(2), 1));
+    ASSERT_TRUE(core::saveCheckpointRotated(path, stubDocument(1), 1));
+    ASSERT_TRUE(core::saveCheckpointRotated(path, stubDocument(2), 1));
     EXPECT_FALSE(core::loadCheckpointFile(
                      core::rotatedCheckpointPath(path, 1))
                      .has_value());
@@ -407,7 +418,7 @@ TEST(CheckpointRecovery, FallsBackPastCorruptNewestGeneration)
     removeRotation(path, 3);
     for (int i = 1; i <= 3; ++i)
         ASSERT_TRUE(
-            core::saveCheckpointRotated(path, stubCheckpoint(i), 3));
+            core::saveCheckpointRotated(path, stubDocument(i), 3));
     // Corrupt the newest generation only.
     std::ofstream(path, std::ios::binary) << "{ torn";
 
@@ -583,7 +594,7 @@ TEST(StackIdentity, DocumentRoundTripsIdentityFields)
     ck.backend = "spatial";
     ck.scenario = "edge";
     ck.workloadDigest = "00decafc0ffee000";
-    const auto back = core::checkpointFromJson(core::toJson(ck));
+    const auto back = core::checkpointFromJson(oracle::toJson(ck));
     EXPECT_EQ(back.backend, ck.backend);
     EXPECT_EQ(back.scenario, ck.scenario);
     EXPECT_EQ(back.workloadDigest, ck.workloadDigest);
@@ -726,3 +737,235 @@ TEST(StackIdentity, ResumeRefusesForeignScenario)
     EXPECT_THROW(second.run(), core::CheckpointMismatchError);
     std::remove(path.c_str());
 }
+
+// ---------------------------------------------------------------------
+// Streamed checkpoints: CheckpointWriter formats each appended element
+// once and copies the rest, so every save must still print exactly the
+// DOM oracle's text for the state it holds, and a writer that formats
+// everything afresh (after a resume) must print the same bytes as one
+// that cached along the way.
+// ---------------------------------------------------------------------
+
+namespace {
+
+std::string
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream oss;
+    oss << in.rdbuf();
+    return oss.str();
+}
+
+/** The file bytes of every checkpoint a search saves, in order. */
+class CheckpointCapture : public core::ProgressObserver
+{
+  public:
+    void
+    onProgress(const core::ProgressEvent &event) override
+    {
+        if (event.kind == core::ProgressKind::CheckpointWritten)
+            saves.push_back(readBytes(event.detail));
+    }
+
+    std::vector<std::string> saves;
+};
+
+/** The DOM oracle's file bytes for the state checkpoint @p bytes
+ *  holds: its document parsed, rebuilt as a DOM and printed. */
+std::string
+oracleBytes(const std::string &bytes)
+{
+    const std::string path = tmpPath("oracle_bytes");
+    const auto pos = bytes.rfind("#crc64:");
+    EXPECT_NE(pos, std::string::npos);
+    const auto ck = core::checkpointFromJson(
+        common::Json::parse(bytes.substr(0, pos)));
+    EXPECT_TRUE(core::saveCheckpointFile(path,
+                                         oracle::checkpointDocument(ck)));
+    const std::string out = readBytes(path);
+    std::remove(path.c_str());
+    return out;
+}
+
+/** Cancels @p token while the trial that creates the @p at-th mapping
+ *  run is under way, so that trial is rolled back. */
+class CancelAtRun : public core::EnvDecorator
+{
+  public:
+    CancelAtRun(core::CoSearchEnv &inner, common::CancelToken &token,
+                int at)
+        : EnvDecorator(inner), token_(token), at_(at)
+    {}
+
+    std::unique_ptr<core::MappingRun>
+    createRun(const accel::HwPoint &h, std::uint64_t seed) const override
+    {
+        if (++runs_ == at_)
+            token_.cancel(common::CancelReason::Signal);
+        return EnvDecorator::createRun(h, seed);
+    }
+
+  private:
+    common::CancelToken &token_;
+    int at_;
+    mutable int runs_ = 0;
+};
+
+/** One evaluation stack per run: the plain env, or a fresh fault
+ *  injector over it with the same plan. */
+struct EvalStack
+{
+    explicit EvalStack(bool faulty)
+    {
+        if (faulty) {
+            common::FaultSpec spec;
+            spec.transientRate = 0.1;
+            spec.hangRate = 0.05;
+            spec.corruptRate = 0.05;
+            spec.seed = 41;
+            faults = std::make_unique<core::FaultyEnv>(
+                sharedEnv(), common::FaultPlan(spec));
+        }
+    }
+
+    core::CoSearchEnv &
+    env()
+    {
+        return faults ? static_cast<core::CoSearchEnv &>(*faults)
+                      : sharedEnv();
+    }
+
+    std::unique_ptr<core::FaultyEnv> faults;
+};
+
+/** Every save of a straight checkpointed run of @p cfg. */
+std::vector<std::string>
+straightSaves(const DriverConfig &cfg, bool faulty, const std::string &tag)
+{
+    const std::string path = tmpPath(tag);
+    removeRotation(path, 3);
+    auto run = cfg;
+    run.checkpointPath = path;
+    EvalStack stack(faulty);
+    CheckpointCapture capture;
+    CoOptimizer opt(stack.env(), run, nullptr, &capture);
+    opt.run();
+    removeRotation(path, 3);
+    return capture.saves;
+}
+
+} // namespace
+
+class CheckpointStream : public ::testing::TestWithParam<bool>
+{};
+
+TEST_P(CheckpointStream, EverySaveMatchesTheDomOracle)
+{
+    auto cfg = tinyConfig(DriverConfig::unico());
+    cfg.maxIter = 6;
+    const auto saves = straightSaves(cfg, GetParam(), "stream_every");
+    ASSERT_EQ(saves.size(), 6u);
+    for (std::size_t t = 0; t < saves.size(); ++t)
+        ASSERT_EQ(saves[t], oracleBytes(saves[t])) << "save " << t + 1;
+    if (GetParam()) {
+        const auto pos = saves.back().rfind("#crc64:");
+        const auto ck = core::checkpointFromJson(
+            common::Json::parse(saves.back().substr(0, pos)));
+        EXPECT_GT(ck.result.faults.total(), 0u) << "no fault was injected";
+    }
+}
+
+TEST_P(CheckpointStream, ResumedWriterPrintsTheCachedBytes)
+{
+    // A resumed search's writer formats every element afresh at its
+    // first save; the straight run's writer had cached all but the
+    // last trial's. Both must print the same file.
+    auto cfg = tinyConfig(DriverConfig::unico());
+    cfg.maxIter = 5;
+    const auto saves = straightSaves(cfg, GetParam(), "stream_straight");
+    ASSERT_EQ(saves.size(), 5u);
+    const std::string path = tmpPath("stream_resume");
+    for (int t = 1; t < cfg.maxIter; ++t) {
+        removeRotation(path, 3);
+        std::ofstream(path, std::ios::binary) << saves[t - 1];
+        auto rest = cfg;
+        rest.maxIter = t + 1;
+        rest.checkpointPath = path;
+        rest.resumeFromCheckpoint = true;
+        EvalStack stack(GetParam());
+        CheckpointCapture capture;
+        CoOptimizer opt(stack.env(), rest, nullptr, &capture);
+        opt.run();
+        ASSERT_EQ(capture.saves.size(), 1u);
+        EXPECT_EQ(capture.saves[0], saves[t]) << "resumed after " << t;
+    }
+    removeRotation(path, 3);
+}
+
+TEST_P(CheckpointStream, ParentFormatResumesToTheStraightRunBytes)
+{
+    // A checkpoint printed by the DOM path (the format before the
+    // streaming writer) resumes to the straight run's final bytes.
+    auto cfg = tinyConfig(DriverConfig::unico());
+    cfg.maxIter = 5;
+    const auto saves = straightSaves(cfg, GetParam(), "stream_parent");
+    ASSERT_EQ(saves.size(), 5u);
+    const std::string path = tmpPath("stream_parent_resume");
+    removeRotation(path, 3);
+    std::ofstream(path, std::ios::binary) << oracleBytes(saves[1]);
+    auto rest = cfg;
+    rest.checkpointPath = path;
+    rest.resumeFromCheckpoint = true;
+    EvalStack stack(GetParam());
+    CoOptimizer opt(stack.env(), rest);
+    opt.run();
+    EXPECT_EQ(readBytes(path), saves.back());
+    removeRotation(path, 3);
+}
+
+TEST_P(CheckpointStream, SparseCadenceSurvivesAnInterruptRollback)
+{
+    // --checkpoint-every 3, interrupted inside trial 5: the rollback
+    // drops the writer's cache, the final save holds trial 4, and a
+    // resume saves trial 7 -- each the straight run's bytes.
+    auto cfg = tinyConfig(DriverConfig::unico());
+    cfg.maxIter = 7;
+    const auto saves = straightSaves(cfg, GetParam(), "stream_sparse");
+    ASSERT_EQ(saves.size(), 7u);
+
+    const std::string path = tmpPath("stream_interrupt");
+    removeRotation(path, 3);
+    common::CancelToken token;
+    auto part = cfg;
+    part.checkpointPath = path;
+    part.checkpointEvery = 3;
+    part.cancel = &token;
+    EvalStack stack(GetParam());
+    CancelAtRun interrupting(stack.env(), token, 4 * cfg.batchSize + 3);
+    CheckpointCapture first;
+    CoOptimizer interrupted(interrupting, part, nullptr, &first);
+    const CoSearchResult r = interrupted.run();
+    EXPECT_TRUE(r.interrupted);
+    ASSERT_EQ(first.saves.size(), 2u);
+    EXPECT_EQ(first.saves[0], saves[2]);
+    EXPECT_EQ(first.saves[1], saves[3]);
+
+    auto rest = cfg;
+    rest.checkpointPath = path;
+    rest.checkpointEvery = 3;
+    rest.resumeFromCheckpoint = true;
+    EvalStack again(GetParam());
+    CheckpointCapture second;
+    CoOptimizer resumed(again.env(), rest, nullptr, &second);
+    resumed.run();
+    ASSERT_EQ(second.saves.size(), 1u);
+    EXPECT_EQ(second.saves[0], saves[6]);
+    removeRotation(path, 3);
+}
+
+INSTANTIATE_TEST_SUITE_P(PlainAndFaulty, CheckpointStream,
+                         ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool> &info) {
+                             return info.param ? "FaultRate" : "Plain";
+                         });

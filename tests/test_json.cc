@@ -186,3 +186,253 @@ TEST(Json, HexU64RoundTrip)
     for (std::uint64_t v : values)
         EXPECT_EQ(parseHexU64(hexU64(v)), v);
 }
+
+namespace {
+
+using unico::common::JsonArrayCache;
+using unico::common::JsonWriter;
+
+/** Json::dump() as the recursive printer it was before it became a
+ *  walk over JsonWriter: the layout both must keep. */
+void
+oracleDump(const Json &v, std::string &out, int indent, int depth)
+{
+    const auto newline = [&](int d) {
+        if (indent <= 0)
+            return;
+        out += '\n';
+        out.append(static_cast<std::size_t>(indent * d), ' ');
+    };
+    const auto string = [&](const std::string &s) {
+        out += '"';
+        for (const char c : s) {
+            switch (c) {
+              case '"': out += "\\\""; break;
+              case '\\': out += "\\\\"; break;
+              case '\n': out += "\\n"; break;
+              case '\r': out += "\\r"; break;
+              case '\t': out += "\\t"; break;
+              default:
+                if (static_cast<unsigned char>(c) < 0x20) {
+                    char buf[8];
+                    std::snprintf(buf, sizeof(buf), "\\u%04x",
+                                  static_cast<unsigned>(c));
+                    out += buf;
+                } else {
+                    out += c;
+                }
+            }
+        }
+        out += '"';
+    };
+    switch (v.type()) {
+      case Json::Type::Null: out += "null"; break;
+      case Json::Type::Bool: out += v.asBool() ? "true" : "false"; break;
+      case Json::Type::Number: {
+        const double d = v.asDouble();
+        if (!std::isfinite(d)) {
+            out += d > 0 ? "1e308" : (d < 0 ? "-1e308" : "0");
+        } else {
+            char buf[32];
+            std::snprintf(buf, sizeof(buf), "%.17g", d);
+            out += buf;
+        }
+        break;
+      }
+      case Json::Type::String: string(v.asString()); break;
+      case Json::Type::Array:
+        out += '[';
+        for (std::size_t i = 0; i < v.size(); ++i) {
+            if (i > 0)
+                out += ',';
+            newline(depth + 1);
+            oracleDump(v.at(i), out, indent, depth + 1);
+        }
+        if (v.size() > 0)
+            newline(depth);
+        out += ']';
+        break;
+      case Json::Type::Object: {
+        out += '{';
+        bool first = true;
+        for (const auto &[key, member] : v.members()) {
+            if (!first)
+                out += ',';
+            first = false;
+            newline(depth + 1);
+            string(key);
+            out += indent > 0 ? ": " : ":";
+            oracleDump(member, out, indent, depth + 1);
+        }
+        if (!v.members().empty())
+            newline(depth);
+        out += '}';
+        break;
+      }
+    }
+}
+
+std::string
+oracleDump(const Json &v, int indent)
+{
+    std::string out;
+    oracleDump(v, out, indent, 0);
+    return out;
+}
+
+/** Write @p v through the public JsonWriter calls. */
+void
+writeWalk(const Json &v, JsonWriter &w)
+{
+    switch (v.type()) {
+      case Json::Type::Null: w.null(); break;
+      case Json::Type::Bool: w.boolean(v.asBool()); break;
+      case Json::Type::Number: w.number(v.asDouble()); break;
+      case Json::Type::String: w.string(v.asString()); break;
+      case Json::Type::Array:
+        w.beginArray();
+        for (std::size_t i = 0; i < v.size(); ++i)
+            writeWalk(v.at(i), w);
+        w.endArray();
+        break;
+      case Json::Type::Object:
+        w.beginObject();
+        for (const auto &[key, member] : v.members()) {
+            w.key(key);
+            writeWalk(member, w);
+        }
+        w.endObject();
+        break;
+    }
+}
+
+double
+randomNumber(unico::common::Rng &rng)
+{
+    switch (rng.uniformInt(std::uint64_t{8})) {
+      case 0: return std::numeric_limits<double>::infinity();
+      case 1: return -std::numeric_limits<double>::infinity();
+      case 2: return std::numeric_limits<double>::quiet_NaN();
+      case 3: return -0.0;
+      case 4: return static_cast<double>(rng.uniformInt(std::uint64_t{1000}));
+      case 5: return std::ldexp(rng.gaussian(), static_cast<int>(
+                                                    rng.uniformInt(2000)) -
+                                                    1000);
+      default: return rng.gaussian();
+    }
+}
+
+std::string
+randomString(unico::common::Rng &rng)
+{
+    static const char kChars[] = {'a', 'Z', '0', ' ', '"', '\\', '\n', '\r',
+                                  '\t', '\x01', '\x1f', '\x7f', '\xc3',
+                                  '\xa9', '/', ':'};
+    std::string s;
+    const std::size_t len = rng.uniformInt(std::uint64_t{8});
+    for (std::size_t i = 0; i < len; ++i)
+        s += kChars[rng.uniformInt(sizeof(kChars))];
+    return s;
+}
+
+Json
+randomDocument(unico::common::Rng &rng, int depth)
+{
+    const std::uint64_t kind =
+        rng.uniformInt(std::uint64_t{depth > 0 ? 7u : 4u});
+    switch (kind) {
+      case 0: return Json();
+      case 1: return Json(rng.bernoulli(0.5));
+      case 2: return Json(randomNumber(rng));
+      case 3: return Json(randomString(rng));
+      case 4:
+      case 5: {
+        Json arr = Json::array();
+        const std::size_t n = rng.uniformInt(std::uint64_t{5});
+        for (std::size_t i = 0; i < n; ++i)
+            arr.push(randomDocument(rng, depth - 1));
+        return arr;
+      }
+      default: {
+        Json obj = Json::object();
+        const std::size_t n = rng.uniformInt(std::uint64_t{5});
+        for (std::size_t i = 0; i < n; ++i)
+            obj[randomString(rng)] = randomDocument(rng, depth - 1);
+        return obj;
+      }
+    }
+}
+
+} // namespace
+
+TEST(JsonWriter, MatchesDumpOnRandomDocuments)
+{
+    // dump() is a walk over JsonWriter; both must print the recursive
+    // printer's text, compact and pretty, for every value kind:
+    // non-finite numbers, escapes, empty and nested containers.
+    unico::common::Rng rng(71);
+    for (int doc = 0; doc < 2000; ++doc) {
+        const Json v = randomDocument(rng, 4);
+        for (const int indent : {0, 2}) {
+            const std::string want = oracleDump(v, indent);
+            ASSERT_EQ(v.dump(indent), want) << "doc " << doc;
+            std::string got;
+            JsonWriter w(got, indent);
+            writeWalk(v, w);
+            ASSERT_EQ(got, want) << "doc " << doc;
+        }
+    }
+}
+
+TEST(JsonWriter, CachedArrayFormatsEachElementOnce)
+{
+    // An array that only grows: each element is written by the first
+    // call that sees it, and every call prints the plain array's text.
+    // A shrunk array, or one at another nesting level, is written anew.
+    std::vector<double> values;
+    JsonArrayCache cache;
+    int written = 0;
+    const auto doc = [&](JsonArrayCache &c, int indent) {
+        std::string out;
+        JsonWriter w(out, indent);
+        w.beginObject().key("a").cachedArray(
+            c, values.size(), [&](JsonWriter &e, std::size_t i) {
+                ++written;
+                e.beginArray().number(values[i]).endArray();
+            });
+        w.key("b").boolean(true).endObject();
+        return out;
+    };
+    const auto plain = [&](int indent) {
+        Json v = Json::object();
+        Json a = Json::array();
+        for (const double x : values) {
+            Json inner = Json::array();
+            inner.push(x);
+            a.push(std::move(inner));
+        }
+        v["a"] = std::move(a);
+        v["b"] = Json(true);
+        return v.dump(indent);
+    };
+    EXPECT_EQ(doc(cache, 2), plain(2)); // empty
+    for (int step = 1; step <= 4; ++step) {
+        values.push_back(0.5 * step);
+        values.push_back(-1.0 / step);
+        written = 0;
+        EXPECT_EQ(doc(cache, 2), plain(2));
+        EXPECT_EQ(written, 2) << "only the appended elements";
+        EXPECT_EQ(cache.size(), values.size());
+    }
+    values.resize(3);
+    written = 0;
+    EXPECT_EQ(doc(cache, 2), plain(2));
+    EXPECT_EQ(written, 3) << "a shrink rewrites every element";
+    written = 0;
+    EXPECT_EQ(doc(cache, 0), plain(0));
+    EXPECT_EQ(written, 3) << "another layout rewrites every element";
+    cache.clear();
+    written = 0;
+    EXPECT_EQ(doc(cache, 0), plain(0));
+    EXPECT_EQ(written, 3);
+}

@@ -329,3 +329,168 @@ TEST(Cholesky, SolveLowerForwardSubstitution)
     EXPECT_NEAR(chol.lower()(1, 0) * y[0] + chol.lower()(1, 1) * y[1],
                 1.0 + std::sqrt(2.0), 1e-12);
 }
+
+namespace {
+
+/** Cholesky's factorization as the entry-at-a-time loop, with its
+ *  jitter ladder; returns the attempts taken (0 when all failed). */
+int
+naiveCholesky(const Matrix &a, Matrix &l)
+{
+    const std::size_t n = a.rows();
+    double jitter = 0.0;
+    for (int attempt = 1; attempt <= 8; ++attempt) {
+        l = Matrix(n, n, 0.0);
+        bool ok = true;
+        for (std::size_t j = 0; j < n && ok; ++j) {
+            double diag = a(j, j) + jitter;
+            for (std::size_t k = 0; k < j; ++k)
+                diag -= l(j, k) * l(j, k);
+            if (!(diag > 0.0) || !std::isfinite(diag)) {
+                ok = false;
+                break;
+            }
+            const double ljj = std::sqrt(diag);
+            l(j, j) = ljj;
+            for (std::size_t i = j + 1; i < n; ++i) {
+                double acc = a(i, j);
+                for (std::size_t k = 0; k < j; ++k)
+                    acc -= l(i, k) * l(j, k);
+                l(i, j) = acc / ljj;
+            }
+        }
+        if (ok)
+            return attempt;
+        jitter = (jitter == 0.0) ? 1e-10 : jitter * 100.0;
+        if (jitter > 1e2)
+            break;
+    }
+    return 0;
+}
+
+void
+expectBitEqual(const Matrix &got, const Matrix &want, const char *what,
+               std::size_t n)
+{
+    ASSERT_EQ(got.rows(), want.rows());
+    ASSERT_EQ(got.cols(), want.cols());
+    for (std::size_t r = 0; r < want.rows(); ++r)
+        for (std::size_t c = 0; c < want.cols(); ++c)
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(got(r, c)),
+                      std::bit_cast<std::uint64_t>(want(r, c)))
+                << what << " n=" << n << " at (" << r << "," << c << ")";
+}
+
+} // namespace
+
+TEST(Cholesky, InterleavedFactorMatchesNaive)
+{
+    // The factor advances four rows of a column together; every entry
+    // must keep the bits of the entry-at-a-time loop, for sizes on
+    // both sides of the row block and through the jitter ladder.
+    unico::common::Rng rng(53);
+    for (std::size_t n = 1; n <= 80; ++n) {
+        Matrix g(n, n);
+        for (std::size_t r = 0; r < n; ++r)
+            for (std::size_t c = 0; c < n; ++c)
+                g(r, c) = rng.gaussian();
+        Matrix a = gramOf(g);
+        a.addDiagonal(0.01 * rng.uniform());
+        Matrix want;
+        ASSERT_EQ(naiveCholesky(a, want), 1) << "n=" << n;
+        const Cholesky chol(a);
+        ASSERT_TRUE(chol.ok());
+        expectBitEqual(chol.lower(), want, "spd", n);
+    }
+    // Rank 2 and symmetric: not positive definite for n > 2, so the
+    // factorization climbs the jitter ladder before it succeeds.
+    for (const std::size_t n : {3u, 5u, 8u, 13u, 40u}) {
+        Matrix g(n, 2);
+        for (std::size_t r = 0; r < n; ++r)
+            for (std::size_t c = 0; c < 2; ++c)
+                g(r, c) = rng.gaussian();
+        const Matrix a = gramOf(g);
+        Matrix want;
+        const int attempts = naiveCholesky(a, want);
+        ASSERT_GT(attempts, 1) << "n=" << n;
+        const Cholesky chol(a);
+        ASSERT_TRUE(chol.ok());
+        expectBitEqual(chol.lower(), want, "jittered", n);
+    }
+}
+
+TEST(Cholesky, SolveMultiBitIdenticalToSolve)
+{
+    // Forward and backward sweeps on lanes, the forward one two rows at
+    // a time: every column must equal solve() of that column, for odd
+    // and even sizes and every block width.
+    unico::common::Rng rng(59);
+    for (const std::size_t n : {1u, 2u, 3u, 8u, 9u, 51u, 64u}) {
+        Matrix g(n, n);
+        for (std::size_t r = 0; r < n; ++r)
+            for (std::size_t c = 0; c < n; ++c)
+                g(r, c) = rng.gaussian();
+        Matrix a = gramOf(g);
+        a.addDiagonal(0.1);
+        const Cholesky chol(a);
+        ASSERT_TRUE(chol.ok());
+        for (const std::size_t m : {1u, 2u, 3u, 4u, 5u, 8u, 11u}) {
+            Matrix b(n, m);
+            for (std::size_t r = 0; r < n; ++r)
+                for (std::size_t c = 0; c < m; ++c)
+                    b(r, c) = rng.gaussian();
+            Matrix want(n, m);
+            for (std::size_t c = 0; c < m; ++c) {
+                Vector col(n);
+                for (std::size_t r = 0; r < n; ++r)
+                    col[r] = b(r, c);
+                const Vector x = chol.solve(col);
+                for (std::size_t r = 0; r < n; ++r)
+                    want(r, c) = x[r];
+            }
+            expectBitEqual(chol.solveMulti(b), want, "solveMulti", n);
+        }
+    }
+}
+
+TEST(NormalEquations, EveryHeadMatchesItsOwnSolve)
+{
+    // All heads share one forward and one backward sweep; each must
+    // equal Cholesky::solve() of its own right-hand side on the same
+    // factor, for the screen's feature sizes and any head count.
+    unico::common::Rng rng(61);
+    for (const std::size_t n : {1u, 29u, 51u}) {
+        for (const std::size_t heads : {1u, 4u, 9u}) {
+            Matrix gram(n, n, 0.0);
+            std::vector<Vector> rhs(heads, Vector(n, 0.0));
+            for (int s = 0; s < 40; ++s) {
+                Vector x(n);
+                for (double &v : x)
+                    v = rng.uniform() < 0.2 ? 0.0 : rng.gaussian();
+                for (std::size_t i = 0; i < n; ++i)
+                    for (std::size_t j = 0; j <= i; ++j)
+                        gram(i, j) += x[i] * x[j];
+                for (Vector &r : rhs) {
+                    const double y = rng.gaussian();
+                    for (std::size_t i = 0; i < n; ++i)
+                        r[i] += x[i] * y;
+                }
+            }
+            const double ridge = 1e-3;
+            const std::vector<Vector> w =
+                solveNormalEquations(gram, rhs, ridge);
+            Matrix a = gram;
+            a.addDiagonal(ridge);
+            const Cholesky chol(a);
+            ASSERT_TRUE(chol.ok());
+            ASSERT_EQ(w.size(), heads);
+            for (std::size_t h = 0; h < heads; ++h) {
+                const Vector want = chol.solve(rhs[h]);
+                for (std::size_t i = 0; i < n; ++i)
+                    ASSERT_EQ(std::bit_cast<std::uint64_t>(w[h][i]),
+                              std::bit_cast<std::uint64_t>(want[i]))
+                        << "n=" << n << " head " << h << " entry " << i;
+            }
+        }
+    }
+}

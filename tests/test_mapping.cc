@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "common/rng.hh"
 #include "mapping/mapping.hh"
+#include "workload/model_zoo.hh"
 #include "workload/tensor_op.hh"
 
 using namespace unico::mapping;
@@ -19,6 +23,69 @@ TensorOp
 convOp()
 {
     return TensorOp::conv("c", 64, 32, 28, 28, 3, 3);
+}
+
+/** MappingSpace::mutate() as it was before it repaired only the facet
+ *  it moved: the same draws, then a full repair(). */
+Mapping
+mutateWithFullRepair(const MappingSpace &space, const Mapping &m, Rng &rng)
+{
+    Mapping out = m;
+    const auto step = [&](std::int64_t &tile, int d) {
+        const auto &ladder = space.tileLadder(d);
+        auto it = std::lower_bound(ladder.begin(), ladder.end(), tile);
+        std::size_t idx = static_cast<std::size_t>(it - ladder.begin());
+        if (rng.bernoulli(0.5) && idx + 1 < ladder.size())
+            ++idx;
+        else if (idx > 0)
+            --idx;
+        tile = ladder[idx];
+    };
+    switch (rng.uniformInt(std::uint64_t{5})) {
+      case 0: {
+        const int d = static_cast<int>(rng.uniformInt(
+            std::uint64_t{kNumDims}));
+        step(out.l1Tile[d], d);
+        break;
+      }
+      case 1: {
+        const int d = static_cast<int>(rng.uniformInt(
+            std::uint64_t{kNumDims}));
+        step(out.l2Tile[d], d);
+        break;
+      }
+      case 2:
+        if (rng.bernoulli(0.5))
+            out.spatialX = rng.pick(space.spatialChoices());
+        else
+            out.spatialY = rng.pick(space.spatialChoices());
+        break;
+      case 3: {
+        const std::size_t i = rng.uniformInt(std::uint64_t{kNumDims});
+        const std::size_t j = rng.uniformInt(std::uint64_t{kNumDims});
+        std::swap(out.order[i], out.order[j]);
+        break;
+      }
+      default: {
+        const int d = static_cast<int>(rng.uniformInt(
+            std::uint64_t{kNumDims}));
+        out.l1Tile[d] = rng.pick(space.tileLadder(d));
+        out.l2Tile[d] = rng.pick(space.tileLadder(d));
+        break;
+      }
+    }
+    space.repair(out);
+    return out;
+}
+
+bool
+sameState(const Rng &a, const Rng &b)
+{
+    const Rng::State sa = a.saveState();
+    const Rng::State sb = b.saveState();
+    return std::equal(sa.s, sa.s + 4, sb.s) &&
+           sa.hasCachedGaussian == sb.hasCachedGaussian &&
+           sa.cachedGaussian == sb.cachedGaussian;
 }
 
 } // namespace
@@ -219,4 +286,38 @@ TEST(MappingSpace, SingleElementDims)
     EXPECT_TRUE(space.isValid(m));
     EXPECT_EQ(space.tileLadder(DimN).size(), 1u);
     EXPECT_EQ(space.tileLadder(DimK).back(), 2);
+}
+
+TEST(MappingSpace, MutateMatchesFullRepair)
+{
+    // mutate() fixes only the facet it moved. From any repaired
+    // mapping that must give exactly the old move-then-repair() result
+    // and consume exactly the same draws, on every layer of the zoo.
+    std::vector<TensorOp> ops;
+    for (const auto &name : unico::workload::modelNames())
+        for (const auto &wop : unico::workload::makeNetwork(name).uniqueOps())
+            ops.push_back(wop.op);
+    ASSERT_FALSE(ops.empty());
+    constexpr int kMutations = 100000;
+    const int per_op = kMutations / static_cast<int>(ops.size()) + 1;
+    Rng seeds(2024);
+    int checked = 0;
+    for (const TensorOp &op : ops) {
+        const MappingSpace space(op);
+        Rng rng(seeds.next());
+        Mapping m = space.random(rng);
+        for (int i = 0; i < per_op; ++i) {
+            // Restart from fresh random and crossover mappings too.
+            if (i % 50 == 0)
+                m = space.crossover(m, space.random(rng), rng);
+            Rng ref_rng = rng;
+            const Mapping want = mutateWithFullRepair(space, m, ref_rng);
+            const Mapping got = space.mutate(m, rng);
+            ASSERT_EQ(got, want) << op.name << " from " << m.describe();
+            ASSERT_TRUE(sameState(rng, ref_rng)) << op.name;
+            m = got;
+            ++checked;
+        }
+    }
+    EXPECT_GE(checked, kMutations);
 }

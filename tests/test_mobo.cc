@@ -452,3 +452,32 @@ TEST(Mobo, SavedKernelStateMatchesParent)
               "{\"ard\":[],\"kind\":1,\"lengthscale\":0.20000000000000001,"
               "\"noise\":0.0001,\"variance\":1}");
 }
+
+TEST(Mobo, WriteStateStreamsSaveStatesDocument)
+{
+    // Checkpoints stream the sampler through writeState(); its text
+    // must be saveState()'s dump, compact or pretty, and a cache kept
+    // across calls (observations only grow, flags set before the
+    // next call) must print what a fresh one does.
+    const auto ds = makeSpace();
+    MoboHwSampler sampler(ds, 3, 21);
+    common::JsonArrayCache cache;
+    for (int trial = 0; trial < 4; ++trial) {
+        const auto batch = sampler.sampleBatch(5);
+        for (const auto &h : batch)
+            sampler.observe(h, syntheticY(ds, h), false);
+        sampler.setHighFidelity(sampler.observations() - 1, true);
+        for (const int indent : {0, 2}) {
+            std::string fresh;
+            common::JsonWriter w(fresh, indent);
+            common::JsonArrayCache none;
+            sampler.writeState(w, none);
+            EXPECT_EQ(fresh, sampler.saveState().dump(indent));
+        }
+        std::string cached;
+        common::JsonWriter w(cached, 2);
+        sampler.writeState(w, cache);
+        EXPECT_EQ(cached, sampler.saveState().dump(2)) << "trial " << trial;
+        EXPECT_EQ(cache.size(), sampler.observations());
+    }
+}

@@ -246,6 +246,48 @@ TEST(SurrogateModel, RidgeRefitBitStable)
                       std::bit_cast<std::uint64_t>(m2.predict(h, x)));
 }
 
+TEST(SurrogateModel, VectorGramUpdateMatchesScalarAccumulation)
+{
+    // observe() updates the Gram lower triangle two lanes at a time.
+    // The update is element-wise, so after any corpus the weights must
+    // equal a refit of the scalar rank-1 accumulation, bit for bit, for
+    // the spatial and the cube feature sizes (zero features included).
+    common::Rng rng(67);
+    for (const std::size_t dim :
+         {surrogate::spatialFeatureDim(), surrogate::cubeFeatureDim(),
+          std::size_t{1}, std::size_t{6}}) {
+        constexpr int kSamples = 64;
+        OnlineCostModel model(dim, 1e-3, kSamples);
+        linalg::Matrix gram(dim, dim, 0.0);
+        std::vector<linalg::Vector> rhs(surrogate::kNumHeads,
+                                        linalg::Vector(dim, 0.0));
+        for (int s = 0; s < kSamples; ++s) {
+            linalg::Vector x(dim);
+            for (double &v : x)
+                v = rng.uniform() < 0.25 ? 0.0 : 4.0 * rng.gaussian();
+            std::array<double, surrogate::kNumHeads> t{};
+            for (double &v : t)
+                v = rng.gaussian();
+            model.observe(x, t);
+            for (std::size_t i = 0; i < dim; ++i) {
+                if (x[i] == 0.0)
+                    continue;
+                for (std::size_t j = 0; j <= i; ++j)
+                    gram(i, j) += x[i] * x[j];
+                for (int h = 0; h < surrogate::kNumHeads; ++h)
+                    rhs[h][i] += x[i] * t[h];
+            }
+        }
+        ASSERT_EQ(model.refits(), 1u);
+        const auto want = linalg::solveNormalEquations(gram, rhs, 1e-3);
+        for (int h = 0; h < surrogate::kNumHeads; ++h)
+            for (std::size_t j = 0; j < dim; ++j)
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(model.weights(h)[j]),
+                          std::bit_cast<std::uint64_t>(want[h][j]))
+                    << "dim " << dim << " head " << h << " entry " << j;
+    }
+}
+
 TEST(SurrogateModel, RidgeRecoversLinearTargets)
 {
     const auto corpus = spatialCorpus(192, 23);

@@ -6,24 +6,32 @@
  *
  * Usage:
  *   co_search_cli --model resnet [--model vit ...] \
- *                 [--workload my_net.txt ...] \
+ *                 [--workload my_net.txt ...] [MODEL|FILE ...] \
  *                 [--backend spatial|ascend] \
  *                 [--scenario edge|cloud] [--engine ENGINE] \
- *                 [--area-budget MM2] \
+ *                 [--area-budget MM2] [--max-shapes K] \
  *                 [--algo unico|hasco|mobohb|nsga2|sh|msh] \
  *                 [--batch N] [--iters I] [--bmax B] [--seed S] \
- *                 [--threads T] \
- *                 [--csv-prefix out/prefix] [--progress-every N] \
- *                 [--cache-mb MB] [--no-cache] \
+ *                 [--threads T] [--csv-prefix out/prefix] \
  *                 [--surrogate] [--surrogate-keep F] [--no-surrogate] \
  *                 [--fault-rate F] [--hang-rate F] [--corrupt-rate F] \
  *                 [--fault-seed S] [--checkpoint FILE] [--resume] \
  *                 [--checkpoint-every N] [--checkpoint-keep K] \
+ *                 [--progress-every N] [--cache-mb MB] [--no-cache] \
  *                 [--wall-deadline SEC] [--eval-wall-deadline SEC] \
  *                 [--workers N] [--worker-eval-deadline SEC] \
  *                 [--worker-chaos-kills K] [--worker-chaos-seed S] \
  *                 [--fleet-listen HOST:PORT] [--fleet-port-file FILE] \
  *                 [--fleet-connect HOST:PORT]
+ *
+ * One run: the flags up to --checkpoint-keep are the fields of the
+ * core::JobSpec co_search_server takes as JSON (the key with '_' ->
+ * '-'; --model and --workload fill the repeatable lists), parsed by
+ * the same table and checked by the same validator, so a run and a
+ * served job with the same fields write the same bytes. A positional
+ * argument is a workload file when it contains a '.' and a model
+ * otherwise; models are searched before workload files. The other
+ * flags set up this process only and change no result byte.
  *
  * Evaluation fleet: --workers N forks N evaluation worker processes
  * (master/worker over CRC-framed socketpairs, Sec. 3.5's cluster
@@ -74,57 +82,53 @@
  * events thinned to every Nth. The identical event stream is what
  * co_search_server serves over HTTP, so scripts can watch either.
  *
- * Surrogate screening: --surrogate (tune with --surrogate-keep F,
- * default 0.25) trains an online ridge-regression cost model on the
- * exact evaluations each run pays for and answers the predicted-worst
- * candidates from the model, reserving exact evaluation for the keep
- * fraction. Off by default; --no-surrogate forces the legacy path,
- * whose outputs are byte-identical to builds without the feature.
+ * Surrogate screening: --surrogate (or --surrogate-keep F with F in
+ * (0, 1]; 0 is off) trains an online ridge-regression cost model on
+ * the exact evaluations each run pays for and answers the
+ * predicted-worst candidates from the model, reserving exact
+ * evaluation for the keep fraction. Off by default; --no-surrogate
+ * forces the legacy path, whose outputs are byte-identical to builds
+ * without the feature.
  * Screened-out candidates are fidelity-tagged and never become
  * incumbents, Pareto entries, checkpoint state or CSV rows.
  */
 
 #include <iostream>
+#include <optional>
 
-#include "baselines/nsga2.hh"
 #include "common/cli.hh"
-#include "common/fault.hh"
 #include "common/shard_cache.hh"
 #include "common/shutdown.hh"
 #include "common/table.hh"
-#include "core/backend.hh"
-#include "core/driver.hh"
-#include "core/fault_env.hh"
 #include "core/fleet.hh"
 #include "core/report.hh"
+#include "core/run_spec.hh"
 #include "surrogate/learned_model.hh"
 #include "workload/model_zoo.hh"
-#include "workload/parser.hh"
 
 using namespace unico;
 
 namespace {
 
 int
-usage(const char *prog)
+usage(const std::string &prog)
 {
     std::cerr
         << "usage: " << prog
-        << " --model NAME | --workload FILE [more ...]\n"
+        << " --model NAME | --workload FILE | MODEL | FILE [more ...]\n"
            "  [--backend NAME] [--scenario edge|cloud]"
            " [--engine random|annealing|genetic]\n"
-           "  [--area-budget MM2] [--algo unico|hasco|mobohb|"
-           "nsga2|sh|msh]\n"
+           "  [--area-budget MM2] [--max-shapes K]"
+           " [--algo unico|hasco|mobohb|nsga2|sh|msh]\n"
            "  [--batch N] [--iters I] [--bmax B] [--seed S]"
-           " [--threads T]\n"
-           "  [--max-shapes K] [--csv-prefix PREFIX]"
-           " [--progress-every N]\n"
-           "  [--cache-mb MB] [--no-cache]   (ascend)\n"
+           " [--threads T] [--csv-prefix PREFIX]\n"
            "  [--surrogate] [--surrogate-keep F] [--no-surrogate]\n"
            "  [--fault-rate F] [--hang-rate F] [--corrupt-rate F]"
            " [--fault-seed S]\n"
            "  [--checkpoint FILE] [--resume] [--checkpoint-every N]"
            " [--checkpoint-keep K]\n"
+           "process: [--progress-every N]"
+           " [--cache-mb MB] [--no-cache]   (ascend)\n"
            "  [--wall-deadline SEC] [--eval-wall-deadline SEC]\n"
            "  [--workers N] [--worker-eval-deadline SEC]"
            " [--worker-chaos-kills K] [--worker-chaos-seed S]\n"
@@ -147,120 +151,61 @@ main(int argc, char **argv)
 {
     const common::CliArgs args(argc, argv);
 
-    // Workload list: every positional arg and every --model /
-    // --workload option value.
-    std::vector<workload::Network> nets;
-    try {
-        if (args.has("model"))
-            nets.push_back(
-                workload::makeNetwork(args.getString("model", "")));
-        if (args.has("workload"))
-            nets.push_back(workload::parseNetworkFile(
-                args.getString("workload", "")));
-        for (const auto &pos : args.positional()) {
-            if (pos.find('.') != std::string::npos)
-                nets.push_back(workload::parseNetworkFile(pos));
-            else
-                nets.push_back(workload::makeNetwork(pos));
-        }
-    } catch (const std::exception &e) {
-        std::cerr << "error: " << e.what() << "\n";
-        return usage(args.program().c_str());
+    // Process options: outside the JobSpec, they change no result byte.
+    const std::int64_t workers = args.getInt("workers", 0);
+    const double worker_deadline =
+        args.getDouble("worker-eval-deadline", 30.0);
+    const std::int64_t worker_kills =
+        args.getInt("worker-chaos-kills", 0);
+    if (workers < 0 || workers > 1024 || worker_kills < 0 ||
+        !(worker_deadline > 0.0)) {
+        std::cerr << "error: --workers must be 0..1024, "
+                     "--worker-chaos-kills >= 0 and "
+                     "--worker-eval-deadline > 0\n";
+        return usage(args.program());
     }
-    if (nets.empty())
-        return usage(args.program().c_str());
-
-    // Backend selection: every evaluation stack (HW space + mapping
-    // search + PPA engine) is constructed through the registry, and
-    // each backend parses its own option vocabulary.
-    const std::string backend = args.getString("backend", "spatial");
-    core::BackendOptions env_opt;
-    try {
-        env_opt = core::parseBackendOptions(backend, args);
-    } catch (const core::BackendError &e) {
-        std::cerr << "error: " << e.what() << "\n";
-        return usage(args.program().c_str());
-    }
-
-    // Search sizes, checkpoint rotation and fault rates: the bounds
-    // the job server enforces on a JobSpec.
-    for (const std::string &error :
-         {core::searchSizeError(args.getInt("batch", 20),
-                                args.getInt("iters", 8),
-                                args.getInt("bmax", 200),
-                                args.getInt("threads", 1)),
-          core::checkpointRotationError(args.getInt("checkpoint-every", 1),
-                                        args.getInt("checkpoint-keep", 3)),
-          core::faultRateError(args.getDouble("fault-rate", 0.0),
-                               args.getDouble("hang-rate", 0.0),
-                               args.getDouble("corrupt-rate", 0.0))}) {
-        if (!error.empty()) {
-            std::cerr << "error: " << error << "\n";
-            return usage(args.program().c_str());
-        }
+    const std::string fleet_listen = args.getString("fleet-listen", "");
+    if (!fleet_listen.empty() && workers == 0) {
+        std::cerr << "error: --fleet-listen requires --workers N\n";
+        return usage(args.program());
     }
 
     // Evaluation cache: on by default; --no-cache disables it and
     // --cache-mb sizes it. Only the ascend backend memoizes, and
     // search results do not depend on either flag.
     const std::int64_t cache_mb = args.getInt("cache-mb", 64);
+    const bool cached = !args.has("no-cache") && cache_mb > 0;
     accel::EvalCache cache(
-        args.has("no-cache") || cache_mb <= 0
-            ? 0
-            : static_cast<std::size_t>(cache_mb) * 1024 * 1024);
-    if (!args.has("no-cache") && cache_mb > 0)
-        env_opt.cache = &cache;
+        cached ? static_cast<std::size_t>(cache_mb) * 1024 * 1024 : 0);
 
-    // Learned surrogate screening: off by default (byte-identical
-    // legacy path); --surrogate (or --surrogate-keep F) turns it on,
-    // --no-surrogate wins over both. Exact evaluations stay the sole
-    // source of truth — screened-out candidates never reach results,
-    // checkpoints or the records/front/trace CSVs.
-    surrogate::SurrogateContext surrogate_ctx;
-    surrogate_ctx.options.enabled =
-        (args.has("surrogate") || args.has("surrogate-keep")) &&
-        !args.has("no-surrogate");
-    surrogate_ctx.options.keep =
-        args.getDouble("surrogate-keep", surrogate_ctx.options.keep);
-    if (surrogate_ctx.options.enabled) {
-        if (!(surrogate_ctx.options.keep > 0.0) ||
-            surrogate_ctx.options.keep > 1.0) {
-            std::cerr
-                << "error: --surrogate-keep must be in (0, 1]\n";
-            return usage(args.program().c_str());
-        }
-        env_opt.surrogate = &surrogate_ctx;
+    // The run: argv through the JobSpec field table, checked by the
+    // validator POST /jobs uses, then its stack (which reads the
+    // workload files).
+    core::JobSpec spec;
+    std::optional<core::RunStack> stack;
+    try {
+        spec = core::jobSpecFromArgs(args);
+        if (const std::string why = core::validateSpec(spec); !why.empty())
+            throw std::runtime_error(why);
+        stack.emplace(spec, cached ? &cache : nullptr, nullptr);
+    } catch (const std::exception &e) {
+        std::cerr << "error: " << e.what() << "\n";
+        return usage(args.program());
     }
-
     std::cout << "workloads:";
-    for (const auto &net : nets)
-        std::cout << " " << net.name();
-    const std::unique_ptr<core::CoSearchEnv> backend_env =
-        core::makeBackendEnv(backend, std::move(nets), env_opt);
-    std::cout << "\nbackend: " << backend_env->backendName();
-    if (!backend_env->scenarioName().empty())
-        std::cout << " (" << backend_env->scenarioName() << ")";
+    for (const auto &name : stack->networkNames)
+        std::cout << " " << name;
+    std::cout << "\nbackend: " << stack->backend->backendName();
+    if (!stack->backend->scenarioName().empty())
+        std::cout << " (" << stack->backend->scenarioName() << ")";
     std::cout << "\n";
-    if (surrogate_ctx.options.enabled)
-        std::cout << "surrogate screening: keep="
-                  << surrogate_ctx.options.keep << "\n";
-
-    // Optional fault injection: wrap the real environment in a
-    // deterministic injector so the run exercises the supervisor.
-    common::FaultSpec fault_spec;
-    fault_spec.transientRate = args.getDouble("fault-rate", 0.0);
-    fault_spec.hangRate = args.getDouble("hang-rate", 0.0);
-    fault_spec.corruptRate = args.getDouble("corrupt-rate", 0.0);
-    fault_spec.seed =
-        static_cast<std::uint64_t>(args.getInt("fault-seed", 7));
-    core::FaultyEnv faulty_env(*backend_env,
-                               common::FaultPlan(fault_spec));
-    core::CoSearchEnv &base_env =
-        fault_spec.active() ? static_cast<core::CoSearchEnv &>(faulty_env)
-                            : *backend_env;
-    if (fault_spec.active())
+    if (spec.surrogateKeep > 0.0)
+        std::cout << "surrogate screening: keep=" << spec.surrogateKeep
+                  << "\n";
+    if (stack->faulty)
         std::cout << "fault injection: "
-                  << faulty_env.plan().describe() << "\n";
+                  << stack->faulty->plan().describe() << "\n";
+    core::CoSearchEnv &base_env = stack->env();
 
     // Remote worker mode: this process serves evaluations for a
     // master elsewhere instead of searching itself. It must be built
@@ -294,27 +239,9 @@ main(int argc, char **argv)
     // driver's thread pool). Results are byte-identical to the
     // in-process path for any worker count.
     std::unique_ptr<core::FleetEnv> fleet_env;
-    const std::int64_t workers_arg = args.getInt("workers", 0);
-    const double worker_deadline =
-        args.getDouble("worker-eval-deadline", 30.0);
-    const std::int64_t worker_kills =
-        args.getInt("worker-chaos-kills", 0);
-    if (workers_arg < 0 || workers_arg > 1024 || worker_kills < 0 ||
-        !(worker_deadline > 0.0)) {
-        std::cerr << "error: --workers must be 0..1024, "
-                     "--worker-chaos-kills >= 0 and "
-                     "--worker-eval-deadline > 0\n";
-        return usage(args.program().c_str());
-    }
-    const auto fleet_workers = static_cast<std::size_t>(workers_arg);
-    const std::string fleet_listen = args.getString("fleet-listen", "");
-    if (!fleet_listen.empty() && fleet_workers == 0) {
-        std::cerr << "error: --fleet-listen requires --workers N\n";
-        return usage(args.program().c_str());
-    }
-    if (fleet_workers > 0) {
+    if (workers > 0) {
         core::FleetConfig fleet_cfg;
-        fleet_cfg.workers = fleet_workers;
+        fleet_cfg.workers = static_cast<std::size_t>(workers);
         fleet_cfg.requestDeadlineSeconds = worker_deadline;
         fleet_cfg.chaosKills = static_cast<int>(worker_kills);
         fleet_cfg.chaosSeed = static_cast<std::uint64_t>(
@@ -337,7 +264,7 @@ main(int argc, char **argv)
             return 1;
         }
         std::cout << "evaluation fleet: " << fleet_env->liveWorkers()
-                  << "/" << fleet_workers << " workers";
+                  << "/" << workers << " workers";
         if (!fleet_listen.empty())
             std::cout << " (tcp port " << fleet_env->listenPort()
                       << ")";
@@ -350,117 +277,64 @@ main(int argc, char **argv)
         fleet_env ? static_cast<core::CoSearchEnv &>(*fleet_env)
                   : base_env;
 
-    const std::string algo = args.getString("algo", "unico");
-    const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
-    core::CoSearchResult result;
-    if (algo == "nsga2") {
-        baselines::Nsga2Config cfg;
-        cfg.population = static_cast<int>(args.getInt("batch", 20));
-        cfg.generations = static_cast<int>(args.getInt("iters", 8));
-        cfg.swBudget = static_cast<int>(args.getInt("bmax", 200));
-        cfg.seed = seed;
-        result = baselines::runNsga2(env, cfg);
-    } else {
-        core::DriverConfig cfg;
-        try {
-            cfg = core::driverConfigForAlgo(algo);
-        } catch (const std::exception &) {
-            return usage(args.program().c_str());
-        }
-        cfg.batchSize = static_cast<int>(args.getInt("batch", 20));
-        cfg.maxIter = static_cast<int>(args.getInt("iters", 8));
-        cfg.sh.bMax = static_cast<int>(args.getInt("bmax", 200));
-        cfg.realThreads =
-            static_cast<std::size_t>(args.getInt("threads", 1));
-        cfg.seed = seed;
-        cfg.checkpointPath = args.getString("checkpoint", "");
-        cfg.resumeFromCheckpoint = args.has("resume");
-        if (cfg.resumeFromCheckpoint && cfg.checkpointPath.empty()) {
-            std::cerr << "error: --resume requires --checkpoint FILE\n";
-            return usage(args.program().c_str());
-        }
-        cfg.checkpointEvery =
-            static_cast<int>(args.getInt("checkpoint-every", 1));
-        cfg.checkpointKeep =
-            static_cast<int>(args.getInt("checkpoint-keep", 3));
-        cfg.wallDeadlineSeconds = args.getDouble("wall-deadline", 0.0);
-        cfg.evalWallDeadlineSeconds =
-            args.getDouble("eval-wall-deadline", 0.0);
-        // Graceful shutdown: SIGINT/SIGTERM cancel this token; the
-        // driver drains, checkpoints and returns with interrupted
-        // state instead of dying mid-write. Scoped install — this is
-        // deliberately after the fleet fork point (handlers must not
-        // leak into workers) and stays live through the run.
-        common::ShutdownScope shutdown_scope;
-        cfg.cancel = &common::shutdownToken();
-
-        // --progress-every N: machine-readable progress as one JSON
-        // object per line on stdout — the same typed events the job
-        // server streams. Trial events are thinned to every Nth;
-        // life-cycle events (started/incumbent/front/checkpoint/
-        // finished) always print.
-        struct NdjsonProgress final : core::ProgressObserver
-        {
-            int every = 0;
-
-            void
-            onProgress(const core::ProgressEvent &event) override
-            {
-                if (event.kind == core::ProgressKind::TrialCompleted &&
-                    event.iteration % every != 0)
-                    return;
-                std::cout << core::toJson(event).dump() << "\n";
-                std::cout.flush();
-            }
+    core::RunControl control;
+    // --progress-every N: the typed events the job server streams, as
+    // one JSON object per line on stdout. Trial events are thinned to
+    // every Nth; life-cycle events (started/incumbent/front/
+    // checkpoint/finished) always print.
+    if (const auto every = args.getInt("progress-every", 0); every > 0)
+        control.onProgress = [every](const core::ProgressEvent &event) {
+            if (event.kind != core::ProgressKind::TrialCompleted ||
+                event.iteration % every == 0)
+                std::cout << core::toJson(event).dump() << std::endl;
         };
-        NdjsonProgress progress;
-        progress.every =
-            static_cast<int>(args.getInt("progress-every", 0));
-        core::ProgressObserver *observer =
-            progress.every > 0 ? &progress : nullptr;
-
-        core::CoOptimizer driver(env, cfg, nullptr, observer);
-        try {
-            result = driver.run();
-        } catch (const std::exception &e) {
-            // A stale/foreign checkpoint or a malformed document must
-            // fail with a clean diagnostic, not a core dump.
-            std::cerr << "error: " << e.what() << "\n";
-            return 1;
-        }
-        for (const auto &warning : result.warnings)
-            std::cerr << "warning: " << warning << "\n";
-        if (fault_spec.active()) {
-            const auto counts = faulty_env.injected();
-            std::cout << "\ninjected faults: transient="
-                      << counts.transient << " hang=" << counts.hang
-                      << " corrupt=" << counts.corrupt << "\n"
-                      << "recovered " << core::toString(result.faults)
-                      << "\n";
-        } else if (result.faults.total() > 0 ||
-                   result.faults.gpFallbacks > 0 ||
-                   result.faults.checkpointRecoveries > 0 ||
-                   result.faults.transport.total() > 0 ||
-                   result.faults.transport.workerRespawns > 0) {
-            // Genuine (non-injected) faults — watchdog timeouts, GP
-            // fit fallbacks, checkpoint recoveries, transport faults
-            // the fleet absorbed — also deserve a digest.
-            std::cout << "\nrecovered " << core::toString(result.faults)
-                      << "\n";
-        }
+    control.wallDeadlineSeconds = args.getDouble("wall-deadline", 0.0);
+    control.evalWallDeadlineSeconds =
+        args.getDouble("eval-wall-deadline", 0.0);
+    // Graceful shutdown of the stepped driver (NSGA-II cannot drain):
+    // SIGINT/SIGTERM cancel this token; the driver drains, checkpoints
+    // and returns with interrupted state instead of dying mid-write.
+    // Scoped install — deliberately after the fleet fork point
+    // (handlers must not leak into workers) and live through the run.
+    std::optional<common::ShutdownScope> shutdown_scope;
+    if (spec.algo != "nsga2") {
+        shutdown_scope.emplace();
+        control.cancel = &common::shutdownToken();
     }
-
-    // Baselines (nsga2) don't report cache counters themselves;
-    // snapshot them here so every algorithm prints the same digest,
-    // with the surrogate digest beside it.
-    if (const accel::EvalCache *c = env.evalCache())
-        result.cacheStats = c->stats();
-    result.surrogateStats = env.surrogateStats();
+    core::CoSearchResult result;
+    try {
+        result = core::runSpec(spec, env, control);
+    } catch (const std::exception &e) {
+        // A stale/foreign checkpoint, a malformed document or an
+        // unwritable CSV must fail with a clean diagnostic, not a
+        // core dump.
+        std::cerr << "error: " << e.what() << "\n";
+        return 1;
+    }
+    for (const auto &warning : result.warnings)
+        std::cerr << "warning: " << warning << "\n";
+    if (stack->faulty && spec.algo != "nsga2") {
+        const auto counts = stack->faulty->injected();
+        std::cout << "\ninjected faults: transient=" << counts.transient
+                  << " hang=" << counts.hang
+                  << " corrupt=" << counts.corrupt << "\n"
+                  << "recovered " << core::toString(result.faults)
+                  << "\n";
+    } else if (result.faults.total() > 0 || result.faults.gpFallbacks > 0 ||
+               result.faults.checkpointRecoveries > 0 ||
+               result.faults.transport.total() > 0 ||
+               result.faults.transport.workerRespawns > 0) {
+        // Genuine (non-injected) faults — watchdog timeouts, GP fit
+        // fallbacks, checkpoint recoveries, transport faults the fleet
+        // absorbed — also deserve a digest.
+        std::cout << "\nrecovered " << core::toString(result.faults)
+                  << "\n";
+    }
 
     std::cout << "\n" << core::toString(core::summarize(result)) << "\n";
     if (env.evalCache() != nullptr)
         std::cout << common::toString(result.cacheStats) << "\n";
-    if (surrogate_ctx.options.enabled)
+    if (spec.surrogateKeep > 0.0)
         std::cout << surrogate::toString(result.surrogateStats) << "\n";
     std::cout << "\n";
     common::TableWriter table(
@@ -481,20 +355,11 @@ main(int argc, char **argv)
                   << env.describeHw(best.hw) << "\n";
     }
 
-    const std::string prefix = args.getString("csv-prefix", "");
-    if (!prefix.empty()) {
-        bool ok =
-            core::writeRecordsCsv(result, env, prefix + "_records.csv") &&
-            core::writeFrontCsv(result, env, prefix + "_front.csv") &&
-            core::writeTraceCsv(result, prefix + "_trace.csv");
-        // Cache counters go to their own file so the three result
-        // CSVs above stay byte-identical with the cache on or off.
-        if (env.evalCache() != nullptr)
-            ok = ok &&
-                 core::writeCacheCsv(result, prefix + "_cache.csv");
-        // Likewise the fault ledger (supervisor + transport): its
-        // counters legitimately differ across execution topologies.
-        ok = ok && core::writeFaultsCsv(result, prefix + "_faults.csv");
+    if (const std::string &prefix = spec.csvPrefix; !prefix.empty()) {
+        // Cache counters go to their own file so the result CSVs stay
+        // byte-identical with the cache on or off.
+        const bool ok = env.evalCache() == nullptr ||
+                        core::writeCacheCsv(result, prefix + "_cache.csv");
         std::cout << (ok ? "\ncsv written to " : "\ncsv write FAILED: ")
                   << prefix << "_{records,front,trace}.csv\n";
         if (!ok)

@@ -9,13 +9,16 @@
  *                    [--max-concurrent N] [--max-queued N] \
  *                    [--cache-mb MB] [--no-cache]
  *
- * Jobs are submitted as JSON documents using the co_search_cli flag
- * vocabulary (see core/job_manager.hh); every job runs through the
- * same stepped driver, so a job served here writes byte-identical
- * records/front/trace CSVs and checkpoints to the same config run
- * through the CLI. All ascend jobs share one evaluation cache
- * (read-mostly, byte-neutral — sharing changes wall-clock time, never
- * results); spatial jobs query the analytical model directly.
+ * Jobs are submitted as JSON core::JobSpec documents (see
+ * core/run_spec.hh): the keys are co_search_cli's run flags with
+ * '-' -> '_', checked by the same validator and run by the same
+ * builder and runner, so a job served here writes byte-identical
+ * records/front/trace CSVs and checkpoints to the same fields run
+ * through the CLI. NSGA-II, which has no stepped driver to pause,
+ * cancel or stream, runs only through the CLI. All ascend jobs share
+ * one evaluation cache (read-mostly, byte-neutral — sharing changes
+ * wall-clock time, never results); spatial jobs query the analytical
+ * model directly.
  *
  * Shutdown: SIGINT/SIGTERM fans out to every live job's CancelToken;
  * each job drains at its next cooperative boundary and persists a
@@ -46,9 +49,9 @@ usage()
            "  [--port-file PATH] [--max-concurrent N] [--max-queued N]\n"
            "  [--cache-mb MB] [--no-cache]   (ascend jobs)\n"
            "\n"
-           "Submit jobs as JSON (co_search_cli vocabulary), e.g.:\n"
+           "Submit jobs as JSON (co_search_cli's flags, '-' -> '_'):\n"
            "  curl -s http://127.0.0.1:7780/jobs -d \\\n"
-           "    '{\"model\":\"resnet18\",\"algo\":\"unico\",\"iters\":8,"
+           "    '{\"model\":\"resnet\",\"algo\":\"unico\",\"iters\":8,"
            "\"seed\":1,\"csv_prefix\":\"/tmp/job1\"}'\n"
            "  curl -sN http://127.0.0.1:7780/jobs/1/events\n"
            "  curl -s -X POST http://127.0.0.1:7780/jobs/1/cancel\n";

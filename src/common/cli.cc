@@ -21,7 +21,7 @@ CliArgs::CliArgs(int argc, const char *const *argv)
                        != 0) {
                 value = argv[++i];
             }
-            options_[name] = value;
+            options_[name].push_back(value);
         } else {
             positional_.push_back(arg);
         }
@@ -34,29 +34,37 @@ CliArgs::has(const std::string &name) const
     return options_.count(name) > 0;
 }
 
+const std::vector<std::string> &
+CliArgs::values(const std::string &name) const
+{
+    static const std::vector<std::string> kNone;
+    const auto it = options_.find(name);
+    return it == options_.end() ? kNone : it->second;
+}
+
 std::string
 CliArgs::getString(const std::string &name, const std::string &fallback) const
 {
-    auto it = options_.find(name);
-    return it == options_.end() ? fallback : it->second;
+    const auto &v = values(name);
+    return v.empty() ? fallback : v.back();
 }
 
 std::int64_t
 CliArgs::getInt(const std::string &name, std::int64_t fallback) const
 {
-    auto it = options_.find(name);
-    if (it == options_.end() || it->second.empty())
+    const auto &v = values(name);
+    if (v.empty() || v.back().empty())
         return fallback;
-    return std::strtoll(it->second.c_str(), nullptr, 10);
+    return std::strtoll(v.back().c_str(), nullptr, 10);
 }
 
 double
 CliArgs::getDouble(const std::string &name, double fallback) const
 {
-    auto it = options_.find(name);
-    if (it == options_.end() || it->second.empty())
+    const auto &v = values(name);
+    if (v.empty() || v.back().empty())
         return fallback;
-    return std::strtod(it->second.c_str(), nullptr);
+    return std::strtod(v.back().c_str(), nullptr);
 }
 
 } // namespace unico::common

@@ -17,8 +17,9 @@ namespace unico::common {
 /**
  * Parses "--key value" and "--flag" style options.
  *
- * Unknown options are retained and can be queried; positional
- * arguments are collected in order.
+ * Unknown options are retained and can be queried; every occurrence
+ * of a repeated option is kept, and the single-value lookups return
+ * the last. Positional arguments are collected in order.
  */
 class CliArgs
 {
@@ -38,6 +39,10 @@ class CliArgs
     /** Floating-point value of --name or @p fallback. */
     double getDouble(const std::string &name, double fallback) const;
 
+    /** Every value given for --name, in command-line order ("" for a
+     *  bare flag); empty when absent. */
+    const std::vector<std::string> &values(const std::string &name) const;
+
     /** Positional (non-option) arguments in order. */
     const std::vector<std::string> &positional() const { return positional_; }
 
@@ -46,7 +51,7 @@ class CliArgs
 
   private:
     std::string program_;
-    std::map<std::string, std::string> options_;
+    std::map<std::string, std::vector<std::string>> options_;
     std::vector<std::string> positional_;
 };
 

@@ -1,21 +1,19 @@
 /**
  * @file
- * Named backend registry: one place where evaluation stacks
- * (platform binding = HW design space + mapping search + PPA engine)
- * are registered, looked up and constructed.
+ * The backends: one place where evaluation stacks (platform binding =
+ * HW design space + mapping search + PPA engine) are named and
+ * constructed.
  *
- * The CLI, every bench binary and the tests select their platform
- * through this registry ("spatial", "ascend"), so adding a backend
- * is one registerBackend() call — no per-tool plumbing. Each backend
- * owns its option vocabulary: parseBackendOptions() maps the shared
- * CLI flags onto BackendOptions and rejects flags that do not apply
- * to the chosen backend with a typed BackendError.
+ * The CLI, the job server, every bench binary and the tests select
+ * their platform by name ("spatial", "ascend") through
+ * makeBackendEnv(). Adding a backend is a row in backend.cc's table
+ * plus its env class; the JobSpec fields it reads are mapped onto
+ * BackendOptions by core::backendOptions() (core/run_spec.hh).
  */
 
 #ifndef UNICO_CORE_BACKEND_HH
 #define UNICO_CORE_BACKEND_HH
 
-#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -24,14 +22,13 @@
 #include "accel/ppa.hh"
 #include "accel/spatial.hh"
 #include "common/cancel.hh"
-#include "common/cli.hh"
 #include "core/env.hh"
 #include "mapping/engine.hh"
 #include "workload/network.hh"
 
 namespace unico::core {
 
-/** Typed failure of backend lookup or option parsing. */
+/** Typed failure of backend lookup or option mapping. */
 class BackendError : public std::runtime_error
 {
   public:
@@ -40,8 +37,8 @@ class BackendError : public std::runtime_error
 
 /**
  * Backend-agnostic construction options. Each backend consumes the
- * fields it understands and its option parser rejects CLI flags
- * that would silently be ignored.
+ * fields it understands and ignores the rest; core::backendOptions()
+ * rejects a JobSpec field foreign to the chosen backend.
  */
 struct BackendOptions
 {
@@ -67,53 +64,18 @@ struct BackendOptions
     const common::CancelToken *cancel = nullptr;
 };
 
-/** Constructs a ready-to-search environment for a workload list. */
-using BackendFactory = std::function<std::unique_ptr<CoSearchEnv>(
-    std::vector<workload::Network> networks, const BackendOptions &opt)>;
-
-/** Maps shared CLI flags onto BackendOptions; throws BackendError on
- *  a malformed value or a flag foreign to the backend. */
-using BackendOptionParser =
-    std::function<BackendOptions(const common::CliArgs &args)>;
-
-/** One registered backend. */
-struct BackendInfo
-{
-    std::string description; ///< one-line summary for --help output
-    BackendFactory factory;
-    BackendOptionParser parseOptions;
-};
-
-/**
- * Register (or replace) a backend under @p name. The built-in
- * backends ("spatial", "ascend") are registered on first use of any
- * registry call; user backends may be added at any time.
- */
-void registerBackend(const std::string &name, BackendInfo info);
-
-/** Whether @p name is a registered backend. */
-bool isBackendRegistered(const std::string &name);
-
-/** All registered backend names, sorted. */
+/** The backend names, sorted. */
 std::vector<std::string> backendNames();
 
-/** Lookup; throws BackendError (listing known names) when absent. */
-const BackendInfo &backendInfo(const std::string &name);
+/** Throws BackendError, listing the known names, unless @p name is a
+ *  backend. */
+void requireBackend(const std::string &name);
 
 /** Construct backend @p name over @p networks. */
 std::unique_ptr<CoSearchEnv>
 makeBackendEnv(const std::string &name,
                std::vector<workload::Network> networks,
                const BackendOptions &opt);
-
-/**
- * Parse the per-backend options of @p name from CLI flags
- * (--scenario / --engine / --area-budget / --max-shapes). Throws
- * BackendError for an unknown backend, a malformed value, or a flag
- * the chosen backend does not support.
- */
-BackendOptions parseBackendOptions(const std::string &name,
-                                   const common::CliArgs &args);
 
 } // namespace unico::core
 

@@ -208,35 +208,6 @@ driverConfigForAlgo(const std::string &algo)
                                 "' (expected unico|hasco|mobohb|sh|msh)");
 }
 
-std::string
-searchSizeError(std::int64_t batch, std::int64_t iters, std::int64_t bmax,
-                std::int64_t threads)
-{
-    if (batch < 1 || iters < 1 || bmax < 1)
-        return "batch, iters and bmax must be >= 1";
-    if (threads < 1 || threads > 256)
-        return "threads must be 1..256";
-    return {};
-}
-
-std::string
-checkpointRotationError(std::int64_t every, std::int64_t keep)
-{
-    if (every < 1 || keep < 1)
-        return "checkpoint_every and checkpoint_keep must be >= 1";
-    return {};
-}
-
-std::string
-faultRateError(double transient, double hang, double corrupt)
-{
-    // Written so that NaN fails too.
-    const auto unit = [](double v) { return v >= 0.0 && v <= 1.0; };
-    if (!unit(transient) || !unit(hang) || !unit(corrupt))
-        return "fault rates must be in [0, 1]";
-    return {};
-}
-
 namespace {
 
 /** Penalty objectives recorded for HW with no feasible mapping;
@@ -359,7 +330,6 @@ CoSearch::start()
     selector_ = std::make_unique<HighFidelitySelector>(
         std::vector<double>(numObj_,
                             1.0 / static_cast<double>(numObj_)));
-    ctx_->seed = cfg_.seed;
     ctx_->clock = common::EvalClock(cfg_.workers);
     championW_.assign(numObj_, 1.0 / static_cast<double>(numObj_));
 
@@ -383,7 +353,6 @@ CoSearch::start()
                              common::CancelReason::RunDeadline);
 
     stackId_ = StackIdentity::of(env_);
-    ctx_->stack = stackId_;
 
     // --- Checkpoint resume: restore sampler, selector, clock and
     // archive, then continue with the first unfinished trial. Seeds

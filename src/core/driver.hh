@@ -248,29 +248,11 @@ struct CoSearchResult
 };
 
 /**
- * The named algorithm presets the CLI and the job manager share
- * ("unico", "hasco", "mobohb", "sh", "msh" — the DriverConfig
- * factory of the same flavour). Throws std::invalid_argument on an
- * unknown name so both front-ends reject specs identically.
+ * The named presets of the stepped driver ("unico", "hasco",
+ * "mobohb", "sh", "msh" — the DriverConfig factory of the same
+ * flavour). Throws std::invalid_argument on an unknown name.
  */
 DriverConfig driverConfigForAlgo(const std::string &algo);
-
-/**
- * The first out-of-range search size, as the message both front-ends
- * report, or empty when batch, iters and bmax are >= 1 and threads is
- * 1..256. The CLI and the job manager check their values here and in
- * the two checks below, so they accept and reject the same runs.
- */
-std::string searchSizeError(std::int64_t batch, std::int64_t iters,
-                            std::int64_t bmax, std::int64_t threads);
-
-/** The message both front-ends report when the checkpoint cadence or
- *  the rotation window is below 1, or empty. */
-std::string checkpointRotationError(std::int64_t every, std::int64_t keep);
-
-/** The message both front-ends report when a fault-injection rate is
- *  outside [0, 1] or NaN, or empty. */
-std::string faultRateError(double transient, double hang, double corrupt);
 
 /**
  * The bi-level co-optimizer in resumable stepped form.

@@ -3,20 +3,19 @@
  * Multi-tenant co-search job manager.
  *
  * Turns the one-run-per-process driver stack into schedulable jobs:
- * submit() enqueues a declarative JobSpec (the same vocabulary as
- * the co_search_cli flags), a fixed pool of scheduler threads runs
- * up to maxConcurrent jobs at once through the stepped CoSearch
- * driver, and cancel/pause/resume/status act on individual jobs
- * without perturbing their neighbours.
+ * submit() enqueues a JobSpec (core/run_spec.hh, the run description
+ * co_search_cli parses its flags into), a fixed pool of scheduler
+ * threads runs up to maxConcurrent jobs at once through the same
+ * RunStack and runSpec() as the CLI, and cancel/pause/resume/status
+ * act on individual jobs without perturbing their neighbours.
  *
- * Isolation model: each job owns a JobContext (seeded trajectory,
- * EvalClock, CancelToken, checkpoint prefix) plus its own
- * environment, fault injector and surrogate context, all built on
- * the job's scheduler thread. Jobs share exactly one mutable
- * resource — the optional read-mostly sharded evaluation cache —
- * whose use is byte-neutral by contract, so a job's records, front,
- * trace and checkpoints are bit-identical whether it ran alone, next
- * to other jobs, or through co_search_cli.
+ * Isolation model: each job owns a JobContext (EvalClock,
+ * CancelToken) plus its own RunStack (environment, fault injector,
+ * surrogate context), all built on the job's scheduler thread. Jobs
+ * share exactly one mutable resource — the optional read-mostly
+ * sharded evaluation cache — whose use is byte-neutral by contract,
+ * so a job's records, front, trace and checkpoints are bit-identical
+ * whether it ran alone, next to other jobs, or through co_search_cli.
  *
  * Life cycle: Queued -> Running <-> Paused -> Completed | Cancelled
  * | Failed. The submit queue is bounded; submits beyond the bound
@@ -45,49 +44,9 @@
 #include "core/driver.hh"
 #include "core/job_context.hh"
 #include "core/progress.hh"
+#include "core/run_spec.hh"
 
 namespace unico::core {
-
-/**
- * Declarative description of one co-search job — the JSON-mappable
- * mirror of the co_search_cli flag vocabulary. A spec run through
- * the manager produces byte-identical records/front/trace CSVs and
- * checkpoints to the same flags run through the CLI.
- */
-struct JobSpec
-{
-    std::string name;                   ///< display label (optional)
-    std::vector<std::string> models;    ///< zoo model names
-    std::vector<std::string> workloads; ///< workload file paths
-    std::string backend = "spatial";
-    std::string scenario;  ///< --scenario (empty = backend default)
-    std::string engine;    ///< --engine (empty = backend default)
-    double areaBudgetMm2 = 0.0; ///< --area-budget (<= 0 = default)
-    std::int64_t maxShapes = 0; ///< --max-shapes (<= 0 = default)
-    std::string algo = "unico"; ///< unico|hasco|mobohb|sh|msh
-    int batch = 20;
-    int iters = 8;
-    int bmax = 200;
-    std::uint64_t seed = 1;
-    std::size_t threads = 1; ///< per-job round-dispatch threads
-    std::string checkpoint;  ///< checkpoint path (empty = disabled)
-    bool resume = false;
-    int checkpointEvery = 1;
-    int checkpointKeep = 3;
-    std::string csvPrefix; ///< CSV export prefix (empty = disabled)
-    double faultRate = 0.0;
-    double hangRate = 0.0;
-    double corruptRate = 0.0;
-    std::uint64_t faultSeed = 7;
-    /** > 0 enables learned surrogate screening with this keep
-     *  fraction (byte-neutral by contract). */
-    double surrogateKeep = 0.0;
-};
-
-/** Parse a spec from a JSON job document; throws std::runtime_error
- *  with a field-naming message on malformed input. */
-JobSpec jobSpecFromJson(const common::Json &doc);
-common::Json toJson(const JobSpec &spec);
 
 /** Job life-cycle states. */
 enum class JobState {
@@ -170,7 +129,9 @@ class JobManager
     JobManager(const JobManager &) = delete;
     JobManager &operator=(const JobManager &) = delete;
 
-    /** Validate and enqueue a job. Typed rejection, never blocks. */
+    /** Validate (validateSpec(), and no nsga2: it has no stepped
+     *  driver to pause, cancel mid-run or stream) and enqueue a job.
+     *  Typed rejection, never blocks. */
     SubmitResult submit(JobSpec spec);
 
     /** Cancel a job (queued or running). A running job drains at the

@@ -1,18 +1,20 @@
 /**
  * @file
- * Tests for the backend registry (core/backend.hh): built-in
- * registration, typed lookup failure, per-backend option parsing with
- * foreign-flag rejection, stack-identity reporting and user backend
- * registration.
+ * Tests for the backends (core/backend.hh): the name table, typed
+ * lookup failure, stack-identity reporting, and the mapping of a
+ * JobSpec's backend fields onto BackendOptions (core/run_spec.hh)
+ * with foreign-field rejection.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/backend.hh"
+#include "core/run_spec.hh"
 #include "workload/model_zoo.hh"
 
 using namespace unico;
@@ -21,14 +23,15 @@ using core::BackendOptions;
 
 namespace {
 
-/** CliArgs over a token list (argv[0] is supplied). */
-common::CliArgs
-makeArgs(const std::vector<std::string> &tokens)
+/** A JobSpec on @p backend with @p edit applied. */
+template <typename Edit>
+core::JobSpec
+spec(const std::string &backend, Edit edit)
 {
-    std::vector<const char *> argv = {"test"};
-    for (const auto &t : tokens)
-        argv.push_back(t.c_str());
-    return common::CliArgs(static_cast<int>(argv.size()), argv.data());
+    core::JobSpec s;
+    s.backend = backend;
+    edit(s);
+    return s;
 }
 
 std::vector<workload::Network>
@@ -41,19 +44,11 @@ nets(const std::string &name)
 
 TEST(BackendRegistry, BuiltinsPresentAndSorted)
 {
-    EXPECT_TRUE(core::isBackendRegistered("spatial"));
-    EXPECT_TRUE(core::isBackendRegistered("ascend"));
-    EXPECT_FALSE(core::isBackendRegistered("tpu"));
-
     const auto names = core::backendNames();
-    ASSERT_GE(names.size(), 2u);
-    EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
-    EXPECT_NE(std::find(names.begin(), names.end(), "spatial"),
-              names.end());
-    EXPECT_NE(std::find(names.begin(), names.end(), "ascend"),
-              names.end());
-    EXPECT_FALSE(core::backendInfo("spatial").description.empty());
-    EXPECT_FALSE(core::backendInfo("ascend").description.empty());
+    EXPECT_EQ(names, (std::vector<std::string>{"ascend", "spatial"}));
+    EXPECT_NO_THROW(core::requireBackend("spatial"));
+    EXPECT_NO_THROW(core::requireBackend("ascend"));
+    EXPECT_THROW(core::requireBackend("tpu"), BackendError);
 }
 
 TEST(BackendRegistry, UnknownBackendThrowsTypedErrorListingKnown)
@@ -121,92 +116,78 @@ TEST(BackendRegistry, ScenarioNameFollowsOptions)
 
 TEST(BackendOptionsParse, SpatialDefaultsAndOverrides)
 {
-    const auto def = core::parseBackendOptions("spatial", makeArgs({}));
+    const auto none = [](core::JobSpec &) {};
+    const auto def = core::backendOptions(spec("spatial", none));
     EXPECT_EQ(def.scenario, accel::Scenario::Edge);
     EXPECT_EQ(def.engine, mapping::EngineKind::Annealing);
     EXPECT_EQ(def.maxShapesPerNetwork, 5u);
 
-    const auto cloud = core::parseBackendOptions(
-        "spatial", makeArgs({"--scenario", "cloud", "--engine", "genetic",
-                             "--max-shapes", "3"}));
+    const auto cloud = core::backendOptions(spec("spatial", [](auto &s) {
+        s.scenario = "cloud";
+        s.engine = "genetic";
+        s.maxShapes = 3;
+    }));
     EXPECT_EQ(cloud.scenario, accel::Scenario::Cloud);
     EXPECT_EQ(cloud.engine, mapping::EngineKind::Genetic);
     EXPECT_EQ(cloud.maxShapesPerNetwork, 3u);
 
-    EXPECT_THROW(core::parseBackendOptions(
-                     "spatial", makeArgs({"--scenario", "mars"})),
+    EXPECT_THROW(core::backendOptions(spec(
+                     "spatial", [](auto &s) { s.scenario = "mars"; })),
                  BackendError);
-    EXPECT_THROW(core::parseBackendOptions(
-                     "spatial", makeArgs({"--engine", "quantum"})),
+    EXPECT_THROW(core::backendOptions(spec(
+                     "spatial", [](auto &s) { s.engine = "quantum"; })),
                  BackendError);
 }
 
 TEST(BackendOptionsParse, SpatialRejectsForeignAreaBudget)
 {
     try {
-        core::parseBackendOptions("spatial",
-                                  makeArgs({"--area-budget", "100"}));
+        core::backendOptions(
+            spec("spatial", [](auto &s) { s.areaBudgetMm2 = 100.0; }));
         FAIL() << "expected BackendError";
     } catch (const BackendError &e) {
-        const std::string msg = e.what();
-        EXPECT_NE(msg.find("--area-budget"), std::string::npos) << msg;
-        EXPECT_NE(msg.find("spatial"), std::string::npos) << msg;
+        EXPECT_STREQ(e.what(),
+                     "backend 'spatial' does not support area_budget");
     }
 }
 
 TEST(BackendOptionsParse, AscendDefaultsAndOverrides)
 {
-    const auto def = core::parseBackendOptions("ascend", makeArgs({}));
+    const auto def =
+        core::backendOptions(spec("ascend", [](core::JobSpec &) {}));
     EXPECT_DOUBLE_EQ(def.areaBudgetMm2, 200.0);
 
-    const auto tight = core::parseBackendOptions(
-        "ascend", makeArgs({"--area-budget", "96.5"}));
-    EXPECT_DOUBLE_EQ(tight.areaBudgetMm2, 96.5);
+    // The given value, not a printed copy of it.
+    const auto tight = core::backendOptions(
+        spec("ascend", [](auto &s) { s.areaBudgetMm2 = 96.1234567; }));
+    EXPECT_EQ(tight.areaBudgetMm2, 96.1234567);
 
-    EXPECT_THROW(core::parseBackendOptions(
-                     "ascend", makeArgs({"--area-budget", "0"})),
-                 BackendError);
-    EXPECT_THROW(core::parseBackendOptions(
-                     "ascend", makeArgs({"--area-budget", "-3"})),
-                 BackendError);
-    EXPECT_THROW(core::parseBackendOptions(
-                     "ascend", makeArgs({"--max-shapes", "0"})),
-                 BackendError);
+    // A given non-positive value is an error, never the default.
+    for (double bad : {0.0, -3.0, std::nan("")})
+        EXPECT_THROW(core::backendOptions(spec(
+                         "ascend", [&](auto &s) { s.areaBudgetMm2 = bad; })),
+                     BackendError)
+            << bad;
+    for (std::int64_t bad : {0, -3})
+        EXPECT_THROW(core::backendOptions(spec(
+                         "ascend", [&](auto &s) { s.maxShapes = bad; })),
+                     BackendError)
+            << bad;
 }
 
-TEST(BackendOptionsParse, AscendRejectsForeignSpatialFlags)
+TEST(BackendOptionsParse, AscendRejectsForeignSpatialFields)
 {
-    EXPECT_THROW(core::parseBackendOptions(
-                     "ascend", makeArgs({"--scenario", "edge"})),
+    EXPECT_THROW(core::backendOptions(
+                     spec("ascend", [](auto &s) { s.scenario = "edge"; })),
                  BackendError);
-    EXPECT_THROW(core::parseBackendOptions(
-                     "ascend", makeArgs({"--engine", "random"})),
+    EXPECT_THROW(core::backendOptions(
+                     spec("ascend", [](auto &s) { s.engine = "random"; })),
                  BackendError);
 }
 
 TEST(BackendOptionsParse, UnknownBackendThrows)
 {
-    EXPECT_THROW(core::parseBackendOptions("npu9000", makeArgs({})),
-                 BackendError);
-}
-
-TEST(BackendRegistry, UserBackendRegistration)
-{
-    // A user backend is a plain registerBackend() call; reuse the
-    // spatial factory under a new name to keep the test hermetic.
-    ASSERT_FALSE(core::isBackendRegistered("test-alias"));
-    core::BackendInfo info = core::backendInfo("spatial");
-    info.description = "alias of spatial for registry tests";
-    core::registerBackend("test-alias", info);
-
-    EXPECT_TRUE(core::isBackendRegistered("test-alias"));
-    const auto names = core::backendNames();
-    EXPECT_NE(std::find(names.begin(), names.end(), "test-alias"),
-              names.end());
-
-    BackendOptions opt;
-    opt.maxShapesPerNetwork = 2;
-    const auto env =
-        core::makeBackendEnv("test-alias", nets("mobilenet"), opt);
-    EXPECT_EQ(env->backendName(), "spatial"); // env reports its stack
+    EXPECT_THROW(
+        core::backendOptions(spec("npu9000", [](core::JobSpec &) {})),
+        BackendError);
 }

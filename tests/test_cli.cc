@@ -1,11 +1,13 @@
 /**
  * @file
- * Unit tests for the command-line option parser.
+ * Unit tests for the command-line option parser and the JobSpec
+ * co_search_cli parses from it.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/cli.hh"
+#include "core/run_spec.hh"
 
 using unico::common::CliArgs;
 
@@ -62,4 +64,26 @@ TEST(Cli, NegativeNumbers)
 {
     const auto args = parse({"prog", "--offset", "-12"});
     EXPECT_EQ(args.getInt("offset", 0), -12);
+}
+
+TEST(Cli, RepeatedOptionKeepsEveryValue)
+{
+    const auto args = parse({"prog", "--model", "resnet", "--seed", "1",
+                             "--model", "mobilenet", "--model=vit"});
+    EXPECT_EQ(args.values("model"),
+              (std::vector<std::string>{"resnet", "mobilenet", "vit"}));
+    EXPECT_EQ(args.getString("model", ""), "vit"); // lookups: the last
+    EXPECT_EQ(args.values("seed"), (std::vector<std::string>{"1"}));
+    EXPECT_TRUE(args.values("absent").empty());
+}
+
+TEST(Cli, RepeatedModelFlagsAllReachTheJobSpec)
+{
+    const auto spec = unico::core::jobSpecFromArgs(
+        parse({"prog", "--model", "resnet", "--model", "mobilenet",
+               "--workload", "a.net", "vit", "b.net"}));
+    EXPECT_EQ(spec.models,
+              (std::vector<std::string>{"resnet", "mobilenet", "vit"}));
+    EXPECT_EQ(spec.workloads,
+              (std::vector<std::string>{"a.net", "b.net"}));
 }

@@ -2,8 +2,10 @@
  * @file
  * Multi-tenant job core + HTTP front-end tests.
  *
- * In-process: typed submit rejection, JSON spec parsing, the
- * replayable event log, pause/resume, and the two isolation
+ * In-process: the JobSpec field table (a CLI flag and its JSON key
+ * with the same text give the same spec or the same error), typed
+ * submit rejection, JSON spec parsing, the replayable event log,
+ * pause/resume, a failing job, and the two isolation
  * contracts — (a) two jobs running concurrently (sharing one eval
  * cache, which only ascend jobs use) write byte-identical
  * records/front/trace CSVs to the same configs run serially and
@@ -19,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -35,6 +38,7 @@
 #include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include "common/cli.hh"
@@ -98,8 +102,8 @@ smallSpec(std::uint64_t seed, const std::string &csv_prefix)
 
 /**
  * Serial, uncached reference run of @p spec through the plain driver
- * + report writers — the pre-manager code path the byte-identity
- * contract is pinned against.
+ * + report writers — a stack assembled here, independently of
+ * core::RunStack and core::runSpec, which it is compared against.
  */
 void
 referenceRun(const core::JobSpec &spec)
@@ -107,12 +111,10 @@ referenceRun(const core::JobSpec &spec)
     std::vector<workload::Network> nets;
     for (const auto &m : spec.models)
         nets.push_back(workload::makeNetwork(m));
-    const char *argv[] = {"ref"};
-    const common::CliArgs args(1, argv);
-    core::BackendOptions opt =
-        core::parseBackendOptions(spec.backend, args);
-    const auto env =
-        core::makeBackendEnv(spec.backend, std::move(nets), opt);
+    // The specs compared here leave every backend field at its
+    // default.
+    const auto env = core::makeBackendEnv(spec.backend, std::move(nets),
+                                          core::BackendOptions{});
 
     core::DriverConfig cfg = core::driverConfigForAlgo(spec.algo);
     cfg.batchSize = spec.batch;
@@ -204,6 +206,255 @@ TEST(JobSpecJson, RejectsUnknownFieldByName)
     }
 }
 
+namespace {
+
+/** @p spec as the JSON text toJson() writes: equal texts, equal
+ *  specs (toJson writes every field away from its default). */
+std::string
+canonical(const core::JobSpec &spec)
+{
+    return core::toJson(spec).dump();
+}
+
+/** co_search_cli's JobSpec for @p tokens (argv[0] is supplied). */
+core::JobSpec
+specFromArgs(const std::vector<std::string> &tokens)
+{
+    std::vector<const char *> argv = {"co_search_cli"};
+    for (const auto &t : tokens)
+        argv.push_back(t.c_str());
+    return core::jobSpecFromArgs(
+        common::CliArgs(static_cast<int>(argv.size()), argv.data()));
+}
+
+/** The error co_search_cli reports for @p tokens (parse, then
+ *  validateSpec), or empty when it would run; fills @p spec. */
+std::string
+cliVerdict(const std::vector<std::string> &tokens, core::JobSpec *spec)
+{
+    try {
+        *spec = specFromArgs(tokens);
+        return core::validateSpec(*spec);
+    } catch (const std::exception &e) {
+        return e.what();
+    }
+}
+
+/** The same for a POST /jobs body that is a JSON document. */
+std::string
+jsonVerdict(const common::Json &doc, core::JobSpec *spec)
+{
+    try {
+        *spec = core::jobSpecFromJson(doc);
+        return core::validateSpec(*spec);
+    } catch (const std::exception &e) {
+        return e.what();
+    }
+}
+
+/** One JobSpec field: the texts it accepts and the texts it rejects,
+ *  given as its CLI flag's value and as its JSON key's value. */
+struct FieldCase
+{
+    const char *key;     ///< JSON key; the flag is key with '_' -> '-'
+    bool string;         ///< JSON value is the text in quotes
+    const char *backend; ///< the backend of the spec around it
+    std::vector<const char *> good;
+    std::vector<const char *> bad;
+};
+
+const FieldCase kFieldCases[] = {
+    {"model", true, "spatial", {"mobilenet", "fsrcnn_60x80"},
+     {"nosuchnet"}},
+    {"workload", true, "spatial", {"my_net.txt"}, {}},
+    {"backend", true, "spatial", {"ascend", "spatial"}, {"npu9000"}},
+    {"scenario", true, "spatial", {"cloud", "edge"}, {"mars"}},
+    {"scenario", true, "ascend", {}, {"edge"}},
+    {"engine", true, "spatial", {"random", "annealing", "genetic"},
+     {"quantum"}},
+    {"engine", true, "ascend", {}, {"random"}},
+    {"area_budget", false, "ascend", {"120", "96.1234567", "1e-7"},
+     {"-5", "0", "nan"}},
+    {"area_budget", false, "spatial", {}, {"120"}},
+    {"max_shapes", false, "ascend", {"2"}, {"-5", "0", "1e-7", "6.4"}},
+    {"max_shapes", false, "spatial", {"3"}, {"-3"}},
+    {"algo", true, "spatial",
+     {"unico", "hasco", "mobohb", "sh", "msh", "nsga2"}, {"bogus"}},
+    {"batch", false, "spatial", {"6", "1e1"},
+     {"6.4", "0", "-5", "4294967302", "+1", "01"}},
+    {"iters", false, "spatial", {"3"}, {"0", "2.5"}},
+    {"bmax", false, "spatial", {"64"}, {"0", "-1"}},
+    {"seed", false, "spatial", {"9", "0", "9007199254740991"},
+     {"-1", "18446744073709551615", "9007199254740993", "0x10", "1e999"}},
+    {"threads", false, "spatial", {"3", "256"}, {"-1", "0", "257"}},
+    {"checkpoint", true, "spatial", {"ck.json"}, {}},
+    {"checkpoint_every", false, "spatial", {"3"}, {"0", "6.4"}},
+    {"checkpoint_keep", false, "spatial", {"2"}, {"-4", "2147483648"}},
+    {"csv_prefix", true, "spatial", {"out/x"}, {}},
+    {"fault_rate", false, "spatial", {"0.2", "1e-3", "1"},
+     {"2", "0,1", "nan", "-0.1"}},
+    {"hang_rate", false, "spatial", {"0.05"}, {"-0.1", "NaN"}},
+    {"corrupt_rate", false, "spatial", {"0.05"}, {"nan", "1.5"}},
+    {"fault_seed", false, "spatial", {"11"}, {"-1", "Infinity"}},
+    {"surrogate_keep", false, "spatial", {"0.25", "0", "1"},
+     {"1.5", "-0.1", ".5"}},
+};
+
+/** The CLI tokens and the JSON body of @p c with @p text: the field
+ *  in a spec on c.backend over resnet, unless the field is the
+ *  backend or the network itself. */
+std::pair<std::vector<std::string>, std::string>
+bothVocabularies(const FieldCase &c, const std::string &text)
+{
+    const std::string key = c.key;
+    std::string flag = key;
+    std::replace(flag.begin(), flag.end(), '_', '-');
+    std::vector<std::string> tokens = {"--" + flag, text};
+    std::string body = "{\"" + key + "\":" +
+                       (c.string ? "\"" + text + "\"" : text);
+    if (key != "backend") {
+        tokens.insert(tokens.end(), {"--backend", c.backend});
+        body += std::string(",\"backend\":\"") + c.backend + "\"";
+    }
+    if (key != "model" && key != "workload") {
+        tokens.push_back("resnet");
+        body += ",\"model\":\"resnet\"";
+    }
+    return {tokens, body + "}"};
+}
+
+} // namespace
+
+TEST(JobSpecParity, EveryFieldSameTextSameSpec)
+{
+    for (const FieldCase &c : kFieldCases)
+        for (const char *text : c.good) {
+            const auto [tokens, body] = bothVocabularies(c, text);
+            SCOPED_TRACE(body);
+            core::JobSpec cli, json;
+            EXPECT_EQ(cliVerdict(tokens, &cli), "");
+            EXPECT_EQ(jsonVerdict(common::Json::parse(body), &json), "");
+            EXPECT_EQ(canonical(cli), canonical(json));
+        }
+}
+
+TEST(JobSpecParity, EveryBadTextSameMessage)
+{
+    for (const FieldCase &c : kFieldCases)
+        for (const char *text : c.bad) {
+            const auto [tokens, body] = bothVocabularies(c, text);
+            SCOPED_TRACE(body);
+            core::JobSpec cli, json;
+            const std::string cli_error = cliVerdict(tokens, &cli);
+            ASSERT_NE(cli_error, "");
+            common::Json doc;
+            try {
+                doc = common::Json::parse(body);
+            } catch (const std::exception &) {
+                // Not a JSON number, so not a JSON document either:
+                // POST /jobs answers 400 before any field, and the
+                // CLI names the field it could not parse.
+                EXPECT_EQ(cli_error.rfind(std::string("job-spec field '") +
+                                              c.key +
+                                              "': json parse error",
+                                          0),
+                          0u)
+                    << cli_error;
+                continue;
+            }
+            EXPECT_EQ(jsonVerdict(doc, &json), cli_error);
+        }
+    // NSGA-II runs are checked like every other run.
+    const std::string sizes = "batch, iters and bmax must be >= 1";
+    core::JobSpec cli, json;
+    EXPECT_EQ(cliVerdict({"resnet", "--algo", "nsga2", "--batch", "-5"},
+                         &cli),
+              sizes);
+    EXPECT_EQ(jsonVerdict(common::Json::parse(R"({"model":"resnet",)"
+                                              R"("algo":"nsga2","batch":-5})"),
+                          &json),
+              sizes);
+}
+
+TEST(JobSpecParity, ShorthandsAndJsonOnlyFields)
+{
+    const auto json = [](const std::string &body) {
+        return canonical(core::jobSpecFromJson(common::Json::parse(body)));
+    };
+    const auto cli = [](const std::vector<std::string> &tokens) {
+        return canonical(specFromArgs(tokens));
+    };
+    // Positional arguments: a '.' marks a workload file.
+    EXPECT_EQ(cli({"resnet", "nets/a.net", "vit"}),
+              json(R"({"models":["resnet","vit"],)"
+                   R"("workloads":["nets/a.net"]})"));
+    // Repeated flags keep every value, as the JSON lists do.
+    EXPECT_EQ(cli({"--model", "resnet", "--model", "mobilenet",
+                   "--workload", "a.net", "--workload", "b.net"}),
+              json(R"({"models":["resnet","mobilenet"],)"
+                   R"("workloads":["a.net","b.net"]})"));
+    // --surrogate is the default keep; an explicit keep wins over it,
+    // and --no-surrogate wins over both.
+    EXPECT_EQ(cli({"resnet", "--surrogate"}),
+              json(R"({"model":"resnet","surrogate_keep":0.25})"));
+    EXPECT_EQ(cli({"resnet", "--surrogate", "--surrogate-keep", "0.5"}),
+              json(R"({"model":"resnet","surrogate_keep":0.5})"));
+    EXPECT_EQ(cli({"resnet", "--surrogate-keep", "0.5", "--no-surrogate"}),
+              json(R"({"model":"resnet"})"));
+    EXPECT_EQ(cli({"resnet", "--checkpoint", "ck.json", "--resume"}),
+              json(R"({"model":"resnet","checkpoint":"ck.json",)"
+                   R"("resume":true})"));
+    // name is JSON only: the CLI has no --name flag.
+    EXPECT_EQ(specFromArgs({"resnet", "--name", "x"}).name, "");
+    EXPECT_EQ(core::jobSpecFromJson(common::Json::parse(
+                  R"({"model":"resnet","name":"x"})"))
+                  .name,
+              "x");
+}
+
+TEST(JobSpecParity, ToJsonRoundTripsAndWritesOnlyWhatIsSet)
+{
+    EXPECT_EQ(core::toJson(core::JobSpec{}).dump(), "{}");
+
+    core::JobSpec every;
+    every.name = "n";
+    every.models = {"resnet", "vit"};
+    every.workloads = {"a.net"};
+    every.backend = "ascend";
+    every.scenario = "cloud";
+    every.engine = "genetic";
+    every.areaBudgetMm2 = -5.0; // set, so written, though invalid
+    every.maxShapes = 0;
+    every.algo = "msh";
+    every.batch = 3;
+    every.iters = 4;
+    every.bmax = 5;
+    every.seed = 6;
+    every.threads = 7;
+    every.checkpoint = "ck.json";
+    every.resume = true;
+    every.checkpointEvery = 2;
+    every.checkpointKeep = 1;
+    every.csvPrefix = "out";
+    every.faultRate = 0.1;
+    every.hangRate = 0.2;
+    every.corruptRate = 0.3;
+    every.faultSeed = 8;
+    every.surrogateKeep = 0.5;
+    EXPECT_EQ(canonical(core::jobSpecFromJson(core::toJson(every))),
+              canonical(every));
+    EXPECT_EQ(core::toJson(every).members().size(), 24u);
+
+    // The bodies a benchmark posts: an ascend job has no scenario.
+    core::JobSpec ascend;
+    ascend.backend = "ascend";
+    ascend.models = {"fsrcnn_120x320"};
+    EXPECT_EQ(core::toJson(ascend).dump(),
+              R"({"backend":"ascend","models":["fsrcnn_120x320"]})");
+    EXPECT_EQ(core::validateSpec(core::jobSpecFromJson(core::toJson(ascend))),
+              "");
+}
+
 TEST(JobManagerSubmit, RejectsNumbersThatAreNotJsonOrDoNotFit)
 {
     // The path POST /jobs takes: parse, jobSpecFromJson, submit. Each
@@ -222,6 +473,7 @@ TEST(JobManagerSubmit, RejectsNumbersThatAreNotJsonOrDoNotFit)
         R"({"model":"resnet","iters":+1})",
         R"({"model":"resnet","seed":1e999})",
         R"({"model":"resnet","seed":-1})",
+        R"({"model":"resnet","seed":9007199254740992})",
         R"({"model":"resnet","threads":-1})",
         R"({"model":"resnet","checkpoint_keep":2147483648})",
         R"({"model":"resnet","fault_seed":Infinity})",
@@ -243,10 +495,10 @@ TEST(JobManagerSubmit, RejectsNumbersThatAreNotJsonOrDoNotFit)
     // In-range values still parse, and a NaN rate set in code fails
     // the [0, 1] checks.
     const core::JobSpec ok = core::jobSpecFromJson(common::Json::parse(
-        R"({"model":"resnet","batch":2147483647,"seed":9007199254740992,)"
+        R"({"model":"resnet","batch":2147483647,"seed":9007199254740991,)"
         R"("surrogate_keep":0.5,"fault_rate":1e-3})"));
     EXPECT_EQ(ok.batch, 2147483647);
-    EXPECT_EQ(ok.seed, 9007199254740992u);
+    EXPECT_EQ(ok.seed, 9007199254740991u);
     core::JobSpec nan_rate = smallSpec(1, "");
     nan_rate.faultRate = std::nan("");
     EXPECT_EQ(mgr.submit(nan_rate).error, core::SubmitError::BadSpec);
@@ -278,7 +530,7 @@ TEST(JobManagerSubmit, TypedRejections)
     EXPECT_EQ(mgr.submit(bad_resume).error,
               core::SubmitError::BadSpec);
 
-    // Backend option validation flows through the CLI parser.
+    // Backend fields are checked by the same validator.
     core::JobSpec bad_scenario = smallSpec(1, "");
     bad_scenario.scenario = "marsbase";
     EXPECT_EQ(mgr.submit(bad_scenario).error,
@@ -312,6 +564,95 @@ TEST(JobManagerSubmit, TypedRejections)
     EXPECT_EQ(mgr.submit(smallSpec(6, "")).error,
               core::SubmitError::ShuttingDown);
     // Destructor drains the cancelled jobs.
+}
+
+TEST(JobManagerSubmit, ChecksWhatTheCliChecks)
+{
+    // POST /jobs's path: parse, then submit. Each body is one the CLI
+    // refuses as the same flags; none may become a job.
+    core::JobManagerConfig cfg;
+    cfg.maxConcurrent = 1;
+    cfg.shutdownFanout = false;
+    core::JobManager mgr(cfg);
+    const auto submit = [&](const std::string &body) {
+        return mgr.submit(core::jobSpecFromJson(common::Json::parse(body)));
+    };
+    const std::pair<const char *, const char *> rejected[] = {
+        {R"({"backend":"ascend","model":"unet","area_budget":-5})",
+         "area_budget must be positive"},
+        {R"({"backend":"ascend","model":"unet","max_shapes":-3})",
+         "max_shapes must be positive"},
+        {R"({"model":"resnet","area_budget":120})",
+         "backend 'spatial' does not support area_budget"},
+        {R"({"model":"nosuchnet"})", "unknown network: nosuchnet"},
+        {R"({"model":"resnet","algo":"nsga2"})",
+         "nsga2 has no stepped driver: a served job could not pause, "
+         "cancel mid-run or stream events; run it with co_search_cli"},
+    };
+    for (const auto &[body, message] : rejected) {
+        SCOPED_TRACE(body);
+        const core::SubmitResult sub = submit(body);
+        EXPECT_EQ(sub.error, core::SubmitError::BadSpec);
+        EXPECT_EQ(sub.message, message);
+    }
+    EXPECT_EQ(mgr.list().size(), 0u);
+
+    // A fractional budget reaches the backend as given.
+    const core::JobSpec fine = core::jobSpecFromJson(common::Json::parse(
+        R"({"backend":"ascend","model":"unet","area_budget":96.1234567})"));
+    EXPECT_EQ(core::validateSpec(fine), "");
+    EXPECT_EQ(core::backendOptions(fine).areaBudgetMm2, 96.1234567);
+    const core::JobSpec tiny = core::jobSpecFromJson(common::Json::parse(
+        R"({"backend":"ascend","model":"unet","area_budget":1e-7})"));
+    EXPECT_EQ(core::validateSpec(tiny), "");
+    EXPECT_EQ(core::backendOptions(tiny).areaBudgetMm2, 1e-7);
+}
+
+TEST(JobManagerLifecycle, FailedJobsEndFailedAndTheNextJobRuns)
+{
+    // Workload files are read when the job starts, so a missing one
+    // passes submit and fails the job; the job queued behind it on
+    // the one scheduler still writes its normal bytes.
+    const std::string dir = makeTempDir("fail");
+    core::JobSpec next_ref = smallSpec(9, dir + "/ref");
+    referenceRun(next_ref);
+
+    core::JobManagerConfig cfg;
+    cfg.maxConcurrent = 1;
+    cfg.shutdownFanout = false;
+    core::JobManager mgr(cfg);
+    core::JobSpec broken = smallSpec(8, "");
+    broken.models.clear();
+    broken.workloads = {dir + "/no_such.net"};
+    const auto bad = mgr.submit(broken);
+    ASSERT_TRUE(bad.ok()) << bad.message;
+    core::JobSpec next = next_ref;
+    next.csvPrefix = dir + "/mgr";
+    const auto good = mgr.submit(next);
+    ASSERT_TRUE(good.ok());
+
+    const auto bst = mgr.wait(bad.id);
+    ASSERT_TRUE(bst.has_value());
+    EXPECT_EQ(bst->state, core::JobState::Failed);
+    EXPECT_NE(bst->error.find(dir + "/no_such.net"), std::string::npos)
+        << bst->error;
+    EXPECT_FALSE(mgr.result(bad.id).has_value());
+
+    const auto gst = mgr.wait(good.id);
+    ASSERT_TRUE(gst.has_value());
+    EXPECT_EQ(gst->state, core::JobState::Completed);
+    expectSameCsvs(dir + "/ref", dir + "/mgr");
+
+    // A job that cannot write its CSVs fails too, with no result.
+    core::JobSpec unwritable = smallSpec(7, dir + "/no_such_dir/out");
+    unwritable.iters = 1;
+    const auto uw = mgr.submit(unwritable);
+    ASSERT_TRUE(uw.ok());
+    const auto ust = mgr.wait(uw.id);
+    ASSERT_TRUE(ust.has_value());
+    EXPECT_EQ(ust->state, core::JobState::Failed);
+    EXPECT_EQ(ust->error, "csv write failed: " + unwritable.csvPrefix);
+    EXPECT_FALSE(mgr.result(uw.id).has_value());
 }
 
 TEST(JobManagerIsolation, ConcurrentJobsMatchSerialByteForByte)
@@ -648,57 +989,52 @@ statusOf(const std::string &response)
 
 TEST(ServeCli, RejectsTheSizesTheServerRejects)
 {
-    // Each bad size, fault rate or checkpoint rotation as a CLI flag
-    // and as the same JobSpec field: the CLI must exit 2 with the
-    // message POST /jobs answers.
+    // The spawned CLI on a few flags the in-process JobSpecParity
+    // table covers for every field: it exits 2 with one error: line
+    // and the usage text, and the error is what POST /jobs's path
+    // (parse, then submit) answers for the same text.
     struct Case
     {
         std::vector<std::string> flags;
-        void (*edit)(core::JobSpec &);
+        const char *body; ///< the same fields as a POST /jobs body
     };
     const Case cases[] = {
-        {{"--batch", "-5"}, [](core::JobSpec &s) { s.batch = -5; }},
-        {{"--algo", "nsga2", "--batch", "-5"},
-         [](core::JobSpec &s) {
-             s.algo = "nsga2";
-             s.batch = -5;
-         }},
-        {{"--batch", "0"}, [](core::JobSpec &s) { s.batch = 0; }},
-        {{"--iters", "0"}, [](core::JobSpec &s) { s.iters = 0; }},
-        {{"--bmax", "0"}, [](core::JobSpec &s) { s.bmax = 0; }},
-        {{"--threads", "-1"},
-         [](core::JobSpec &s) { s.threads = static_cast<std::size_t>(-1); }},
-        {{"--fault-rate", "2"}, [](core::JobSpec &s) { s.faultRate = 2.0; }},
-        {{"--hang-rate", "-0.1"},
-         [](core::JobSpec &s) { s.hangRate = -0.1; }},
-        {{"--corrupt-rate", "nan"},
-         [](core::JobSpec &s) { s.corruptRate = std::nan(""); }},
-        {{"--checkpoint-every", "0"},
-         [](core::JobSpec &s) { s.checkpointEvery = 0; }},
-        {{"--checkpoint-keep", "-4"},
-         [](core::JobSpec &s) { s.checkpointKeep = -4; }},
+        {{"--batch", "-5"}, R"({"model":"resnet","batch":-5})"},
+        {{"--batch", "6.4"}, R"({"model":"resnet","batch":6.4})"},
+        {{"--seed", "-1"}, R"({"model":"resnet","seed":-1})"},
+        {{"--algo", "bogus"}, R"({"model":"resnet","algo":"bogus"})"},
+        {{"--fault-rate", "0,1"}, R"({"model":"resnet","fault_rate":0,1})"},
     };
     core::JobManagerConfig cfg;
     cfg.shutdownFanout = false;
     core::JobManager mgr(cfg);
     for (const Case &c : cases) {
-        std::string label;
-        for (const auto &f : c.flags)
-            label += f + " ";
-        SCOPED_TRACE(label);
-        core::JobSpec spec = smallSpec(1, "");
-        c.edit(spec);
-        const core::SubmitResult rej = mgr.submit(spec);
-        ASSERT_EQ(rej.error, core::SubmitError::BadSpec);
+        SCOPED_TRACE(c.body);
+        std::string served;
+        try {
+            const core::SubmitResult rej = mgr.submit(
+                core::jobSpecFromJson(common::Json::parse(c.body)));
+            ASSERT_EQ(rej.error, core::SubmitError::BadSpec);
+            served = rej.message;
+        } catch (const std::runtime_error &e) {
+            served = e.what();
+        }
 
         std::vector<std::string> args = {kCli, "resnet"};
         args.insert(args.end(), c.flags.begin(), c.flags.end());
         std::string err;
         EXPECT_EQ(runForStderr(args, err), 2);
-        EXPECT_NE(err.find("error: " + rej.message + "\n"),
-                  std::string::npos)
-            << err;
+        EXPECT_EQ(err.rfind("error: ", 0), 0u) << err;
+        EXPECT_NE(err.find("\nusage: "), std::string::npos) << err;
+        // "0,1" is no JSON number, so the body is no JSON document:
+        // the server refuses it before any field, the CLI names one.
+        const std::string expected =
+            c.flags[0] == "--fault-rate"
+                ? "error: job-spec field 'fault_rate': json parse error"
+                : "error: " + served + "\n";
+        EXPECT_EQ(err.rfind(expected, 0), 0u) << err << "vs: " << served;
     }
+    EXPECT_EQ(mgr.list().size(), 0u);
 }
 
 TEST(ServeCli, ServerRejectsBadCapacityFlags)

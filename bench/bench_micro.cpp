@@ -21,6 +21,7 @@
 #include "core/driver.hh"
 #include "core/spatial_env.hh"
 #include "costmodel/analytical.hh"
+#include "cube_tile_oracle.hh"
 #include "mapping/engine.hh"
 #include "moo/hypervolume.hh"
 #include "surrogate/gp.hh"
@@ -273,13 +274,10 @@ BENCHMARK(BM_ColdEvalSpatialPrepared);
 void
 BM_ColdEvalCube(benchmark::State &state)
 {
-    // Pre-overhaul reference: traceLimit = 1 selects the historical
-    // per-L0-tile inner pipeline (kept verbatim for trace users and
-    // bit-identity checks); the event cap makes recording free after
-    // the first event, so this times the old kernel's add sequence.
-    camodel::CubeTech tech;
-    tech.traceLimit = 1;
-    const camodel::CycleAccurateModel model(tech);
+    // Pre-overhaul reference: the per-L0-tile loop of
+    // tests/cube_tile_oracle.hh (the kernel before its closed form),
+    // with the per-call context setup and cache-key hash it paid.
+    const camodel::CycleAccurateModel model;
     const auto op = workload::TensorOp::gemm("g", 512, 512, 512);
     const auto hw = accel::CubeHwConfig::expertDefault();
     const camodel::CubeMappingSpace space(op);
@@ -293,10 +291,9 @@ BM_ColdEvalCube(benchmark::State &state)
     for (auto _ : state) {
         const auto &m = mappings[i];
         i = (i + 1) & (mappings.size() - 1); // size is a power of two
-        keys += accel::evalCacheKey(model.queryFingerprint(op, hw),
-                                    m.fingerprint())
-                    .lo;
-        lat += model.evaluate(op, hw, m).latencyMs;
+        const camodel::PreparedCubeQuery prep = model.prepare(op, hw);
+        keys += accel::evalCacheKey(prep.context, m.fingerprint()).lo;
+        lat += oracle::evaluateCubeTiles(model, prep, m).latencyMs;
     }
     benchmark::DoNotOptimize(keys);
     benchmark::DoNotOptimize(lat);
@@ -630,7 +627,7 @@ surrogateCoSearch(benchmark::State &state, bool screened)
         surrogate::SurrogateContext ctx;
         ctx.options.enabled = screened;
         ctx.options.keep = 0.25;
-        core::SpatialEnvOptions env_opt;
+        core::BackendOptions env_opt;
         env_opt.scenario = accel::Scenario::Edge;
         env_opt.maxShapesPerNetwork = 2;
         env_opt.surrogate = &ctx;

@@ -27,7 +27,7 @@ main(int argc, char **argv)
     const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 5));
     const std::string net = args.getString("net", "fsrcnn_120x320");
 
-    core::AscendEnvOptions env_opt;
+    core::BackendOptions env_opt;
     env_opt.maxShapesPerNetwork = 3;
     core::AscendEnv env({workload::makeNetwork(net)}, env_opt);
 

@@ -46,7 +46,7 @@ main(int argc, char **argv)
     family.push_back(workload::makeEfficientNetV2());
     family.push_back(workload::makeFsrcnn(120, 320));
 
-    core::SpatialEnvOptions env_opt;
+    core::BackendOptions env_opt;
     env_opt.scenario = accel::Scenario::Edge;
     env_opt.maxShapesPerNetwork = 4;
     core::SpatialEnv env(std::move(family), env_opt);
@@ -94,7 +94,7 @@ main(int argc, char **argv)
 
     // Deployment twist: a new workload arrives after tape-out.
     std::cout << "\nunseen workload check (convnext):\n";
-    core::SpatialEnvOptions val_opt;
+    core::BackendOptions val_opt;
     val_opt.scenario = accel::Scenario::Edge;
     val_opt.maxShapesPerNetwork = 4;
     core::SpatialEnv val_env({workload::makeConvNeXt()}, val_opt);

@@ -27,7 +27,7 @@ main(int argc, char **argv)
 
     // 2. Build the co-search environment: spatial HW template (edge
     //    scenario), annealing mapping search, analytical PPA model.
-    core::SpatialEnvOptions env_opt;
+    core::BackendOptions env_opt;
     env_opt.scenario = accel::Scenario::Edge;
     env_opt.engine = mapping::EngineKind::Annealing;
     env_opt.maxShapesPerNetwork = 4;

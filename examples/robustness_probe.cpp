@@ -27,7 +27,7 @@ main(int argc, char **argv)
     const auto hw_samples =
         static_cast<std::size_t>(args.getInt("hw-samples", 10));
 
-    core::SpatialEnvOptions env_opt;
+    core::BackendOptions env_opt;
     env_opt.maxShapesPerNetwork = 4;
     core::SpatialEnv train({workload::makeSrgan()}, env_opt);
     core::SpatialEnv deploy({workload::makeMobileNetV2()}, env_opt);

@@ -10,18 +10,6 @@ namespace unico::camodel {
 using accel::CubeHwConfig;
 using accel::Ppa;
 
-const char *
-toString(SimEvent::Kind kind)
-{
-    switch (kind) {
-      case SimEvent::Kind::L1Fill: return "l1-fill";
-      case SimEvent::Kind::L0Load: return "l0-load";
-      case SimEvent::Kind::CubeExec: return "cube";
-      case SimEvent::Kind::Epilogue: return "epilogue";
-    }
-    return "?";
-}
-
 namespace {
 
 using common::ceilDiv;
@@ -135,138 +123,62 @@ CycleAccurateModel::evaluate(const PreparedCubeQuery &prep,
         st.extrapolated = true;
     }
 
-    double cycles = 0.0;
-    std::int64_t simulated_l1 = 0;
-    const bool tracing = tech_.traceLimit > 0;
-    if (tracing) {
-        // Trace mode keeps the historical per-tile double loop
-        // verbatim: events carry per-tile timestamps that the hoisted
-        // path below does not materialize.
-        auto emit = [&](SimEvent::Kind kind, double start, double end,
-                        std::int64_t tile) {
-            if (st.trace.size() < tech_.traceLimit)
-                st.trace.push_back(SimEvent{kind, start, end, tile});
-        };
-        for (std::int64_t t1 = 0; t1 < sim_l1_tiles; ++t1) {
-            ++simulated_l1;
-            // DRAM -> L1 fill of the A and B tiles (double buffered at
-            // L1: overlapped with the previous tile's compute, so only
-            // the non-overlapped residue shows up).
-            const double fill_cycles =
-                (a1_bytes + b1_bytes) / tech_.dramBytesPerCycle;
-            emit(SimEvent::Kind::L1Fill, cycles, cycles + fill_cycles, t1);
+    // The tile loops in closed form (tests/cube_tile_oracle.hh keeps
+    // them literal). Every addend is loop-invariant, so each
+    // accumulator is a run of one repeated add (repeatAdd) or a period
+    // of (tk1 - 1) plain L1 tiles and one last-k tile (periodicAdd),
+    // and both helpers return the literal loops' bits.
 
-            // Inner L0 pipeline.
-            double inner = 0.0;
-            double pending_load = load_a0 + load_b0; // first tile preload
-            for (std::int64_t i0 = 0; i0 < l0_per_l1; ++i0) {
-                const double load =
-                    (m.doubleBufferA ? 0.0 : load_a0) +
-                    (m.doubleBufferB ? 0.0 : load_b0);
-                const double overlapped =
-                    (m.doubleBufferA ? load_a0 : 0.0) +
-                    (m.doubleBufferB ? load_b0 : 0.0);
-                const double t0 = cycles + inner;
-                emit(SimEvent::Kind::L0Load, t0,
-                     t0 + load_a0 + load_b0, t1);
-                emit(SimEvent::Kind::CubeExec, t0 + load,
-                     t0 + load + cube_cycles, t1);
-                // Ping-pong lets the next load run under the cube; the
-                // tile costs max(cube, overlapped load) plus any
-                // serialized (single-buffered) load.
-                inner += load + std::max(cube_cycles, overlapped);
-                st.cubeBusyCycles += cube_cycles;
-                st.dmaBusyCycles += load_a0 + load_b0;
-                ++st.l0Tiles;
-            }
-            inner += pending_load;
+    // DRAM -> L1 fill of the A and B tiles (double buffered at L1:
+    // overlapped with the previous tile's compute, so only the
+    // non-overlapped residue shows up).
+    const double fill_cycles =
+        (a1_bytes + b1_bytes) / tech_.dramBytesPerCycle;
+    // Inner L0 pipeline: ping-pong lets the next load run under the
+    // cube; a tile costs max(cube, overlapped load) plus any
+    // serialized (single-buffered) load.
+    const double load = (m.doubleBufferA ? 0.0 : load_a0) +
+                        (m.doubleBufferB ? 0.0 : load_b0);
+    const double overlapped = (m.doubleBufferA ? load_a0 : 0.0) +
+                              (m.doubleBufferB ? load_b0 : 0.0);
+    const double inner =
+        repeatAdd(0.0, load + std::max(cube_cycles, overlapped),
+                  l0_per_l1) +
+        (load_a0 + load_b0); // first tile preload
 
-            // Accumulator drain + vector epilogue for the (m1 x n1)
-            // block once the K loop completes (modeled at L1-tile
-            // granularity).
-            const bool last_k =
-                ((t1 + 1) % std::max<std::int64_t>(tk1, 1)) == 0;
-            double epilogue = 0.0;
-            if (last_k) {
-                const double drains = static_cast<double>(tm0 * tn0);
-                const double vec_cycles =
-                    static_cast<double>(m.m1) * static_cast<double>(m.n1) /
-                    tech_.vecElemsPerCycle;
-                const double writeback =
-                    out1_bytes / tech_.dramBytesPerCycle;
-                if (m.fuseVector) {
-                    // Vector work overlaps the drain stream.
-                    epilogue = drains * drain_c0 +
-                               std::max(vec_cycles, writeback);
-                } else {
-                    epilogue = drains * drain_c0 + vec_cycles + writeback;
-                }
-                st.vecBusyCycles += vec_cycles;
-            }
+    // Accumulator drain + vector epilogue for the (m1 x n1) block once
+    // its K loop completes (modeled at L1-tile granularity).
+    const double drains = static_cast<double>(tm0 * tn0);
+    const double vec_cycles = static_cast<double>(m.m1) *
+                              static_cast<double>(m.n1) /
+                              tech_.vecElemsPerCycle;
+    const double writeback = out1_bytes / tech_.dramBytesPerCycle;
+    const double epilogue =
+        m.fuseVector
+            ? drains * drain_c0 + std::max(vec_cycles, writeback)
+            : drains * drain_c0 + vec_cycles + writeback;
+    const double overhead = icache_stall + pb_stall;
+    // L1 double buffering: DRAM fill overlaps inner compute.
+    const double step_cycles = std::max(inner, fill_cycles) + 0.0 + overhead;
+    const double step_cycles_k =
+        std::max(inner, fill_cycles) + epilogue + overhead;
+    const double step_dram = a1_bytes + b1_bytes + 0.0;
+    const double step_dram_k = a1_bytes + b1_bytes + out1_bytes;
+    const std::int64_t k_mod = std::max<std::int64_t>(tk1, 1);
+    const std::int64_t l0_tiles = sim_l1_tiles * l0_per_l1;
+    double cycles =
+        periodicAdd(0.0, step_cycles, step_cycles_k, k_mod, sim_l1_tiles);
+    st.dramBytes =
+        periodicAdd(0.0, step_dram, step_dram_k, k_mod, sim_l1_tiles);
+    st.vecBusyCycles = repeatAdd(0.0, vec_cycles, sim_l1_tiles / k_mod);
+    st.cubeBusyCycles = repeatAdd(0.0, cube_cycles, l0_tiles);
+    st.dmaBusyCycles = repeatAdd(0.0, load_a0 + load_b0, l0_tiles);
+    st.l0Tiles = l0_tiles;
+    st.l1Tiles = sim_l1_tiles;
 
-            const double overhead = icache_stall + pb_stall;
-            // L1 double buffering: DRAM fill overlaps inner compute.
-            if (epilogue > 0.0) {
-                const double epi_start =
-                    cycles + std::max(inner, fill_cycles);
-                emit(SimEvent::Kind::Epilogue, epi_start,
-                     epi_start + epilogue, t1);
-            }
-            cycles += std::max(inner, fill_cycles) + epilogue + overhead;
-            st.dramBytes +=
-                a1_bytes + b1_bytes + (last_k ? out1_bytes : 0.0);
-        }
-    } else {
-        // Fast path: the loops above in closed form. Every addend is
-        // loop-invariant, so each accumulator is a run of one repeated
-        // add (repeatAdd) or a period of (tk1 - 1) plain L1 tiles and
-        // one last-k tile (periodicAdd), and both helpers return the
-        // literal loops' bits. The addends keep the traced path's
-        // expression trees, so every counter matches it exactly.
-        const double fill_cycles =
-            (a1_bytes + b1_bytes) / tech_.dramBytesPerCycle;
-        const double load = (m.doubleBufferA ? 0.0 : load_a0) +
-                            (m.doubleBufferB ? 0.0 : load_b0);
-        const double overlapped = (m.doubleBufferA ? load_a0 : 0.0) +
-                                  (m.doubleBufferB ? load_b0 : 0.0);
-        const double inner =
-            repeatAdd(0.0, load + std::max(cube_cycles, overlapped),
-                      l0_per_l1) +
-            (load_a0 + load_b0); // first tile preload
-
-        const double drains = static_cast<double>(tm0 * tn0);
-        const double vec_cycles = static_cast<double>(m.m1) *
-                                  static_cast<double>(m.n1) /
-                                  tech_.vecElemsPerCycle;
-        const double writeback = out1_bytes / tech_.dramBytesPerCycle;
-        const double epilogue =
-            m.fuseVector
-                ? drains * drain_c0 + std::max(vec_cycles, writeback)
-                : drains * drain_c0 + vec_cycles + writeback;
-        const double overhead = icache_stall + pb_stall;
-        const double step_cycles =
-            std::max(inner, fill_cycles) + 0.0 + overhead;
-        const double step_cycles_k =
-            std::max(inner, fill_cycles) + epilogue + overhead;
-        const double step_dram = a1_bytes + b1_bytes + 0.0;
-        const double step_dram_k = a1_bytes + b1_bytes + out1_bytes;
-        const std::int64_t k_mod = std::max<std::int64_t>(tk1, 1);
-        simulated_l1 = sim_l1_tiles;
-        const std::int64_t l0_tiles = simulated_l1 * l0_per_l1;
-        cycles = periodicAdd(0.0, step_cycles, step_cycles_k, k_mod,
-                             simulated_l1);
-        st.dramBytes = periodicAdd(0.0, step_dram, step_dram_k, k_mod,
-                                   simulated_l1);
-        st.vecBusyCycles = repeatAdd(0.0, vec_cycles, simulated_l1 / k_mod);
-        st.cubeBusyCycles = repeatAdd(0.0, cube_cycles, l0_tiles);
-        st.dmaBusyCycles = repeatAdd(0.0, load_a0 + load_b0, l0_tiles);
-        st.l0Tiles = l0_tiles;
-    }
-    st.l1Tiles = simulated_l1;
-
-    if (st.extrapolated && simulated_l1 > 0) {
+    if (st.extrapolated && sim_l1_tiles > 0) {
         const double scale = static_cast<double>(l1_tiles) /
-                             static_cast<double>(simulated_l1);
+                             static_cast<double>(sim_l1_tiles);
         cycles *= scale;
         st.dramBytes *= scale;
         st.cubeBusyCycles *= scale;
@@ -402,8 +314,7 @@ CycleAccurateModel::techFingerprint(const CubeTech &tech)
 {
     common::FingerprintBuilder fb;
     // Model-kind salt: keeps cycle-level keys apart from any other
-    // model's. traceLimit is deliberately excluded — it only affects
-    // the (uncached) trace, not PPA or charged seconds.
+    // model's.
     fb.add(std::string_view{"C"});
     fb.add(tech.clockGhz)
         .add(tech.dramBytesPerCycle)
@@ -439,7 +350,6 @@ CycleAccurateModel::degraded() const
 {
     CubeTech coarse = tech_;
     coarse.maxSimulatedTiles = 512;
-    coarse.traceLimit = 0;
     return CycleAccurateModel(coarse);
 }
 

@@ -6,17 +6,17 @@
  * cycle-accurate model (CAModel) of Sec. 4.1: a tile-by-tile pipeline
  * simulation of DMA engines, the L0A/L0B/L0C staging buffers with
  * bank groups, the MxNxK cube unit and the vector epilogue through
- * the unified buffer. The per-tile loop survives as the traced path;
- * untraced queries compute its sums in closed form, bit for bit. Per
- * the paper, each query charges minutes of virtual search time to the
- * EvalClock ledger whatever its wall-clock cost.
+ * the unified buffer. The tile pipeline's sums are computed in closed
+ * form, bit for bit equal to the literal per-tile loop that
+ * tests/cube_tile_oracle.hh keeps as the reference. Per the paper,
+ * each query charges minutes of virtual search time to the EvalClock
+ * ledger whatever its wall-clock cost.
  */
 
 #ifndef UNICO_CAMODEL_SIMULATOR_HH
 #define UNICO_CAMODEL_SIMULATOR_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "accel/ascend.hh"
 #include "accel/ppa.hh"
@@ -24,24 +24,6 @@
 #include "workload/tensor_op.hh"
 
 namespace unico::camodel {
-
-/** One timeline event of the tile pipeline (trace mode). */
-struct SimEvent
-{
-    enum class Kind {
-        L1Fill,       ///< DRAM -> L1 DMA of the A/B tiles
-        L0Load,       ///< L1 -> L0A/L0B staging
-        CubeExec,     ///< cube compute burst for one L0 tile
-        Epilogue,     ///< L0C drain + vector + writeback
-    };
-    Kind kind;
-    double startCycle;
-    double endCycle;
-    std::int64_t l1Tile; ///< owning L1-tile index
-};
-
-/** Human-readable event-kind name. */
-const char *toString(SimEvent::Kind kind);
 
 /** Per-run counters exposed for tests and analysis. */
 struct SimStats
@@ -54,9 +36,6 @@ struct SimStats
     std::int64_t l0Tiles = 0;    ///< inner-tile iterations simulated
     std::int64_t l1Tiles = 0;    ///< L1-tile iterations simulated
     bool extrapolated = false;   ///< steady-state extrapolation used
-    /** Timeline events; populated only when the model's traceLimit
-     *  is non-zero, and capped at that many events. */
-    std::vector<SimEvent> trace;
 };
 
 /** Technology constants of the cycle-level model. */
@@ -88,9 +67,6 @@ struct CubeTech
     double staticMwPerMm2 = 5.0;
     /** Iteration cap before steady-state extrapolation kicks in. */
     std::int64_t maxSimulatedTiles = 250000;
-    /** Maximum timeline events recorded into SimStats::trace
-     *  (0 disables tracing; tracing is for debugging/analysis). */
-    std::size_t traceLimit = 0;
 };
 
 /**

@@ -1,8 +1,27 @@
 #include "common/cli.hh"
 
+#include <algorithm>
 #include <cstdlib>
+#include <string_view>
 
 namespace unico::common {
+
+namespace {
+
+/** The options of this project's binaries that take no value: the
+ *  token after one is never bound to it. */
+constexpr std::string_view kBareFlags[] = {
+    "full", "help", "no-cache", "no-net", "no-surrogate", "resume",
+    "surrogate", "write-reference"};
+
+bool
+isBareFlag(std::string_view name)
+{
+    return std::find(std::begin(kBareFlags), std::end(kBareFlags), name) !=
+           std::end(kBareFlags);
+}
+
+} // namespace
 
 CliArgs::CliArgs(int argc, const char *const *argv)
 {
@@ -17,8 +36,8 @@ CliArgs::CliArgs(int argc, const char *const *argv)
             if (eq != std::string::npos) {
                 value = name.substr(eq + 1);
                 name = name.substr(0, eq);
-            } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0)
-                       != 0) {
+            } else if (i + 1 < argc && !isBareFlag(name) &&
+                       std::string(argv[i + 1]).rfind("--", 0) != 0) {
                 value = argv[++i];
             }
             options_[name].push_back(value);

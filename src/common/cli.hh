@@ -17,9 +17,13 @@ namespace unico::common {
 /**
  * Parses "--key value" and "--flag" style options.
  *
- * Unknown options are retained and can be queried; every occurrence
- * of a repeated option is kept, and the single-value lookups return
- * the last. Positional arguments are collected in order.
+ * An option takes the next token as its value unless that token
+ * starts with "--" or the option is one of the binaries' bare flags
+ * (--resume, --surrogate, --no-surrogate, --no-cache, --help, ...),
+ * which never take one. Unknown options are retained and can be
+ * queried; every occurrence of a repeated option is kept, and the
+ * single-value lookups return the last. Positional arguments are
+ * collected in order.
  */
 class CliArgs
 {

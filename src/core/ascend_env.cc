@@ -1,10 +1,8 @@
 #include "core/ascend_env.hh"
 
-#include <cassert>
-#include <sstream>
+#include <charconv>
 
 #include "camodel/search.hh"
-#include "core/layered_run.hh"
 
 namespace unico::core {
 
@@ -14,7 +12,7 @@ namespace {
  * Ascend backend binding for the shared layered run: per-layer
  * searches are depth-first buffer-fusion sweeps over the cycle-level
  * simulator, whose virtual cost is evaluation-dependent — the policy
- * charges it from inside the evaluators (fixedEvalSeconds() < 0).
+ * charges it below the screen, so a screened-out candidate is free.
  */
 class AscendRunPolicy final : public LayeredRunPolicy
 {
@@ -116,11 +114,9 @@ class AscendRunPolicy final : public LayeredRunPolicy
 } // namespace
 
 AscendEnv::AscendEnv(std::vector<workload::Network> networks,
-                     AscendEnvOptions opt)
-    : opt_(opt),
-      layers_(collectDominantLayers(networks, opt.maxShapesPerNetwork))
+                     const BackendOptions &opt)
+    : LayeredEnv(networks, opt)
 {
-    assert(!networks.empty());
     mapSpaces_.reserve(layers_.size());
     for (const auto &wop : layers_)
         mapSpaces_.emplace_back(wop.op);
@@ -152,16 +148,14 @@ AscendEnv::describeHw(const accel::HwPoint &h) const
 std::string
 AscendEnv::scenarioName() const
 {
-    // The Ascend scenario is the edge-device area envelope.
-    std::ostringstream oss;
-    oss << "area" << opt_.areaBudgetMm2;
-    return oss.str();
-}
-
-std::uint64_t
-AscendEnv::workloadDigest() const
-{
-    return layersDigest(layers_);
+    // The Ascend scenario is the edge-device area envelope, in its
+    // shortest round-trip form: budgets that differ in any digit name
+    // different scenarios, and the default still prints "area200".
+    char digits[32];
+    char *end =
+        std::to_chars(digits, digits + sizeof digits, opt_.areaBudgetMm2)
+            .ptr;
+    return "area" + std::string(digits, end);
 }
 
 std::optional<accel::HwPoint>

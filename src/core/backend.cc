@@ -7,30 +7,12 @@ namespace unico::core {
 
 namespace {
 
+template <typename Env>
 std::unique_ptr<CoSearchEnv>
-makeSpatial(std::vector<workload::Network> networks,
-            const BackendOptions &opt)
+makeEnv(std::vector<workload::Network> networks,
+        const BackendOptions &opt)
 {
-    SpatialEnvOptions env_opt;
-    env_opt.scenario = opt.scenario;
-    env_opt.engine = opt.engine;
-    env_opt.maxShapesPerNetwork = opt.maxShapesPerNetwork;
-    env_opt.surrogate = opt.surrogate;
-    env_opt.cancel = opt.cancel;
-    return std::make_unique<SpatialEnv>(std::move(networks), env_opt);
-}
-
-std::unique_ptr<CoSearchEnv>
-makeAscend(std::vector<workload::Network> networks,
-           const BackendOptions &opt)
-{
-    AscendEnvOptions env_opt;
-    env_opt.areaBudgetMm2 = opt.areaBudgetMm2;
-    env_opt.maxShapesPerNetwork = opt.maxShapesPerNetwork;
-    env_opt.cache = opt.cache;
-    env_opt.surrogate = opt.surrogate;
-    env_opt.cancel = opt.cancel;
-    return std::make_unique<AscendEnv>(std::move(networks), env_opt);
+    return std::make_unique<Env>(std::move(networks), opt);
 }
 
 struct Backend
@@ -41,8 +23,8 @@ struct Backend
 };
 
 /** The backends, sorted by name. */
-constexpr Backend kBackends[] = {{"ascend", makeAscend},
-                                 {"spatial", makeSpatial}};
+constexpr Backend kBackends[] = {{"ascend", makeEnv<AscendEnv>},
+                                 {"spatial", makeEnv<SpatialEnv>}};
 
 const Backend &
 lookup(const std::string &name)

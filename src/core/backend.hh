@@ -36,9 +36,10 @@ class BackendError : public std::runtime_error
 };
 
 /**
- * Backend-agnostic construction options. Each backend consumes the
- * fields it understands and ignores the rest; core::backendOptions()
- * rejects a JobSpec field foreign to the chosen backend.
+ * Construction options of every backend env (SpatialEnv, AscendEnv
+ * and the ones to come). Each backend reads the fields it
+ * understands and ignores the rest; core::backendOptions() rejects a
+ * JobSpec field foreign to the chosen backend.
  */
 struct BackendOptions
 {
@@ -46,21 +47,27 @@ struct BackendOptions
     accel::Scenario scenario = accel::Scenario::Edge;
     /** Mapping-search engine family (spatial backend). */
     mapping::EngineKind engine = mapping::EngineKind::Annealing;
-    /** Chip area envelope in mm^2 (ascend backend). */
+    /** Chip area envelope in mm^2 (ascend backend): the edge-device
+     *  constraint of Sec. 4.6. */
     double areaBudgetMm2 = 200.0;
-    /** Dominant unique layer shapes kept per network. */
+    /** Dominant unique layer shapes kept per network (bounds the
+     *  per-HW mapping-search work; layers are count-weighted so the
+     *  latency profile is preserved). */
     std::size_t maxShapesPerNetwork = 5;
-    /** Shared evaluation cache (ascend backend); nullptr disables
-     *  memoization. The spatial backend queries its analytical model
-     *  directly and ignores it. */
+    /** Shared evaluation cache (ascend backend; owned by the caller);
+     *  nullptr disables memoization. Results are bit-identical with
+     *  or without it. The spatial backend queries its analytical
+     *  model directly and ignores it. */
     accel::EvalCache *cache = nullptr;
-    /** Learned surrogate screening context; nullptr (or a disabled
-     *  context) keeps the exact-only byte-identical path. */
+    /** Learned surrogate screening context (owned by the caller);
+     *  nullptr or a disabled context keeps the exact-only path
+     *  byte-identical to builds without the surrogate. */
     surrogate::SurrogateContext *surrogate = nullptr;
-    /** Per-job cancellation token; forwarded into the env so every
-     *  MappingRun it creates can return early once the owning job is
-     *  cancelled. nullptr = non-cancellable runs (historical
-     *  behavior, and bit-identical trajectories either way). */
+    /** Per-job cancellation token (owned by the caller, e.g. a
+     *  JobContext); threaded into every MappingRun the env creates so
+     *  a cancelled job stops mid-sweep instead of at the driver's
+     *  next chunk boundary. nullptr keeps runs non-cancellable from
+     *  inside; an uncancelled run is bit-identical either way. */
     const common::CancelToken *cancel = nullptr;
 };
 

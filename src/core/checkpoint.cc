@@ -210,42 +210,35 @@ configFingerprint(const DriverConfig &cfg)
     return oss.str();
 }
 
-StackIdentity
-StackIdentity::of(const CoSearchEnv &env)
-{
-    StackIdentity id;
-    id.backend = env.backendName();
-    id.scenario = env.scenarioName();
-    const std::uint64_t digest = env.workloadDigest();
-    id.workloadDigest = digest != 0 ? common::hexU64(digest) : "";
-    return id;
-}
-
 CheckpointIoStatus
 checkpointCompatibility(const SearchCheckpoint &ck,
                         const std::string &liveConfigKey,
-                        const StackIdentity &live)
+                        const common::StackIdentity &live)
 {
+    using Field = common::StackIdentity::Field;
     if (ck.configKey != liveConfigKey)
         return CheckpointIoStatus::failure(
             "produced by a different configuration");
     // Stack identity: empty fields (legacy documents, ad-hoc envs)
-    // are unknown rather than different — skip them.
-    if (!ck.backend.empty() && !live.backend.empty() &&
-        ck.backend != live.backend)
+    // are unknown rather than different.
+    switch (common::StackIdentity{ck.backend, ck.scenario,
+                                  ck.workloadDigest}
+                .mismatch(live)) {
+      case Field::Backend:
         return CheckpointIoStatus::failure(
             "backend mismatch: checkpoint was produced by backend '" +
             ck.backend + "', live run uses '" + live.backend + "'");
-    if (!ck.scenario.empty() && !live.scenario.empty() &&
-        ck.scenario != live.scenario)
+      case Field::Scenario:
         return CheckpointIoStatus::failure(
             "scenario mismatch: checkpoint was produced under '" +
             ck.scenario + "', live run uses '" + live.scenario + "'");
-    if (!ck.workloadDigest.empty() && !live.workloadDigest.empty() &&
-        ck.workloadDigest != live.workloadDigest)
+      case Field::Workload:
         return CheckpointIoStatus::failure(
             "workload mismatch: checkpoint digest " + ck.workloadDigest +
             " != live digest " + live.workloadDigest);
+      case Field::None:
+        break;
+    }
     return CheckpointIoStatus::success();
 }
 

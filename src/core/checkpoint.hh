@@ -71,10 +71,6 @@ struct SearchCheckpoint
  */
 std::string configFingerprint(const DriverConfig &cfg);
 
-// StackIdentity (the identity triple stamped into checkpoints) now
-// lives in core/job_context.hh — it is per-job state shared by the
-// checkpoint layer, the stepped driver and the job manager.
-
 /**
  * Typed resume refusal: the checkpoint on disk was produced by a
  * different configuration or evaluation stack (backend / scenario /
@@ -96,7 +92,7 @@ SearchCheckpoint checkpointFromJson(const common::Json &doc);
 struct CheckpointSource
 {
     std::string_view configKey;
-    const StackIdentity &stack;
+    const common::StackIdentity &stack;
     int completedIterations;
     double clockSeconds;
     std::uint64_t clockEvaluations;
@@ -171,7 +167,7 @@ struct CheckpointIoStatus
 CheckpointIoStatus
 checkpointCompatibility(const SearchCheckpoint &ck,
                         const std::string &liveConfigKey,
-                        const StackIdentity &live);
+                        const common::StackIdentity &live);
 
 /**
  * Durable atomic write of checkpoint @p document with a CRC-64

@@ -352,7 +352,7 @@ CoSearch::start()
             watchdog_->watch(runToken_, cfg_.wallDeadlineSeconds,
                              common::CancelReason::RunDeadline);
 
-    stackId_ = StackIdentity::of(env_);
+    stackId_ = common::StackIdentity::of(env_);
 
     // --- Checkpoint resume: restore sampler, selector, clock and
     // archive, then continue with the first unfinished trial. Seeds

@@ -25,6 +25,7 @@
 #include "accel/ppa.hh"
 #include "common/cancel.hh"
 #include "common/eval_clock.hh"
+#include "common/stack_identity.hh"
 #include "core/env.hh"
 #include "core/job_context.hh"
 #include "core/progress.hh"
@@ -323,7 +324,7 @@ class CoSearch
     std::unique_ptr<CheckpointWriter> checkpointWriter_;
     std::vector<double> championW_;
     int minBudget_ = 1;
-    StackIdentity stackId_;
+    common::StackIdentity stackId_;
     common::CancelToken runToken_;
     std::unique_ptr<common::ThreadPool> roundPool_;
     std::unique_ptr<common::Watchdog> watchdog_;

@@ -530,12 +530,8 @@ class TcpTransport : public FleetTransport
   public:
     TcpTransport(const CoSearchEnv &inner, const FleetConfig &cfg)
     {
-        net::HelloIdentity id;
-        id.backend = inner.backendName();
-        id.scenario = inner.scenarioName();
-        id.workloadDigest = common::hexU64(inner.workloadDigest());
         listener_ = std::make_unique<net::TcpFleetListener>(
-            cfg.listenAddr, std::move(id));
+            cfg.listenAddr, common::StackIdentity::of(inner));
         std::string error;
         if (!listener_->start(&error))
             throw std::runtime_error("fleet: cannot listen on '" +
@@ -1289,10 +1285,7 @@ unitJitter(std::uint64_t z)
 int
 runFleetWorkerClient(const CoSearchEnv &env, const FleetWorkerOptions &opts)
 {
-    net::HelloIdentity identity;
-    identity.backend = env.backendName();
-    identity.scenario = env.scenarioName();
-    identity.workloadDigest = common::hexU64(env.workloadDigest());
+    const common::StackIdentity identity = common::StackIdentity::of(env);
 
     // Session id: stable for the life of this process so the master
     // can tell "the partitioned worker came back" (epoch > 0, resident

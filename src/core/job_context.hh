@@ -19,28 +19,10 @@
 #ifndef UNICO_CORE_JOB_CONTEXT_HH
 #define UNICO_CORE_JOB_CONTEXT_HH
 
-#include <string>
-
 #include "common/cancel.hh"
 #include "common/eval_clock.hh"
 
 namespace unico::core {
-
-class CoSearchEnv;
-
-/**
- * Identity triple of a live evaluation stack, in the exact string
- * form stamped into checkpoints.
- */
-struct StackIdentity
-{
-    std::string backend;
-    std::string scenario;
-    std::string workloadDigest;
-
-    /** Snapshot an environment's identity (digest in hex). */
-    static StackIdentity of(const CoSearchEnv &env);
-};
 
 /** State private to one co-search job. */
 struct JobContext

@@ -1,6 +1,7 @@
 #include "core/layered_run.hh"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 #include "common/rng.hh"
@@ -27,10 +28,6 @@ LayeredMappingRun::step(int sweeps)
 {
     // One budget unit is a *sweep*: one mapping evaluation per unique
     // layer (the paper's budget b counts per-operator search steps).
-    // Fixed-cost backends are charged here, right after each layer
-    // step; evaluation-dependent backends charge from inside their
-    // evaluators via LayeredRunPolicy::charge().
-    const double fixed = policy_->fixedEvalSeconds();
     for (int i = 0; i < sweeps; ++i) {
         // Sweep-boundary cancellation: abandon *before* starting a
         // sweep so completed sweeps are never torn. The driver's
@@ -39,11 +36,8 @@ LayeredMappingRun::step(int sweeps)
         if (cancel_ != nullptr && cancel_->cancelled())
             return;
         ++cursor_;
-        for (auto &run : runs_) {
+        for (auto &run : runs_)
             run->step(1);
-            if (fixed >= 0.0)
-                chargedSeconds_ += fixed;
-        }
         lossHistory_.push_back(networkLoss());
     }
 }
@@ -133,18 +127,6 @@ LayeredMappingRun::networkLoss() const
     return total;
 }
 
-std::vector<workload::WeightedOp>
-collectDominantLayers(const std::vector<workload::Network> &networks,
-                      std::size_t maxShapesPerNetwork)
-{
-    std::vector<workload::WeightedOp> layers;
-    for (const auto &net : networks) {
-        for (auto &wop : net.dominantOps(maxShapesPerNetwork))
-            layers.push_back(std::move(wop));
-    }
-    return layers;
-}
-
 std::uint64_t
 layersDigest(const std::vector<workload::WeightedOp> &layers)
 {
@@ -156,6 +138,47 @@ layersDigest(const std::vector<workload::WeightedOp> &layers)
     }
     const common::Fingerprint fp = fb.fingerprint();
     return fp.hi ^ fp.lo;
+}
+
+namespace {
+
+std::vector<workload::WeightedOp>
+dominantLayers(const std::vector<workload::Network> &networks,
+               std::size_t maxShapesPerNetwork)
+{
+    assert(!networks.empty());
+    std::vector<workload::WeightedOp> layers;
+    for (const auto &net : networks)
+        for (auto &wop : net.dominantOps(maxShapesPerNetwork))
+            layers.push_back(std::move(wop));
+    return layers;
+}
+
+} // namespace
+
+LayeredEnv::LayeredEnv(const std::vector<workload::Network> &networks,
+                       const BackendOptions &opt)
+    : opt_(opt), layers_(dominantLayers(networks, opt.maxShapesPerNetwork))
+{
+}
+
+surrogate::SurrogateStats
+LayeredEnv::surrogateStats() const
+{
+    return opt_.surrogate != nullptr ? opt_.surrogate->snapshot()
+                                     : surrogate::SurrogateStats{};
+}
+
+int
+LayeredEnv::minSeedBudget() const
+{
+    return std::max<int>(1, static_cast<int>(layers_.size()));
+}
+
+std::uint64_t
+LayeredEnv::workloadDigest() const
+{
+    return layersDigest(layers_);
 }
 
 } // namespace unico::core

@@ -9,8 +9,9 @@
  * the per-layer incumbents; MACs-weighted sensitivity; and the
  * fidelity-degradation hook. LayeredMappingRun implements all of it
  * once, parameterized by a small LayeredRunPolicy that supplies the
- * per-layer search engine, the virtual-cost charging rule and the
- * area model — the only parts that actually differ per platform.
+ * per-layer search engine (whose evaluators charge virtual cost
+ * through LayeredRunPolicy::charge()) and the area model — the only
+ * parts that actually differ per platform.
  *
  * Determinism contract (shared by every backend): per-layer search
  * seeds derive from the run seed via one common::Rng draw per layer
@@ -28,7 +29,7 @@
 #include <vector>
 
 #include "common/cancel.hh"
-#include "core/env.hh"
+#include "core/backend.hh"
 #include "mapping/engine.hh"
 #include "workload/network.hh"
 
@@ -39,8 +40,8 @@ constexpr double kUnmappedLatencyMs = 1e7;
 
 /**
  * The per-backend part of a multi-layer run: how to start one
- * layer's search, how evaluation cost is charged, and which area
- * model applies. Owned by the LayeredMappingRun it parameterizes.
+ * layer's search (and charge its evaluations) and which area model
+ * applies. Owned by the LayeredMappingRun it parameterizes.
  */
 class LayeredRunPolicy
 {
@@ -57,16 +58,6 @@ class LayeredRunPolicy
     virtual std::unique_ptr<mapping::SearchRunBase>
     startLayer(std::size_t layer, std::uint64_t seed) = 0;
 
-    /**
-     * Fixed virtual seconds charged per layer evaluation by the
-     * shared core (immediately after each per-layer step), also when
-     * a surrogate screened that step's candidate out. Return a
-     * negative value when the cost is evaluation-dependent; the
-     * policy then reports it through charge() from inside its
-     * evaluators instead, so a screened-out candidate costs nothing.
-     */
-    virtual double fixedEvalSeconds() const { return -1.0; }
-
     /** Silicon area (mm^2) of the hardware sample under search. */
     virtual double areaMm2() const = 0;
 
@@ -74,7 +65,13 @@ class LayeredRunPolicy
     virtual bool degradeToAnalytical() { return false; }
 
   protected:
-    /** Charge evaluation-dependent virtual cost to the owning run. */
+    /**
+     * Charge virtual evaluation cost to the owning run: the only way
+     * a run is charged. Policies call it from the evaluators their
+     * layer searches run; where the call sits relative to the
+     * surrogate screen decides whether a screened-out candidate
+     * costs anything.
+     */
     void
     charge(double seconds)
     {
@@ -137,19 +134,40 @@ class LayeredMappingRun final : public MappingRun
 };
 
 /**
- * The dominant count-weighted layer set of a workload list — the
- * common first step of every env constructor.
- */
-std::vector<workload::WeightedOp>
-collectDominantLayers(const std::vector<workload::Network> &networks,
-                      std::size_t maxShapesPerNetwork);
-
-/**
  * Order-sensitive digest of a count-weighted layer set; stamped into
  * checkpoints so --resume can refuse a different workload stack.
  */
 std::uint64_t
 layersDigest(const std::vector<workload::WeightedOp> &layers);
+
+/**
+ * Base of the backend envs whose runs are LayeredMappingRuns: the
+ * options the env was built with, the count-weighted layer set (the
+ * dominant unique shapes of every network, in network order) and the
+ * queries that depend on nothing else.
+ */
+class LayeredEnv : public CoSearchEnv
+{
+  public:
+    surrogate::SurrogateStats surrogateStats() const override;
+    /** Every SH round must seed each unique layer shape once. */
+    int minSeedBudget() const override;
+    std::uint64_t workloadDigest() const override;
+
+    /** The count-weighted layer set being co-optimized. */
+    const std::vector<workload::WeightedOp> &layers() const
+    {
+        return layers_;
+    }
+
+  protected:
+    /** @p networks must not be empty. */
+    LayeredEnv(const std::vector<workload::Network> &networks,
+               const BackendOptions &opt);
+
+    BackendOptions opt_;
+    std::vector<workload::WeightedOp> layers_;
+};
 
 } // namespace unico::core
 

@@ -1,9 +1,5 @@
 #include "core/spatial_env.hh"
 
-#include <cassert>
-
-#include "core/layered_run.hh"
-
 namespace unico::core {
 
 namespace {
@@ -11,12 +7,12 @@ namespace {
 /**
  * Spatial backend binding for the shared layered run: per-layer
  * searches come from the FlexTensor/GAMMA-style engines over the
- * analytical model, and every evaluation charges the model's fixed
- * nominal seconds (the shared core applies the charge after each
- * layer step, preserving the historical charging order). The model
- * is queried directly, with no evaluation cache: a prepared query
- * costs about 100 ns, and a search repeats too few of them for the
- * key hashing and entry inserts of a cache to pay off.
+ * analytical model, and every evaluation an engine asks for charges
+ * the model's fixed nominal seconds, also when the surrogate screens
+ * the candidate out (the charge sits above the screen). The model is
+ * queried directly, with no evaluation cache: a prepared query costs
+ * about 100 ns, and a search repeats too few of them for the key
+ * hashing and entry inserts of a cache to pay off.
  */
 class SpatialRunPolicy final : public LayeredRunPolicy
 {
@@ -45,28 +41,26 @@ class SpatialRunPolicy final : public LayeredRunPolicy
                 std::make_unique<costmodel::PreparedSpatialQuery>(
                     model_.prepare(op, hw_));
         const costmodel::PreparedSpatialQuery &prep = *preps_[layer];
-        // Layering: the screen sits directly above the model. One
-        // screen per layer, trained only on this run's exact evals
-        // (makes fleet and threaded runs byte-identical).
+        constexpr double kSeconds =
+            costmodel::AnalyticalCostModel::nominalEvalSeconds();
+        // Layering: charge -> screen -> model. One screen per layer,
+        // trained only on this run's exact evals (makes fleet and
+        // threaded runs byte-identical).
         auto evaluator = [this, &prep](const mapping::Mapping &m) {
-            return mapping::latencyEval(
-                model_.evaluate(prep, m),
-                costmodel::AnalyticalCostModel::nominalEvalSeconds());
+            return mapping::latencyEval(model_.evaluate(prep, m), kSeconds);
         };
         if (screens_[layer] == nullptr)
             screens_[layer] =
                 surrogate::makeSpatialScreen(surrogate_, op, hw_);
         return mapping::startSearch(
             engine_, spaces_[layer],
-            mapping::screeningEvaluator(screens_[layer].get(),
-                                        std::move(evaluator)),
+            [this, screened = mapping::screeningEvaluator(
+                       screens_[layer].get(), std::move(evaluator))](
+                const mapping::Mapping &m) {
+                charge(kSeconds);
+                return screened(m);
+            },
             seed);
-    }
-
-    double
-    fixedEvalSeconds() const override
-    {
-        return costmodel::AnalyticalCostModel::nominalEvalSeconds();
     }
 
     double areaMm2() const override { return model_.areaMm2(hw_); }
@@ -86,11 +80,9 @@ class SpatialRunPolicy final : public LayeredRunPolicy
 } // namespace
 
 SpatialEnv::SpatialEnv(std::vector<workload::Network> networks,
-                       SpatialEnvOptions opt)
-    : opt_(opt), space_(opt.scenario),
-      layers_(collectDominantLayers(networks, opt.maxShapesPerNetwork))
+                       const BackendOptions &opt)
+    : LayeredEnv(networks, opt), space_(opt.scenario)
 {
-    assert(!networks.empty());
     mapSpaces_.reserve(layers_.size());
     for (const auto &wop : layers_)
         mapSpaces_.emplace_back(wop.op);
@@ -129,12 +121,6 @@ std::string
 SpatialEnv::scenarioName() const
 {
     return toString(opt_.scenario);
-}
-
-std::uint64_t
-SpatialEnv::workloadDigest() const
-{
-    return layersDigest(layers_);
 }
 
 } // namespace unico::core

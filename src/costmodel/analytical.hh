@@ -133,7 +133,7 @@ class AnalyticalCostModel
      * Nominal wall-clock cost of one evaluation, charged to the
      * EvalClock ledger ("MAESTRO ... takes seconds to output PPAs").
      */
-    static double nominalEvalSeconds() { return 2.0; }
+    static constexpr double nominalEvalSeconds() { return 2.0; }
 
   private:
     TechParams tech_;

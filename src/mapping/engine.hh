@@ -125,11 +125,11 @@ class CandidateScreen
  * Wrap @p inner with learned-model pre-screening.
  *
  * Sits *above* the cache: a screened-out candidate never touches the
- * cache or the exact model, so it is never charged from inside the
- * evaluator. It still spends one unit of search budget, and a backend
- * that charges a fixed cost per layer step (spatial) charges it
- * whether or not the candidate was screened out. Admitted candidates
- * flow through unchanged and their exact results train the screen.
+ * cache or the exact model, so it is never charged by what @p inner
+ * charges. It still spends one unit of search budget, and a backend
+ * that charges above the screen (spatial) charges it whether or not
+ * the candidate was screened out. Admitted candidates flow through
+ * unchanged and their exact results train the screen.
  * @p screen == nullptr returns @p inner unchanged (the byte-identical
  * default-off path).
  */

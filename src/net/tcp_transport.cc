@@ -23,18 +23,10 @@ closeFd(int fd)
         ::close(fd);
 }
 
-/** True when the two identity strings are compatible (empty = wildcard,
- *  mirroring checkpoint StackIdentity). */
-bool
-identityFieldOk(const std::string &want, const std::string &got)
-{
-    return want.empty() || got.empty() || want == got;
-}
-
 } // namespace
 
 TcpFleetListener::TcpFleetListener(std::string listen_addr,
-                                   HelloIdentity identity)
+                                   common::StackIdentity identity)
     : addr_(std::move(listen_addr)), identity_(std::move(identity))
 {}
 
@@ -118,23 +110,27 @@ TcpFleetListener::handshake(int fd, TcpChannel &out)
                        hello.at("proto").asInt()) != kFleetProtocol) {
             reject = "protocol mismatch";
         } else {
-            const std::string backend =
-                hello.has("backend") ? hello.at("backend").asString()
-                                     : std::string();
-            const std::string scenario =
-                hello.has("scenario") ? hello.at("scenario").asString()
+            const auto field = [&](const char *key) {
+                return hello.has(key) ? hello.at(key).asString()
                                       : std::string();
-            const std::string digest =
-                hello.has("digest") ? hello.at("digest").asString()
-                                    : std::string();
-            if (!identityFieldOk(identity_.backend, backend))
-                reject = "backend mismatch: master=" +
-                         identity_.backend + " worker=" + backend;
-            else if (!identityFieldOk(identity_.scenario, scenario))
+            };
+            const common::StackIdentity worker{
+                field("backend"), field("scenario"), field("digest")};
+            switch (identity_.mismatch(worker)) {
+              case common::StackIdentity::Field::Backend:
+                reject = "backend mismatch: master=" + identity_.backend +
+                         " worker=" + worker.backend;
+                break;
+              case common::StackIdentity::Field::Scenario:
                 reject = "scenario mismatch: master=" +
-                         identity_.scenario + " worker=" + scenario;
-            else if (!identityFieldOk(identity_.workloadDigest, digest))
+                         identity_.scenario + " worker=" + worker.scenario;
+                break;
+              case common::StackIdentity::Field::Workload:
                 reject = "workload digest mismatch";
+                break;
+              case common::StackIdentity::Field::None:
+                break;
+            }
         }
     } catch (const std::exception &e) {
         reject = std::string("malformed hello: ") + e.what();
@@ -183,7 +179,8 @@ TcpFleetListener::awaitChannel(double deadline_seconds, TcpChannel &out)
 }
 
 int
-connectWorker(const std::string &addr, const HelloIdentity &identity,
+connectWorker(const std::string &addr,
+              const common::StackIdentity &identity,
               std::uint64_t session, std::uint64_t epoch,
               double deadline_seconds, std::string *error, bool *rejected)
 {

@@ -36,20 +36,12 @@
 #include <string>
 #include <thread>
 
+#include "common/stack_identity.hh"
+
 namespace unico::net {
 
 /** Handshake protocol revision. */
 inline constexpr std::uint64_t kFleetProtocol = 1;
-
-/** Stack identity a connecting worker must present. Empty fields are
- *  wildcards (either side not stamped), mirroring checkpoint
- *  StackIdentity semantics. */
-struct HelloIdentity
-{
-    std::string backend;
-    std::string scenario;
-    std::string workloadDigest;
-};
 
 /** One handshaken worker connection, ready for fleet requests. */
 struct TcpChannel
@@ -67,7 +59,11 @@ struct TcpChannel
 class TcpFleetListener
 {
   public:
-    TcpFleetListener(std::string listen_addr, HelloIdentity identity);
+    /** @p identity is the stack a connecting worker must present;
+     *  StackIdentity::mismatch() decides, so an empty field on either
+     *  side matches anything. */
+    TcpFleetListener(std::string listen_addr,
+                     common::StackIdentity identity);
     ~TcpFleetListener();
 
     TcpFleetListener(const TcpFleetListener &) = delete;
@@ -106,7 +102,7 @@ class TcpFleetListener
     bool handshake(int fd, TcpChannel &out);
 
     std::string addr_;
-    HelloIdentity identity_;
+    common::StackIdentity identity_;
     int listenFd_ = -1;
     int port_ = -1;
     std::atomic<bool> stop_{false};
@@ -126,7 +122,8 @@ class TcpFleetListener
  * @p rejected, when non-null, is set true iff the master refused the
  * handshake (vs a transport-level failure, which is retryable).
  */
-int connectWorker(const std::string &addr, const HelloIdentity &identity,
+int connectWorker(const std::string &addr,
+                  const common::StackIdentity &identity,
                   std::uint64_t session, std::uint64_t epoch,
                   double deadline_seconds, std::string *error = nullptr,
                   bool *rejected = nullptr);

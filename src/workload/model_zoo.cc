@@ -1,8 +1,11 @@
 #include "workload/model_zoo.hh"
 
+#include <charconv>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
 
 namespace unico::workload {
 
@@ -701,13 +704,22 @@ makeNetwork(const std::string &name)
         return makeResUnet();
     if (name == "dleu")
         return makeDleu();
-    // fsrcnn_<H>x<W>
+    // fsrcnn_<H>x<W>: each size a positive int64 spanning its whole
+    // field; anything else is not a network name.
     if (name.rfind("fsrcnn_", 0) == 0) {
-        const auto dims = name.substr(7);
+        const std::string_view dims = std::string_view(name).substr(7);
+        const auto size = [](std::string_view text) -> std::int64_t {
+            std::int64_t v = 0;
+            const auto [end, ec] =
+                std::from_chars(text.data(), text.data() + text.size(), v);
+            return ec == std::errc() && end == text.data() + text.size()
+                       ? v
+                       : 0;
+        };
         const auto sep = dims.find('x');
-        if (sep != std::string::npos) {
-            const std::int64_t h = std::stoll(dims.substr(0, sep));
-            const std::int64_t w = std::stoll(dims.substr(sep + 1));
+        if (sep != std::string_view::npos) {
+            const std::int64_t h = size(dims.substr(0, sep));
+            const std::int64_t w = size(dims.substr(sep + 1));
             if (h > 0 && w > 0)
                 return makeFsrcnn(h, w);
         }

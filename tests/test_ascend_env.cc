@@ -10,14 +10,14 @@
 
 using namespace unico;
 using core::AscendEnv;
-using core::AscendEnvOptions;
+using core::BackendOptions;
 
 namespace {
 
 AscendEnv
 makeEnv()
 {
-    AscendEnvOptions opt;
+    BackendOptions opt;
     opt.maxShapesPerNetwork = 2;
     return AscendEnv({workload::makeFsrcnn(120, 320)}, opt);
 }
@@ -129,12 +129,23 @@ TEST(AscendEnv, MinSeedBudgetCoversEveryLayer)
 
 TEST(AscendEnv, ReportsStackIdentity)
 {
-    AscendEnvOptions opt;
+    BackendOptions opt;
     opt.maxShapesPerNetwork = 2;
     opt.areaBudgetMm2 = 150.0;
     const AscendEnv env({workload::makeNetwork("fsrcnn_120x320")}, opt);
     EXPECT_EQ(env.backendName(), "ascend");
     EXPECT_EQ(env.scenarioName(), "area150");
+    EXPECT_EQ(makeEnv().scenarioName(), "area200");
+    // Every digit of the budget names the scenario (shortest
+    // round-trip form), so no two budgets share one.
+    opt.areaBudgetMm2 = 96.1234567;
+    EXPECT_EQ(AscendEnv({workload::makeNetwork("fsrcnn_120x320")}, opt)
+                  .scenarioName(),
+              "area96.1234567");
+    opt.areaBudgetMm2 = 0.1 + 0.2;
+    EXPECT_EQ(AscendEnv({workload::makeNetwork("fsrcnn_120x320")}, opt)
+                  .scenarioName(),
+              "area0.30000000000000004");
     EXPECT_NE(env.workloadDigest(), 0u);
     ASSERT_TRUE(env.expertDefault().has_value());
     EXPECT_EQ(env.expertDefault()->size(), env.hwSpace().dims());

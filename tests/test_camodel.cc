@@ -203,61 +203,6 @@ TEST(CaModel, IcachePressureSlowsFusedKernels)
     EXPECT_LT(fast.latencyMs, slow.latencyMs);
 }
 
-TEST(CaModel, TraceDisabledByDefault)
-{
-    const CycleAccurateModel model;
-    SimStats stats;
-    model.evaluate(gemmOp(), CubeHwConfig::expertDefault(), baseMapping(),
-                   &stats);
-    EXPECT_TRUE(stats.trace.empty());
-}
-
-TEST(CaModel, TraceEventsWellFormed)
-{
-    camodel::CubeTech tech;
-    tech.traceLimit = 256;
-    const CycleAccurateModel model(tech);
-    SimStats stats;
-    const Ppa ppa = model.evaluate(gemmOp(), CubeHwConfig::expertDefault(),
-                                   baseMapping(), &stats);
-    ASSERT_TRUE(ppa.feasible);
-    ASSERT_FALSE(stats.trace.empty());
-    EXPECT_LE(stats.trace.size(), 256u);
-    bool has_fill = false, has_load = false, has_cube = false;
-    for (const auto &ev : stats.trace) {
-        EXPECT_LE(ev.startCycle, ev.endCycle);
-        EXPECT_GE(ev.startCycle, 0.0);
-        EXPECT_GE(ev.l1Tile, 0);
-        has_fill |= ev.kind == camodel::SimEvent::Kind::L1Fill;
-        has_load |= ev.kind == camodel::SimEvent::Kind::L0Load;
-        has_cube |= ev.kind == camodel::SimEvent::Kind::CubeExec;
-    }
-    EXPECT_TRUE(has_fill);
-    EXPECT_TRUE(has_load);
-    EXPECT_TRUE(has_cube);
-}
-
-TEST(CaModel, TraceDoesNotChangeTiming)
-{
-    camodel::CubeTech traced;
-    traced.traceLimit = 64;
-    const CycleAccurateModel with(traced), without;
-    SimStats sa, sb;
-    const Ppa pa = with.evaluate(gemmOp(), CubeHwConfig::expertDefault(),
-                                 baseMapping(), &sa);
-    const Ppa pb = without.evaluate(gemmOp(),
-                                    CubeHwConfig::expertDefault(),
-                                    baseMapping(), &sb);
-    EXPECT_DOUBLE_EQ(pa.latencyMs, pb.latencyMs);
-    EXPECT_DOUBLE_EQ(sa.cycles, sb.cycles);
-}
-
-TEST(CaModel, TraceEventKindNames)
-{
-    EXPECT_STREQ(toString(camodel::SimEvent::Kind::L1Fill), "l1-fill");
-    EXPECT_STREQ(toString(camodel::SimEvent::Kind::CubeExec), "cube");
-}
-
 /* --------------------- physical invariants ---------------------- */
 
 TEST(CubeInvariants, WorkedExampleMacCount)

@@ -33,7 +33,7 @@ using core::CoSearchResult;
 using core::DriverConfig;
 using core::SearchCheckpoint;
 using core::SpatialEnv;
-using core::SpatialEnvOptions;
+using core::BackendOptions;
 
 namespace {
 
@@ -41,7 +41,7 @@ SpatialEnv &
 sharedEnv()
 {
     static SpatialEnv env = [] {
-        SpatialEnvOptions opt;
+        BackendOptions opt;
         opt.maxShapesPerNetwork = 2;
         return SpatialEnv({workload::makeMobileNet()}, opt);
     }();
@@ -580,7 +580,7 @@ TEST(Interrupt, EvalWallDeadlineSurfacesAsTimeoutFaults)
 
 TEST(StackIdentity, SnapshotsTheLiveEnvironment)
 {
-    const auto id = core::StackIdentity::of(sharedEnv());
+    const auto id = common::StackIdentity::of(sharedEnv());
     EXPECT_EQ(id.backend, "spatial");
     EXPECT_EQ(id.scenario, "edge");
     EXPECT_FALSE(id.workloadDigest.empty());
@@ -606,7 +606,7 @@ TEST(StackIdentity, CompatibilityChecksEachField)
     ck.backend = "spatial";
     ck.scenario = "edge";
     ck.workloadDigest = "abc123";
-    const core::StackIdentity live{"spatial", "edge", "abc123"};
+    const common::StackIdentity live{"spatial", "edge", "abc123"};
 
     EXPECT_TRUE(core::checkpointCompatibility(ck, "stub-config", live));
 
@@ -642,14 +642,14 @@ TEST(StackIdentity, EmptyFieldsSkipTheCheck)
     // resumable against any stack. Likewise a live env that reports
     // no identity (stub backends) never trips the check.
     auto legacy = stubCheckpoint(1);
-    const core::StackIdentity live{"spatial", "edge", "abc123"};
+    const common::StackIdentity live{"spatial", "edge", "abc123"};
     EXPECT_TRUE(core::checkpointCompatibility(legacy, "stub-config", live));
 
     auto ck = stubCheckpoint(1);
     ck.backend = "ascend";
     ck.scenario = "area200";
     ck.workloadDigest = "abc123";
-    const core::StackIdentity anonymous{"", "", ""};
+    const common::StackIdentity anonymous{"", "", ""};
     EXPECT_TRUE(
         core::checkpointCompatibility(ck, "stub-config", anonymous));
 }
@@ -734,6 +734,36 @@ TEST(StackIdentity, ResumeRefusesForeignScenario)
     auto rcfg = cfg;
     rcfg.resumeFromCheckpoint = true;
     CoOptimizer second(*cloud, rcfg);
+    EXPECT_THROW(second.run(), core::CheckpointMismatchError);
+    std::remove(path.c_str());
+}
+
+TEST(StackIdentity, ResumeRefusesAreaBudgetPastSixDigits)
+{
+    // The ascend scenario names the area budget in every digit: two
+    // budgets equal to 6 significant digits are different scenarios,
+    // so a checkpoint from one does not resume under the other.
+    const auto ascend = [](double area) {
+        core::BackendOptions bopt;
+        bopt.maxShapesPerNetwork = 2;
+        bopt.areaBudgetMm2 = area;
+        return core::makeBackendEnv(
+            "ascend", {workload::makeNetwork("fsrcnn_120x320")}, bopt);
+    };
+    const auto first_env = ascend(96.1234567);
+    const auto other_env = ascend(96.1234599);
+    ASSERT_NE(first_env->scenarioName(), other_env->scenarioName());
+
+    const std::string path = tmpPath("area_digits");
+    auto cfg = tinyConfig(DriverConfig::unico());
+    cfg.maxIter = 1;
+    cfg.checkpointPath = path;
+    CoOptimizer first(*first_env, cfg);
+    first.run();
+
+    auto rcfg = cfg;
+    rcfg.resumeFromCheckpoint = true;
+    CoOptimizer second(*other_env, rcfg);
     EXPECT_THROW(second.run(), core::CheckpointMismatchError);
     std::remove(path.c_str());
 }

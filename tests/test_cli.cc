@@ -87,3 +87,29 @@ TEST(Cli, RepeatedModelFlagsAllReachTheJobSpec)
     EXPECT_EQ(spec.workloads,
               (std::vector<std::string>{"a.net", "b.net"}));
 }
+
+TEST(Cli, BareFlagsNeverTakeTheNextToken)
+{
+    // A bare flag followed by a positional leaves it positional: the
+    // model after --resume is searched, not swallowed.
+    const auto args =
+        parse({"prog", "--checkpoint", "ck.json", "--resume", "resnet",
+               "--surrogate", "vit", "--no-cache", "unet", "--no-surrogate",
+               "bert", "--help", "x.net"});
+    EXPECT_EQ(args.positional(),
+              (std::vector<std::string>{"resnet", "vit", "unet", "bert",
+                                        "x.net"}));
+    for (const char *flag :
+         {"resume", "surrogate", "no-cache", "no-surrogate", "help"})
+        EXPECT_EQ(args.values(flag), (std::vector<std::string>{""}))
+            << flag;
+    const auto spec = unico::core::jobSpecFromArgs(args);
+    EXPECT_TRUE(spec.resume);
+    EXPECT_EQ(spec.checkpoint, "ck.json");
+    EXPECT_EQ(spec.models,
+              (std::vector<std::string>{"resnet", "vit", "unet", "bert"}));
+    EXPECT_EQ(spec.workloads, (std::vector<std::string>{"x.net"}));
+    // Options that take a value still take the next token.
+    EXPECT_EQ(parse({"prog", "--verbose", "on"}).getString("verbose", ""),
+              "on");
+}

@@ -17,7 +17,7 @@ using core::CoOptimizer;
 using core::CoSearchResult;
 using core::DriverConfig;
 using core::SpatialEnv;
-using core::SpatialEnvOptions;
+using core::BackendOptions;
 using core::UpdateMode;
 
 namespace {
@@ -26,7 +26,7 @@ SpatialEnv &
 sharedEnv()
 {
     static SpatialEnv env = [] {
-        SpatialEnvOptions opt;
+        BackendOptions opt;
         opt.maxShapesPerNetwork = 2;
         return SpatialEnv({workload::makeMobileNet()}, opt);
     }();

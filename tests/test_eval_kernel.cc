@@ -2,10 +2,10 @@
  * @file
  * Bit-identity tests for the cold-evaluation kernel: prepared query
  * contexts must reproduce the direct evaluate() path exactly, the
- * cube simulator's closed-form fast path must match the traced
- * reference (which still runs the historical per-L0-tile loop), the
- * shared ceilDiv helper must handle its edge cases, and
- * repeatAdd/periodicAdd must return the literal loops' bits.
+ * cube simulator's closed-form fast path must match the per-L0-tile
+ * reference of tests/cube_tile_oracle.hh, the shared ceilDiv helper
+ * must handle its edge cases, and repeatAdd/periodicAdd must return
+ * the literal loops' bits.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +24,7 @@
 #include "common/math.hh"
 #include "common/rng.hh"
 #include "costmodel/analytical.hh"
+#include "cube_tile_oracle.hh"
 #include "mapping/mapping.hh"
 #include "workload/model_zoo.hh"
 
@@ -103,15 +104,15 @@ TEST(PreparedCubeQuery, BitIdenticalToDirectEvaluate)
     }
 }
 
-/* ----------------- cube fast path vs traced path ---------------- */
+/* ------------- cube fast path vs the per-tile oracle ------------- */
 
 /**
- * The traced path (traceLimit > 0) keeps the historical per-L0-tile
- * double loop; the untraced fast path computes the same accumulators
- * in closed form. Both must produce the same PPA and every SimStats
- * counter bit for bit, on zoo layers, under forced extrapolation,
- * with a single K step per block (tk1 = 1) and under every L0 bank
- * count, including the 1.25 and 1.08 conflict factors.
+ * The oracle (tests/cube_tile_oracle.hh) walks the per-L0-tile
+ * double loop tile by tile; the production path computes the same
+ * accumulators in closed form. Both must produce the same PPA and
+ * every SimStats counter bit for bit, on zoo layers, under forced
+ * extrapolation, with a single K step per block (tk1 = 1) and under
+ * every L0 bank count, including the 1.25 and 1.08 conflict factors.
  */
 TEST(CubeFastPath, TracedMatchesUntracedExactly)
 {
@@ -129,10 +130,7 @@ TEST(CubeFastPath, TracedMatchesUntracedExactly)
     common::Rng rng(13);
     int feasible = 0, extrapolated = 0, single_k = 0;
     for (const camodel::CubeTech &tech : {camodel::CubeTech{}, capped}) {
-        camodel::CubeTech traced_tech = tech;
-        traced_tech.traceLimit = 4;
         const camodel::CycleAccurateModel fast(tech);
-        const camodel::CycleAccurateModel traced(traced_tech);
         for (const auto &op : ops) {
             const camodel::CubeMappingSpace space(op);
             for (int b = 0; b < 4; ++b) {
@@ -147,7 +145,8 @@ TEST(CubeFastPath, TracedMatchesUntracedExactly)
                      {space.random(rng), one_k}) {
                     camodel::SimStats sf, st;
                     const accel::Ppa pf = fast.evaluate(op, hw, m, &sf);
-                    const accel::Ppa pt = traced.evaluate(op, hw, m, &st);
+                    const accel::Ppa pt = oracle::evaluateCubeTiles(
+                        fast, fast.prepare(op, hw), m, &st);
                     expectSamePpa(pf, pt);
                     expectSameBits(sf.cycles, st.cycles, "cycles");
                     expectSameBits(sf.cubeBusyCycles, st.cubeBusyCycles,

@@ -29,7 +29,7 @@ using core::CoSearchResult;
 using core::DriverConfig;
 using core::FaultyEnv;
 using core::SpatialEnv;
-using core::SpatialEnvOptions;
+using core::BackendOptions;
 
 namespace {
 
@@ -37,7 +37,7 @@ SpatialEnv &
 sharedEnv()
 {
     static SpatialEnv env = [] {
-        SpatialEnvOptions opt;
+        BackendOptions opt;
         opt.maxShapesPerNetwork = 2;
         return SpatialEnv({workload::makeMobileNet()}, opt);
     }();

@@ -33,7 +33,7 @@ using core::FaultyEnv;
 using core::FleetConfig;
 using core::FleetEnv;
 using core::SpatialEnv;
-using core::SpatialEnvOptions;
+using core::BackendOptions;
 
 namespace {
 
@@ -41,7 +41,7 @@ SpatialEnv &
 sharedEnv()
 {
     static SpatialEnv env = [] {
-        SpatialEnvOptions opt;
+        BackendOptions opt;
         opt.maxShapesPerNetwork = 2;
         return SpatialEnv({workload::makeMobileNet()}, opt);
     }();

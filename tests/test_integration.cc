@@ -71,7 +71,7 @@ randomSearch(core::CoSearchEnv &env, int samples, int budget,
 
 TEST(Integration, MultiWorkloadUnicoEndToEnd)
 {
-    core::SpatialEnvOptions opt;
+    core::BackendOptions opt;
     opt.maxShapesPerNetwork = 3;
     core::SpatialEnv env(
         {workload::makeMobileNetV2(), workload::makeVit()}, opt);
@@ -88,7 +88,7 @@ TEST(Integration, MultiWorkloadUnicoEndToEnd)
 
 TEST(Integration, UnicoMatchesOrBeatsRandomSearchHypervolume)
 {
-    core::SpatialEnvOptions opt;
+    core::BackendOptions opt;
     opt.maxShapesPerNetwork = 2;
     core::SpatialEnv env({workload::makeMobileNet()}, opt);
 
@@ -118,7 +118,7 @@ TEST(Integration, UnicoMatchesOrBeatsRandomSearchHypervolume)
 
 TEST(Integration, AscendUnicoEndToEnd)
 {
-    core::AscendEnvOptions opt;
+    core::BackendOptions opt;
     opt.maxShapesPerNetwork = 2;
     core::AscendEnv env({workload::makeFsrcnn(120, 320)}, opt);
     DriverConfig cfg = smallConfig(DriverConfig::unico());
@@ -146,7 +146,7 @@ TEST(Integration, ImpossibleConstraintYieldsEmptyFront)
         using core::SpatialEnv::SpatialEnv;
         double powerBudgetMw() const override { return 1e-6; }
     };
-    core::SpatialEnvOptions opt;
+    core::BackendOptions opt;
     opt.maxShapesPerNetwork = 2;
     StarvedEnv env({workload::makeMobileNet()}, opt);
     CoOptimizer driver(env, smallConfig(DriverConfig::unico()));
@@ -158,7 +158,7 @@ TEST(Integration, ImpossibleConstraintYieldsEmptyFront)
 
 TEST(Integration, AllMethodsProduceComparableResultsOnSameEnv)
 {
-    core::SpatialEnvOptions opt;
+    core::BackendOptions opt;
     opt.maxShapesPerNetwork = 2;
     core::SpatialEnv env({workload::makeResNet()}, opt);
 
@@ -193,7 +193,7 @@ TEST(Integration, SensitivityObjectiveReducesMeanR)
     // lower-R regions; compare mean R of the final iteration against
     // the no-R configuration under the same seed. (Statistical, but
     // averaged over 3 seeds to be stable.)
-    core::SpatialEnvOptions opt;
+    core::BackendOptions opt;
     opt.maxShapesPerNetwork = 2;
     core::SpatialEnv env({workload::makeXception()}, opt);
     double with_r = 0.0, without_r = 0.0;

@@ -68,10 +68,8 @@ struct LayerSpec
 class StubPolicy final : public LayeredRunPolicy
 {
   public:
-    StubPolicy(std::vector<LayerSpec> specs, double fixed_seconds,
-               double per_eval_charge)
-        : specs_(std::move(specs)), fixed_(fixed_seconds),
-          perEval_(per_eval_charge)
+    StubPolicy(std::vector<LayerSpec> specs, double per_eval_charge)
+        : specs_(std::move(specs)), perEval_(per_eval_charge)
     {
     }
 
@@ -90,7 +88,6 @@ class StubPolicy final : public LayeredRunPolicy
         return run;
     }
 
-    double fixedEvalSeconds() const override { return fixed_; }
     double areaMm2() const override { return 7.5; }
 
     bool
@@ -105,7 +102,6 @@ class StubPolicy final : public LayeredRunPolicy
 
   private:
     std::vector<LayerSpec> specs_;
-    double fixed_;
     double perEval_;
 };
 
@@ -125,12 +121,11 @@ makeLayers(const std::vector<std::int64_t> &counts)
 
 LayeredMappingRun
 makeRun(const std::vector<WeightedOp> &layers,
-        std::vector<LayerSpec> specs, double fixed_seconds = -1.0,
-        double per_eval_charge = 0.0, std::uint64_t seed = 42,
-        StubPolicy **policy_out = nullptr)
+        std::vector<LayerSpec> specs, double per_eval_charge = 0.0,
+        std::uint64_t seed = 42, StubPolicy **policy_out = nullptr)
 {
-    auto policy = std::make_unique<StubPolicy>(
-        std::move(specs), fixed_seconds, per_eval_charge);
+    auto policy =
+        std::make_unique<StubPolicy>(std::move(specs), per_eval_charge);
     if (policy_out)
         *policy_out = policy.get();
     return LayeredMappingRun(layers, std::move(policy), seed);
@@ -188,27 +183,14 @@ TEST(LayeredRun, NoStepsMeansNoBest)
     EXPECT_TRUE(run.bestLossHistory().empty());
 }
 
-TEST(LayeredRun, FixedChargingPerLayerEvaluation)
-{
-    const auto layers = makeLayers({1, 1, 1});
-    auto run = makeRun(layers,
-                       {{1.0, 1.0, true}, {1.0, 1.0, true},
-                        {1.0, 1.0, true}},
-                       /*fixed_seconds=*/2.0);
-    run.step(2);
-    // 2 sweeps x 3 layers x 2.0 s per layer evaluation.
-    EXPECT_DOUBLE_EQ(run.chargedSeconds(), 12.0);
-}
-
 TEST(LayeredRun, PolicyChargedCostFlowsThroughChargeSink)
 {
     const auto layers = makeLayers({1, 1});
     auto run = makeRun(layers, {{1.0, 1.0, true}, {1.0, 1.0, true}},
-                       /*fixed_seconds=*/-1.0,
                        /*per_eval_charge=*/0.5);
     run.step(4);
-    // Evaluation-dependent charging: 4 sweeps x 2 layers x 0.5 s,
-    // reported by the policy's evaluators via charge().
+    // 4 sweeps x 2 layers x 0.5 s, reported by the policy's
+    // evaluators via charge(), the only charging path.
     EXPECT_DOUBLE_EQ(run.chargedSeconds(), 4.0);
 }
 
@@ -220,7 +202,7 @@ TEST(LayeredRun, PerLayerSeedsDrawnInLayerOrder)
     auto run = makeRun(layers,
                        {{1.0, 1.0, true}, {1.0, 1.0, true},
                         {1.0, 1.0, true}},
-                       -1.0, 0.0, seed, &policy);
+                       0.0, seed, &policy);
     ASSERT_NE(policy, nullptr);
     ASSERT_EQ(policy->startedLayers_,
               (std::vector<std::size_t>{0, 1, 2}));
@@ -248,7 +230,7 @@ TEST(LayeredRun, DegradeForwardsToPolicy)
 {
     const auto layers = makeLayers({1});
     StubPolicy *policy = nullptr;
-    auto run = makeRun(layers, {{1.0, 1.0, true}}, -1.0, 0.0, 7, &policy);
+    auto run = makeRun(layers, {{1.0, 1.0, true}}, 0.0, 7, &policy);
     EXPECT_TRUE(run.degradeToAnalytical());
     EXPECT_FALSE(run.degradeToAnalytical());
     EXPECT_EQ(policy->degradeCalls_, 2);

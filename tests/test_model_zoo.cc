@@ -56,6 +56,28 @@ TEST(ModelZoo, UnknownNameThrows)
     EXPECT_THROW(zoo::makeNetwork("fsrcnn_bad"), std::invalid_argument);
 }
 
+TEST(ModelZoo, MalformedFsrcnnSizesAreUnknownNetworks)
+{
+    // Each size is parsed over its whole field: trailing text, a sign,
+    // a blank, a missing field, zero or an int64 overflow is not a size,
+    // and the error names the network.
+    for (const std::string name :
+         {"fsrcnn_ax5", "fsrcnn_5xa", "fsrcnn_5x5junk", "fsrcnn_5junkx5",
+          "fsrcnn_x5", "fsrcnn_5x", "fsrcnn_5", "fsrcnn_-5x5",
+          "fsrcnn_+5x5", "fsrcnn_ 5x5", "fsrcnn_5x 5", "fsrcnn_0x5",
+          "fsrcnn_5x0", "fsrcnn_5x5x5", "fsrcnn_99999999999999999999x5",
+          "fsrcnn_5x9223372036854775808"}) {
+        SCOPED_TRACE(name);
+        try {
+            zoo::makeNetwork(name);
+            ADD_FAILURE() << "accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_EQ(std::string(e.what()), "unknown network: " + name);
+        }
+    }
+    EXPECT_EQ(zoo::makeNetwork("fsrcnn_60x80").name(), "fsrcnn_60x80");
+}
+
 TEST(ModelZoo, FsrcnnParametricResolution)
 {
     const auto small = zoo::makeFsrcnn(120, 320);

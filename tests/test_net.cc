@@ -47,7 +47,7 @@ using core::FleetConfig;
 using core::FleetEnv;
 using core::FleetWorkerOptions;
 using core::SpatialEnv;
-using core::SpatialEnvOptions;
+using core::BackendOptions;
 
 namespace {
 
@@ -55,7 +55,7 @@ SpatialEnv &
 sharedEnv()
 {
     static SpatialEnv env = [] {
-        SpatialEnvOptions opt;
+        BackendOptions opt;
         opt.maxShapesPerNetwork = 2;
         return SpatialEnv({workload::makeMobileNet()}, opt);
     }();
@@ -246,7 +246,7 @@ TEST(Net, FrameDeadlineBindsAgainstSlowLorisFrame)
 
 TEST(Net, HandshakeAdoptsMatchingWorkerAndTracksEpochs)
 {
-    net::HelloIdentity id;
+    common::StackIdentity id;
     id.backend = "spatial";
     id.scenario = "edge";
     id.workloadDigest = "abc123";
@@ -274,7 +274,7 @@ TEST(Net, HandshakeAdoptsMatchingWorkerAndTracksEpochs)
 
 TEST(Net, HandshakeRejectsWrongIdentityAndAcceptsWildcards)
 {
-    net::HelloIdentity id;
+    common::StackIdentity id;
     id.backend = "spatial";
     id.scenario = "edge";
     id.workloadDigest = "abc123";
@@ -286,7 +286,7 @@ TEST(Net, HandshakeRejectsWrongIdentityAndAcceptsWildcards)
 
     // Wrong digest: refused, and the client KNOWS it was refused
     // (must not retry).
-    net::HelloIdentity wrong = id;
+    common::StackIdentity wrong = id;
     wrong.workloadDigest = "deadbeef";
     bool rejected = false;
     EXPECT_LT(net::connectWorker(addr, wrong, 1, 0, 5.0, &err,
@@ -296,7 +296,7 @@ TEST(Net, HandshakeRejectsWrongIdentityAndAcceptsWildcards)
     EXPECT_FALSE(err.empty());
 
     // Empty fields are wildcards (mirrors checkpoint identity).
-    net::HelloIdentity wildcard;
+    common::StackIdentity wildcard;
     rejected = false;
     const int fd =
         net::connectWorker(addr, wildcard, 2, 0, 5.0, &err, &rejected);

@@ -13,7 +13,7 @@ using namespace unico;
 using baselines::Nsga2Config;
 using baselines::runNsga2;
 using core::SpatialEnv;
-using core::SpatialEnvOptions;
+using core::BackendOptions;
 
 namespace {
 
@@ -21,7 +21,7 @@ SpatialEnv &
 sharedEnv()
 {
     static SpatialEnv env = [] {
-        SpatialEnvOptions opt;
+        BackendOptions opt;
         opt.maxShapesPerNetwork = 2;
         return SpatialEnv({workload::makeMobileNet()}, opt);
     }();

@@ -23,7 +23,7 @@ core::SpatialEnv &
 env()
 {
     static core::SpatialEnv e = [] {
-        core::SpatialEnvOptions opt;
+        core::BackendOptions opt;
         opt.maxShapesPerNetwork = 2;
         return core::SpatialEnv({workload::makeMobileNet()}, opt);
     }();

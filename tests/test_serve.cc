@@ -376,6 +376,25 @@ TEST(JobSpecParity, EveryBadTextSameMessage)
               sizes);
 }
 
+TEST(JobSpecParity, MalformedFsrcnnSizesNameTheNetwork)
+{
+    // Each size must be a positive int64 spanning its whole field;
+    // anything else is an unknown network, from either entry point.
+    for (const std::string name :
+         {"fsrcnn_ax5", "fsrcnn_5xb", "fsrcnn_5x5junk", "fsrcnn_x5",
+          "fsrcnn_5x", "fsrcnn_-5x5", "fsrcnn_+5x5", "fsrcnn_ 5x5",
+          "fsrcnn_5x5x5", "fsrcnn_99999999999999999999x5"}) {
+        SCOPED_TRACE(name);
+        core::JobSpec cli, json;
+        EXPECT_EQ(cliVerdict({"--model", name}, &cli),
+                  "unknown network: " + name);
+        EXPECT_EQ(jsonVerdict(common::Json::parse(
+                                  "{\"model\":\"" + name + "\"}"),
+                              &json),
+                  "unknown network: " + name);
+    }
+}
+
 TEST(JobSpecParity, ShorthandsAndJsonOnlyFields)
 {
     const auto json = [](const std::string &body) {
@@ -1004,6 +1023,7 @@ TEST(ServeCli, RejectsTheSizesTheServerRejects)
         {{"--seed", "-1"}, R"({"model":"resnet","seed":-1})"},
         {{"--algo", "bogus"}, R"({"model":"resnet","algo":"bogus"})"},
         {{"--fault-rate", "0,1"}, R"({"model":"resnet","fault_rate":0,1})"},
+        {{"--model", "fsrcnn_ax5"}, R"({"model":"fsrcnn_ax5"})"},
     };
     core::JobManagerConfig cfg;
     cfg.shutdownFanout = false;
@@ -1076,6 +1096,12 @@ TEST(ServeHttp, JobByteIdenticalToCliAndSigintDrainsTo75)
     EXPECT_EQ(
         statusOf(httpPost(port, "/jobs", "{\"algo\":\"bogus\"}")),
         400);
+    const std::string bad_size =
+        httpPost(port, "/jobs", "{\"model\":\"fsrcnn_ax5\"}");
+    EXPECT_EQ(statusOf(bad_size), 400);
+    EXPECT_NE(bodyOf(bad_size).find("unknown network: fsrcnn_ax5"),
+              std::string::npos)
+        << bad_size;
 
     // Submit the job the CLI comparison below re-runs.
     const std::string submit = httpPost(

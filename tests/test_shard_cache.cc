@@ -33,7 +33,7 @@ using namespace unico;
 using common::Fingerprint;
 using common::FingerprintBuilder;
 using core::AscendEnv;
-using core::AscendEnvOptions;
+using core::BackendOptions;
 using core::CoOptimizer;
 using core::CoSearchResult;
 using core::DriverConfig;
@@ -56,7 +56,7 @@ CoSearchResult
 runAscend(accel::EvalCache *cache, DriverConfig cfg,
           common::FaultSpec faults = common::FaultSpec{})
 {
-    AscendEnvOptions opt;
+    BackendOptions opt;
     opt.maxShapesPerNetwork = 2;
     opt.cache = cache;
     AscendEnv env({workload::makeNetwork("fsrcnn_120x320")}, opt);

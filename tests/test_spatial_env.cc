@@ -11,14 +11,14 @@
 
 using namespace unico;
 using core::SpatialEnv;
-using core::SpatialEnvOptions;
+using core::BackendOptions;
 
 namespace {
 
 SpatialEnv
 makeEnv(std::size_t shapes = 3)
 {
-    SpatialEnvOptions opt;
+    BackendOptions opt;
     opt.maxShapesPerNetwork = shapes;
     return SpatialEnv({workload::makeMobileNet()}, opt);
 }
@@ -42,7 +42,7 @@ TEST(SpatialEnv, LayerBudgetRespected)
 {
     const auto env = makeEnv(3);
     EXPECT_EQ(env.layers().size(), 3u);
-    SpatialEnvOptions opt;
+    BackendOptions opt;
     opt.maxShapesPerNetwork = 100;
     const SpatialEnv big({workload::makeMobileNet()}, opt);
     EXPECT_GT(big.layers().size(), 3u);
@@ -50,7 +50,7 @@ TEST(SpatialEnv, LayerBudgetRespected)
 
 TEST(SpatialEnv, MultiWorkloadConcatenatesLayers)
 {
-    SpatialEnvOptions opt;
+    BackendOptions opt;
     opt.maxShapesPerNetwork = 3;
     const SpatialEnv env(
         {workload::makeMobileNet(), workload::makeResNet()}, opt);
@@ -61,7 +61,7 @@ TEST(SpatialEnv, PowerBudgetFollowsScenario)
 {
     const auto env = makeEnv();
     EXPECT_DOUBLE_EQ(env.powerBudgetMw(), 2000.0);
-    SpatialEnvOptions opt;
+    BackendOptions opt;
     opt.scenario = accel::Scenario::Cloud;
     const SpatialEnv cloud({workload::makeMobileNet()}, opt);
     EXPECT_DOUBLE_EQ(cloud.powerBudgetMw(), 20000.0);
@@ -168,7 +168,7 @@ TEST(SpatialEnv, EngineChoicesWork)
 {
     for (auto kind :
          {mapping::EngineKind::Random, mapping::EngineKind::Genetic}) {
-        SpatialEnvOptions opt;
+        BackendOptions opt;
         opt.engine = kind;
         opt.maxShapesPerNetwork = 2;
         const SpatialEnv env({workload::makeMobileNet()}, opt);
@@ -180,7 +180,7 @@ TEST(SpatialEnv, EngineChoicesWork)
 
 TEST(SpatialEnv, CloudScenarioEndToEnd)
 {
-    SpatialEnvOptions opt;
+    BackendOptions opt;
     opt.scenario = accel::Scenario::Cloud;
     opt.maxShapesPerNetwork = 2;
     const SpatialEnv env({workload::makeResNet()}, opt);
@@ -228,7 +228,7 @@ TEST(SpatialEnv, ReportsStackIdentity)
     EXPECT_NE(edge.workloadDigest(), 0u);
     EXPECT_FALSE(edge.expertDefault().has_value());
 
-    SpatialEnvOptions opt;
+    BackendOptions opt;
     opt.maxShapesPerNetwork = 2;
     opt.scenario = accel::Scenario::Cloud;
     const SpatialEnv cloud({workload::makeMobileNet()}, opt);

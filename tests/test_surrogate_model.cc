@@ -42,7 +42,7 @@ using core::CoOptimizer;
 using core::CoSearchResult;
 using core::DriverConfig;
 using core::SpatialEnv;
-using core::SpatialEnvOptions;
+using core::BackendOptions;
 using surrogate::OnlineCostModel;
 using surrogate::SurrogateContext;
 
@@ -112,7 +112,7 @@ tinyConfig()
 CoSearchResult
 runSpatial(SurrogateContext *ctx)
 {
-    SpatialEnvOptions opt;
+    BackendOptions opt;
     opt.maxShapesPerNetwork = 2;
     opt.surrogate = ctx;
     SpatialEnv env({workload::makeMobileNet()}, opt);
@@ -527,7 +527,7 @@ TEST(SurrogateModel, ScreenedCsvRowsMatchExactRecords)
     ctx.options.enabled = true;
     ctx.options.keep = 0.25;
 
-    SpatialEnvOptions opt;
+    BackendOptions opt;
     opt.maxShapesPerNetwork = 2;
     opt.surrogate = &ctx;
     SpatialEnv env({workload::makeMobileNet()}, opt);
@@ -643,7 +643,7 @@ TEST(SurrogateModel, ScreenedSearchIdenticalAcrossThreadsAndFleet)
     SurrogateContext ctx;
     ctx.options.enabled = true;
     ctx.options.keep = 0.25;
-    SpatialEnvOptions opt;
+    BackendOptions opt;
     opt.maxShapesPerNetwork = 2;
     opt.surrogate = &ctx;
     SpatialEnv env({workload::makeMobileNet()}, opt);

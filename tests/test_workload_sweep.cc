@@ -31,7 +31,7 @@ class WorkloadSweep : public ::testing::TestWithParam<std::string>
 
 TEST_P(WorkloadSweep, EndToEndFeasibleMappingFound)
 {
-    core::SpatialEnvOptions opt;
+    core::BackendOptions opt;
     opt.maxShapesPerNetwork = 3;
     core::SpatialEnv env({workload::makeNetwork(GetParam())}, opt);
     auto run = env.createRun(midHw(env), 99);
@@ -49,7 +49,7 @@ TEST_P(WorkloadSweep, LatencyLowerBoundedByRoofline)
     // The achieved latency of the dominant layers can never beat the
     // machine-model roofline of the same layers (64 MACs at 1 GHz,
     // 32 B/cycle DRAM in the cost model).
-    core::SpatialEnvOptions opt;
+    core::BackendOptions opt;
     opt.maxShapesPerNetwork = 3;
     const auto net = workload::makeNetwork(GetParam());
     core::SpatialEnv env({net}, opt);
@@ -71,7 +71,7 @@ TEST_P(WorkloadSweep, LatencyLowerBoundedByRoofline)
 
 TEST_P(WorkloadSweep, SensitivityFiniteAcrossZoo)
 {
-    core::SpatialEnvOptions opt;
+    core::BackendOptions opt;
     opt.maxShapesPerNetwork = 2;
     core::SpatialEnv env({workload::makeNetwork(GetParam())}, opt);
     auto run = env.createRun(midHw(env), 7);

@@ -66,7 +66,10 @@
  * in-flight evaluations drain, a final checkpoint is written, and the
  * process exits with code 75 (EX_TEMPFAIL: resumable). A second
  * signal kills immediately. --wall-deadline bounds the whole run and
- * --eval-wall-deadline each evaluation attempt in real seconds.
+ * --eval-wall-deadline each evaluation attempt in real seconds; the
+ * driver reads both between mapping-search chunks of at most 4
+ * sweeps, so an evaluation that never returns is not interrupted
+ * (only --worker-eval-deadline kills a wedged fleet worker).
  *
  * Evaluation cache (ascend runs): cycle-level simulator queries are
  * memoized in a sharded LRU cache (--cache-mb sets the byte budget,
@@ -93,6 +96,8 @@
  * incumbents, Pareto entries, checkpoint state or CSV rows.
  */
 
+#include <charconv>
+#include <cmath>
 #include <iostream>
 #include <optional>
 
@@ -144,6 +149,23 @@ usage(const std::string &prog)
     return 2;
 }
 
+/** --@p name in seconds, 0 (no deadline) when absent; std::nullopt
+ *  unless its whole text is a finite number >= 0. */
+std::optional<double>
+deadlineFlag(const common::CliArgs &args, const std::string &name)
+{
+    if (!args.has(name))
+        return 0.0;
+    const std::string text = args.getString(name, "");
+    double v = 0.0;
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), v);
+    if (ec != std::errc() || end != text.data() + text.size() ||
+        !std::isfinite(v) || v < 0.0)
+        return std::nullopt;
+    return v;
+}
+
 } // namespace
 
 int
@@ -169,6 +191,16 @@ main(int argc, char **argv)
         std::cerr << "error: --fleet-listen requires --workers N\n";
         return usage(args.program());
     }
+    const auto wall_deadline = deadlineFlag(args, "wall-deadline");
+    const auto eval_wall_deadline =
+        deadlineFlag(args, "eval-wall-deadline");
+    if (!wall_deadline || !eval_wall_deadline) {
+        std::cerr << "error: --"
+                  << (wall_deadline ? "eval-wall-deadline" : "wall-deadline")
+                  << " must be a finite number of seconds >= 0 "
+                     "(0 = none)\n";
+        return usage(args.program());
+    }
 
     // Evaluation cache: on by default; --no-cache disables it and
     // --cache-mb sizes it. Only the ascend backend memoizes, and
@@ -187,7 +219,7 @@ main(int argc, char **argv)
         spec = core::jobSpecFromArgs(args);
         if (const std::string why = core::validateSpec(spec); !why.empty())
             throw std::runtime_error(why);
-        stack.emplace(spec, cached ? &cache : nullptr, nullptr);
+        stack.emplace(spec, cached ? &cache : nullptr);
     } catch (const std::exception &e) {
         std::cerr << "error: " << e.what() << "\n";
         return usage(args.program());
@@ -288,9 +320,8 @@ main(int argc, char **argv)
                 event.iteration % every == 0)
                 std::cout << core::toJson(event).dump() << std::endl;
         };
-    control.wallDeadlineSeconds = args.getDouble("wall-deadline", 0.0);
-    control.evalWallDeadlineSeconds =
-        args.getDouble("eval-wall-deadline", 0.0);
+    control.wallDeadlineSeconds = *wall_deadline;
+    control.evalWallDeadlineSeconds = *eval_wall_deadline;
     // Graceful shutdown of the stepped driver (NSGA-II cannot drain):
     // SIGINT/SIGTERM cancel this token; the driver drains, checkpoints
     // and returns with interrupted state instead of dying mid-write.
@@ -324,9 +355,9 @@ main(int argc, char **argv)
                result.faults.checkpointRecoveries > 0 ||
                result.faults.transport.total() > 0 ||
                result.faults.transport.workerRespawns > 0) {
-        // Genuine (non-injected) faults — watchdog timeouts, GP fit
-        // fallbacks, checkpoint recoveries, transport faults the fleet
-        // absorbed — also deserve a digest.
+        // Genuine (non-injected) faults — evaluation wall-deadline
+        // timeouts, GP fit fallbacks, checkpoint recoveries, transport
+        // faults the fleet absorbed — also deserve a digest.
         std::cout << "\nrecovered " << core::toString(result.faults)
                   << "\n";
     }

@@ -20,11 +20,12 @@
  * wall-clock time, never results); spatial jobs query the analytical
  * model directly.
  *
- * Shutdown: SIGINT/SIGTERM fans out to every live job's CancelToken;
- * each job drains at its next cooperative boundary and persists a
- * final checkpoint. The server then refuses new submits, waits for
- * every job to reach a terminal state, and exits with the resumable
- * status code 75 — same contract as an interrupted CLI run.
+ * Shutdown: SIGINT/SIGTERM cancels the process shutdown token, which
+ * every job's driver polls; each running job drains at its next
+ * cooperative boundary and persists a final checkpoint. The server
+ * then refuses new submits, cancels queued jobs, waits for every job
+ * to reach a terminal state, and exits with the resumable status
+ * code 75 — same contract as an interrupted CLI run.
  */
 
 #include <chrono>
@@ -89,8 +90,8 @@ main(int argc, char **argv)
     if (!args.has("no-cache") && cache_mb > 0)
         mgr_cfg.sharedCache = &cache;
 
-    // Scoped handler install + per-job fan-out: one SIGINT cancels
-    // every live job's token, and each job drains to a checkpoint.
+    // Scoped handler install: one SIGINT cancels the shutdown token
+    // every job polls, and each job drains to a checkpoint.
     common::ShutdownScope shutdown_scope;
 
     core::JobManager manager(mgr_cfg);
@@ -127,7 +128,7 @@ main(int argc, char **argv)
     std::cout << "shutdown signal received; draining jobs...\n";
     std::cout.flush();
 
-    // Fan-out has already cancelled running jobs; shutdown() also
+    // Running jobs already see the shutdown token; shutdown() also
     // refuses new submits and cancels anything still queued. Then
     // wait for every job to reach a terminal state — running jobs
     // finish their current boundary and write a final checkpoint.

@@ -3,16 +3,16 @@
  * Cooperative cancellation token.
  *
  * A CancelToken carries one sticky cancellation request plus the
- * reason it was raised. Producers (signal handlers, the wall-clock
- * Watchdog, run-level deadlines) cancel it; consumers (the driver's
- * MOBO/SH loops, thread-pool jobs stepping a MappingRun) poll it at
- * cheap boundaries and wind down cooperatively. The first cancel
- * wins: a later cancel with a different reason does not overwrite
- * the recorded one.
+ * reason it was raised. Producers (the shutdown signal handler, a
+ * job-manager cancel, the driver's own wall-deadline check) cancel
+ * it; consumers (the driver's MOBO/SH loops, thread-pool job
+ * dispatch) poll it at cheap boundaries and wind down cooperatively.
+ * The first cancel wins: a later cancel with a different reason does
+ * not overwrite the recorded one.
  *
  * All operations are lock-free atomics, so cancel() is safe from a
  * POSIX signal handler (std::atomic<int> is async-signal-safe when
- * lock-free) and from the watchdog thread concurrently with polls.
+ * lock-free) and from any thread concurrently with polls.
  */
 
 #ifndef UNICO_COMMON_CANCEL_HH
@@ -25,10 +25,9 @@ namespace unico::common {
 /** Why a token was cancelled. */
 enum class CancelReason : int {
     None = 0,
-    Signal,       ///< SIGINT/SIGTERM requested a graceful shutdown
-    RunDeadline,  ///< whole-run wall-clock deadline expired
-    EvalDeadline, ///< per-evaluation wall-clock deadline expired
-    JobCancel,    ///< a job-manager client cancelled the job
+    Signal,      ///< SIGINT/SIGTERM requested a graceful shutdown
+    RunDeadline, ///< whole-run wall-clock deadline expired
+    JobCancel,   ///< a job-manager client cancelled the job
 };
 
 /** Human-readable reason name. */
@@ -39,7 +38,6 @@ toString(CancelReason reason)
       case CancelReason::None: return "none";
       case CancelReason::Signal: return "signal";
       case CancelReason::RunDeadline: return "wall-deadline";
-      case CancelReason::EvalDeadline: return "eval-wall-deadline";
       case CancelReason::JobCancel: return "cancelled";
     }
     return "?";

@@ -37,9 +37,9 @@ struct FaultSpec
     double transientRate = 0.0; ///< P(transient crash) per evaluation
     double hangRate = 0.0;      ///< P(hang) per evaluation
     double corruptRate = 0.0;   ///< P(corrupted PPA) per evaluation
-    /** Virtual seconds a hung evaluation costs: the supervisor's
-     *  per-evaluation deadline, charged to the EvalClock when the
-     *  watchdog kills the job. */
+    /** Virtual seconds a hung evaluation costs: the per-evaluation
+     *  deadline a real supervisor would wait out, charged to the
+     *  EvalClock when the injected hang reports Timeout. */
     double deadlineSeconds = 300.0;
     std::uint64_t seed = 0;     ///< fault-pattern seed
 

@@ -17,14 +17,10 @@
  * re-install any number of times in one process without leaking
  * handler state.
  *
- * Multi-tenant fan-out: job schedulers register one CancelToken per
- * job with registerShutdownToken(); the signal handler itself walks
- * the lock-free registration table and cancels every registered
- * token (CancelToken is all lock-free atomics, so this is
- * async-signal-safe — and starting no watcher thread keeps
- * single-threaded fork points such as the evaluation-fleet zygote
- * safe). Tokens registered after the signal arrived are cancelled
- * immediately.
+ * Every search that should stop on a signal polls this one token:
+ * co_search_cli hands it to its run and the job manager to each job
+ * it runs (JobManagerConfig::shutdownFanout), so a signal reaches
+ * every job, queued or running, without a per-job registration.
  *
  * A second SIGINT/SIGTERM while a graceful shutdown is already in
  * progress hard-exits with the conventional 128+signum code: an
@@ -62,29 +58,8 @@ class ShutdownScope
     ShutdownScope &operator=(const ShutdownScope &) = delete;
 };
 
-/**
- * Fan-out registration: @p token is cancelled (CancelReason::Signal)
- * when a shutdown signal arrives — immediately at registration time
- * if one already has. The token must stay alive until unregistered.
- * Returns false when the fan-out table is full (the token will still
- * see shutdown if its owner also polls shutdownRequested()).
- */
-bool registerShutdownToken(CancelToken &token);
-
-/** Remove @p token from the fan-out table (idempotent). */
-void unregisterShutdownToken(CancelToken &token);
-
-/** Number of currently registered fan-out tokens (tests). */
-std::size_t shutdownFanoutSize();
-
 /** True once a shutdown signal has been received. */
 bool shutdownRequested();
-
-/** The signal that requested shutdown, or 0. */
-int shutdownSignal();
-
-/** Re-arm after a handled shutdown (tests and long-lived servers). */
-void clearShutdownRequest();
 
 } // namespace unico::common
 

@@ -136,7 +136,7 @@ AscendEnv::createRun(const accel::HwPoint &h, std::uint64_t seed) const
         std::make_unique<AscendRunPolicy>(layers_, mapSpaces_, model_,
                                           space_.decode(h), opt_.cache,
                                           opt_.surrogate),
-        seed, opt_.cancel);
+        seed);
 }
 
 std::string

@@ -25,8 +25,8 @@ namespace unico::core {
 class AscendEnv : public LayeredEnv
 {
   public:
-    /** Reads areaBudgetMm2, maxShapesPerNetwork, cache, surrogate
-     *  and cancel. */
+    /** Reads areaBudgetMm2, maxShapesPerNetwork, cache and
+     *  surrogate. */
     AscendEnv(std::vector<workload::Network> networks,
               const BackendOptions &opt = {});
 

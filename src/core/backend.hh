@@ -21,7 +21,6 @@
 
 #include "accel/ppa.hh"
 #include "accel/spatial.hh"
-#include "common/cancel.hh"
 #include "core/env.hh"
 #include "mapping/engine.hh"
 #include "workload/network.hh"
@@ -63,12 +62,6 @@ struct BackendOptions
      *  nullptr or a disabled context keeps the exact-only path
      *  byte-identical to builds without the surrogate. */
     surrogate::SurrogateContext *surrogate = nullptr;
-    /** Per-job cancellation token (owned by the caller, e.g. a
-     *  JobContext); threaded into every MappingRun the env creates so
-     *  a cancelled job stops mid-sweep instead of at the driver's
-     *  next chunk boundary. nullptr keeps runs non-cancellable from
-     *  inside; an uncancelled run is bit-identical either way. */
-    const common::CancelToken *cancel = nullptr;
 };
 
 /** The backend names, sorted. */

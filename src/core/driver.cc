@@ -9,9 +9,9 @@
 
 #include <memory>
 
+#include "common/io.hh"
 #include "common/status.hh"
 #include "common/thread_pool.hh"
-#include "common/watchdog.hh"
 #include "core/checkpoint.hh"
 #include "core/fidelity.hh"
 #include "core/mobo.hh"
@@ -220,6 +220,21 @@ penaltyObjectives(std::size_t dims)
     return y;
 }
 
+/** The common::monotonicNow() time point @p seconds from now, or 0
+ *  (no deadline) when @p seconds is not positive. */
+double
+deadlineIn(double seconds)
+{
+    return seconds > 0.0 ? common::monotonicNow() + seconds : 0.0;
+}
+
+/** True once the clock has reached @p deadline; never for 0. */
+bool
+passed(double deadline)
+{
+    return deadline > 0.0 && common::monotonicNow() >= deadline;
+}
+
 } // namespace
 
 CoSearch::CoSearch(CoSearchEnv &env, DriverConfig cfg, JobContext *ctx,
@@ -232,25 +247,23 @@ CoSearch::CoSearch(CoSearchEnv &env, DriverConfig cfg, JobContext *ctx,
     assert(cfg_.maxIter >= 1);
 }
 
-CoSearch::~CoSearch()
-{
-    if (watchdog_ && runWatchId_ != 0)
-        watchdog_->release(runWatchId_);
-}
+CoSearch::~CoSearch() = default;
 
 bool
 CoSearch::pollInterrupt()
 {
-    // One internal run token fed by (a) the external shutdown token
-    // (SIGINT/SIGTERM), (b) the job's own cancel token (job-manager
-    // cancel, shutdown fan-out), bridged at every poll, and (c) the
-    // wall-clock watchdog's whole-run deadline. Everything below —
-    // trial boundaries, SH rounds, thread-pool queue, evaluation
-    // chunks — polls this single token.
+    // One internal run token fed at every poll by (a) the external
+    // shutdown token (SIGINT/SIGTERM), (b) the job's own cancel token
+    // (job-manager cancel) and (c) a clock read against the whole-run
+    // deadline. Everything below — trial boundaries, SH rounds,
+    // thread-pool queue, evaluation chunks — polls through here, and
+    // the thread pool skips queued jobs once the token is set.
     if (cfg_.cancel != nullptr && cfg_.cancel->cancelled())
         runToken_.cancel(common::CancelReason::Signal);
     if (ctx_->cancel.cancelled())
         runToken_.cancel(ctx_->cancel.reason());
+    if (passed(runDeadline_))
+        runToken_.cancel(common::CancelReason::RunDeadline);
     return runToken_.cancelled();
 }
 
@@ -344,13 +357,7 @@ CoSearch::start()
     if (cfg_.realThreads > 1)
         roundPool_ =
             std::make_unique<common::ThreadPool>(cfg_.realThreads);
-    if (cfg_.wallDeadlineSeconds > 0.0 ||
-        cfg_.evalWallDeadlineSeconds > 0.0)
-        watchdog_ = std::make_unique<common::Watchdog>();
-    if (watchdog_ && cfg_.wallDeadlineSeconds > 0.0)
-        runWatchId_ =
-            watchdog_->watch(runToken_, cfg_.wallDeadlineSeconds,
-                             common::CancelReason::RunDeadline);
+    runDeadline_ = deadlineIn(cfg_.wallDeadlineSeconds);
 
     stackId_ = common::StackIdentity::of(env_);
 
@@ -512,7 +519,6 @@ CoSearch::runTrial()
                 double seconds = 0.0;
                 int attempts = 0;
                 int target = budget;
-                common::CancelToken eval_token;
                 for (;;) {
                     if (pollInterrupt())
                         break; // abandoned; the trial rolls back
@@ -520,17 +526,12 @@ CoSearch::runTrial()
                     const int spent_before = run.spent();
                     auto st = common::EvalStatus::Ok;
                     bool corrupt = false;
-                    std::uint64_t watch_id = 0;
-                    if (watchdog_ &&
-                        cfg_.evalWallDeadlineSeconds > 0.0)
-                        watch_id = watchdog_->watch(
-                            eval_token,
-                            cfg_.evalWallDeadlineSeconds,
-                            common::CancelReason::EvalDeadline);
+                    const double deadline =
+                        deadlineIn(cfg_.evalWallDeadlineSeconds);
                     try {
                         // Chunked stepping is bit-identical to
                         // one large step (the engine advances one
-                        // sweep at a time) but gives the watchdog
+                        // sweep at a time) but gives the deadlines
                         // and the shutdown path cooperative
                         // cancellation points. pollInterrupt()
                         // (not a bare runToken_ read) so an
@@ -539,8 +540,7 @@ CoSearch::runTrial()
                         // engine below.
                         constexpr int kChunk = 4;
                         while (run.spent() < target) {
-                            if (eval_token.cancelled() ||
-                                pollInterrupt())
+                            if (passed(deadline) || pollInterrupt())
                                 break;
                             const int chunk_before = run.spent();
                             run.step(std::min(
@@ -560,20 +560,12 @@ CoSearch::runTrial()
                     } catch (const std::exception &) {
                         st = common::EvalStatus::Fatal;
                     }
-                    // release() is atomic with expiry: once it
-                    // returns, the watchdog holds no reference to
-                    // eval_token. false = the deadline fired.
-                    const bool expired =
-                        watch_id != 0 &&
-                        !watchdog_->release(watch_id);
                     seconds += run.chargedSeconds() - before;
                     if (pollInterrupt())
                         break; // interrupted; trial is discarded
-                    if ((expired || eval_token.cancelled()) &&
-                        st == common::EvalStatus::Ok &&
-                        run.spent() < target)
+                    if (st == common::EvalStatus::Ok &&
+                        run.spent() < target && passed(deadline))
                         st = common::EvalStatus::Timeout;
-                    eval_token.reset();
                     if (st == common::EvalStatus::Ok) {
                         if (run.spent() >= target)
                             break; // healthy and complete
@@ -845,10 +837,6 @@ CoSearch::result()
         return result_;
     sealed_ = true;
 
-    if (watchdog_ && runWatchId_ != 0) {
-        watchdog_->release(runWatchId_);
-        runWatchId_ = 0;
-    }
     // An interrupt that lands exactly on an iteration boundary needs
     // no rollback but is still an early exit.
     if (!result_.interrupted && runToken_.cancelled()) {

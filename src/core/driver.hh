@@ -34,7 +34,6 @@
 
 namespace unico::common {
 class ThreadPool;
-class Watchdog;
 } // namespace unico::common
 
 namespace unico::core {
@@ -91,7 +90,7 @@ struct FaultStats
 {
     std::uint64_t transient = 0;    ///< crashes / garbage (retryable)
     std::uint64_t timeout = 0;      ///< deadline expiries (virtual or
-                                    ///< wall-clock watchdog)
+                                    ///< --eval-wall-deadline)
     std::uint64_t corrupt = 0;      ///< invalid PPA detected
     std::uint64_t fatal = 0;        ///< non-retryable failures
     std::uint64_t retries = 0;      ///< retry attempts issued
@@ -162,14 +161,17 @@ struct DriverConfig
      *  ...); resume falls back past generations that fail CRC/parse
      *  validation. <= 1 keeps only the newest. */
     int checkpointKeep = 3;
-    /** Whole-run wall-clock deadline in real seconds (0 = none);
-     *  enforced by a watchdog thread independent of the virtual
-     *  EvalClock. On expiry the run drains, checkpoints and returns
-     *  with interrupted state, exactly like a shutdown signal. */
+    /** Whole-run wall-clock deadline in real seconds from start()
+     *  (0 = none), independent of the virtual EvalClock. The driver
+     *  reads the clock at its poll points; once past the deadline the
+     *  run drains, checkpoints and returns with interrupted state,
+     *  exactly like a shutdown signal. */
     double wallDeadlineSeconds = 0.0;
     /** Per-evaluation-attempt wall-clock deadline in real seconds
-     *  (0 = none). Expiry cancels the attempt cooperatively and is
-     *  classified EvalStatus::Timeout (retry/degrade/penalty). */
+     *  (0 = none), read between mapping-search chunks: an attempt
+     *  past it stops at the next chunk boundary and is classified
+     *  EvalStatus::Timeout (retry/degrade/penalty). An evaluation
+     *  that never returns is not interrupted. */
     double evalWallDeadlineSeconds = 0.0;
     /** External cancellation (e.g. the process-wide shutdown token
      *  cancelled by SIGINT/SIGTERM handlers); polled at iteration and
@@ -290,7 +292,7 @@ class CoSearch
     CoSearch(const CoSearch &) = delete;
     CoSearch &operator=(const CoSearch &) = delete;
 
-    /** Bind, resume, arm deadlines; idempotent. May throw
+    /** Bind, resume, fix the run deadline; idempotent. May throw
      *  CheckpointMismatchError on a foreign checkpoint. */
     void start();
 
@@ -326,9 +328,10 @@ class CoSearch
     int minBudget_ = 1;
     common::StackIdentity stackId_;
     common::CancelToken runToken_;
+    /** common::monotonicNow() past which pollInterrupt() cancels the
+     *  run (0 = no deadline). */
+    double runDeadline_ = 0.0;
     std::unique_ptr<common::ThreadPool> roundPool_;
-    std::unique_ptr<common::Watchdog> watchdog_;
-    std::uint64_t runWatchId_ = 0;
     CoSearchResult result_;
     int startIter_ = 0;
     int completedIters_ = 0;

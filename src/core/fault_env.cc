@@ -35,8 +35,9 @@ class FaultyRun : public MappingRun
                 throw EvalFault(EvalStatus::Transient,
                                 "injected transient evaluation crash");
               case FaultKind::Hang:
-                // The watchdog kills the job at the deadline; the
-                // wasted wall-clock is still real search cost.
+                // A simulated hang: no wall time passes, but the
+                // deadline it would have waited out is charged as
+                // virtual search cost before it reports Timeout.
                 ++env_->hang_;
                 extraSeconds_ += env_->plan_.spec().deadlineSeconds;
                 throw EvalFault(EvalStatus::Timeout,

@@ -11,9 +11,9 @@
  *
  * The stepped driver (core::CoSearch) accepts an optional JobContext;
  * when given one it charges the job's clock and polls the job's
- * cancel token at every cooperative boundary. The job manager
- * registers each context's token with the scoped shutdown fan-out so
- * one SIGINT drains every live job to a valid checkpoint.
+ * cancel token at every cooperative boundary. A shutdown signal does
+ * not touch this token: the driver polls the process shutdown token
+ * beside it (DriverConfig::cancel).
  */
 
 #ifndef UNICO_CORE_JOB_CONTEXT_HH
@@ -31,7 +31,7 @@ struct JobContext
      *  CoSearch::start() to the configured worker-pool size. */
     common::EvalClock clock;
     /** The job's cancellation token: cancelled by the job manager
-     *  (cancel endpoint) or by the shutdown fan-out (SIGINT). */
+     *  (cancel endpoint, shutdown drain). */
     common::CancelToken cancel;
 };
 

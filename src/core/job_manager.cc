@@ -91,11 +91,6 @@ JobManager::~JobManager()
     shutdown();
     for (auto &t : schedulers_)
         t.join();
-    // Tokens outlive their fan-out registration: unregister every
-    // job's token (idempotent) only after all schedulers stopped.
-    if (cfg_.shutdownFanout)
-        for (auto &[id, job] : jobs_)
-            common::unregisterShutdownToken(job->ctx.cancel);
 }
 
 SubmitResult
@@ -123,8 +118,6 @@ JobManager::submit(JobSpec spec)
     auto job = std::make_unique<Job>();
     job->id = nextId_++;
     job->spec = std::move(spec);
-    if (cfg_.shutdownFanout)
-        common::registerShutdownToken(job->ctx.cancel);
     const std::uint64_t id = job->id;
     queue_.push_back(id);
     ++queuedCount_;
@@ -329,10 +322,14 @@ JobManager::runJob(Job &job)
         // Everything below is private to this job and built on its
         // scheduler thread. The only shared mutable resource is the
         // (byte-neutral) evaluation cache.
-        const RunStack stack(job.spec, cfg_.sharedCache, &job.ctx.cancel);
+        const RunStack stack(job.spec, cfg_.sharedCache);
 
         RunControl control;
         control.ctx = &job.ctx;
+        // A shutdown signal stops every job at its driver's next poll,
+        // whenever the job started, as it stops co_search_cli's run.
+        if (cfg_.shutdownFanout)
+            control.cancel = &common::shutdownToken();
         // Append each event to the job's replayable log under the
         // manager lock and wake streaming subscribers.
         control.onProgress = [&](const ProgressEvent &event) {

@@ -20,9 +20,8 @@
  * Life cycle: Queued -> Running <-> Paused -> Completed | Cancelled
  * | Failed. The submit queue is bounded; submits beyond the bound
  * are rejected with a typed error instead of blocking the caller.
- * Every job's CancelToken is registered with the scoped shutdown
- * fan-out, so one SIGINT drains every live job to a valid
- * checkpoint.
+ * Every job's driver also polls the process shutdown token, so one
+ * SIGINT drains every queued or running job to a valid checkpoint.
  */
 
 #ifndef UNICO_CORE_JOB_MANAGER_HH
@@ -110,8 +109,10 @@ struct JobManagerConfig
      *  (read-mostly; byte-neutral; spatial jobs never memoize).
      *  nullptr = each job runs uncached. */
     accel::EvalCache *sharedCache = nullptr;
-    /** Register each job's CancelToken with the process shutdown
-     *  fan-out so SIGINT/SIGTERM drains all jobs. */
+    /** Each job's driver polls common::shutdownToken(), so
+     *  SIGINT/SIGTERM drains every queued or running job, including
+     *  ones started after the signal; a paused job stays parked until
+     *  shutdown(), cancel() or resume() wakes it. */
     bool shutdownFanout = true;
 };
 

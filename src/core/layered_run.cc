@@ -12,9 +12,8 @@ namespace unico::core {
 
 LayeredMappingRun::LayeredMappingRun(
     const std::vector<workload::WeightedOp> &layers,
-    std::unique_ptr<LayeredRunPolicy> policy, std::uint64_t seed,
-    const common::CancelToken *cancel)
-    : layers_(layers), policy_(std::move(policy)), cancel_(cancel)
+    std::unique_ptr<LayeredRunPolicy> policy, std::uint64_t seed)
+    : layers_(layers), policy_(std::move(policy))
 {
     policy_->chargeSink_ = &chargedSeconds_;
     common::Rng seeder(seed);
@@ -29,12 +28,6 @@ LayeredMappingRun::step(int sweeps)
     // One budget unit is a *sweep*: one mapping evaluation per unique
     // layer (the paper's budget b counts per-operator search steps).
     for (int i = 0; i < sweeps; ++i) {
-        // Sweep-boundary cancellation: abandon *before* starting a
-        // sweep so completed sweeps are never torn. The driver's
-        // supervisor re-polls the same token before classifying the
-        // resulting "no progress" as a fault.
-        if (cancel_ != nullptr && cancel_->cancelled())
-            return;
         ++cursor_;
         for (auto &run : runs_)
             run->step(1);

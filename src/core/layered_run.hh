@@ -28,7 +28,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/cancel.hh"
 #include "core/backend.hh"
 #include "mapping/engine.hh"
 #include "workload/network.hh"
@@ -99,19 +98,10 @@ class LayeredMappingRun final : public MappingRun
      * @param policy backend binding; the run takes ownership.
      * @param seed   run-level seed; per-layer seeds are drawn from it
      *        in layer order.
-     * @param cancel optional job-cancellation token (not owned; must
-     *        outlive the run). step() polls it at sweep boundaries
-     *        and returns early once cancelled, so a cancelled job
-     *        stops paying for mapping search mid-call instead of at
-     *        the driver's next chunk boundary. Completed sweeps are
-     *        never torn: spent() and the loss history stay
-     *        consistent, and an uncancelled run is bit-identical to
-     *        one constructed without a token.
      */
     LayeredMappingRun(const std::vector<workload::WeightedOp> &layers,
                       std::unique_ptr<LayeredRunPolicy> policy,
-                      std::uint64_t seed,
-                      const common::CancelToken *cancel = nullptr);
+                      std::uint64_t seed);
 
     void step(int sweeps) override;
     int spent() const override;
@@ -126,7 +116,6 @@ class LayeredMappingRun final : public MappingRun
 
     const std::vector<workload::WeightedOp> &layers_;
     std::unique_ptr<LayeredRunPolicy> policy_;
-    const common::CancelToken *cancel_ = nullptr;
     std::vector<std::unique_ptr<mapping::SearchRunBase>> runs_;
     std::vector<double> lossHistory_;
     std::size_t cursor_ = 0;

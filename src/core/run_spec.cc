@@ -280,8 +280,7 @@ backendOptions(const JobSpec &spec)
     return opt;
 }
 
-RunStack::RunStack(const JobSpec &spec, accel::EvalCache *cache,
-                   const common::CancelToken *cancel)
+RunStack::RunStack(const JobSpec &spec, accel::EvalCache *cache)
 {
     std::vector<workload::Network> nets;
     for (const auto &model : spec.models)
@@ -293,7 +292,6 @@ RunStack::RunStack(const JobSpec &spec, accel::EvalCache *cache,
 
     BackendOptions opt = backendOptions(spec);
     opt.cache = cache;
-    opt.cancel = cancel;
     if (spec.surrogateKeep > 0.0) {
         screen.options.enabled = true;
         screen.options.keep = spec.surrogateKeep;

@@ -110,10 +110,8 @@ BackendOptions backendOptions(const JobSpec &spec);
 struct RunStack
 {
     /** @param cache evaluation cache for the backends that memoize;
-     *  @param cancel run token the env's mapping runs poll. Both may
-     *  be null and must outlive the stack. */
-    RunStack(const JobSpec &spec, accel::EvalCache *cache,
-             const common::CancelToken *cancel);
+     *  may be null and must outlive the stack. */
+    RunStack(const JobSpec &spec, accel::EvalCache *cache);
     RunStack(const RunStack &) = delete; // the env points at screen
 
     /** The env a search runs on: the fault injector when one is set. */

@@ -102,7 +102,7 @@ SpatialEnv::createRun(const accel::HwPoint &h, std::uint64_t seed) const
         std::make_unique<SpatialRunPolicy>(layers_, mapSpaces_, model_,
                                            space_.decode(h), opt_.engine,
                                            opt_.surrogate),
-        seed, opt_.cancel);
+        seed);
 }
 
 double

@@ -25,8 +25,8 @@ namespace unico::core {
 class SpatialEnv : public LayeredEnv
 {
   public:
-    /** Reads scenario, engine, maxShapesPerNetwork, surrogate and
-     *  cancel; ignores cache (see SpatialRunPolicy). */
+    /** Reads scenario, engine, maxShapesPerNetwork and surrogate;
+     *  ignores cache (see SpatialRunPolicy). */
     SpatialEnv(std::vector<workload::Network> networks,
                const BackendOptions &opt = {});
 

@@ -704,9 +704,11 @@ makeNetwork(const std::string &name)
         return makeResUnet();
     if (name == "dleu")
         return makeDleu();
-    // fsrcnn_<H>x<W>: each size a positive int64 spanning its whole
-    // field; anything else is not a network name.
+    // fsrcnn_<H>x<W>: each size an integer in 1..8192 (up to an 8K
+    // frame) spanning its whole field; anything else is not a network
+    // name.
     if (name.rfind("fsrcnn_", 0) == 0) {
+        constexpr std::int64_t kMaxSide = 8192;
         const std::string_view dims = std::string_view(name).substr(7);
         const auto size = [](std::string_view text) -> std::int64_t {
             std::int64_t v = 0;
@@ -720,7 +722,7 @@ makeNetwork(const std::string &name)
         if (sep != std::string_view::npos) {
             const std::int64_t h = size(dims.substr(0, sep));
             const std::int64_t w = size(dims.substr(sep + 1));
-            if (h > 0 && w > 0)
+            if (h > 0 && w > 0 && h <= kMaxSide && w <= kMaxSide)
                 return makeFsrcnn(h, w);
         }
     }

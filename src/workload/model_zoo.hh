@@ -77,7 +77,8 @@ std::vector<std::string> modelNames();
 
 /**
  * Look up a network by canonical name (e.g. "resnet", "mobilenet_v2",
- * "fsrcnn_120x320"). Throws std::invalid_argument for unknown names.
+ * "fsrcnn_120x320", whose sides may each be 1..8192). Throws
+ * std::invalid_argument for unknown names.
  */
 Network makeNetwork(const std::string &name);
 

@@ -629,8 +629,8 @@ TEST(Chaos, MasterKillInFleetModeResumesAcrossTopologies)
 
 // ---------------------------------------------------------------
 // Scoped shutdown installation (in-process, no forking): install /
-// restore is refcounted, signals fan out to registered job tokens,
-// and teardown re-arms so the process can install again.
+// restore is refcounted, and teardown re-arms so the process can
+// install again.
 // ---------------------------------------------------------------
 
 #include "common/shutdown.hh"
@@ -669,44 +669,17 @@ TEST(Shutdown, ScopedInstallIsRefcountedAndRestoresHandlers)
     EXPECT_FALSE(common::shutdownRequested());
 }
 
-TEST(Shutdown, SignalFansOutToRegisteredTokensAndTeardownRearms)
+TEST(Shutdown, TeardownRearmsForAFreshScope)
 {
-    {
+    // One graceful signal per scope: handled, not fatal. Teardown
+    // re-arms the process-wide token, so a fresh scope starts from a
+    // clean slate and can be signalled again.
+    for (int round = 0; round < 2; ++round) {
+        SCOPED_TRACE(round);
         common::ShutdownScope scope;
-        common::CancelToken before_signal, after_signal;
-        ASSERT_TRUE(common::registerShutdownToken(before_signal));
-        EXPECT_EQ(common::shutdownFanoutSize(), 1u);
-
-        // One graceful signal: handled, fanned out, not fatal.
-        ASSERT_EQ(raise(SIGTERM), 0);
-        EXPECT_TRUE(common::shutdownRequested());
-        EXPECT_EQ(common::shutdownSignal(), SIGTERM);
-        EXPECT_TRUE(before_signal.cancelled());
-        EXPECT_EQ(before_signal.reason(),
-                  common::CancelReason::Signal);
-
-        // Late registration still observes the shutdown.
-        ASSERT_TRUE(common::registerShutdownToken(after_signal));
-        EXPECT_TRUE(after_signal.cancelled());
-
-        common::unregisterShutdownToken(before_signal);
-        common::unregisterShutdownToken(after_signal);
-        // Unregistration is idempotent.
-        common::unregisterShutdownToken(before_signal);
-        EXPECT_EQ(common::shutdownFanoutSize(), 0u);
-
-        common::clearShutdownRequest();
-        EXPECT_FALSE(common::shutdownRequested());
-    }
-
-    // Teardown re-armed the process-wide token, so a fresh scope
-    // starts from a clean slate and can be signalled again.
-    {
-        common::ShutdownScope again;
         EXPECT_FALSE(common::shutdownRequested());
         ASSERT_EQ(raise(SIGTERM), 0);
         EXPECT_TRUE(common::shutdownRequested());
-        common::clearShutdownRequest();
     }
     EXPECT_FALSE(common::shutdownRequested());
 }

@@ -59,14 +59,14 @@ TEST(ModelZoo, UnknownNameThrows)
 TEST(ModelZoo, MalformedFsrcnnSizesAreUnknownNetworks)
 {
     // Each size is parsed over its whole field: trailing text, a sign,
-    // a blank, a missing field, zero or an int64 overflow is not a size,
-    // and the error names the network.
+    // a blank, a missing field, zero, a side past 8192 or an int64
+    // overflow is not a size, and the error names the network.
     for (const std::string name :
          {"fsrcnn_ax5", "fsrcnn_5xa", "fsrcnn_5x5junk", "fsrcnn_5junkx5",
           "fsrcnn_x5", "fsrcnn_5x", "fsrcnn_5", "fsrcnn_-5x5",
           "fsrcnn_+5x5", "fsrcnn_ 5x5", "fsrcnn_5x 5", "fsrcnn_0x5",
           "fsrcnn_5x0", "fsrcnn_5x5x5", "fsrcnn_99999999999999999999x5",
-          "fsrcnn_5x9223372036854775808"}) {
+          "fsrcnn_5x9223372036854775808", "fsrcnn_8193x1"}) {
         SCOPED_TRACE(name);
         try {
             zoo::makeNetwork(name);
@@ -76,6 +76,8 @@ TEST(ModelZoo, MalformedFsrcnnSizesAreUnknownNetworks)
         }
     }
     EXPECT_EQ(zoo::makeNetwork("fsrcnn_60x80").name(), "fsrcnn_60x80");
+    EXPECT_EQ(zoo::makeNetwork("fsrcnn_8192x8192").name(),
+              "fsrcnn_8192x8192");
 }
 
 TEST(ModelZoo, FsrcnnParametricResolution)

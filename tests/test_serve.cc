@@ -44,6 +44,7 @@
 #include "common/cli.hh"
 #include "common/io.hh"
 #include "common/json.hh"
+#include "common/shutdown.hh"
 #include "core/backend.hh"
 #include "core/job_manager.hh"
 #include "core/report.hh"
@@ -378,12 +379,14 @@ TEST(JobSpecParity, EveryBadTextSameMessage)
 
 TEST(JobSpecParity, MalformedFsrcnnSizesNameTheNetwork)
 {
-    // Each size must be a positive int64 spanning its whole field;
-    // anything else is an unknown network, from either entry point.
+    // Each size must be an integer in 1..8192 spanning its whole
+    // field; anything else is an unknown network, from either entry
+    // point.
     for (const std::string name :
          {"fsrcnn_ax5", "fsrcnn_5xb", "fsrcnn_5x5junk", "fsrcnn_x5",
           "fsrcnn_5x", "fsrcnn_-5x5", "fsrcnn_+5x5", "fsrcnn_ 5x5",
-          "fsrcnn_5x5x5", "fsrcnn_99999999999999999999x5"}) {
+          "fsrcnn_5x5x5", "fsrcnn_99999999999999999999x5",
+          "fsrcnn_8193x1"}) {
         SCOPED_TRACE(name);
         core::JobSpec cli, json;
         EXPECT_EQ(cliVerdict({"--model", name}, &cli),
@@ -817,6 +820,51 @@ TEST(JobManagerLifecycle, PauseParksAndResumeContinues)
     EXPECT_EQ(done->state, core::JobState::Cancelled);
 }
 
+TEST(JobManagerShutdown, SignalStopsRunningQueuedAndLaterJobs)
+{
+    // One SIGTERM reaches every job through the shutdown token their
+    // drivers poll, however many jobs the manager has seen: the
+    // running one, one queued behind it and one submitted after the
+    // signal all drain.
+    const common::ShutdownScope scope;
+    core::JobManagerConfig cfg;
+    cfg.maxConcurrent = 1;
+    cfg.maxQueued = 512;
+    core::JobManager mgr(cfg);
+
+    // The first job starts and parks before its first trial, so 256
+    // more jobs wait behind it and are cancelled while queued: none
+    // of them runs a search.
+    core::JobSpec spec = smallSpec(31, "");
+    spec.iters = 500;
+    const auto running = mgr.submit(spec);
+    ASSERT_TRUE(running.ok());
+    ASSERT_TRUE(mgr.pause(running.id));
+    ASSERT_FALSE(mgr.eventsSince(running.id, 0).empty()); // started
+    spec.iters = 2;
+    for (int i = 0; i < 256; ++i) {
+        const auto early = mgr.submit(spec);
+        ASSERT_TRUE(early.ok()) << early.message;
+        ASSERT_TRUE(mgr.cancel(early.id));
+        EXPECT_EQ(mgr.status(early.id)->state, core::JobState::Cancelled);
+    }
+    ASSERT_TRUE(mgr.resume(running.id));
+    const auto queued = mgr.submit(spec);
+    ASSERT_TRUE(queued.ok());
+
+    ASSERT_EQ(std::raise(SIGTERM), 0);
+    const auto later = mgr.submit(spec);
+    ASSERT_TRUE(later.ok());
+
+    for (const std::uint64_t id : {running.id, queued.id, later.id}) {
+        SCOPED_TRACE(id);
+        const auto st = mgr.wait(id);
+        ASSERT_TRUE(st.has_value());
+        EXPECT_EQ(st->state, core::JobState::Cancelled);
+        EXPECT_EQ(st->error, "signal");
+    }
+}
+
 TEST(JobManagerEvents, LogIsReplayableAndTyped)
 {
     core::JobManagerConfig cfg;
@@ -1055,6 +1103,28 @@ TEST(ServeCli, RejectsTheSizesTheServerRejects)
         EXPECT_EQ(err.rfind(expected, 0), 0u) << err << "vs: " << served;
     }
     EXPECT_EQ(mgr.list().size(), 0u);
+}
+
+TEST(ServeCli, RejectsDeadlinesThatAreNotFiniteNonNegative)
+{
+    // The CLI's process flags outside the JobSpec: a deadline must be
+    // a finite number of seconds >= 0 and --workers 0..1024. Anything
+    // else exits 2 with one error: line and the usage text.
+    const std::vector<std::vector<std::string>> cases = {
+        {"--wall-deadline", "-1"},        {"--wall-deadline", "abc"},
+        {"--wall-deadline", "nan"},       {"--wall-deadline", "inf"},
+        {"--wall-deadline", "5s"},        {"--eval-wall-deadline", "nan"},
+        {"--eval-wall-deadline", "-0.5"}, {"--eval-wall-deadline", "1e999"},
+        {"--workers", "-1"}};
+    for (const auto &flags : cases) {
+        SCOPED_TRACE(flags[0] + " " + flags[1]);
+        std::vector<std::string> args = {kCli, "resnet"};
+        args.insert(args.end(), flags.begin(), flags.end());
+        std::string err;
+        EXPECT_EQ(runForStderr(args, err), 2);
+        EXPECT_EQ(err.rfind("error: " + flags[0], 0), 0u) << err;
+        EXPECT_EQ(err.find('\n'), err.find("\nusage: ")) << err;
+    }
 }
 
 TEST(ServeCli, ServerRejectsBadCapacityFlags)

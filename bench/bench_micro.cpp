@@ -16,9 +16,11 @@
 #include <vector>
 
 #include "camodel/simulator.hh"
+#include "common/frame.hh"
 #include "common/rng.hh"
 #include "common/shard_cache.hh"
 #include "core/driver.hh"
+#include "core/fleet_wire.hh"
 #include "core/spatial_env.hh"
 #include "costmodel/analytical.hh"
 #include "cube_tile_oracle.hh"
@@ -602,6 +604,73 @@ BM_ModelZooBuild(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ModelZooBuild);
+
+/**
+ * Codec cost of one fleet round trip: the master encodes a
+ * spatial-fleet-sized request (6 axes, 8 ops) into a sealed frame, the
+ * worker decodes it, encodes a state reply with a 30-entry loss
+ * history into a sealed frame, and the master decodes that. The e2e
+ * split cannot separate this from the IPC and the op work of a trip.
+ * Counters: ns per round trip and the two payload sizes.
+ */
+void
+BM_FleetWireRoundTrip(benchmark::State &state)
+{
+    namespace wire = core::wire;
+    wire::Request req;
+    req.kind = wire::RequestKind::Sync;
+    req.seed = 0x5eed;
+    req.hw = {3, 1, 4, 1, 5, 2};
+    for (int i = 0; i < 8; ++i)
+        req.ops.push_back({wire::OpKind::Step, 4});
+    req.done = 0;
+    wire::Reply reply;
+    reply.kind = wire::ReplyKind::State;
+    reply.applied = 8;
+    reply.spent = 32;
+    reply.seconds = 64.0;
+    reply.ppa = accel::Ppa{1.5, 200.0, 3.25, 300.0, true};
+    common::Rng rng(8);
+    for (int i = 0; i < 30; ++i)
+        reply.hist.push_back(rng.uniform());
+
+    std::string reqFrame;
+    std::string repFrame;
+    wire::Request gotReq;
+    wire::Reply gotRep;
+    bool ok = true;
+    for (auto _ : state) {
+        ++req.nonce;
+        common::beginFrame(reqFrame);
+        wire::encode(req, reqFrame);
+        common::sealFrame(reqFrame);
+        const std::string_view reqPayload =
+            std::string_view(reqFrame).substr(common::kFrameHeaderSize);
+        ok &= wire::decode(reqPayload, gotReq) == wire::WireError::None;
+        reply.nonce = gotReq.nonce;
+        common::beginFrame(repFrame);
+        wire::encode(reply, repFrame);
+        common::sealFrame(repFrame);
+        const std::string_view repPayload =
+            std::string_view(repFrame).substr(common::kFrameHeaderSize);
+        ok &= wire::decode(repPayload, gotRep) == wire::WireError::None;
+        benchmark::DoNotOptimize(gotRep.hist.data());
+    }
+    if (!ok || gotRep.nonce != req.nonce) {
+        state.SkipWithError("round trip failed to decode");
+        return;
+    }
+    // iterations * 1e-9 under kIsRate|kInvert reports elapsed
+    // nanoseconds per round trip.
+    state.counters["ns_per_round_trip"] = benchmark::Counter(
+        static_cast<double>(state.iterations()) * 1e-9,
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+    state.counters["request_bytes"] =
+        static_cast<double>(reqFrame.size() - common::kFrameHeaderSize);
+    state.counters["reply_bytes"] =
+        static_cast<double>(repFrame.size() - common::kFrameHeaderSize);
+}
+BENCHMARK(BM_FleetWireRoundTrip);
 
 /**
  * End-to-end spatial co-search on the Fig. 9 training workload,

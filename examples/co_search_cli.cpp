@@ -96,10 +96,10 @@
  * incumbents, Pareto entries, checkpoint state or CSV rows.
  */
 
-#include <charconv>
-#include <cmath>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
+#include <utility>
 
 #include "common/cli.hh"
 #include "common/shard_cache.hh"
@@ -149,21 +149,72 @@ usage(const std::string &prog)
     return 2;
 }
 
-/** --@p name in seconds, 0 (no deadline) when absent; std::nullopt
- *  unless its whole text is a finite number >= 0. */
-std::optional<double>
-deadlineFlag(const common::CliArgs &args, const std::string &name)
+/** The options that set up this process only: outside the JobSpec,
+ *  they change no result byte. */
+struct ProcessFlags
 {
-    if (!args.has(name))
-        return 0.0;
-    const std::string text = args.getString(name, "");
-    double v = 0.0;
-    const auto [end, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), v);
-    if (ec != std::errc() || end != text.data() + text.size() ||
-        !std::isfinite(v) || v < 0.0)
-        return std::nullopt;
-    return v;
+    std::int64_t cacheMb = 64;
+    std::int64_t progressEvery = 0;
+    double wallDeadline = 0.0;     ///< 0 = none
+    double evalWallDeadline = 0.0; ///< 0 = none
+    /** --workers (0 = in-process) and the fleet's timing and chaos
+     *  flags. */
+    core::FleetConfig fleet;
+    /** --fleet-connect (non-empty: serve as a remote worker) and its
+     *  timing flags. */
+    core::FleetWorkerOptions worker;
+};
+
+/** Every process flag, read before anything is printed.
+ *  @throws std::invalid_argument naming the first bad flag. */
+ProcessFlags
+readProcessFlags(const common::CliArgs &args)
+{
+    const auto check = [](bool ok, const std::string &why) {
+        if (!ok)
+            throw std::invalid_argument(why);
+    };
+    ProcessFlags f;
+    const std::int64_t workers = args.getInt("workers", 0);
+    check(workers >= 0 && workers <= 1024, "--workers must be 0..1024");
+    f.fleet.workers = static_cast<std::size_t>(workers);
+    f.fleet.requestDeadlineSeconds =
+        args.getDouble("worker-eval-deadline", 30.0);
+    check(f.fleet.requestDeadlineSeconds > 0.0,
+          "--worker-eval-deadline must be > 0");
+    const std::int64_t kills = args.getInt("worker-chaos-kills", 0);
+    check(kills >= 0, "--worker-chaos-kills must be >= 0");
+    f.fleet.chaosKills = static_cast<int>(kills);
+    f.fleet.chaosSeed = static_cast<std::uint64_t>(
+        args.getInt("worker-chaos-seed", 0x5eed));
+    f.fleet.listenAddr = args.getString("fleet-listen", "");
+    check(f.fleet.listenAddr.empty() || workers > 0,
+          "--fleet-listen requires --workers N");
+    f.fleet.connectWaitSeconds = args.getDouble("fleet-connect-wait", 30.0);
+    f.fleet.reconnectWaitSeconds =
+        args.getDouble("fleet-reconnect-wait", 5.0);
+    // Written by the transport the moment the bind resolves — BEFORE
+    // the fleet constructor blocks waiting for workers, who need the
+    // port to dial in.
+    f.fleet.listenPortFile = args.getString("fleet-port-file", "");
+
+    f.worker.connectAddr = args.getString("fleet-connect", "");
+    f.worker.connectDeadlineSeconds =
+        args.getDouble("fleet-connect-deadline", 10.0);
+    f.worker.maxReconnectAttempts =
+        static_cast<int>(args.getInt("fleet-reconnect-attempts", 10));
+    f.worker.reconnectMaxSeconds =
+        args.getDouble("fleet-reconnect-max", 2.0);
+
+    f.wallDeadline = args.getDouble("wall-deadline", 0.0);
+    check(f.wallDeadline >= 0.0,
+          "--wall-deadline must be a number of seconds >= 0 (0 = none)");
+    f.evalWallDeadline = args.getDouble("eval-wall-deadline", 0.0);
+    check(f.evalWallDeadline >= 0.0, "--eval-wall-deadline must be a "
+                                     "number of seconds >= 0 (0 = none)");
+    f.cacheMb = args.getInt("cache-mb", 64);
+    f.progressEvery = args.getInt("progress-every", 0);
+    return f;
 }
 
 } // namespace
@@ -173,42 +224,20 @@ main(int argc, char **argv)
 {
     const common::CliArgs args(argc, argv);
 
-    // Process options: outside the JobSpec, they change no result byte.
-    const std::int64_t workers = args.getInt("workers", 0);
-    const double worker_deadline =
-        args.getDouble("worker-eval-deadline", 30.0);
-    const std::int64_t worker_kills =
-        args.getInt("worker-chaos-kills", 0);
-    if (workers < 0 || workers > 1024 || worker_kills < 0 ||
-        !(worker_deadline > 0.0)) {
-        std::cerr << "error: --workers must be 0..1024, "
-                     "--worker-chaos-kills >= 0 and "
-                     "--worker-eval-deadline > 0\n";
-        return usage(args.program());
-    }
-    const std::string fleet_listen = args.getString("fleet-listen", "");
-    if (!fleet_listen.empty() && workers == 0) {
-        std::cerr << "error: --fleet-listen requires --workers N\n";
-        return usage(args.program());
-    }
-    const auto wall_deadline = deadlineFlag(args, "wall-deadline");
-    const auto eval_wall_deadline =
-        deadlineFlag(args, "eval-wall-deadline");
-    if (!wall_deadline || !eval_wall_deadline) {
-        std::cerr << "error: --"
-                  << (wall_deadline ? "eval-wall-deadline" : "wall-deadline")
-                  << " must be a finite number of seconds >= 0 "
-                     "(0 = none)\n";
+    ProcessFlags flags;
+    try {
+        flags = readProcessFlags(args);
+    } catch (const std::invalid_argument &e) {
+        std::cerr << "error: " << e.what() << "\n";
         return usage(args.program());
     }
 
     // Evaluation cache: on by default; --no-cache disables it and
     // --cache-mb sizes it. Only the ascend backend memoizes, and
     // search results do not depend on either flag.
-    const std::int64_t cache_mb = args.getInt("cache-mb", 64);
-    const bool cached = !args.has("no-cache") && cache_mb > 0;
+    const bool cached = !args.has("no-cache") && flags.cacheMb > 0;
     accel::EvalCache cache(
-        cached ? static_cast<std::size_t>(cache_mb) * 1024 * 1024 : 0);
+        cached ? static_cast<std::size_t>(flags.cacheMb) * 1024 * 1024 : 0);
 
     // The run: argv through the JobSpec field table, checked by the
     // validator POST /jobs uses, then its stack (which reads the
@@ -244,19 +273,10 @@ main(int argc, char **argv)
     // with the SAME workload/backend/scenario flags — the handshake
     // verifies the stack identity and refuses a mismatch, because a
     // worker on the wrong workload would silently diverge the search.
-    const std::string fleet_connect =
-        args.getString("fleet-connect", "");
+    const std::string &fleet_connect = flags.worker.connectAddr;
     if (!fleet_connect.empty()) {
-        core::FleetWorkerOptions wopts;
-        wopts.connectAddr = fleet_connect;
-        wopts.connectDeadlineSeconds =
-            args.getDouble("fleet-connect-deadline", 10.0);
-        wopts.maxReconnectAttempts = static_cast<int>(
-            args.getInt("fleet-reconnect-attempts", 10));
-        wopts.reconnectMaxSeconds =
-            args.getDouble("fleet-reconnect-max", 2.0);
         std::cout << "fleet worker: dialing " << fleet_connect << "\n";
-        const int rc = core::runFleetWorkerClient(base_env, wopts);
+        const int rc = core::runFleetWorkerClient(base_env, flags.worker);
         if (rc == 1)
             std::cerr << "error: master at " << fleet_connect
                       << " unreachable\n";
@@ -271,23 +291,8 @@ main(int argc, char **argv)
     // driver's thread pool). Results are byte-identical to the
     // in-process path for any worker count.
     std::unique_ptr<core::FleetEnv> fleet_env;
-    if (workers > 0) {
-        core::FleetConfig fleet_cfg;
-        fleet_cfg.workers = static_cast<std::size_t>(workers);
-        fleet_cfg.requestDeadlineSeconds = worker_deadline;
-        fleet_cfg.chaosKills = static_cast<int>(worker_kills);
-        fleet_cfg.chaosSeed = static_cast<std::uint64_t>(
-            args.getInt("worker-chaos-seed", 0x5eed));
-        fleet_cfg.listenAddr = fleet_listen;
-        fleet_cfg.connectWaitSeconds =
-            args.getDouble("fleet-connect-wait", 30.0);
-        fleet_cfg.reconnectWaitSeconds =
-            args.getDouble("fleet-reconnect-wait", 5.0);
-        // Written by the transport the moment the bind resolves —
-        // BEFORE the constructor below blocks waiting for workers,
-        // who need the port to dial in.
-        fleet_cfg.listenPortFile =
-            args.getString("fleet-port-file", "");
+    if (flags.fleet.workers > 0) {
+        const core::FleetConfig &fleet_cfg = flags.fleet;
         try {
             fleet_env =
                 std::make_unique<core::FleetEnv>(base_env, fleet_cfg);
@@ -296,8 +301,8 @@ main(int argc, char **argv)
             return 1;
         }
         std::cout << "evaluation fleet: " << fleet_env->liveWorkers()
-                  << "/" << workers << " workers";
-        if (!fleet_listen.empty())
+                  << "/" << fleet_cfg.workers << " workers";
+        if (!fleet_cfg.listenAddr.empty())
             std::cout << " (tcp port " << fleet_env->listenPort()
                       << ")";
         if (fleet_cfg.chaosKills > 0)
@@ -314,14 +319,14 @@ main(int argc, char **argv)
     // one JSON object per line on stdout. Trial events are thinned to
     // every Nth; life-cycle events (started/incumbent/front/
     // checkpoint/finished) always print.
-    if (const auto every = args.getInt("progress-every", 0); every > 0)
+    if (const std::int64_t every = flags.progressEvery; every > 0)
         control.onProgress = [every](const core::ProgressEvent &event) {
             if (event.kind != core::ProgressKind::TrialCompleted ||
                 event.iteration % every == 0)
                 std::cout << core::toJson(event).dump() << std::endl;
         };
-    control.wallDeadlineSeconds = *wall_deadline;
-    control.evalWallDeadlineSeconds = *eval_wall_deadline;
+    control.wallDeadlineSeconds = flags.wallDeadline;
+    control.evalWallDeadlineSeconds = flags.evalWallDeadline;
     // Graceful shutdown of the stepped driver (NSGA-II cannot drain):
     // SIGINT/SIGTERM cancel this token; the driver drains, checkpoints
     // and returns with interrupted state instead of dying mid-write.

@@ -31,6 +31,7 @@
 #include <chrono>
 #include <cstdio>
 #include <iostream>
+#include <stdexcept>
 #include <thread>
 
 #include "common/cli.hh"
@@ -43,10 +44,9 @@ using namespace unico;
 namespace {
 
 int
-usage()
+usage(std::ostream &out)
 {
-    std::cout
-        << "usage: co_search_server [--listen HOST:PORT]\n"
+    out << "usage: co_search_server [--listen HOST:PORT]\n"
            "  [--port-file PATH] [--max-concurrent N] [--max-queued N]\n"
            "  [--cache-mb MB] [--no-cache]   (ascend jobs)\n"
            "\n"
@@ -66,19 +66,27 @@ main(int argc, char **argv)
 {
     const common::CliArgs args(argc, argv);
     if (args.has("help"))
-        return usage();
+        return usage(std::cout);
 
-    // One scheduler thread per concurrent job, so the CLI's thread
-    // bound applies; a queue of 0 could accept nothing.
-    const std::int64_t max_concurrent = args.getInt("max-concurrent", 2);
-    const std::int64_t max_queued = args.getInt("max-queued", 16);
-    if (max_concurrent < 1 || max_concurrent > 256 || max_queued < 1) {
-        std::cerr << "error: --max-concurrent must be 1..256 and "
-                     "--max-queued >= 1\n";
-        return usage();
+    // Every number is read before the server binds: one scheduler
+    // thread per concurrent job, so the CLI's thread bound applies; a
+    // queue of 0 could accept nothing.
+    std::int64_t max_concurrent = 0;
+    std::int64_t max_queued = 0;
+    std::int64_t cache_mb = 0;
+    try {
+        max_concurrent = args.getInt("max-concurrent", 2);
+        if (max_concurrent < 1 || max_concurrent > 256)
+            throw std::invalid_argument("--max-concurrent must be 1..256");
+        max_queued = args.getInt("max-queued", 16);
+        if (max_queued < 1)
+            throw std::invalid_argument("--max-queued must be >= 1");
+        cache_mb = args.getInt("cache-mb", 64);
+    } catch (const std::invalid_argument &e) {
+        std::cerr << "error: " << e.what() << "\n";
+        return usage(std::cerr);
     }
 
-    const std::int64_t cache_mb = args.getInt("cache-mb", 64);
     accel::EvalCache cache(
         args.has("no-cache") || cache_mb <= 0
             ? 0

@@ -1,8 +1,11 @@
 #include "common/cli.hh"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
+#include <stdexcept>
 #include <string_view>
+#include <type_traits>
 
 namespace unico::common {
 
@@ -19,6 +22,27 @@ isBareFlag(std::string_view name)
 {
     return std::find(std::begin(kBareFlags), std::end(kBareFlags), name) !=
            std::end(kBareFlags);
+}
+
+/** The whole of @p text as a decimal T (a finite one for floating
+ *  point); otherwise std::invalid_argument naming --@p name. */
+template <class T>
+T
+parseWhole(const std::string &name, const std::string &text)
+{
+    T v{};
+    const char *last = text.data() + text.size();
+    const auto [end, ec] = std::from_chars(text.data(), last, v);
+    bool ok = ec == std::errc() && end == last;
+    if constexpr (std::is_floating_point_v<T>)
+        ok = ok && std::isfinite(v);
+    if (!ok)
+        throw std::invalid_argument(
+            "--" + name + ": expected " +
+            (std::is_floating_point_v<T> ? "a finite number"
+                                         : "an integer") +
+            ", got '" + text + "'");
+    return v;
 }
 
 } // namespace
@@ -72,18 +96,14 @@ std::int64_t
 CliArgs::getInt(const std::string &name, std::int64_t fallback) const
 {
     const auto &v = values(name);
-    if (v.empty() || v.back().empty())
-        return fallback;
-    return std::strtoll(v.back().c_str(), nullptr, 10);
+    return v.empty() ? fallback : parseWhole<std::int64_t>(name, v.back());
 }
 
 double
 CliArgs::getDouble(const std::string &name, double fallback) const
 {
     const auto &v = values(name);
-    if (v.empty() || v.back().empty())
-        return fallback;
-    return std::strtod(v.back().c_str(), nullptr);
+    return v.empty() ? fallback : parseWhole<double>(name, v.back());
 }
 
 } // namespace unico::common

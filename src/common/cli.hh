@@ -37,10 +37,16 @@ class CliArgs
     std::string getString(const std::string &name,
                           const std::string &fallback) const;
 
-    /** Integer value of --name or @p fallback. */
+    /** Integer value of --name, or @p fallback when it is absent.
+     *  @throws std::invalid_argument naming the flag unless the whole
+     *          value is a decimal integer in range (an empty value, a
+     *          suffix as in "2x" or a fraction are refused). */
     std::int64_t getInt(const std::string &name, std::int64_t fallback) const;
 
-    /** Floating-point value of --name or @p fallback. */
+    /** Floating-point value of --name, or @p fallback when it is
+     *  absent.
+     *  @throws std::invalid_argument naming the flag unless the whole
+     *          value is a finite decimal number. */
     double getDouble(const std::string &name, double fallback) const;
 
     /** Every value given for --name, in command-line order ("" for a

@@ -22,19 +22,20 @@ toString(FrameStatus status)
 
 namespace {
 
-/** Append @p v as little-endian bytes (explicit, host-agnostic). */
+/** Store @p v at @p p as little-endian bytes (explicit,
+ *  host-agnostic). */
 void
-putU32(std::string &out, std::uint32_t v)
+putU32(char *p, std::uint32_t v)
 {
     for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+        p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
 }
 
 void
-putU64(std::string &out, std::uint64_t v)
+putU64(char *p, std::uint64_t v)
 {
     for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+        p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
 }
 
 std::uint32_t
@@ -76,11 +77,26 @@ encodeFrame(const std::string &payload)
 {
     std::string out;
     out.reserve(kFrameHeaderSize + payload.size());
-    putU32(out, kFrameMagic);
-    putU32(out, static_cast<std::uint32_t>(payload.size()));
-    putU64(out, crc64(payload));
+    beginFrame(out);
     out += payload;
+    sealFrame(out);
     return out;
+}
+
+void
+beginFrame(std::string &frame)
+{
+    frame.assign(kFrameHeaderSize, '\0');
+}
+
+void
+sealFrame(std::string &frame)
+{
+    char *header = frame.data();
+    const std::size_t length = frame.size() - kFrameHeaderSize;
+    putU32(header, kFrameMagic);
+    putU32(header + 4, static_cast<std::uint32_t>(length));
+    putU64(header + 8, crc64(header + kFrameHeaderSize, length));
 }
 
 FrameStatus

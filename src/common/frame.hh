@@ -57,6 +57,14 @@ inline constexpr std::size_t kFrameMaxPayload = 16u << 20;
 /** Serialize @p payload into one wire frame. */
 std::string encodeFrame(const std::string &payload);
 
+/** Start a frame in @p frame: clear it and reserve the header, so a
+ *  message can be encoded straight after it. */
+void beginFrame(std::string &frame);
+
+/** Fill in the header of a frame begun with beginFrame(); every byte
+ *  after the header is the payload. */
+void sealFrame(std::string &frame);
+
 /**
  * Decode one frame from @p bytes starting at @p offset.
  *

@@ -210,15 +210,6 @@ JsonWriter::cachedArray(JsonArrayCache &cache, std::size_t size,
 std::string hexU64(std::uint64_t v);
 std::uint64_t parseHexU64(const std::string &s);
 
-/**
- * Bit-exact double encoding (hex of the IEEE-754 bit pattern). Used
- * by the fleet wire protocol, where values must round-trip exactly
- * for byte-identical trajectories — including NaN/Inf, which plain
- * JSON numbers cannot carry at all.
- */
-std::string hexDouble(double v);
-double doubleFromHex(const std::string &s);
-
 } // namespace unico::common
 
 #endif // UNICO_COMMON_JSON_HH

@@ -19,11 +19,11 @@
 #include <vector>
 
 #include "common/frame.hh"
-#include "common/json.hh"
 #include "common/rng.hh"
 #include "common/shard_cache.hh"
 #include "common/subprocess.hh"
 #include "core/fleet_transport.hh"
+#include "core/fleet_wire.hh"
 #include "net/socket.hh"
 #include "net/tcp_transport.hh"
 
@@ -33,22 +33,7 @@ namespace {
 
 using common::EvalFault;
 using common::EvalStatus;
-using common::Json;
 using common::mix64;
-
-/** Wire op kinds. A run's history is the exact sequence of mutating
- *  calls made on it — including calls that threw, since a faulted
- *  step still advances the run's internal evaluation index. */
-constexpr int kOpStep = 0;
-constexpr int kOpDegrade = 1;
-
-struct WireOp
-{
-    int kind = kOpStep;
-    int arg = 0;
-
-    bool operator==(const WireOp &other) const = default;
-};
 
 /** Stable identity of one mapping run: fingerprint of (hw, seed).
  *  Master and worker compute it with the same code, so placement
@@ -65,87 +50,30 @@ runKey(const accel::HwPoint &h, std::uint64_t seed)
     return b.fingerprint();
 }
 
-EvalStatus
-statusFromString(const std::string &s)
-{
-    if (s == "ok")
-        return EvalStatus::Ok;
-    if (s == "transient")
-        return EvalStatus::Transient;
-    if (s == "timeout")
-        return EvalStatus::Timeout;
-    if (s == "infeasible")
-        return EvalStatus::Infeasible;
-    return EvalStatus::Fatal;
-}
-
-/** Apply one op to @p run, letting evaluation faults propagate.
+/** Apply one op of a run's history to @p run, letting evaluation
+ *  faults propagate. A run's history is the exact sequence of
+ *  mutating calls made on it — including calls that threw, since a
+ *  faulted step still advances the run's internal evaluation index.
  *  Returns degradeToAnalytical()'s result for a degrade op, false for
  *  a step. */
 bool
-apply(MappingRun &run, const WireOp &op)
+apply(MappingRun &run, const wire::Op &op)
 {
-    if (op.kind == kOpStep) {
-        run.step(op.arg);
-        return false;
-    }
-    if (op.kind == kOpDegrade)
+    if (op.kind == wire::OpKind::Degrade)
         return run.degradeToAnalytical();
-    throw EvalFault(EvalStatus::Fatal, "fleet: unknown op kind");
+    run.step(op.arg);
+    return false;
 }
 
-Json
-opsToJson(const std::vector<WireOp> &ops)
+/** @p record as one sealed frame in @p frame: encoded straight after
+ *  the reserved header, then the header filled in. */
+template <class Record>
+void
+frameRecord(const Record &record, std::string &frame)
 {
-    Json arr = Json::array();
-    for (const auto &op : ops) {
-        Json pair = Json::array();
-        pair.push(Json(op.kind));
-        pair.push(Json(op.arg));
-        arr.push(std::move(pair));
-    }
-    return arr;
-}
-
-std::vector<WireOp>
-opsFromJson(const Json &arr)
-{
-    std::vector<WireOp> ops;
-    ops.reserve(arr.size());
-    for (std::size_t i = 0; i < arr.size(); ++i) {
-        const Json &pair = arr.at(i);
-        ops.push_back(WireOp{static_cast<int>(pair.at(0).asInt()),
-                             static_cast<int>(pair.at(1).asInt())});
-    }
-    return ops;
-}
-
-/** A request ships the run's full op history plus the master's
- *  `done` watermark: ops [0, done) were already acked (the worker
- *  replays any it is missing, swallowing faults), ops [done, size)
- *  are pending and the worker applies them in order, stopping after
- *  the first non-Ok op. "sync" just applies; "sense" additionally
- *  computes sensitivity once the history is fully applied. The
- *  `req` nonce is echoed in the response so the master can discard
- *  duplicated/reordered replies from an earlier exchange on the
- *  same channel (networks deliver those; socketpairs never did). */
-std::string
-makeRequest(const char *op, const accel::HwPoint &h, std::uint64_t seed,
-            const std::vector<WireOp> &ops, std::size_t done,
-            double alpha, std::uint64_t nonce)
-{
-    Json req = Json::object();
-    req["op"] = Json(op);
-    Json hw = Json::array();
-    for (const auto v : h)
-        hw.push(Json(static_cast<double>(v)));
-    req["hw"] = std::move(hw);
-    req["seed"] = Json(common::hexU64(seed));
-    req["ops"] = opsToJson(ops);
-    req["done"] = Json(done);
-    req["alpha"] = Json(common::hexDouble(alpha));
-    req["req"] = Json(common::hexU64(nonce));
-    return req.dump();
+    common::beginFrame(frame);
+    wire::encode(record, frame);
+    common::sealFrame(frame);
 }
 
 } // namespace
@@ -192,7 +120,7 @@ constexpr std::size_t kWorkerResidentRuns = 256;
  *  without re-applying the op. */
 struct DoneOp
 {
-    WireOp op;
+    wire::Op op;
     EvalStatus status = EvalStatus::Ok;
     std::string message;
     bool degraded = false;
@@ -228,7 +156,7 @@ captureFault(Fn &&fn, std::string &message)
 
 /** Apply one op and record its outcome. */
 DoneOp
-applyOp(MappingRun &run, const WireOp &op)
+applyOp(MappingRun &run, const wire::Op &op)
 {
     DoneOp d;
     d.op = op;
@@ -239,7 +167,7 @@ applyOp(MappingRun &run, const WireOp &op)
 
 /** True if @p done (by op identity) is a prefix of @p ops. */
 bool
-isPrefix(const std::vector<DoneOp> &done, const std::vector<WireOp> &ops)
+isPrefix(const std::vector<DoneOp> &done, const std::vector<wire::Op> &ops)
 {
     if (done.size() > ops.size())
         return false;
@@ -293,17 +221,13 @@ class WorkerServer
     serveLoop()
     {
         for (;;) {
-            std::string payload;
-            const auto st = common::readFrame(fd_, payload);
+            const auto st = common::readFrame(fd_, payload_);
             if (st == common::FrameStatus::Eof)
                 return ServeExit::PeerClosed;
             if (st != common::FrameStatus::Ok)
                 return ServeExit::StreamBroken;
-            bye_ = false;
-            const std::string reply = handle(payload);
-            if (bye_)
+            if (!handle())
                 return ServeExit::Bye; // no reply; master is leaving
-            std::string frame = common::encodeFrame(reply);
             ++responses_;
             if (cfg_.chaosCorruptEvery > 0 &&
                 responses_ % static_cast<std::uint64_t>(
@@ -311,67 +235,80 @@ class WorkerServer
                     0) {
                 // Flip one payload bit AFTER the CRC was computed, so
                 // the master's decoder must catch it.
-                frame[common::kFrameHeaderSize] ^= 0x01;
+                frame_[common::kFrameHeaderSize] ^= 0x01;
             }
-            if (common::writeFull(fd_, frame) != common::IoStatus::Ok)
+            if (common::writeFull(fd_, frame_) != common::IoStatus::Ok)
                 return ServeExit::PeerClosed; // master went away
         }
     }
 
   private:
-    std::string
-    handle(const std::string &payload)
+    /** Answer the request in payload_ with one sealed reply frame in
+     *  frame_; false for a bye, which gets no reply. Nothing thrown
+     *  escapes: a request that cannot be decoded or served (a
+     *  malformed record, a point outside the design space, a failed
+     *  createRun) is answered with a failure reply, which sends the
+     *  run in-process on the master. */
+    bool
+    handle()
     {
-        Json resp = Json::object();
-        try {
-            const Json req = Json::parse(payload);
-            // Echo the request nonce first so even a failure reply
-            // passes the master's duplicate/reorder filter.
-            if (req.isObject() && req.has("req"))
-                resp["req"] = Json(req.at("req").asString());
-            handleParsed(req, resp);
-        } catch (const std::exception &e) {
-            // Malformed request or createRun failure: report fatal;
-            // the master surfaces it as an evaluation fault.
-            resp["status"] = Json(toString(EvalStatus::Fatal));
-            resp["message"] = Json(std::string(e.what()));
+        const wire::WireError error = wire::decode(payload_, req_);
+        // The nonce is echoed even in a failure reply, so it passes
+        // the master's duplicate/reorder filter.
+        reply_.nonce = req_.nonce;
+        if (error != wire::WireError::None) {
+            fail(std::string("malformed request: ") +
+                 wire::toString(error));
+        } else if (req_.kind == wire::RequestKind::Bye) {
+            return false;
+        } else if (req_.kind == wire::RequestKind::Ping) {
+            // Heartbeat: prove the channel and this process are live
+            // without touching any run state.
+            reply_.kind = wire::ReplyKind::Pong;
+        } else {
+            try {
+                serveRun();
+            } catch (const std::exception &e) {
+                fail(e.what());
+            }
         }
-        return resp.dump();
+        frameRecord(reply_, frame_);
+        return true;
     }
 
     void
-    handleParsed(const Json &req, Json &resp)
+    fail(std::string message)
     {
-        const std::string op = req.at("op").asString();
-        if (op == "ping") {
-            // Heartbeat: prove the channel and this process are live
-            // without touching any run state.
-            resp["status"] = Json(toString(EvalStatus::Ok));
-            resp["pong"] = Json(true);
-            return;
-        }
-        if (op == "bye") {
-            bye_ = true;
-            return;
-        }
-        accel::HwPoint hw;
-        const Json &hwArr = req.at("hw");
-        hw.reserve(hwArr.size());
-        for (std::size_t i = 0; i < hwArr.size(); ++i)
-            hw.push_back(static_cast<std::size_t>(hwArr.at(i).asInt()));
-        const std::uint64_t seed =
-            common::parseHexU64(req.at("seed").asString());
-        const std::vector<WireOp> ops = opsFromJson(req.at("ops"));
-        const std::size_t done = std::min(
-            static_cast<std::size_t>(req.at("done").asInt()), ops.size());
+        reply_.kind = wire::ReplyKind::Failure;
+        reply_.message = std::move(message);
+    }
 
-        ResidentRun &res = materialize(hw, seed, ops);
+    /**
+     * Serve a sync or sense. The request ships the run's full op
+     * history plus the master's `done` watermark: ops [0, done) were
+     * already acked (replayed here if missing, swallowing faults),
+     * ops [done, size) are pending and applied in order, stopping
+     * after the first non-Ok op. A sense additionally computes
+     * sensitivity once the history is fully applied. The reply
+     * carries the run's full observable state.
+     */
+    void
+    serveRun()
+    {
+        // The decoders of the hardware spaces only assert on the
+        // point, so a point from the wire is checked before any run
+        // is built from it.
+        if (!env_.hwSpace().contains(req_.hw))
+            throw std::invalid_argument(
+                "hardware point outside the design space");
+        const std::vector<wire::Op> &ops = req_.ops;
+        ResidentRun &res = materialize(req_.hw, req_.seed, ops);
 
         // Replay any acked history the resident is missing, swallowing
         // faults: each was already raised to the master by whichever
         // worker first applied the op, and purity of the fault
         // streams makes the recurrence bit-identical.
-        while (res.done.size() < done)
+        while (res.done.size() < req_.done)
             res.done.push_back(applyOp(*res.run, ops[res.done.size()]));
 
         // Apply the pending tail in order, stopping after the first
@@ -382,8 +319,8 @@ class WorkerServer
         EvalStatus status = EvalStatus::Ok;
         std::string message;
         bool degraded = false;
-        std::size_t applied = 0;
-        for (std::size_t i = done; i < ops.size(); ++i) {
+        std::uint32_t applied = 0;
+        for (std::size_t i = req_.done; i < ops.size(); ++i) {
             if (res.done.size() <= i)
                 res.done.push_back(applyOp(*res.run, ops[i]));
             const DoneOp &d = res.done[i];
@@ -396,33 +333,22 @@ class WorkerServer
         }
 
         double sense = 0.0;
-        if (op == "sense" && status == EvalStatus::Ok) {
-            const double alpha =
-                common::doubleFromHex(req.at("alpha").asString());
+        if (req_.kind == wire::RequestKind::Sense &&
+            status == EvalStatus::Ok)
             status = captureFault(
-                [&] { sense = res.run->sensitivity(alpha); }, message);
-        }
+                [&] { sense = res.run->sensitivity(req_.alpha); },
+                message);
 
-        resp["status"] = Json(toString(status));
-        if (!message.empty())
-            resp["message"] = Json(std::move(message));
-        resp["applied"] = Json(applied);
-        resp["spent"] = Json(res.run->spent());
-        resp["seconds"] =
-            Json(common::hexDouble(res.run->chargedSeconds()));
-        const accel::Ppa ppa = res.run->bestPpa();
-        resp["lat"] = Json(common::hexDouble(ppa.latencyMs));
-        resp["pow"] = Json(common::hexDouble(ppa.powerMw));
-        resp["area"] = Json(common::hexDouble(ppa.areaMm2));
-        resp["energy"] = Json(common::hexDouble(ppa.energyMj));
-        resp["feasible"] = Json(ppa.feasible);
-        Json hist = Json::array();
-        for (const double v : res.run->bestLossHistory())
-            hist.push(Json(common::hexDouble(v)));
-        resp["hist"] = std::move(hist);
-        if (op == "sense")
-            resp["sense"] = Json(common::hexDouble(sense));
-        resp["degraded"] = Json(degraded);
+        reply_.kind = wire::ReplyKind::State;
+        reply_.status = status;
+        reply_.message = std::move(message);
+        reply_.degraded = degraded;
+        reply_.applied = applied;
+        reply_.spent = res.run->spent();
+        reply_.seconds = res.run->chargedSeconds();
+        reply_.ppa = res.run->bestPpa();
+        reply_.sense = sense;
+        reply_.hist = res.run->bestLossHistory();
     }
 
     /** Find or rebuild the resident run for (hw, seed); evict LRU
@@ -431,7 +357,7 @@ class WorkerServer
      *  target) and is rebuilt from scratch. */
     ResidentRun &
     materialize(const accel::HwPoint &hw, std::uint64_t seed,
-                const std::vector<WireOp> &ops)
+                const std::vector<wire::Op> &ops)
     {
         const common::Fingerprint key = runKey(hw, seed);
         const auto mapKey = std::make_pair(key.hi, key.lo);
@@ -463,7 +389,11 @@ class WorkerServer
     int fd_;
     const CoSearchEnv &env_;
     FleetConfig cfg_;
-    bool bye_ = false;
+    // Buffers reused by every request.
+    std::string payload_;
+    std::string frame_;
+    wire::Request req_;
+    wire::Reply reply_;
     std::uint64_t responses_ = 0;
     std::uint64_t clock_ = 0;
     std::map<std::pair<std::uint64_t, std::uint64_t>, ResidentRun>
@@ -627,10 +557,12 @@ class WorkerPool
                 // Tell the remote worker to shut down instead of
                 // treating our close as a partition to reconnect
                 // through.
-                Json bye = Json::object();
-                bye["op"] = "bye";
-                common::writeFrameUntil(slot.ch.fd, bye.dump(),
-                                        common::monotonicNow() + 1.0);
+                wire::Request bye;
+                bye.kind = wire::RequestKind::Bye;
+                std::string frame;
+                frameRecord(bye, frame);
+                common::writeFullUntil(slot.ch.fd, frame,
+                                       common::monotonicNow() + 1.0);
             }
             ::close(slot.ch.fd); // a local worker _exit(0)s on the EOF
             slot.alive = false;
@@ -651,18 +583,18 @@ class WorkerPool
      * stale replies skipped along the way — a slow-loris peer
      * dribbling bytes cannot stretch a request past
      * requestDeadlineSeconds by keeping individual reads alive.
-     * Returns false only when the circuit breaker is open (no live
-     * workers, or the retry budget is exhausted); the caller then
-     * evaluates in-process. On true, @p resp holds the parsed,
-     * nonce-matched response document.
+     * Each attempt stamps @p req with a fresh nonce. Returns false
+     * only when the circuit breaker is open (no live workers, or the
+     * retry budget is exhausted); the caller then evaluates
+     * in-process. On true, @p reply holds the decoded, nonce-matched
+     * reply.
      */
     bool
-    call(const common::Fingerprint &key, const char *op,
-         const accel::HwPoint &hw, std::uint64_t seed,
-         const std::vector<WireOp> &ops, std::size_t done, double alpha,
-         Json &resp)
+    call(const common::Fingerprint &key, wire::Request &req,
+         wire::Reply &reply)
     {
         const int attempts = std::max(1, cfg_.maxRequestRetries);
+        std::string frame;
         for (int attempt = 0; attempt < attempts; ++attempt) {
             std::int64_t pid = -1;
             int fd = -1;
@@ -678,14 +610,13 @@ class WorkerPool
                 ::kill(static_cast<pid_t>(pid), SIGKILL);
             }
 
-            const std::uint64_t nonce = nextNonce();
-            const std::string request =
-                makeRequest(op, hw, seed, ops, done, alpha, nonce);
+            req.nonce = nextNonce();
+            frameRecord(req, frame);
             const double deadline =
                 cfg_.requestDeadlineSeconds > 0.0
                     ? common::monotonicNow() + cfg_.requestDeadlineSeconds
                     : 0.0;
-            switch (exchange(fd, request, nonce, deadline, resp)) {
+            switch (exchange(fd, frame, req.nonce, deadline, reply)) {
               case common::FrameStatus::Ok:
                 release(idx);
                 return true;
@@ -782,20 +713,21 @@ class WorkerPool
     }
 
     /**
-     * Send @p request and read frames until one parses and carries
-     * @p nonce, all under the absolute @p deadline, skipping a bounded
-     * number of stale replies (duplicated or reordered deliveries of
-     * earlier exchanges on this channel). On Ok @p resp holds the
-     * parsed reply. A write failure reports as Timeout or Error; a
-     * CRC-clean but unparsable reply as Corrupt (a worker bug: the
-     * request is replayable, so it is retried elsewhere); a babbling
-     * channel as Error.
+     * Send the sealed request @p frame and read frames until one
+     * decodes and carries @p nonce, all under the absolute
+     * @p deadline, skipping a bounded number of stale replies
+     * (duplicated or reordered deliveries of earlier exchanges on this
+     * channel). On Ok @p reply holds the decoded reply. A write
+     * failure reports as Timeout or Error; a CRC-clean but
+     * undecodable reply as Corrupt (a worker bug: the request is
+     * replayable, so it is retried elsewhere); a babbling channel as
+     * Error.
      */
     common::FrameStatus
-    exchange(int fd, const std::string &request, std::uint64_t nonce,
-             double deadline, Json &resp)
+    exchange(int fd, const std::string &frame, std::uint64_t nonce,
+             double deadline, wire::Reply &reply)
     {
-        switch (common::writeFrameUntil(fd, request, deadline)) {
+        switch (common::writeFullUntil(fd, frame, deadline)) {
           case common::IoStatus::Ok:
             break;
           case common::IoStatus::Timeout:
@@ -803,27 +735,20 @@ class WorkerPool
           default:
             return common::FrameStatus::Error;
         }
-        const std::string want = common::hexU64(nonce);
+        std::string payload;
         for (int skips = 0; skips <= kMaxStaleSkips; ++skips) {
-            std::string payload;
             const auto st = common::readFrameUntil(fd, payload, deadline);
             if (st != common::FrameStatus::Ok)
                 return st;
-            Json r;
-            try {
-                r = Json::parse(payload);
-            } catch (const std::exception &) {
+            if (wire::decode(payload, reply) != wire::WireError::None)
                 return common::FrameStatus::Corrupt;
-            }
-            if (r.isObject() && r.has("req") && r.at("req").isString() &&
-                r.at("req").asString() != want) {
+            if (reply.nonce != nonce) {
                 // A CRC-valid reply to an EARLIER request: the network
                 // duplicated or reordered it. Discard and keep
                 // reading — the real reply is still in flight.
                 noteStaleFrame();
                 continue;
             }
-            resp = std::move(r);
             return common::FrameStatus::Ok;
         }
         // More stale frames than any plausible reorder produces: the
@@ -860,16 +785,16 @@ class WorkerPool
                 ? std::min(5.0,
                            std::max(0.5, cfg_.requestDeadlineSeconds))
                 : 5.0;
-        const std::uint64_t nonce = nextNonce();
-        Json ping = Json::object();
-        ping["op"] = "ping";
-        ping["req"] = Json(common::hexU64(nonce));
-        Json r;
-        return exchange(ch.fd, ping.dump(), nonce,
+        wire::Request ping;
+        ping.kind = wire::RequestKind::Ping;
+        ping.nonce = nextNonce();
+        std::string frame;
+        frameRecord(ping, frame);
+        wire::Reply r;
+        return exchange(ch.fd, frame, ping.nonce,
                         common::monotonicNow() + wait,
                         r) == common::FrameStatus::Ok &&
-               r.isObject() && r.has("pong") && r.at("pong").isBool() &&
-               r.at("pong").asBool();
+               r.kind == wire::ReplyKind::Pong;
     }
 
     /**
@@ -1048,9 +973,12 @@ class RemoteRun : public MappingRun
   public:
     RemoteRun(const CoSearchEnv &inner, detail::WorkerPool &pool,
               accel::HwPoint h, std::uint64_t seed)
-        : inner_(inner), pool_(pool), hw_(std::move(h)), seed_(seed),
-          key_(runKey(hw_, seed)), ppa_(accel::Ppa::infeasible())
-    {}
+        : inner_(inner), pool_(pool), key_(runKey(h, seed))
+    {
+        req_.hw = std::move(h);
+        req_.seed = seed;
+        state_.ppa = accel::Ppa::infeasible();
+    }
 
     void
     step(int evals) override
@@ -1059,7 +987,7 @@ class RemoteRun : public MappingRun
             local_->step(evals);
             return;
         }
-        ops_.push_back(WireOp{kOpStep, evals});
+        req_.ops.push_back(wire::Op{wire::OpKind::Step, evals});
         pendingEvals_ += evals;
     }
 
@@ -1069,36 +997,35 @@ class RemoteRun : public MappingRun
         // Optimistic while ops are queued: a healthy step advances
         // spent by exactly its arg, and a faulting batch resets the
         // mirror to worker truth before the fault surfaces.
-        return local_ ? local_->spent() : spent_ + pendingEvals_;
+        return local_ ? local_->spent() : state_.spent + pendingEvals_;
     }
 
     accel::Ppa
     bestPpa() const override
     {
         const_cast<RemoteRun *>(this)->flush();
-        return local_ ? local_->bestPpa() : ppa_;
+        return local_ ? local_->bestPpa() : state_.ppa;
     }
 
     const std::vector<double> &
     bestLossHistory() const override
     {
         const_cast<RemoteRun *>(this)->flush();
-        return local_ ? local_->bestLossHistory() : hist_;
+        return local_ ? local_->bestLossHistory() : state_.hist;
     }
 
     double
     sensitivity(double alpha) const override
     {
-        const_cast<RemoteRun *>(this)->flush();
+        auto *self = const_cast<RemoteRun *>(this);
+        self->flush();
         if (local_)
             return local_->sensitivity(alpha);
-        Json resp;
-        if (roundTrip("sense", alpha, resp)) {
-            const_cast<RemoteRun *>(this)->applyState(resp);
-            throwIfFault(resp);
-            return common::doubleFromHex(resp.at("sense").asString());
+        if (self->roundTrip(wire::RequestKind::Sense, alpha)) {
+            throwIfFault();
+            return state_.sense;
         }
-        goLocal(ops_.size());
+        goLocal(req_.ops.size());
         return local_->sensitivity(alpha);
     }
 
@@ -1106,7 +1033,7 @@ class RemoteRun : public MappingRun
     chargedSeconds() const override
     {
         const_cast<RemoteRun *>(this)->flush();
-        return local_ ? local_->chargedSeconds() : seconds_;
+        return local_ ? local_->chargedSeconds() : state_.seconds;
     }
 
     bool
@@ -1115,17 +1042,15 @@ class RemoteRun : public MappingRun
         flush();
         if (local_)
             return local_->degradeToAnalytical();
-        ops_.push_back(WireOp{kOpDegrade, 0});
-        Json resp;
-        if (roundTrip("sync", 0.0, resp)) {
-            done_ = ops_.size();
+        req_.ops.push_back(wire::Op{wire::OpKind::Degrade, 0});
+        if (roundTrip(wire::RequestKind::Sync, 0.0)) {
+            done_ = req_.ops.size();
             pool_.noteOpsApplied(1);
-            applyState(resp);
-            throwIfFault(resp);
-            return resp.at("degraded").asBool();
+            throwIfFault();
+            return state_.degraded;
         }
-        goLocal(ops_.size() - 1);
-        done_ = ops_.size() - 1;
+        goLocal(req_.ops.size() - 1);
+        done_ = req_.ops.size() - 1;
         return local_->degradeToAnalytical();
     }
 
@@ -1143,34 +1068,31 @@ class RemoteRun : public MappingRun
     void
     flush()
     {
-        if (local_ || done_ == ops_.size())
+        std::vector<wire::Op> &ops = req_.ops;
+        if (local_ || done_ == ops.size())
             return;
-        Json resp;
-        if (roundTrip("sync", 0.0, resp)) {
-            const std::size_t applied = std::min(
-                static_cast<std::size_t>(resp.at("applied").asInt()),
-                ops_.size() - done_);
+        if (roundTrip(wire::RequestKind::Sync, 0.0)) {
+            const std::size_t applied = std::min<std::size_t>(
+                state_.applied, ops.size() - done_);
             done_ += applied;
             pool_.noteOpsApplied(applied);
-            applyState(resp);
             pendingEvals_ = 0;
-            if (statusFromString(resp.at("status").asString()) !=
-                EvalStatus::Ok) {
-                ops_.resize(done_);
-                throwIfFault(resp);
+            if (state_.status != EvalStatus::Ok) {
+                ops.resize(done_);
+                throwIfFault();
             }
             return;
         }
         // Circuit breaker: replay the acked prefix swallowing faults,
         // then apply the queued tail with in-process propagation.
         goLocal(done_);
-        while (done_ < ops_.size()) {
-            const WireOp op = ops_[done_];
+        while (done_ < ops.size()) {
+            const wire::Op op = ops[done_];
             ++done_; // a faulted op still joins the applied history
             try {
                 apply(*local_, op);
             } catch (...) {
-                ops_.resize(done_);
+                ops.resize(done_);
                 pendingEvals_ = 0;
                 throw;
             }
@@ -1178,47 +1100,34 @@ class RemoteRun : public MappingRun
         pendingEvals_ = 0;
     }
 
+    /** One request carrying the whole history; on a state reply the
+     *  mirror takes the worker's state. "sense" is non-mutating and
+     *  is NOT part of the history. A failure reply (the worker could
+     *  not build the run) answers false like an open breaker, and the
+     *  caller goes in-process. */
     bool
-    roundTrip(const char *op, double alpha, Json &resp) const
+    roundTrip(wire::RequestKind kind, double alpha)
     {
-        // "sense" is non-mutating and is NOT part of the history; the
-        // request ships the history so the worker can materialize.
-        // The pool parses and nonce-matches the reply (unparsable
-        // replies retry as CorruptFrame inside call()); here we only
-        // check it is a complete state document before trusting it.
-        if (!pool_.call(key_, op, hw_, seed_, ops_, done_, alpha, resp))
+        req_.kind = kind;
+        req_.alpha = alpha;
+        req_.done = static_cast<std::uint32_t>(done_);
+        wire::Reply reply;
+        if (!pool_.call(key_, req_, reply) ||
+            reply.kind != wire::ReplyKind::State)
             return false;
-        return resp.has("status") && resp.has("spent") &&
-               resp.has("applied");
+        state_ = std::move(reply);
+        return true;
     }
 
     void
-    applyState(const Json &r)
+    throwIfFault() const
     {
-        spent_ = static_cast<int>(r.at("spent").asInt());
-        seconds_ = common::doubleFromHex(r.at("seconds").asString());
-        ppa_.latencyMs = common::doubleFromHex(r.at("lat").asString());
-        ppa_.powerMw = common::doubleFromHex(r.at("pow").asString());
-        ppa_.areaMm2 = common::doubleFromHex(r.at("area").asString());
-        ppa_.energyMj =
-            common::doubleFromHex(r.at("energy").asString());
-        ppa_.feasible = r.at("feasible").asBool();
-        const Json &hist = r.at("hist");
-        hist_.clear();
-        hist_.reserve(hist.size());
-        for (std::size_t i = 0; i < hist.size(); ++i)
-            hist_.push_back(common::doubleFromHex(hist.at(i).asString()));
-    }
-
-    void
-    throwIfFault(const Json &r) const
-    {
-        const EvalStatus st = statusFromString(r.at("status").asString());
-        if (st == EvalStatus::Ok)
+        if (state_.status == EvalStatus::Ok)
             return;
-        throw EvalFault(st, r.has("message")
-                                ? r.at("message").asString()
-                                : std::string(toString(st)));
+        throw EvalFault(state_.status,
+                        state_.message.empty()
+                            ? std::string(toString(state_.status))
+                            : state_.message);
     }
 
     /**
@@ -1226,7 +1135,7 @@ class RemoteRun : public MappingRun
      * the run locally by replaying the first @p replay ops of the
      * history, swallowing replayed faults (each was already raised
      * once; the deterministic fault streams make the recurrence
-     * identical). Mutating callers pass ops_.size() - 1 — the tail
+     * identical). Mutating callers pass ops.size() - 1 — the tail
      * is the pending op they then apply with normal propagation —
      * while sensitivity() replays the whole history. Permanent: once
      * local, the run never talks to the fleet again.
@@ -1234,10 +1143,10 @@ class RemoteRun : public MappingRun
     void
     goLocal(std::size_t replay) const
     {
-        auto run = inner_.createRun(hw_, seed_);
+        auto run = inner_.createRun(req_.hw, req_.seed);
         for (std::size_t i = 0; i < replay; ++i) {
             try {
-                apply(*run, ops_[i]);
+                apply(*run, req_.ops[i]);
             } catch (const std::exception &) {
                 // Already reported when first applied; recurrence is
                 // part of the deterministic replay.
@@ -1249,18 +1158,14 @@ class RemoteRun : public MappingRun
 
     const CoSearchEnv &inner_;
     detail::WorkerPool &pool_;
-    accel::HwPoint hw_;
-    std::uint64_t seed_;
     common::Fingerprint key_;
-    std::vector<WireOp> ops_;
-    std::size_t done_ = 0; ///< acked prefix of ops_; the rest is queued
+    /** The run's identity (hw, seed) and full op history; kind,
+     *  alpha and done are set per round trip. */
+    wire::Request req_;
+    std::size_t done_ = 0; ///< acked prefix of the ops; the rest is queued
     int pendingEvals_ = 0; ///< optimistic spent delta of the queue
-
-    // Mirrored state from the last successful response.
-    int spent_ = 0;
-    double seconds_ = 0.0;
-    accel::Ppa ppa_;
-    std::vector<double> hist_;
+    /** Mirrored state from the last state reply. */
+    wire::Reply state_;
 
     mutable std::unique_ptr<MappingRun> local_;
 };

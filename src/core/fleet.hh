@@ -9,8 +9,9 @@
  * babbling evaluation can never take the co-search down with it.
  * FleetEnv decorates any environment: createRun() returns a proxy
  * whose step/sensitivity/degrade calls are serialized into
- * CRC-64-framed requests (common/frame) and served by worker
- * processes forked from a pre-threading zygote (common/subprocess).
+ * fixed-layout binary records (core/fleet_wire) in CRC-64 frames
+ * (common/frame) and served by worker processes forked from a
+ * pre-threading zygote (common/subprocess).
  *
  * Determinism is the design invariant. A mapping run is a pure
  * function of (hardware point, seed) and of the op sequence applied

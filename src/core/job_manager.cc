@@ -1,12 +1,21 @@
 #include "core/job_manager.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <utility>
 
 #include "common/shutdown.hh"
 
 namespace unico::core {
+
+namespace {
+
+/** How long a paused job parks before it re-reads the shutdown
+ *  token, which a signal cancels without notifying anyone. */
+constexpr int kSignalPollMs = 20;
+
+} // namespace
 
 const char *
 toString(JobState state)
@@ -339,16 +348,24 @@ JobManager::runJob(Job &job)
             job.cv.notify_all();
         };
         // Pause gate between trials: a pause request parks the
-        // scheduler thread here; cancel always wins and wakes the job
-        // so it can drain and checkpoint.
+        // scheduler thread here; a cancel or a shutdown signal always
+        // wins and releases the job so it can drain and checkpoint. A
+        // signal handler cannot notify job.cv, so the park re-reads the
+        // shutdown token at least every kSignalPollMs.
         control.beforeTrial = [&] {
+            const auto stopping = [&] {
+                return job.ctx.cancel.cancelled() ||
+                       (control.cancel != nullptr &&
+                        control.cancel->cancelled());
+            };
             std::unique_lock<std::mutex> lk(mu_);
-            while (job.pauseRequested && !job.ctx.cancel.cancelled()) {
+            while (job.pauseRequested && !stopping()) {
                 if (job.state != JobState::Paused) {
                     job.state = JobState::Paused;
                     job.cv.notify_all();
                 }
-                job.cv.wait(lk);
+                job.cv.wait_for(lk,
+                                std::chrono::milliseconds(kSignalPollMs));
             }
             if (job.state == JobState::Paused) {
                 job.state = JobState::Running;

@@ -110,9 +110,9 @@ struct JobManagerConfig
      *  nullptr = each job runs uncached. */
     accel::EvalCache *sharedCache = nullptr;
     /** Each job's driver polls common::shutdownToken(), so
-     *  SIGINT/SIGTERM drains every queued or running job, including
-     *  ones started after the signal; a paused job stays parked until
-     *  shutdown(), cancel() or resume() wakes it. */
+     *  SIGINT/SIGTERM drains every queued, running or paused job,
+     *  including ones started after the signal; a paused job sees the
+     *  signal within a bounded wait, without a shutdown() call. */
     bool shutdownFanout = true;
 };
 

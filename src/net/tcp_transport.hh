@@ -21,6 +21,11 @@
  * coming back — the latter counts as a reconnect, not a respawn, and
  * keeps its resident-run cache warm.
  *
+ * The handshake is JSON because it runs once per connection. A hello
+ * whose "proto" is not kFleetProtocol is refused with "protocol
+ * mismatch": the records that follow it (core/fleet_wire) are binary
+ * since protocol 2, and a protocol-1 peer would speak JSON.
+ *
  * Channels hand over raw fds; the fleet protocol on top (core/fleet)
  * is transport-agnostic and byte-identical to the socketpair path.
  */
@@ -40,8 +45,9 @@
 
 namespace unico::net {
 
-/** Handshake protocol revision. */
-inline constexpr std::uint64_t kFleetProtocol = 1;
+/** Fleet protocol revision, checked by the handshake: 2 is the
+ *  fixed-layout binary records of core/fleet_wire, 1 was JSON. */
+inline constexpr std::uint64_t kFleetProtocol = 2;
 
 /** One handshaken worker connection, ready for fleet requests. */
 struct TcpChannel

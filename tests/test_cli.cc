@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "common/cli.hh"
 #include "core/run_spec.hh"
 
@@ -64,6 +67,39 @@ TEST(Cli, NegativeNumbers)
 {
     const auto args = parse({"prog", "--offset", "-12"});
     EXPECT_EQ(args.getInt("offset", 0), -12);
+}
+
+TEST(Cli, NumbersMustBeTheWholeValue)
+{
+    // A prefix is no number: each of these once read as the digits it
+    // starts with (or as 0), and now names the flag instead.
+    for (const char *text : {"abc", "2x", "5s", "", "1.5", "0x10", " 3",
+                             "9223372036854775808"}) {
+        SCOPED_TRACE(text);
+        const auto args = parse({"prog", "--workers", text});
+        try {
+            args.getInt("workers", 0);
+            ADD_FAILURE() << "accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_EQ(std::string(e.what()).rfind("--workers: ", 0), 0u)
+                << e.what();
+        }
+    }
+    for (const char *text : {"lots", "2.5x", "", "nan", "inf", "-inf",
+                             "1e999", "0x1p3"}) {
+        SCOPED_TRACE(text);
+        const auto args = parse({"prog", "--scale", text});
+        EXPECT_THROW(args.getDouble("scale", 1.0), std::invalid_argument);
+    }
+    // A bare flag has no value to parse.
+    EXPECT_THROW(parse({"prog", "--seed", "--scale", "1"}).getInt("seed", 0),
+                 std::invalid_argument);
+    const auto ok = parse({"prog", "--seed", "-3", "--scale", "1e-3",
+                           "--big", "9223372036854775807"});
+    EXPECT_EQ(ok.getInt("seed", 0), -3);
+    EXPECT_DOUBLE_EQ(ok.getDouble("scale", 0.0), 1e-3);
+    EXPECT_DOUBLE_EQ(ok.getDouble("seed", 0.0), -3.0);
+    EXPECT_EQ(ok.getInt("big", 0), 9223372036854775807LL);
 }
 
 TEST(Cli, RepeatedOptionKeepsEveryValue)

@@ -2,8 +2,9 @@
  * @file
  * Tests for the multi-host fleet transport: endpoint and chaos-spec
  * parsing, the TCP handshake (identity acceptance and rejection,
- * session/epoch bookkeeping), absolute frame deadlines against a
- * slow-loris peer, and the headline robustness property — a co-search
+ * refusal of the JSON-era protocol, session/epoch bookkeeping),
+ * absolute frame deadlines against a slow-loris peer, and the
+ * headline robustness property — a co-search
  * whose workers dial in over TCP *through the deterministic chaos
  * proxy* (drops, duplicates, reorders, torn frames, bit flips, hard
  * partitions, worker kills) produces byte-identical results to the
@@ -30,6 +31,7 @@
 
 #include "common/frame.hh"
 #include "common/io.hh"
+#include "common/json.hh"
 #include "core/driver.hh"
 #include "core/fleet.hh"
 #include "core/spatial_env.hh"
@@ -308,6 +310,43 @@ TEST(Net, HandshakeRejectsWrongIdentityAndAcceptsWildcards)
     if (fd >= 0)
         ::close(fd);
     EXPECT_GE(listener.rejectedHandshakes(), 1u);
+}
+
+TEST(Net, HandshakeRefusesTheJsonEraProtocol)
+{
+    // Protocol 1 spoke JSON records after the handshake; a hello that
+    // still says proto 1 is refused before any record is exchanged.
+    ASSERT_EQ(net::kFleetProtocol, 2u);
+    net::TcpFleetListener listener("127.0.0.1:0", common::StackIdentity{});
+    std::string err;
+    ASSERT_TRUE(listener.start(&err)) << err;
+    const int fd = net::tcpConnect(
+        "127.0.0.1:" + std::to_string(listener.port()), 5.0, &err);
+    ASSERT_GE(fd, 0) << err;
+
+    common::Json hello = common::Json::object();
+    hello["op"] = "hello";
+    hello["proto"] = static_cast<std::int64_t>(1);
+    hello["backend"] = "spatial";
+    hello["scenario"] = "edge";
+    hello["digest"] = "abc123";
+    hello["session"] = common::hexU64(7);
+    hello["epoch"] = static_cast<std::int64_t>(0);
+    const double deadline = common::monotonicNow() + 5.0;
+    ASSERT_EQ(common::writeFrameUntil(fd, hello.dump(), deadline),
+              common::IoStatus::Ok);
+    std::string payload;
+    ASSERT_EQ(common::readFrameUntil(fd, payload, deadline),
+              common::FrameStatus::Ok);
+    const common::Json reply = common::Json::parse(payload);
+    EXPECT_EQ(reply.at("op").asString(), "reject");
+    EXPECT_EQ(reply.at("message").asString(), "protocol mismatch");
+    ::close(fd);
+
+    net::TcpChannel ch;
+    EXPECT_FALSE(listener.awaitChannel(0.0, ch));
+    EXPECT_EQ(listener.rejectedHandshakes(), 1u);
+    EXPECT_EQ(listener.acceptedChannels(), 0u);
 }
 
 TEST(Net, TcpFleetMatchesInProcessBitForBit)

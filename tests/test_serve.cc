@@ -865,6 +865,47 @@ TEST(JobManagerShutdown, SignalStopsRunningQueuedAndLaterJobs)
     }
 }
 
+TEST(JobManagerShutdown, SignalDrainsAPausedJobWithoutShutdown)
+{
+    // A signal only cancels the shutdown token and notifies nobody. A
+    // paused job must still see it, with no shutdown(), cancel() or
+    // resume() to wake it, and drain to a checkpoint.
+    const common::ShutdownScope scope;
+    const std::string dir = makeTempDir("paused_signal");
+    core::JobManagerConfig cfg;
+    cfg.maxConcurrent = 1;
+    core::JobManager mgr(cfg);
+
+    // No cadence saves: the only checkpoint is the drain's.
+    core::JobSpec spec = smallSpec(41, "");
+    spec.iters = 500;
+    spec.checkpoint = dir + "/ck.json";
+    spec.checkpointEvery = 1000;
+    const auto sub = mgr.submit(spec);
+    ASSERT_TRUE(sub.ok()) << sub.message;
+    awaitStatus(mgr, sub.id, [](const core::JobStatus &st) {
+        return st.iteration >= 1;
+    });
+    ASSERT_TRUE(mgr.pause(sub.id));
+    awaitStatus(mgr, sub.id, [](const core::JobStatus &st) {
+        return st.state == core::JobState::Paused;
+    });
+    ASSERT_FALSE(fileExists(spec.checkpoint));
+
+    ASSERT_EQ(std::raise(SIGTERM), 0);
+    const auto done =
+        awaitStatus(mgr, sub.id, [](const core::JobStatus &st) {
+            return core::isTerminal(st.state);
+        }, 30.0);
+    EXPECT_EQ(done.state, core::JobState::Cancelled);
+    EXPECT_EQ(done.error, "signal");
+    EXPECT_TRUE(fileExists(spec.checkpoint))
+        << "a drained job must leave a final checkpoint";
+    const auto res = mgr.result(sub.id);
+    ASSERT_TRUE(res.has_value());
+    EXPECT_TRUE(res->interrupted);
+}
+
 TEST(JobManagerEvents, LogIsReplayableAndTyped)
 {
     core::JobManagerConfig cfg;
@@ -903,10 +944,11 @@ TEST(JobManagerEvents, LogIsReplayableAndTyped)
 
 namespace {
 
-/** Fork and exec @p args with stdout discarded; stderr goes to
- *  @p stderr_fd when one is given. */
+/** Fork and exec @p args; stderr goes to @p stderr_fd and stdout to
+ *  @p stdout_fd when given, stdout to /dev/null otherwise. */
 pid_t
-spawn(const std::vector<std::string> &args, int stderr_fd = -1)
+spawn(const std::vector<std::string> &args, int stderr_fd = -1,
+      int stdout_fd = -1)
 {
     std::vector<char *> argv;
     argv.reserve(args.size() + 1);
@@ -916,7 +958,10 @@ spawn(const std::vector<std::string> &args, int stderr_fd = -1)
     std::fflush(stdout);
     const pid_t pid = fork();
     if (pid == 0) {
-        std::freopen("/dev/null", "w", stdout);
+        if (stdout_fd >= 0)
+            dup2(stdout_fd, STDOUT_FILENO);
+        else
+            std::freopen("/dev/null", "w", stdout);
         if (stderr_fd >= 0)
             dup2(stderr_fd, STDERR_FILENO);
         execv(argv[0], argv.data());
@@ -954,28 +999,54 @@ reapWithin(pid_t pid, double wait_seconds)
     return -3;
 }
 
-/** Run @p args to exit; returns its exit code and fills @p err with
- *  everything it wrote to stderr. */
-int
-runForStderr(const std::vector<std::string> &args, std::string &err)
+/** Everything readable from @p fd until EOF or the absolute
+ *  monotonicNow() @p deadline; closes it. */
+std::string
+drain(int fd, double deadline)
 {
-    int fds[2];
-    EXPECT_EQ(pipe2(fds, O_CLOEXEC), 0);
-    const pid_t pid = spawn(args, fds[1]);
-    ::close(fds[1]);
-    EXPECT_GT(pid, 0);
-    err.clear();
+    std::string text;
     char buf[4096];
     for (;;) {
-        const ssize_t n = read(fds[0], buf, sizeof buf);
+        const double left = deadline - common::monotonicNow();
+        if (left <= 0.0 ||
+            common::waitReadable(fd, left) != common::IoStatus::Ok)
+            break;
+        const ssize_t n = read(fd, buf, sizeof buf);
         if (n < 0 && errno == EINTR)
             continue;
         if (n <= 0)
             break;
-        err.append(buf, static_cast<std::size_t>(n));
+        text.append(buf, static_cast<std::size_t>(n));
     }
-    ::close(fds[0]);
-    return reapWithin(pid, 60.0);
+    ::close(fd);
+    return text;
+}
+
+/** Run @p args to exit; returns its exit code (negative when it had
+ *  to be killed after 60 s) and fills @p err with everything it wrote
+ *  to stderr (and @p out, when given, with its stdout). The outputs
+ *  are read one after the other, so each must fit a pipe buffer. */
+int
+runForStderr(const std::vector<std::string> &args, std::string &err,
+             std::string *out = nullptr)
+{
+    int errFds[2];
+    int outFds[2] = {-1, -1};
+    EXPECT_EQ(pipe2(errFds, O_CLOEXEC), 0);
+    if (out != nullptr) {
+        EXPECT_EQ(pipe2(outFds, O_CLOEXEC), 0);
+    }
+    const pid_t pid = spawn(args, errFds[1], outFds[1]);
+    ::close(errFds[1]);
+    if (out != nullptr)
+        ::close(outFds[1]);
+    EXPECT_GT(pid, 0);
+    const double deadline = common::monotonicNow() + 60.0;
+    err = drain(errFds[0], deadline);
+    if (out != nullptr)
+        *out = drain(outFds[0], deadline);
+    return reapWithin(pid,
+                      std::max(0.5, deadline - common::monotonicNow()));
 }
 
 /** One-shot HTTP exchange: send @p request, read to connection
@@ -1108,43 +1179,63 @@ TEST(ServeCli, RejectsTheSizesTheServerRejects)
 TEST(ServeCli, RejectsDeadlinesThatAreNotFiniteNonNegative)
 {
     // The CLI's process flags outside the JobSpec: a deadline must be
-    // a finite number of seconds >= 0 and --workers 0..1024. Anything
-    // else exits 2 with one error: line and the usage text.
+    // a finite number of seconds >= 0, --workers 0..1024, and every
+    // number the whole text of its value. Anything else exits 2 with
+    // one error: line naming the flag and the usage text, before any
+    // banner.
     const std::vector<std::vector<std::string>> cases = {
         {"--wall-deadline", "-1"},        {"--wall-deadline", "abc"},
         {"--wall-deadline", "nan"},       {"--wall-deadline", "inf"},
         {"--wall-deadline", "5s"},        {"--eval-wall-deadline", "nan"},
         {"--eval-wall-deadline", "-0.5"}, {"--eval-wall-deadline", "1e999"},
-        {"--workers", "-1"}};
+        {"--workers", "-1"},              {"--workers", "abc"},
+        {"--workers", "2x"},              {"--workers", "1.5"},
+        {"--cache-mb", "lots"},           {"--worker-eval-deadline", "5s"},
+        {"--worker-chaos-kills", "3x"},   {"--worker-chaos-seed", "0x5eed"},
+        {"--progress-every", "every"},    {"--fleet-connect-wait", "30s"},
+        {"--fleet-reconnect-wait", "nan"},
+        {"--fleet-connect-deadline", "10s"},
+        {"--fleet-reconnect-attempts", "ten"},
+        {"--fleet-reconnect-max", "2x"}};
     for (const auto &flags : cases) {
         SCOPED_TRACE(flags[0] + " " + flags[1]);
-        std::vector<std::string> args = {kCli, "resnet"};
+        std::vector<std::string> args = {kCli, "resnet", "--batch", "2",
+                                         "--iters", "1", "--bmax", "4"};
         args.insert(args.end(), flags.begin(), flags.end());
         std::string err;
-        EXPECT_EQ(runForStderr(args, err), 2);
+        std::string out;
+        EXPECT_EQ(runForStderr(args, err, &out), 2);
         EXPECT_EQ(err.rfind("error: " + flags[0], 0), 0u) << err;
         EXPECT_EQ(err.find('\n'), err.find("\nusage: ")) << err;
+        EXPECT_EQ(out, "");
     }
 }
 
 TEST(ServeCli, ServerRejectsBadCapacityFlags)
 {
-    // A negative or zero scheduler count and an unbounded or empty
-    // queue are usage errors: exit 2 with a diagnostic, before the
-    // server binds or writes its port file.
+    // A negative or zero scheduler count, an unbounded or empty queue
+    // and a number that is not the whole value are usage errors: exit
+    // 2 with one error: line naming the flag and the usage text,
+    // before the server binds, prints its banner or writes its port
+    // file.
     const std::string dir = makeTempDir("flags");
     const std::vector<std::vector<std::string>> cases = {
-        {"--max-concurrent", "-1"}, {"--max-concurrent", "0"},
+        {"--max-concurrent", "-1"},  {"--max-concurrent", "0"},
         {"--max-concurrent", "257"}, {"--max-queued", "-1"},
-        {"--max-queued", "0"}};
+        {"--max-queued", "0"},       {"--max-queued", "5x"},
+        {"--max-concurrent", "two"}, {"--max-queued", "1e3"},
+        {"--cache-mb", "lots"}};
     for (const auto &flags : cases) {
         SCOPED_TRACE(flags[0] + " " + flags[1]);
         std::vector<std::string> args = {kServer, "--listen", "127.0.0.1:0",
                                          "--port-file", dir + "/port"};
         args.insert(args.end(), flags.begin(), flags.end());
         std::string err;
-        EXPECT_EQ(runForStderr(args, err), 2);
-        EXPECT_EQ(err.rfind("error: ", 0), 0u) << err;
+        std::string out;
+        EXPECT_EQ(runForStderr(args, err, &out), 2);
+        EXPECT_EQ(err.rfind("error: " + flags[0], 0), 0u) << err;
+        EXPECT_EQ(err.find('\n'), err.find("\nusage: ")) << err;
+        EXPECT_EQ(out, "");
         EXPECT_FALSE(fileExists(dir + "/port"));
     }
 }
